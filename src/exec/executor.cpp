@@ -15,8 +15,7 @@ namespace staleflow {
 // ------------------------------------------------------------- TaskGraph
 
 TaskGraph::NodeId TaskGraph::add(std::function<void()> fn,
-                                 std::span<const NodeId> deps,
-                                 std::size_t affinity) {
+                                 std::span<const NodeId> deps) {
   if (!fn) {
     throw std::invalid_argument("TaskGraph::add: null task");
   }
@@ -30,7 +29,6 @@ TaskGraph::NodeId TaskGraph::add(std::function<void()> fn,
   Node node;
   node.fn = std::move(fn);
   node.dependency_count = deps.size();
-  node.affinity = affinity;
   nodes_.push_back(std::move(node));
   for (const NodeId dep : deps) {
     nodes_[dep].dependents.push_back(id);
@@ -39,10 +37,8 @@ TaskGraph::NodeId TaskGraph::add(std::function<void()> fn,
 }
 
 TaskGraph::NodeId TaskGraph::add(std::function<void()> fn,
-                                 std::initializer_list<NodeId> deps,
-                                 std::size_t affinity) {
-  return add(std::move(fn), std::span<const NodeId>(deps.begin(), deps.size()),
-             affinity);
+                                 std::initializer_list<NodeId> deps) {
+  return add(std::move(fn), std::span<const NodeId>(deps.begin(), deps.size()));
 }
 
 void TaskGraph::run_inline() {
@@ -114,18 +110,12 @@ void TaskGraph::submit_node(ThreadPool& pool,
         for (const NodeId next : ready) submit_node(pool, token, next);
         if (error) std::rethrow_exception(error);  // lands in the token
   };
-  const std::size_t affinity = nodes_[id].affinity;
-  if (affinity == kNoAffinity) {
-    pool.submit(std::move(run_node), token);
-  } else {
-    pool.submit(std::move(run_node), token,
-                shard_lane(affinity, pool.size()));
-  }
+  pool.submit(std::move(run_node), token);
 }
 
 // -------------------------------------------------------------- Executor
 
-Executor::Executor(std::size_t threads, bool pin) {
+Executor::Executor(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -133,7 +123,7 @@ Executor::Executor(std::size_t threads, bool pin) {
   if (threads > 1) {
     // The calling thread helps while waiting, so T-1 workers + the caller
     // give exactly T threads of progress.
-    pool_ = std::make_unique<ThreadPool>(threads - 1, pin);
+    pool_ = std::make_unique<ThreadPool>(threads - 1);
   }
 }
 
@@ -235,21 +225,6 @@ std::size_t auto_sub_batch_target(std::size_t total, std::size_t lanes) {
   constexpr std::size_t kMinTarget = 256;
   const std::size_t pieces = kPiecesPerLane * lanes;
   return std::max(kMinTarget, (total + pieces - 1) / pieces);
-}
-
-std::size_t shard_lane(std::size_t shard, std::size_t lanes) {
-  if (lanes == 0) {
-    throw std::invalid_argument("shard_lane: lanes must be >= 1");
-  }
-  // splitmix64 finalizer: consecutive shard ids scatter uniformly over
-  // the lanes instead of striding, so shards ≈ lanes doesn't alias.
-  std::uint64_t x = static_cast<std::uint64_t>(shard) + 0x9e3779b97f4a7c15ull;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x % lanes);
 }
 
 }  // namespace staleflow

@@ -24,14 +24,6 @@
 // helpers: split points are derived from batch sizes alone (never from
 // thread count or scheduling), so a skewed batch parallelizes while
 // 1-vs-N-thread runs stay byte-identical.
-//
-// shard_lane is the locality placement map: nodes added with an affinity
-// key (the shard id) are routed to worker lane shard_lane(key, lanes), so
-// every sub-batch of one shard lands on the same worker and its state
-// (ledger slots, histograms, client slices) stays warm in one cache.
-// Placement decides only WHERE a task runs, never WHAT it computes — a
-// stolen or helped task produces the same bytes — so the determinism
-// contract is untouched at any lane count, pinned or not.
 #pragma once
 
 #include <atomic>
@@ -59,20 +51,11 @@ class TaskGraph {
  public:
   using NodeId = std::size_t;
 
-  /// Affinity value for nodes with no placement preference (the shared
-  /// FIFO queue).
-  static constexpr std::size_t kNoAffinity = static_cast<std::size_t>(-1);
-
   /// Adds a node that runs `fn` once every node in `deps` has finished.
-  /// `affinity` is the locality key (typically the shard id): nodes with
-  /// the same key are routed to the same worker lane via shard_lane().
-  /// Advisory only — placement never changes the node's result. Throws
-  /// std::invalid_argument if fn is null or any dep is not an earlier
-  /// node's id.
-  NodeId add(std::function<void()> fn, std::span<const NodeId> deps = {},
-             std::size_t affinity = kNoAffinity);
-  NodeId add(std::function<void()> fn, std::initializer_list<NodeId> deps,
-             std::size_t affinity = kNoAffinity);
+  /// Throws std::invalid_argument if fn is null or any dep is not an
+  /// earlier node's id.
+  NodeId add(std::function<void()> fn, std::span<const NodeId> deps = {});
+  NodeId add(std::function<void()> fn, std::initializer_list<NodeId> deps);
 
   std::size_t size() const noexcept { return nodes_.size(); }
 
@@ -83,7 +66,6 @@ class TaskGraph {
     std::function<void()> fn;
     std::vector<NodeId> dependents;  // nodes waiting on this one
     std::size_t dependency_count = 0;
-    std::size_t affinity = kNoAffinity;
   };
 
   void run_inline();
@@ -112,10 +94,7 @@ class TaskGraph {
 /// server share the pool.
 class Executor {
  public:
-  /// With `pin`, worker lane i is pinned to CPU core i where available
-  /// (silently a no-op otherwise) — wall-clock placement only, never
-  /// semantics. Ignored in inline mode.
-  explicit Executor(std::size_t threads = 1, bool pin = false);
+  explicit Executor(std::size_t threads = 1);
 
   /// Total threads that make progress on this executor's work (>= 1).
   std::size_t threads() const noexcept { return threads_; }
@@ -184,14 +163,5 @@ SubRange sub_range(std::size_t total, std::size_t chunks, std::size_t chunk);
 /// is part of the deterministic replay contract, like a fixed target.
 /// Requires lanes >= 1.
 std::size_t auto_sub_batch_target(std::size_t total, std::size_t lanes);
-
-/// The deterministic shard -> worker-lane placement map: a pure function
-/// of (shard, lanes) — a splitmix64 finalizer over the shard id, modulo
-/// the lane count — so every shard maps to exactly one lane, the mapping
-/// is identical across runs and hosts, and no shard's placement depends
-/// on scheduling, thread timing or any other shard. The mix spreads
-/// consecutive shard ids across lanes even when shards ≈ lanes; residual
-/// imbalance is covered by steal-when-idle. Requires lanes >= 1.
-std::size_t shard_lane(std::size_t shard, std::size_t lanes);
 
 }  // namespace staleflow

@@ -99,7 +99,6 @@ void EpochEngine::begin(const FlowVector& initial,
     shard_clients_[s] = options.num_clients / options.shards +
                         (s < options.num_clients % options.shards ? 1 : 0);
   }
-  epochs_.reserve(options.epochs);
 }
 
 void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
@@ -107,17 +106,14 @@ void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
   const std::size_t s = sub.shard;
   const std::size_t shards = options_.shards;
   // Span over the whole batch, recorded from the worker thread that runs
-  // it. arg packs (lane, shard, index): bits 48+ carry the executing
-  // thread's encoded lane (0 = pre-lane trace, 1 = a non-worker thread,
-  // k+2 = pool lane k — see ThreadPool::current_lane_code), bits 32-47
-  // the shard, low bits the sub-batch index. A drop-telemetry fault
-  // window silences the span for this epoch.
+  // it. arg packs (shard, index): bits 32-47 the shard, low bits the
+  // sub-batch index; bits 48+ stay 0 (see kSubBatchSpan). A
+  // drop-telemetry fault window silences the span for this epoch.
   std::optional<trace::Span> trace_span;
   if (!stage.trace_drop) {
     trace_span.emplace(
         trace::EventKind::kSubBatchSpan, trace_tenant_, stage.trace_epoch,
-        (static_cast<std::uint64_t>(ThreadPool::current_lane_code()) << 48) |
-            (static_cast<std::uint64_t>(s & 0xFFFF) << 32) |
+        (static_cast<std::uint64_t>(s & 0xFFFF) << 32) |
             static_cast<std::uint64_t>(b & 0xFFFFFFFF));
     trace_span->value(sub.arrivals);
   }
@@ -343,10 +339,7 @@ std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
   // snapshot's board post and per-commodity CDF nodes overlap the summary
   // tail; everything after fold reads the folded flow, nothing writes
   // shared state concurrently — and nothing outside this engine at all,
-  // so epochs of distinct engines coexist in one graph. Serve nodes carry
-  // their shard id as the affinity key: every sub-batch of one shard runs
-  // on the same worker lane (cache locality), which never changes what it
-  // computes.
+  // so epochs of distinct engines coexist in one graph.
   stage.served = store_->acquire();
   stage.totals = FlowLedger::Totals{};
   stage.next.reset();
@@ -357,8 +350,7 @@ std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
   serve_nodes.reserve(stage.batches);
   for (std::size_t b = 0; b < stage.batches; ++b) {
     serve_nodes.push_back(
-        graph.add([this, slot, b] { serve_sub_batch(*slot, b); }, {},
-                  /*affinity=*/stage.ctx[b].shard));
+        graph.add([this, slot, b] { serve_sub_batch(*slot, b); }));
   }
   std::vector<TaskGraph::NodeId> fold_deps = std::move(serve_nodes);
   if (extra_fold_dep != kNone) fold_deps.push_back(extra_fold_dep);

@@ -118,13 +118,11 @@ class EpochEngine {
   /// Plans the next epoch (workload arrivals, the deterministic sub-batch
   /// plan, one Rng stream per sub-batch in canonical order) and appends
   /// its serve -> fold -> {board post + per-commodity CDF nodes, summary}
-  /// pipeline to `graph`. Serve nodes carry their shard id as the graph
-  /// affinity key, so same-shard sub-batches land on the same worker lane
-  /// (locality placement — wall clock only, never values). In pipelined
-  /// mode the graph instead holds the PREVIOUS epoch's deferred summary
-  /// (as a root) plus this epoch's serve/fold/snapshot/publish nodes; the
-  /// final call appends only the last summary. The appended nodes touch
-  /// only this engine, so several engines may append to the same graph.
+  /// pipeline to `graph`. In pipelined mode the graph instead holds the
+  /// PREVIOUS epoch's deferred summary (as a root) plus this epoch's
+  /// serve/fold/snapshot/publish nodes; the final call appends only the
+  /// last summary. The appended nodes touch only this engine, so several
+  /// engines may append to the same graph.
   /// Exactly one graph may be in flight per engine: add_epoch / run /
   /// finish_epoch, in order.
   void add_epoch(TaskGraph& graph);

@@ -34,7 +34,7 @@ RouteServerResult RouteServer::run(const FlowVector& initial,
   std::unique_ptr<Executor> owned_executor;
   Executor* exec = options.executor;
   if (exec == nullptr) {
-    owned_executor = std::make_unique<Executor>(options.threads, options.pin);
+    owned_executor = std::make_unique<Executor>(options.threads);
     // Worker-stall faults apply to the executor this run owns; a borrowed
     // executor's host (sweep runner, tenant CLI) wires its own.
     owned_executor->set_fault_schedule(options.faults);

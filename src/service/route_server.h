@@ -117,12 +117,6 @@ struct RouteServerOptions {
   /// an `engine.pipeline_fallbacks` counter bump, never silently.
   bool pipeline = false;
 
-  /// Pin worker lane i to CPU core i where available (silently a no-op
-  /// otherwise). Runtime-only wall-clock placement, never semantics;
-  /// ignored when `executor` is set (the borrowed executor's owner
-  /// decides).
-  bool pin = false;
-
   std::uint64_t seed = 1;
 
   /// Materialized fault schedule (src/faults/), nullptr = healthy world.

@@ -175,9 +175,19 @@ std::vector<double> parse_numbers(const std::string& spec,
 }  // namespace
 
 std::size_t poisson_draw(double mean, Rng& rng) {
+  if (!std::isfinite(mean)) {
+    throw std::invalid_argument("poisson_draw: arrival mean is not finite");
+  }
   if (!(mean > 0.0)) return 0;
   if (mean > 64.0) {
     const double draw = rng.normal(mean, std::sqrt(mean));
+    // llround is undefined past long long; no epoch can hold 2^63 queries.
+    if (draw >= 0x1p63) {
+      std::ostringstream message;
+      message << "poisson_draw: arrival mean " << mean
+              << " draws 2^63 or more queries in one epoch";
+      throw std::invalid_argument(message.str());
+    }
     return draw <= 0.0 ? 0 : static_cast<std::size_t>(std::llround(draw));
   }
   // Knuth: multiply uniforms until the product drops below exp(-mean).

@@ -93,6 +93,8 @@ WorkloadPtr make_workload(const std::string& spec);
 /// Poisson variate with the given mean: Knuth's product method for small
 /// means, a clamped normal approximation above 64 (exact distribution
 /// tails are irrelevant at that size; determinism is what matters).
+/// Throws std::invalid_argument for a non-finite mean or a draw of 2^63
+/// or more.
 std::size_t poisson_draw(double mean, Rng& rng);
 
 }  // namespace staleflow

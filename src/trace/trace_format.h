@@ -74,14 +74,11 @@ enum class EventKind : std::uint16_t {
   /// (0 for a solo server), epoch = board epoch, value = queries served.
   kEpochSpan = 1,
   /// One serving sub-batch task. arg packs
-  /// (lane_code << 48) | ((shard & 0xFFFF) << 32) | sub-batch index
-  /// within the epoch plan; value = the sub-batch's arrival quota. The
-  /// lane code names the execution lane the span ran on: 0 = unknown
-  /// (traces written before lanes existed), 1 = a non-pool thread (the
-  /// caller helping while it waits), k+2 = worker lane k — so a locality
-  /// trace shows directly whether same-shard sub-batches stuck to their
-  /// lane. Recorded from the worker thread that ran the task, so the
-  /// enclosing event batch's worker id attributes it.
+  /// ((shard & 0xFFFF) << 32) | sub-batch index within the epoch plan;
+  /// value = the sub-batch's arrival quota. Bits 48+ are always written
+  /// as 0; older traces may carry an execution-lane code there, which
+  /// readers mask off. Recorded from the worker thread that ran the task,
+  /// so the enclosing event batch's worker id attributes it.
   kSubBatchSpan = 2,
   /// The RCU snapshot publish at a phase boundary (instant).
   kSnapshotPublish = 3,

@@ -1,50 +1,22 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <exception>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "trace/metrics.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace staleflow {
 namespace {
 
-/// Encoded lane of this thread (see ThreadPool::current_lane_code):
-/// defaults to 1 (not a pool worker); worker threads overwrite it once.
-thread_local std::size_t t_lane_code = 1;
-
-/// Best-effort OS pinning of the calling thread to `core`. A no-op on
-/// non-Linux platforms, when the core does not exist, or when the kernel
-/// refuses — pinning may only ever change wall clock.
-void pin_to_core(std::size_t core) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0 || core >= hw || core >= CPU_SETSIZE) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)core;
-#endif
-}
-
-trace::Counter& local_hits_counter() {
-  static trace::Counter& counter =
-      trace::MetricsRegistry::global().counter("pool.local_hits");
-  return counter;
-}
-
-trace::Counter& steals_counter() {
-  static trace::Counter& counter =
-      trace::MetricsRegistry::global().counter("pool.steals");
-  return counter;
+void require_token(const ThreadPool::CompletionToken& token,
+                   const char* where) {
+  if (token == nullptr) {
+    throw std::invalid_argument(std::string("ThreadPool::") + where +
+                                ": null completion token");
+  }
 }
 
 }  // namespace
@@ -59,14 +31,13 @@ class ThreadPool::Completion {
   std::exception_ptr error;
 };
 
-ThreadPool::ThreadPool(std::size_t threads, bool pin) : pin_(pin) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  lanes_.resize(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -77,24 +48,7 @@ ThreadPool::~ThreadPool() {
   }
   work_available_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  if (first_error_) {
-    // The error was never collected by wait_idle(); swallowing it here
-    // would hide a real failure behind a clean exit.
-    try {
-      std::rethrow_exception(first_error_);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr,
-                   "ThreadPool: task failed with uncollected exception: %s\n",
-                   e.what());
-    } catch (...) {
-      std::fprintf(stderr,
-                   "ThreadPool: task failed with uncollected exception\n");
-    }
-    std::terminate();
-  }
 }
-
-std::size_t ThreadPool::current_lane_code() noexcept { return t_lane_code; }
 
 ThreadPool::CompletionToken ThreadPool::make_token() {
   return std::make_shared<Completion>();
@@ -102,76 +56,29 @@ ThreadPool::CompletionToken ThreadPool::make_token() {
 
 void ThreadPool::submit(std::function<void()> task,
                         const CompletionToken& token) {
+  require_token(token, "submit");
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (token) ++token->pending;
+    ++token->pending;
     queue_.push_back(Entry{std::move(task), token});
-    ++queued_;
   }
   work_available_.notify_all();
-}
-
-void ThreadPool::submit(std::function<void()> task,
-                        const CompletionToken& token, std::size_t lane) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (token) ++token->pending;
-    lanes_[lane % lanes_.size()].push_back(Entry{std::move(task), token});
-    ++queued_;
-  }
-  work_available_.notify_all();
-}
-
-bool ThreadPool::token_queued_locked(const CompletionToken& token) const {
-  const auto match = [&](const Entry& e) { return e.token == token; };
-  if (std::any_of(queue_.begin(), queue_.end(), match)) return true;
-  for (const std::deque<Entry>& lane : lanes_) {
-    if (std::any_of(lane.begin(), lane.end(), match)) return true;
-  }
-  return false;
 }
 
 void ThreadPool::wait(const CompletionToken& token) {
-  if (token == nullptr) {
-    throw std::invalid_argument("ThreadPool::wait: null completion token");
-  }
+  require_token(token, "wait");
   std::unique_lock<std::mutex> lock(mutex_);
   const auto match = [&](const Entry& e) { return e.token == token; };
-  for (;;) {
-    if (token->pending == 0) break;
-    // Help with our own batch first: pop the oldest queued task of this
-    // token and run it here. Tasks of other tokens are left to the
-    // workers (and to their own waiters) — running an arbitrary task
-    // while it may itself block on us is how nested pools deadlock.
-    // Shared queue before lane deques: unplaced work (graph fold /
-    // snapshot / summary nodes) is the natural helper diet; a lane task
-    // taken here is a steal — legal, counted, and the reason progress
-    // never depends on the lane's owner being free.
-    Entry entry;
-    bool found = false;
-    bool from_lane = false;
+  while (token->pending != 0) {
+    // Help with our own batch: pop the oldest queued task of this token
+    // and run it here. Tasks of other tokens are left to the workers (and
+    // to their own waiters) — running an arbitrary task while it may
+    // itself block on us is how nested pools deadlock.
     auto it = std::find_if(queue_.begin(), queue_.end(), match);
     if (it != queue_.end()) {
-      entry = std::move(*it);
+      Entry entry = std::move(*it);
       queue_.erase(it);
-      found = true;
-    } else {
-      for (std::deque<Entry>& lane : lanes_) {
-        auto lane_it = std::find_if(lane.begin(), lane.end(), match);
-        if (lane_it != lane.end()) {
-          entry = std::move(*lane_it);
-          lane.erase(lane_it);
-          found = true;
-          from_lane = true;
-          break;
-        }
-      }
-    }
-    if (found) {
-      --queued_;
-      ++active_;
       lock.unlock();
-      if (from_lane) steals_counter().inc();
       run_entry(std::move(entry));
       lock.lock();
       continue;
@@ -179,21 +86,12 @@ void ThreadPool::wait(const CompletionToken& token) {
     // Nothing of ours queued: the rest of the batch is running on other
     // threads. Sleep until a completion (or new work of ours) shows up.
     work_available_.wait(lock, [&] {
-      return token->pending == 0 || token_queued_locked(token);
+      return token->pending == 0 ||
+             std::any_of(queue_.begin(), queue_.end(), match);
     });
   }
   if (token->error) {
     const std::exception_ptr error = std::exchange(token->error, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queued_ == 0 && active_ == 0; });
-  if (first_error_) {
-    const std::exception_ptr error = std::exchange(first_error_, nullptr);
     lock.unlock();
     std::rethrow_exception(error);
   }
@@ -209,86 +107,29 @@ void ThreadPool::run_entry(Entry entry) {
   } catch (...) {
     error = std::current_exception();
   }
-  finish(entry.token, error);
-}
-
-void ThreadPool::finish(const CompletionToken& token,
-                        std::exception_ptr error) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    --active_;
-    if (token) {
-      if (error && !token->error) token->error = error;
-      --token->pending;
-    } else if (error && !first_error_) {
-      first_error_ = error;
-    }
-    if (queued_ == 0 && active_ == 0) idle_.notify_all();
+    if (error && !entry.token->error) entry.token->error = error;
+    --entry.token->pending;
   }
   // Completions wake both idle workers and helping waiters; the predicate
   // re-check keeps the broadcast cheap to tolerate.
   work_available_.notify_all();
 }
 
-void ThreadPool::worker_loop(std::size_t lane) {
-  t_lane_code = lane + 2;
-  if (pin_) pin_to_core(lane);
+void ThreadPool::worker_loop() {
   for (;;) {
     Entry entry;
-    bool local = false;
-    bool stolen = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(lock, [this] { return stopping_ || queued_ > 0; });
-      if (queued_ == 0) return;  // stopping_ and drained
-      // Own lane first (placement pays off here), then the shared FIFO,
-      // then — only when idle otherwise — steal the newest task from
-      // another lane's back (the owner drains its front, so contention
-      // for the same entry is minimal).
-      if (!lanes_[lane].empty()) {
-        entry = std::move(lanes_[lane].front());
-        lanes_[lane].pop_front();
-        local = true;
-      } else if (!queue_.empty()) {
-        entry = std::move(queue_.front());
-        queue_.pop_front();
-      } else {
-        for (std::size_t offset = 1; offset < lanes_.size(); ++offset) {
-          std::deque<Entry>& victim = lanes_[(lane + offset) % lanes_.size()];
-          if (victim.empty()) continue;
-          entry = std::move(victim.back());
-          victim.pop_back();
-          stolen = true;
-          break;
-        }
-      }
-      --queued_;
-      ++active_;
-    }
-    if (local) {
-      local_hits_counter().inc();
-    } else if (stolen) {
-      steals_counter().inc();
+      work_available_.wait(lock,
+                           [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping_ and drained
+      entry = std::move(queue_.front());
+      queue_.pop_front();
     }
     run_entry(std::move(entry));
   }
-}
-
-void parallel_for(std::size_t count, std::size_t threads,
-                  const std::function<void(std::size_t)>& fn) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(std::min(threads, count == 0 ? std::size_t{1} : count));
-  const ThreadPool::CompletionToken token = pool.make_token();
-  for (std::size_t i = 0; i < count; ++i) {
-    pool.submit([&fn, i] { fn(i); }, token);
-  }
-  pool.wait(token);
 }
 
 }  // namespace staleflow

@@ -1,5 +1,5 @@
-// A fixed-size worker pool with per-lane local deques, a shared FIFO
-// queue and completion tokens.
+// A fixed-size worker pool with one shared FIFO queue and completion
+// tokens.
 //
 // This pool is the single place multi-threading lives: the execution layer
 // (src/exec/) builds its Executor/TaskGraph on top of it, and everything
@@ -9,30 +9,19 @@
 // derived *before* submission (see SweepRunner / RouteServer), so results
 // are independent of scheduling order.
 //
-// Locality: every worker owns a local deque (its "lane"). submit() with a
-// lane routes a task to that worker, so tasks that touch the same state
-// (same-shard sub-batches) keep hitting the same caches. A worker drains
-// its own lane first, then the shared queue, and STEALS from another lane
-// only when both are empty — placement is a wall-clock optimization, never
-// a correctness mechanism (any thread may legally run any task), which is
-// why it cannot perturb the determinism contract. pool.local_hits /
-// pool.steals counters make the placement's effectiveness a measured
-// number (trace_dump_cli summary).
-//
 // Completion tokens group tasks so a caller can wait for its own batch
 // instead of whole-pool idleness. wait(token) *helps*: while the token is
-// pending, the waiting thread drains queued tasks of that token itself
-// (shared queue first, then any lane — so progress is guaranteed even
-// when every worker is held, e.g. by an injected stall window). That
-// makes nested submission safe — a task running on a worker may submit
-// sub-tasks to the same pool and wait for them without deadlock, which is
-// how sweep cells use inner parallelism on the shared pool.
+// pending, the waiting thread drains queued tasks of that token itself, so
+// progress is guaranteed even when every worker is held (e.g. by an
+// injected stall window). That makes nested submission safe — a task
+// running on a worker may submit sub-tasks to the same pool and wait for
+// them without deadlock, which is how sweep cells use inner parallelism on
+// the shared pool.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -41,16 +30,11 @@
 
 namespace staleflow {
 
-/// Fixed pool of worker threads draining per-lane deques plus a shared
-/// FIFO queue.
+/// Fixed pool of worker threads draining one shared FIFO queue.
 ///
-/// submit() is thread-safe. Errors follow two contracts:
-///  - token-tracked tasks: the first exception of the batch is captured in
-///    the token and rethrown from wait(token);
-///  - untracked tasks: the first exception is captured and rethrown from
-///    wait_idle(). If it is never consumed, the destructor does NOT
-///    swallow it: it reports the error on stderr and terminates — losing
-///    a task failure silently is never an acceptable outcome.
+/// submit() is thread-safe. Every task belongs to a completion token; the
+/// first exception of a batch is captured in its token and rethrown from
+/// wait(token).
 class ThreadPool {
  public:
   /// Completion state of one batch of tasks. Opaque: create with
@@ -59,14 +43,10 @@ class ThreadPool {
   using CompletionToken = std::shared_ptr<Completion>;
 
   /// Spawns `threads` workers; 0 picks std::thread::hardware_concurrency()
-  /// (at least 1). With `pin`, worker lane i is pinned to CPU core i where
-  /// the platform supports it and a core i exists — silently a no-op
-  /// otherwise (pinning is wall-clock placement, never semantics).
-  explicit ThreadPool(std::size_t threads = 0, bool pin = false);
+  /// (at least 1).
+  explicit ThreadPool(std::size_t threads = 0);
 
-  /// Drains the queues, then joins all workers. Terminates (after printing
-  /// the message) if an untracked task failed and wait_idle() never
-  /// collected the exception.
+  /// Drains the queue, then joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -77,38 +57,18 @@ class ThreadPool {
   /// A fresh, empty completion token.
   CompletionToken make_token();
 
-  /// Enqueues a task on the shared queue. Tasks are picked up FIFO by
-  /// whichever worker frees up first; completion order is unspecified. A
-  /// non-null `token` ties the task to that batch for wait().
-  void submit(std::function<void()> task,
-              const CompletionToken& token = nullptr);
-
-  /// Enqueues a task on worker lane `lane % size()`'s local deque: that
-  /// worker runs it unless it is busy and another idle thread (a stealing
-  /// worker or a helping waiter) gets there first. Placement is advisory —
-  /// it changes which cache the task's state is warm in, never the
-  /// task's result.
-  void submit(std::function<void()> task, const CompletionToken& token,
-              std::size_t lane);
+  /// Enqueues a task under `token`'s batch. Tasks are picked up FIFO by
+  /// whichever thread frees up first; completion order is unspecified.
+  /// Throws std::invalid_argument on a null token.
+  void submit(std::function<void()> task, const CompletionToken& token);
 
   /// Blocks until every task submitted under `token` has finished, then
   /// rethrows the first exception any of them raised. While waiting, runs
-  /// queued tasks of the same token on the calling thread — shared queue
-  /// first, then lane deques (counted as steals) — so a nested batch
-  /// drains without consuming an extra worker and progress never depends
-  /// on a worker being free.
+  /// queued tasks of the same token on the calling thread, so a nested
+  /// batch drains without consuming an extra worker and progress never
+  /// depends on a worker being free. Throws std::invalid_argument on a
+  /// null token.
   void wait(const CompletionToken& token);
-
-  /// Blocks until every queue is empty and every worker is idle, then
-  /// rethrows the first exception any untracked task raised since the
-  /// last call.
-  void wait_idle();
-
-  /// Encoded lane of the calling thread, for trace labelling: 1 on any
-  /// thread that is not a pool worker (the submitting/helping caller),
-  /// lane + 2 on pool worker `lane`. 0 never occurs — it is reserved for
-  /// "unknown" in traces recorded before lanes existed.
-  static std::size_t current_lane_code() noexcept;
 
  private:
   struct Entry {
@@ -116,29 +76,14 @@ class ThreadPool {
     CompletionToken token;
   };
 
-  void worker_loop(std::size_t lane);
+  void worker_loop();
   void run_entry(Entry entry);
-  void finish(const CompletionToken& token, std::exception_ptr error);
-  bool token_queued_locked(const CompletionToken& token) const;
 
   std::vector<std::thread> workers_;
-  std::deque<Entry> queue_;               // unplaced tasks, FIFO
-  std::vector<std::deque<Entry>> lanes_;  // one local deque per worker
-  std::size_t queued_ = 0;                // entries across queue_ + lanes_
-  bool pin_ = false;
+  std::deque<Entry> queue_;
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::size_t active_ = 0;
   bool stopping_ = false;
-  std::exception_ptr first_error_;
 };
-
-/// Runs fn(i) for i in [0, count) across `threads` workers and waits for
-/// completion. threads == 0 picks hardware concurrency; threads == 1 runs
-/// inline on the calling thread (no pool); exceptions propagate either
-/// way (first one wins).
-void parallel_for(std::size_t count, std::size_t threads,
-                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace staleflow

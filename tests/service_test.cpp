@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "core/bulletin_board.h"
 #include "core/fluid_simulator.h"
 #include "equilibrium/metrics.h"
+#include "exec/exec.h"
 #include "net/flow.h"
 #include "net/generators.h"
 #include "service/service.h"
@@ -201,6 +203,18 @@ TEST(Workload, PoissonDrawSmallAndLargeMeans) {
   EXPECT_EQ(poisson_draw(0.0, rng), 0u);
 }
 
+TEST(Workload, PoissonDrawRejectsUnrepresentableMeans) {
+  // A draw past 2^63 cannot be rounded to an integer count, and a
+  // non-finite mean has no draw at all: both are errors, never a hang.
+  Rng rng(11);
+  EXPECT_THROW(poisson_draw(1e29, rng), std::invalid_argument);
+  EXPECT_THROW(poisson_draw(std::numeric_limits<double>::infinity(), rng),
+               std::invalid_argument);
+  EXPECT_THROW(poisson_draw(std::numeric_limits<double>::quiet_NaN(), rng),
+               std::invalid_argument);
+  EXPECT_GT(poisson_draw(1e12, rng), 0u);
+}
+
 TEST(Workload, BurstyAlternatesRates) {
   const WorkloadPtr workload = bursty_workload(10000.0, 0.0, 2, 3);
   Rng rng(1);
@@ -316,6 +330,25 @@ TEST(RouteServer, RejectsBadOptionsAtTheServiceBoundary) {
   options = small_options();
   FlowVector infeasible(instance);  // all-zero: violates demands
   EXPECT_THROW(server.run(infeasible, options), std::invalid_argument);
+}
+
+TEST(EpochEngine, HugeEpochBudgetBeginsAndServesOneEpoch) {
+  // Nothing in begin() is sized by the epoch budget: a 10^11-epoch run
+  // starts in constant memory and serves its epochs one at a time.
+  const Instance instance = braess(true);
+  const Policy policy = make_replicator_policy(instance);
+  const WorkloadPtr workload = closed_loop_workload(100);
+  RouteServerOptions options = small_options();
+  options.epochs = 100'000'000'000;
+  SnapshotStore store;
+  EpochEngine engine(instance, policy, *workload, store);
+  engine.begin(FlowVector::uniform(instance), options);
+  TaskGraph graph;
+  engine.add_epoch(graph);
+  Executor().run(graph);
+  engine.finish_epoch(0.0, nullptr);
+  EXPECT_EQ(engine.epochs_done(), 1u);
+  EXPECT_FALSE(engine.done());
 }
 
 TEST(RouteServer, LatencyFeedbackClosesTheLoopDeterministically) {

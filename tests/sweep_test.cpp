@@ -1,10 +1,9 @@
-// Tests for the sweep subsystem: thread pool, scenario registry, grid
+// Tests for the sweep subsystem: scenario registry, grid
 // expansion (including the service simulator's workload x shard axes),
 // aggregation, and the 1-thread vs 4-thread determinism contract with a
 // pinned golden digest for a service sweep.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -16,53 +15,9 @@
 #include "net/flow.h"
 #include "net/generators.h"
 #include "sweep/sweep.h"
-#include "util/thread_pool.h"
 
 namespace staleflow {
 namespace {
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPool, RethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error is consumed; the pool keeps working.
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForCoversIndexRange) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    std::vector<int> hits(257, 0);
-    parallel_for(hits.size(), threads,
-                 [&hits](std::size_t i) { hits[i] += 1; });
-    for (const int hit : hits) EXPECT_EQ(hit, 1);
-  }
-}
 
 // ---------------------------------------------------------- ScenarioRegistry
 

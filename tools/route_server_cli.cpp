@@ -5,7 +5,7 @@
 //                        [--period <T>] [--epochs <n>] [--clients <n>]
 //                        [--workload <spec>] [--shards <k>]
 //                        [--sub-batch <q>|auto] [--threads <k>]
-//                        [--pin] [--pipeline]
+//                        [--pipeline]
 //                        [--seed <s>] [--deterministic] [--csv <path>]
 //                        [--tenants <spec>[;<spec>...]]
 //                        [--wal <path> | --resume <path>]
@@ -20,16 +20,15 @@
 // With --deterministic, wall-clock latency recording is off and the CSV
 // holds only deterministic columns — byte-identical for any --threads.
 //
-// --pin and --pipeline are runtime performance knobs, digest-neutral
-// like --threads: --pin pins worker lane i to CPU core i (silently a
-// no-op where unavailable); --pipeline overlaps each epoch's summary
-// tail with the next epoch's serving. Pipelining composes with
-// --wal/--resume — cuts are captured at the one-epoch overlap boundary
-// and commit one graph behind the serving frontier — except for the
-// feedback-driven closed-loop-lat workload, where the engine falls back
-// to the strict schedule (stderr notice + engine.pipeline_fallbacks
-// counter) and the WAL paths reject the flag up front so the logged
-// header never misdescribes the run.
+// --pipeline is a runtime performance knob, digest-neutral like
+// --threads: it overlaps each epoch's summary tail with the next
+// epoch's serving. Pipelining composes with --wal/--resume — cuts are
+// captured at the one-epoch overlap boundary and commit one graph
+// behind the serving frontier — except for the feedback-driven
+// closed-loop-lat workload, where the engine falls back to the strict
+// schedule (stderr notice + engine.pipeline_fallbacks counter) and the
+// WAL paths reject the flag up front so the logged header never
+// misdescribes the run.
 //
 // --tenants switches to multi-tenant mode: each ;-separated spec
 // (<name>[:key=value,...], keys scenario/policy/workload/clients/shards/
@@ -135,7 +134,7 @@ const std::set<std::string> kConfigFlags = {
       "                       [--period <T>] [--epochs <n>] [--clients <n>]\n"
       "                       [--workload <spec>] [--shards <k>]\n"
       "                       [--sub-batch <q>|auto] [--threads <k>]\n"
-      "                       [--pin] [--pipeline]\n"
+      "                       [--pipeline]\n"
       "                       [--seed <s>] [--deterministic] [--csv <path>]\n"
       "                       [--tenants <spec>[;<spec>...]]\n"
       "                       [--wal <path> | --resume <path>]\n"
@@ -353,8 +352,7 @@ EpochObserver make_epoch_observer(std::size_t total_epochs,
 int run_tenants_manifest(const std::string& wal_path,
                          const recovery::RunManifest& manifest,
                          const recovery::RecoveredRun* resume,
-                         std::size_t threads, bool pin,
-                         const std::string& csv_path,
+                         std::size_t threads, const std::string& csv_path,
                          std::size_t report_every, std::size_t progress_every,
                          bool quiet) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
@@ -378,7 +376,6 @@ int run_tenants_manifest(const std::string& wal_path,
     options.server = tenant.options;
     options.server.threads = threads;
     options.server.pipeline = manifest.pipeline;
-    options.server.pin = pin;
     options.server.executor = nullptr;
     // Engine notices (the feedback pipeline fallback) print to stderr
     // unless --quiet; the library never writes there itself.
@@ -440,7 +437,7 @@ int run_tenants_manifest(const std::string& wal_path,
     log.emplace(wal_path, manifest);
   }
 
-  Executor executor(threads, pin);
+  Executor executor(threads);
   if (!fault_schedule.empty()) executor.set_fault_schedule(&fault_schedule);
   const MultiTenantResult result =
       tenants.run(executor, observer,
@@ -498,15 +495,13 @@ recovery::RunManifest resolve_tenant_manifest(
 int run_single_manifest(const std::string& wal_path,
                         const recovery::RunManifest& manifest,
                         const recovery::RecoveredRun* resume,
-                        std::size_t threads, bool pin,
-                        const std::string& csv_path,
+                        std::size_t threads, const std::string& csv_path,
                         std::size_t report_every, std::size_t progress_every,
                         bool quiet) {
   const recovery::TenantManifest& self = manifest.tenants.front();
   RouteServerOptions options = self.options;
   options.threads = threads;
   options.pipeline = manifest.pipeline;
-  options.pin = pin;
   options.executor = nullptr;
   // The engine routes its one-line notices (the feedback pipeline
   // fallback) through this sink instead of printing itself; --quiet
@@ -576,10 +571,9 @@ int run_single_manifest(const std::string& wal_path,
 /// The header's pipeline flag is honored — a pipelined run resumes
 /// pipelined, a strict one strict. An explicit --pipeline is legal only
 /// when it agrees with the header (exit 2 on contradiction, like any
-/// config flag fighting the WAL); --pin passes through (a runtime knob
-/// like --threads).
+/// config flag fighting the WAL).
 int do_resume(const std::string& path, std::size_t threads,
-              bool pipeline_flag, bool pin, const std::string& csv_path,
+              bool pipeline_flag, const std::string& csv_path,
               std::size_t report_every, std::size_t progress_every,
               bool quiet) {
   recovery::RecoveredRun state;
@@ -611,11 +605,11 @@ int do_resume(const std::string& path, std::size_t threads,
   }
 
   if (state.manifest.multi_tenant) {
-    return run_tenants_manifest(path, state.manifest, &state, threads, pin,
+    return run_tenants_manifest(path, state.manifest, &state, threads,
                                 csv_path, report_every, progress_every,
                                 quiet);
   }
-  return run_single_manifest(path, state.manifest, &state, threads, pin,
+  return run_single_manifest(path, state.manifest, &state, threads,
                              csv_path, report_every, progress_every, quiet);
 }
 
@@ -681,8 +675,6 @@ int do_run(const std::map<std::string, std::string>& flags) {
       }
     } else if (key == "threads") {
       options.threads = cli::parse_count(value, "--threads");
-    } else if (key == "pin") {
-      options.pin = true;
     } else if (key == "pipeline") {
       options.pipeline = true;
     } else if (key == "seed") {
@@ -727,7 +719,7 @@ int do_run(const std::map<std::string, std::string>& flags) {
 
   if (recovery_flags.resuming()) {
     return do_resume(recovery_flags.resume, options.threads,
-                     options.pipeline, options.pin, csv_path, report_every,
+                     options.pipeline, csv_path, report_every,
                      progress_every, quiet);
   }
 
@@ -737,7 +729,7 @@ int do_run(const std::map<std::string, std::string>& flags) {
     manifest.faults = faults_spec;
     manifest.pipeline = options.pipeline;
     return run_tenants_manifest(recovery_flags.wal, manifest, nullptr,
-                                options.threads, options.pin, csv_path,
+                                options.threads, csv_path,
                                 report_every, progress_every, quiet);
   }
 
@@ -762,7 +754,7 @@ int do_run(const std::map<std::string, std::string>& flags) {
   self.weight = 1;
   manifest.tenants.push_back(std::move(self));
   return run_single_manifest(recovery_flags.wal, manifest, nullptr,
-                             options.threads, options.pin, csv_path,
+                             options.threads, csv_path,
                              report_every, progress_every, quiet);
 }
 
@@ -774,7 +766,7 @@ int run_main(int argc, char** argv) {
     if (command == "list") return do_list();
     if (command == "run") {
       return do_run(cli::parse_flags(
-          args, 1, {"quiet", "deterministic", "pin", "pipeline"}));
+          args, 1, {"quiet", "deterministic", "pipeline"}));
     }
   } catch (const cli::UsageError& e) {
     usage(e.what());

@@ -7,7 +7,7 @@
 //                 [--stop-gap <g>] [--agents <n>]
 //                 [--workloads w1,w2,...] [--shards 1,8,...]
 //                 [--tenants 1,4,...] [--faults f1;f2;...] [--clients <n>]
-//                 [--sub-batch <q>|auto] [--threads <k>] [--pin]
+//                 [--sub-batch <q>|auto] [--threads <k>]
 //                 [--cells-csv <path>] [--summary-csv <path>]
 //                 [--hist-out <path>] [--trace <path>] [--quiet]
 //   sweep_cli list
@@ -80,7 +80,7 @@ constexpr const char* kFaultGrammar =
       "                [--workloads w1,w2,...] [--shards 1,8,...]\n"
       "                [--tenants 1,4,...] [--faults f1;f2;...]\n"
       "                [--clients <n>] [--sub-batch <q>|auto]\n"
-      "                [--threads <k>] [--pin]\n"
+      "                [--threads <k>]\n"
       "                [--cells-csv <path>] [--summary-csv <path>]\n"
       "                [--hist-out <path>] [--trace <path>] [--quiet]\n"
       "  sweep_cli list\n"
@@ -109,7 +109,6 @@ int do_run(const std::map<std::string, std::string>& flags) {
   spec.replicas = 3;
 
   std::size_t threads = 1;
-  bool pin = false;
   std::string cells_csv, summary_csv, hist_csv, trace_path;
   bool quiet = false;
 
@@ -167,8 +166,6 @@ int do_run(const std::map<std::string, std::string>& flags) {
       }
     } else if (key == "threads") {
       threads = cli::parse_count(value, "--threads");
-    } else if (key == "pin") {
-      pin = true;
     } else if (key == "cells-csv") {
       cells_csv = value;
     } else if (key == "summary-csv") {
@@ -256,13 +253,9 @@ int do_run(const std::map<std::string, std::string>& flags) {
     cli::require_writable(trace_path, "--trace");
     trace::start(trace_path, "sweep_cli");
   }
-  // One shared executor for the whole sweep so --pin applies: lane i is
-  // pinned to core i (where available). Placement/pinning are wall-clock
-  // knobs — the cell digests are identical with or without them.
-  Executor executor(threads, pin);
   SweepResult result;
   try {
-    result = runner.run(spec, executor, progress);
+    result = runner.run(spec, threads, progress);
   } catch (...) {
     if (!trace_path.empty()) trace::stop();
     throw;
@@ -313,7 +306,7 @@ int run_main(int argc, char** argv) {
   try {
     if (command == "list") return do_list();
     if (command == "run") {
-      return do_run(cli::parse_flags(args, 1, {"quiet", "pin"}));
+      return do_run(cli::parse_flags(args, 1, {"quiet"}));
     }
   } catch (const cli::UsageError& e) {
     usage(e.what());

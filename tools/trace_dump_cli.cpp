@@ -3,25 +3,20 @@
 // Usage:
 //   trace_dump_cli info <trace>
 //   trace_dump_cli csv <trace> [--out <path>]
-//   trace_dump_cli summary <trace> [--by kind|tenant|shard|worker|lane]
+//   trace_dump_cli summary <trace> [--by kind|tenant|shard|worker]
 //
 // `info` prints the trace's header, shutdown state and greppable
 // event/counter totals (`events[<kind>]=<n>`, `counter[<name>]=<v>`) —
 // the CI traced-run smoke greps these to assert recording invariants
-// (epochs recorded == epochs served, local lane hits beating steals).
+// (epochs recorded == epochs served).
 //
 // `csv` writes one row per event: kind, tenant, epoch, worker, shard,
-// lane, sub-batch index, begin/end timestamps and the span duration in
+// sub-batch index, begin/end timestamps and the span duration in
 // microseconds — the raw material for external analysis.
 //
 // `summary` aggregates wall-clock span durations into exact
 // util/log_histogram quantiles (p50/p99/p999 µs) per event type, or per
-// event type crossed with tenant, shard, worker, or execution lane
-// (--by). `--by lane` splits sub-batch spans by the pool lane that ran
-// them ("main" is the caller helping while it waits); together with the
-// pool.local_hits / pool.steals locality line this is the offline answer
-// to "did placement stick" that the always-on recording makes available
-// for every run.
+// event type crossed with tenant, shard or worker (--by).
 //
 // All modes read the trusted prefix of a torn trace (same recovery
 // posture as the WAL scanner) and report the truncation; exit 0 even for
@@ -47,12 +42,12 @@ namespace {
       "usage:\n"
       "  trace_dump_cli info <trace>\n"
       "  trace_dump_cli csv <trace> [--out <path>]\n"
-      "  trace_dump_cli summary <trace> [--by kind|tenant|shard|worker|lane]\n"
+      "  trace_dump_cli summary <trace> [--by kind|tenant|shard|worker]\n"
       "\n"
       "info prints header + greppable event/counter totals; csv dumps\n"
       "one row per recorded span; summary reports exact p50/p99/p999\n"
       "span-duration quantiles (us) per event type (or crossed with\n"
-      "tenant/shard/worker/lane via --by) plus the pool locality ratio.\n";
+      "tenant/shard/worker via --by).\n";
   std::exit(2);
 }
 
@@ -78,45 +73,6 @@ std::uint64_t event_shard(const trace::TraceEvent& event) {
   return event.kind == trace::EventKind::kSubBatchSpan
              ? (event.arg >> 32) & 0xFFFF
              : 0;
-}
-
-/// The execution lane a sub-batch span ran on (arg bits 48..63), as a
-/// label: "?" for pre-lane traces (code 0), "main" for a non-pool thread
-/// helping (code 1), the worker lane number otherwise (code k+2); "-" for
-/// every other event kind.
-std::string event_lane(const trace::TraceEvent& event) {
-  if (event.kind != trace::EventKind::kSubBatchSpan) return "-";
-  const std::uint64_t code = event.arg >> 48;
-  if (code == 0) return "?";
-  if (code == 1) return "main";
-  return std::to_string(code - 2);
-}
-
-/// Greppable placement-locality line from the final counter sample: how
-/// many pool tasks ran on their submitted lane vs were stolen across.
-void print_locality(const trace::LoadedTrace& loaded) {
-  if (loaded.counter_batches.empty()) return;
-  std::uint64_t local_hits = 0;
-  std::uint64_t steals = 0;
-  bool seen = false;
-  for (const auto& [id, value] : loaded.counter_batches.back().values) {
-    if (loaded.counter_names[id] == "pool.local_hits") {
-      local_hits = value;
-      seen = true;
-    } else if (loaded.counter_names[id] == "pool.steals") {
-      steals = value;
-      seen = true;
-    }
-  }
-  if (!seen) return;
-  const std::uint64_t total = local_hits + steals;
-  std::cout << "locality: pool.local_hits=" << local_hits
-            << " pool.steals=" << steals << " local_ratio="
-            << fmt(total == 0 ? 0.0
-                              : static_cast<double>(local_hits) /
-                                    static_cast<double>(total),
-                   3)
-            << "\n";
 }
 
 int do_info(const std::string& path) {
@@ -175,13 +131,13 @@ int do_csv(const std::string& path,
   }
   std::ostream& out = out_path.empty() ? std::cout : file;
 
-  out << "kind,tenant,epoch,worker,shard,lane,arg,value,begin_ns,end_ns,"
+  out << "kind,tenant,epoch,worker,shard,arg,value,begin_ns,end_ns,"
          "duration_us\n";
   for (const trace::LoadedEvent& loaded_event : loaded.events) {
     const trace::TraceEvent& e = loaded_event.event;
     out << trace::event_kind_name(e.kind) << ',' << e.tenant << ','
         << e.epoch << ',' << loaded_event.worker << ',' << event_shard(e)
-        << ',' << event_lane(e) << ',' << e.arg << ',' << e.value << ','
+        << ',' << e.arg << ',' << e.value << ','
         << e.begin_ns << ',' << e.end_ns << ','
         << fmt(static_cast<double>(e.end_ns - e.begin_ns) / 1e3, 3) << "\n";
   }
@@ -199,9 +155,8 @@ int do_summary(const std::string& path,
   for (const auto& [key, value] : flags) {
     if (key == "by") {
       by = value;
-      if (by != "kind" && by != "tenant" && by != "shard" && by != "worker" &&
-          by != "lane") {
-        usage("--by must be kind, tenant, shard, worker or lane");
+      if (by != "kind" && by != "tenant" && by != "shard" && by != "worker") {
+        usage("--by must be kind, tenant, shard or worker");
       }
     } else {
       usage("unknown flag --" + key);
@@ -225,8 +180,6 @@ int do_summary(const std::string& path,
       key += "/shard=" + std::to_string(event_shard(e));
     } else if (by == "worker") {
       key += "/worker=" + std::to_string(loaded_event.worker);
-    } else if (by == "lane") {
-      key += "/lane=" + event_lane(e);
     }
     Group& group = groups[key];
     const double duration_us =
@@ -248,7 +201,6 @@ int do_summary(const std::string& path,
                    fmt_int(static_cast<long long>(group.value_total))});
   }
   table.print(std::cout);
-  print_locality(loaded);
   print_truncation(loaded);
   return 0;
 }
