@@ -411,17 +411,6 @@ WalLog::WalLog(const std::string& path, const RecoveredRun& recovered)
   }
 }
 
-void WalLog::log_single_epoch(const EngineCheckpoint& cut) {
-  const std::uint64_t digest =
-      telemetry_digest_accumulate(digests_.at(0), cut.summary);
-  writer_.append(RecordType::kEpochCut, encode_epoch_cut(0, cut, digest));
-  digests_[0] = digest;
-  RoundMark mark;
-  mark.rounds = ++rounds_;
-  mark.credits = {0};
-  writer_.append(RecordType::kRoundMark, encode_round_mark(mark));
-}
-
 void WalLog::log_round(const RoundCheckpoint& round) {
   for (const auto& [tenant, cut] : round.cuts) {
     const std::uint64_t digest =
@@ -443,7 +432,9 @@ void WalLog::finish() {
 }
 
 CutObserver WalLog::single_observer() {
-  return [this](const EngineCheckpoint& cut) { log_single_epoch(cut); };
+  return [this](const EngineCheckpoint& cut) {
+    log_round(RoundCheckpoint{rounds_ + 1, {0}, {{0, cut}}});
+  };
 }
 
 RoundCutObserver WalLog::round_observer() {

@@ -16,18 +16,20 @@
 //                round mark. Recovery replays committed rounds only —
 //                the resume truncation offset is the end of the last
 //                round mark, so a crash mid-round loses that round's
-//                cuts, never a committed one. A single-server run
-//                writes the same protocol as a one-tenant registry
-//                (round r = epoch r-1, credits = {0}), making the two
-//                WALs comparable record for record.
+//                cuts, never a committed one. Solo and tenant runs
+//                write one protocol by construction: route_server_cli
+//                serves a solo run as a one-tenant registry, so its
+//                marks are scheduler rounds with credits {0} — one per
+//                epoch, plus a cut-less priming mark first when the run
+//                is pipelined.
 //   kTrailer     clean shutdown: the final per-tenant digests. A WAL
 //                without one is, by definition, a crash image.
 //
 // recover_wal() turns a (possibly torn) WAL file back into typed state:
 // the manifest, every tenant's committed cut prefix, the scheduler
 // round/credit state, and whether the run had already finished cleanly.
-// WalLog is the write side the serving CLIs install as their
-// cut/round observers.
+// WalLog is the write side the serving CLIs install as their round
+// observer.
 #pragma once
 
 #include <cstddef>
@@ -152,8 +154,8 @@ RecoveredRun recover_wal(const std::string& path);
 RegistryResume registry_resume(const RecoveredRun& run);
 
 /// The write side: owns the WalWriter and the round-mark protocol. The
-/// serving CLIs install single_observer()/round_observer() as their
-/// recovery hooks and call finish() after a completed run.
+/// serving CLIs install round_observer() as their recovery hook and call
+/// finish() after a completed run.
 class WalLog {
  public:
   /// Fresh run: creates/truncates `path` and writes the run header.
@@ -164,18 +166,18 @@ class WalLog {
   /// round counters where the committed prefix left off.
   WalLog(const std::string& path, const RecoveredRun& recovered);
 
-  /// Single-server hook: logs the epoch's cut and immediately commits it
-  /// with a one-tenant round mark (round e+1, credits {0}) — the exact
-  /// records a one-tenant weight-1 registry would write.
-  void log_single_epoch(const EngineCheckpoint& cut);
-
-  /// Multi-tenant hook: logs every scheduled tenant's cut, then the
+  /// The one write path: logs every cut of the round, then the
   /// committing round mark.
   void log_round(const RoundCheckpoint& round);
 
   /// Writes the clean-shutdown trailer (final per-tenant digests).
   void finish();
 
+  /// round_observer() logs every round of a TenantRegistry (or of
+  /// serve_rounds). single_observer() adapts a RouteServer's per-epoch
+  /// cuts onto log_round: each cut is committed at once as a one-tenant
+  /// round (round r+1, credits {0}), the records a one-tenant strict
+  /// registry writes.
   CutObserver single_observer();
   RoundCutObserver round_observer();
 

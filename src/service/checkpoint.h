@@ -7,9 +7,9 @@
 // boundary state — the master RNG cursor, the folded flow, each client's
 // current path, and the accumulated telemetry — never a log of individual
 // mutations. An EngineCheckpoint is exactly that cut for one engine; a
-// RoundCheckpoint adds the multi-tenant scheduler's credit state so a
-// registry resumes at a scheduler-round boundary with every tenant's
-// interleaving intact.
+// RoundCheckpoint adds the round loop's credit state so a run — solo or
+// multi-tenant — resumes at a scheduler-round boundary with every
+// tenant's interleaving intact.
 //
 // These are plain service-layer value types: src/recovery/ serializes
 // them into WAL records, the engines produce and consume them, and
@@ -52,9 +52,10 @@ struct EngineCheckpoint {
   LogHistogram route_hist;
 };
 
-/// Called after every finished epoch with that epoch's cut (single-server
-/// WAL hook). Capture cost — copying flow, client paths and the epoch
-/// histogram — is paid only when a observer is installed.
+/// Called after every finished epoch with that epoch's cut (RouteServer's
+/// recovery hook, fed from the round cuts of its one-tenant round loop).
+/// Capture cost — copying flow, client paths and the epoch histogram — is
+/// paid only when an observer is installed.
 using CutObserver = std::function<void(const EngineCheckpoint&)>;
 
 /// One finished scheduler round of a TenantRegistry: the post-round
@@ -67,7 +68,8 @@ struct RoundCheckpoint {
   std::vector<std::pair<std::size_t, EngineCheckpoint>> cuts;
 };
 
-/// Called after every scheduler round (multi-tenant WAL hook).
+/// Called after every scheduler round (the WAL hook of every serving
+/// path: a solo run is a one-tenant round loop).
 using RoundCutObserver = std::function<void(const RoundCheckpoint&)>;
 
 /// Restored registry state handed to TenantRegistry::run: per-tenant cut

@@ -16,12 +16,13 @@
 //   }
 //   RouteServerResult result = engine.finish(wall_seconds);
 //
-// RouteServer::run is exactly this loop over one engine. TenantRegistry
-// runs MANY engines by appending several tenants' epochs to ONE combined
-// graph per scheduler round: the engines share no mutable state (each
-// node touches only its own engine), so co-scheduled tenants execute on
-// one shared Executor while every tenant's dynamics stay byte-identical
-// to a solo run — the multi-tenant isolation contract.
+// The one host that drives this cycle is serve_rounds() (tenant.h): each
+// scheduler round it appends the epochs of several engines to ONE
+// combined graph — TenantRegistry::run over every tenant,
+// RouteServer::run over its one engine. The engines share no mutable
+// state (each node touches only its own engine), so co-scheduled tenants
+// execute on one shared Executor while every tenant's dynamics stay
+// byte-identical to a solo run — the multi-tenant isolation contract.
 //
 // Determinism: add_epoch derives this epoch's RNG streams and sub-batch
 // plan host-side, in canonical order, before any node is dispatched

@@ -182,6 +182,9 @@ class RouteServer {
   /// Serves `options.epochs` epochs starting from the feasible flow
   /// `initial`. Throws std::invalid_argument on a non-positive update
   /// period, zero epochs, a shard/client mismatch or an infeasible start.
+  /// The run is a one-tenant registry: its engine is served by
+  /// serve_rounds() (tenant.h) at weight 1, so rounds, cuts and crash
+  /// points are exactly a one-tenant TenantRegistry's.
   ///
   /// Recovery hooks: `cuts`, when set, is called after every finished
   /// epoch with that epoch's EngineCheckpoint (the WAL write path);
@@ -189,6 +192,8 @@ class RouteServer {
   /// an identically configured run — the server restores them and serves
   /// only the remaining epochs, and the result (telemetry digest, final
   /// flow, route histogram) is byte-identical to the uninterrupted run.
+  /// The round count resumes where a one-tenant registry's WAL would
+  /// stand: n, plus the priming round when the run is pipelined.
   RouteServerResult run(const FlowVector& initial,
                         const RouteServerOptions& options,
                         const EpochObserver& observer = nullptr,

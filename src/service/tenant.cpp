@@ -85,47 +85,27 @@ SnapshotPtr TenantRegistry::snapshot(std::size_t tenant) const {
   return tenants_[tenant].store->acquire();
 }
 
-MultiTenantResult TenantRegistry::run(Executor& executor,
-                                      const TenantObserver& observer,
-                                      const RoundCutObserver& rounds,
-                                      const RegistryResume* resume) {
-  if (tenants_.empty()) {
-    throw std::invalid_argument("TenantRegistry::run: no tenants registered");
+std::size_t serve_rounds(Executor& executor,
+                         std::span<EpochEngine* const> engines,
+                         std::span<const std::size_t> weights,
+                         std::size_t rounds, std::vector<std::size_t> credits,
+                         const faults::FaultSchedule* faults,
+                         const TenantObserver& observer,
+                         const RoundCutObserver& round_cuts) {
+  // Pipelined engines must snapshot their overlap-boundary state for the
+  // round cuts; capture is free for strict engines.
+  for (EpochEngine* engine : engines) {
+    engine->set_cut_capture(static_cast<bool>(round_cuts));
   }
-  if (resume != nullptr &&
-      ((!resume->credits.empty() &&
-        resume->credits.size() != tenants_.size()) ||
-       (!resume->cuts.empty() && resume->cuts.size() != tenants_.size()))) {
-    throw std::invalid_argument(
-        "TenantRegistry::run: resume state does not match the tenant "
-        "count");
-  }
-
-  // Spin up one engine per tenant. begin() validates each tenant's
-  // options before ANY tenant serves, so a bad tenant fails the run
-  // up front instead of mid-multiplex.
-  std::vector<std::unique_ptr<EpochEngine>> engines;
-  engines.reserve(tenants_.size());
   std::size_t max_weight = 1;
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    Tenant& tenant = tenants_[i];
-    engines.push_back(std::make_unique<EpochEngine>(
-        *tenant.instance, *tenant.policy, *tenant.workload, *tenant.store));
-    engines.back()->set_trace_tenant(static_cast<std::uint32_t>(i));
-    engines.back()->begin(FlowVector::uniform(*tenant.instance),
-                          tenant.options.server);
-    // Pipelined engines must snapshot their overlap-boundary state for
-    // the round cuts; capture is free for strict engines.
-    engines.back()->set_cut_capture(static_cast<bool>(rounds));
-    if (resume != nullptr && !resume->cuts.empty()) {
-      engines.back()->restore(resume->cuts[i]);
-    }
-    max_weight = std::max(max_weight, tenant.options.weight);
+  for (const std::size_t weight : weights) {
+    max_weight = std::max(max_weight, weight);
   }
+  if (credits.empty()) credits.assign(engines.size(), 0);
 
   // Weighted round-robin over epochs. Credits are a pure function of the
-  // weights and the tenants' epoch budgets: the round schedule — and with
-  // it every tenant's interleaving — is deterministic, though no tenant's
+  // weights and the engines' epoch budgets: the round schedule — and with
+  // it every engine's interleaving — is deterministic, though no engine's
   // *outcome* depends on it (isolation contract). A resumed run picks the
   // credit vector up at the checkpointed round boundary. Under the
   // strict schedule the remaining rounds are exactly the ones the
@@ -140,50 +120,33 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
   // scheduler change that lets one tenant's dynamics observe another's
   // progress (or the round number) would silently break pipelined
   // resume; the pipelined multi-tenant resume tests pin this.
-  MultiTenantResult result;
-  std::vector<std::size_t> credits(tenants_.size(), 0);
-  if (resume != nullptr && !resume->credits.empty()) {
-    credits = resume->credits;
-  }
-  if (resume != nullptr) result.rounds = resume->rounds;
+  static trace::Counter& rounds_counter =
+      trace::MetricsRegistry::global().counter("registry.rounds");
   std::vector<std::size_t> scheduled;
-  std::vector<std::size_t> drained;  // scheduled tenants that closed an epoch
-  // Crash-fault lookup: the registry crashes on ROUND commit points, so
-  // any tenant's schedule (they share one --faults spec in the CLI; the
-  // first non-null pointer wins) drives the whole host's crash clause.
-  const faults::FaultSchedule* fault_plan = nullptr;
-  for (const Tenant& tenant : tenants_) {
-    if (tenant.options.server.faults != nullptr) {
-      fault_plan = tenant.options.server.faults;
-      break;
-    }
-  }
-  const Stopwatch run_watch;
+  std::vector<std::size_t> drained;  // scheduled engines that closed an epoch
   for (;;) {
     scheduled.clear();
     drained.clear();
     for (std::size_t i = 0; i < engines.size(); ++i) {
       if (engines[i]->done()) continue;
-      credits[i] += tenants_[i].options.weight;
+      credits[i] += weights[i];
       if (credits[i] >= max_weight) {
         credits[i] -= max_weight;
         scheduled.push_back(i);
       }
     }
-    const bool all_done = std::all_of(
-        engines.begin(), engines.end(),
-        [](const std::unique_ptr<EpochEngine>& e) { return e->done(); });
+    const bool all_done =
+        std::all_of(engines.begin(), engines.end(),
+                    [](const EpochEngine* e) { return e->done(); });
     if (all_done) break;
-    ++result.rounds;
-    static trace::Counter& rounds_counter =
-        trace::MetricsRegistry::global().counter("registry.rounds");
+    ++rounds;
     rounds_counter.inc();
     if (!scheduled.empty()) {
       trace::Span round_span(trace::EventKind::kSchedulerRound,
                              /*tenant=*/0, /*epoch=*/0,
                              /*arg=*/scheduled.size());
-      round_span.value(result.rounds);
-      // One combined graph: one epoch per scheduled tenant. The engines'
+      round_span.value(rounds);
+      // One combined graph: one epoch per scheduled engine. The engines'
       // nodes share no mutable state, so the pool interleaves tenants
       // freely — this is where co-tenancy actually overlaps work.
       TaskGraph graph;
@@ -205,34 +168,88 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
         if (engines[i]->epochs_done() > recorded) drained.push_back(i);
       }
     }
-    if (rounds) {
+    if (round_cuts) {
       // The round's WAL cut: even a credits-only round is checkpointed —
       // the credit vector changed, and resume must restart from exactly
-      // this boundary. A round commits cuts only for tenants whose
+      // this boundary. A round commits cuts only for engines whose
       // overlap has drained (an epoch actually closed): a pipelined
-      // tenant's priming round contributes no cut, and its cuts
+      // engine's priming round contributes no cut, and its cuts
       // thereafter trail its serving frontier by one epoch.
       RoundCheckpoint cut;
-      cut.rounds = result.rounds;
+      cut.rounds = rounds;
       cut.credits = credits;
       cut.cuts.reserve(drained.size());
       for (const std::size_t i : drained) {
         cut.cuts.emplace_back(i, engines[i]->checkpoint());
       }
-      rounds(cut);
+      round_cuts(cut);
     }
-    // The crash point fires AFTER the round's cut observer, mirroring the
-    // solo server: the WAL holds exactly the committed rounds.
-    if (fault_plan != nullptr && fault_plan->crash_after(result.rounds)) {
-      faults::crash_process(result.rounds);
+    // The crash point fires AFTER the round's cut observer, so the WAL
+    // holds exactly the committed rounds. The round counter only grows
+    // across a resume (it restarts from the last committed round mark),
+    // so a resumed run never re-evaluates the clause at a round it
+    // already crashed on.
+    if (faults != nullptr && faults->crash_after(rounds)) {
+      faults::crash_process(rounds);
     }
   }
+  return rounds;
+}
+
+MultiTenantResult TenantRegistry::run(Executor& executor,
+                                      const TenantObserver& observer,
+                                      const RoundCutObserver& rounds,
+                                      const RegistryResume* resume) {
+  if (tenants_.empty()) {
+    throw std::invalid_argument("TenantRegistry::run: no tenants registered");
+  }
+  if (resume != nullptr &&
+      ((!resume->credits.empty() &&
+        resume->credits.size() != tenants_.size()) ||
+       (!resume->cuts.empty() && resume->cuts.size() != tenants_.size()))) {
+    throw std::invalid_argument(
+        "TenantRegistry::run: resume state does not match the tenant "
+        "count");
+  }
+
+  // Spin up one engine per tenant. begin() validates each tenant's
+  // options before ANY tenant serves, so a bad tenant fails the run
+  // up front instead of mid-multiplex.
+  std::vector<std::unique_ptr<EpochEngine>> owned;
+  std::vector<EpochEngine*> engines;
+  std::vector<std::size_t> weights;
+  owned.reserve(tenants_.size());
+  // Crash-fault lookup: the registry crashes on ROUND commit points, so
+  // any tenant's schedule (they share one --faults spec in the CLI; the
+  // first non-null pointer wins) drives the whole host's crash clause.
+  const faults::FaultSchedule* fault_plan = nullptr;
+  for (std::size_t i = 0; i < tenants_.size(); ++i) {
+    Tenant& tenant = tenants_[i];
+    owned.push_back(std::make_unique<EpochEngine>(
+        *tenant.instance, *tenant.policy, *tenant.workload, *tenant.store));
+    EpochEngine& engine = *owned.back();
+    engine.set_trace_tenant(static_cast<std::uint32_t>(i));
+    engine.begin(FlowVector::uniform(*tenant.instance), tenant.options.server);
+    if (resume != nullptr && !resume->cuts.empty()) {
+      engine.restore(resume->cuts[i]);
+    }
+    engines.push_back(&engine);
+    weights.push_back(tenant.options.weight);
+    if (fault_plan == nullptr) fault_plan = tenant.options.server.faults;
+  }
+
+  MultiTenantResult result;
+  const Stopwatch run_watch;
+  result.rounds = serve_rounds(
+      executor, engines, weights, resume != nullptr ? resume->rounds : 0,
+      resume != nullptr ? resume->credits : std::vector<std::size_t>{},
+      fault_plan, observer, rounds);
   result.wall_seconds = run_watch.seconds();
 
   result.tenants.reserve(tenants_.size());
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     result.tenants.push_back(
-        {tenants_[i].name, engines[i]->finish(result.wall_seconds)});
+        {tenants_[i].name, owned[i]->finish(result.wall_seconds)});
   }
   return result;
 }

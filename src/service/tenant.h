@@ -18,6 +18,11 @@
 // round-robin. The schedule is a pure function of the weights and epoch
 // budgets — never of threads or timing.
 //
+// serve_rounds() is that round loop, and it is the only host loop in the
+// service: RouteServer::run drives it over its one engine at weight 1, so
+// a solo run is a one-tenant registry by construction — same rounds, same
+// round cuts, same crash points.
+//
 // Isolation contract (pinned by tests/tenant_test.cpp, `ctest -L
 // tenant`): a tenant's deterministic telemetry — its per-epoch FNV digest,
 // final flow, route-latency histogram — is byte-identical whether the
@@ -30,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +82,27 @@ struct MultiTenantResult {
 /// scheduler rounds, in registration order within a round.
 using TenantObserver =
     std::function<void(std::size_t tenant, const EpochSummary&)>;
+
+class EpochEngine;
+
+/// The host round loop. Each round every unfinished engine accrues its
+/// weight in credits; engines whose credits reach the maximum weight
+/// serve one epoch each in ONE combined TaskGraph on `executor`, then
+/// finish it (calling `observer` with the engine's index). After the
+/// round `round_cuts`, when set, receives the round count, the credits
+/// and the cut of every engine that closed an epoch; then the crash
+/// clause of `faults` (nullptr = none) is checked against the round
+/// count. `engines` must be begun (and restored, for a resume); the loop
+/// turns their cut capture on exactly when `round_cuts` is set. `rounds`
+/// and `credits` are the scheduler state to start from (credits empty =
+/// all zero). Returns the round count after the last round.
+std::size_t serve_rounds(Executor& executor,
+                         std::span<EpochEngine* const> engines,
+                         std::span<const std::size_t> weights,
+                         std::size_t rounds, std::vector<std::size_t> credits,
+                         const faults::FaultSchedule* faults,
+                         const TenantObserver& observer,
+                         const RoundCutObserver& round_cuts);
 
 class TenantRegistry {
  public:

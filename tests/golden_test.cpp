@@ -1,10 +1,11 @@
 // Pinned golden digests of the platform-stable service configurations
 // (closed-loop workloads on braess / uniform-links avoid libm in the
-// dynamics). The same digests are what `route_server_cli run
-// --deterministic` prints for these configs; here every one is checked
-// at 1 and 4 threads under the strict and the pipelined schedule, so
-// any change to execution (threads, pool, task graph, pipelining) that
-// reaches the values fails tier-1.
+// dynamics), healthy and under deterministic fault injection. The same
+// digests are what `route_server_cli run --deterministic` prints for
+// these configs; here every one is checked at 1 and 4 threads under the
+// strict and the pipelined schedule, so any change to execution
+// (threads, pool, task graph, pipelining) that reaches the values fails
+// tier-1.
 //
 // Runs under `ctest -L golden` in the sanitizer CI job.
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "exec/exec.h"
+#include "faults/faults.h"
 #include "service/service.h"
 #include "sweep/sweep.h"
 
@@ -107,6 +109,41 @@ TEST(Golden, SoloRouteServer) {
         server.run(FlowVector::uniform(host.instance), host.options);
     EXPECT_EQ(telemetry_digest(result.epochs), kSolo.digest)
         << label(schedule);
+  }
+}
+
+/// The solo config under `--faults <spec>`, as the CI chaos step runs
+/// it. Brownout sheds floor(total * shed) arrivals, so no libm call
+/// reaches the dynamics and the digests stay platform-stable.
+struct Chaos {
+  const char* spec;
+  std::uint64_t digest;
+};
+
+constexpr Chaos kChaos[] = {
+    // Half of every epoch's arrivals shed for epochs 5..10.
+    {"brownout:shed=0.5,at=5,for=6", 0x334feb6db721d128ULL},
+    // Wall-clock-only faults keep the healthy digest.
+    {"slow:shard=1,us=50,at=2,for=3;drop-telemetry:at=5,for=2;"
+     "stall:workers=2,ms=10,at=0,for=3",
+     0xa1dacc4addb92e51ULL},
+};
+
+TEST(Golden, SoloChaos) {
+  for (const Chaos& chaos : kChaos) {
+    for (const Schedule& schedule : kSchedules) {
+      Host host(kSolo, kSoloEpochs);
+      const faults::FaultSchedule plan = faults::FaultSchedule::materialize(
+          faults::parse_fault_plan(chaos.spec), kSolo.seed, kSoloEpochs);
+      host.options.threads = schedule.threads;
+      host.options.pipeline = schedule.pipeline;
+      host.options.faults = &plan;
+      RouteServer server(host.instance, host.policy, *host.workload);
+      const RouteServerResult result =
+          server.run(FlowVector::uniform(host.instance), host.options);
+      EXPECT_EQ(telemetry_digest(result.epochs), chaos.digest)
+          << chaos.spec << ", " << label(schedule);
+    }
   }
 }
 

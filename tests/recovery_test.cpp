@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -591,15 +592,15 @@ TEST(PipelinedFallback, FeedbackWorkloadServesStrictAndBumpsCounter) {
 }
 
 TEST(ResumeDeathTest, PipelinedResumeOfCrashFaultRunMakesProgress) {
-  // A run under --faults "crash:at=4" _Exit(137)s right after commit
-  // point 4 hits the WAL, and the resumed process re-materializes the
-  // SAME schedule from the logged spec — crash_after is stateless. The
-  // host's crash check must therefore fire only on iterations that
-  // committed NEW progress: a pipelined resume's priming iteration
-  // closes no epoch, so re-evaluating the clause at the restored count
-  // there would re-crash every resume at commit point 4 with zero new
-  // progress — an unrecoverable loop. Run the resume in a death-test
-  // child so a regression shows up as exit 137, not a dead test binary.
+  // A run under --faults "crash:at=4" _Exit(137)s right after round 4
+  // commits, and the resumed process re-materializes the SAME schedule
+  // from the logged spec — crash_after is stateless. A resume must
+  // therefore never re-evaluate the clause at a round the crashed run
+  // already reached: a pipelined resume's priming round closes no
+  // epoch, so a round count restarting too low would re-crash every
+  // resume with zero new progress — an unrecoverable loop. Run the
+  // resume in a death-test child so a regression shows up as exit 137,
+  // not a dead test binary.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
 
   SingleRun fixture;
@@ -620,6 +621,36 @@ TEST(ResumeDeathTest, PipelinedResumeOfCrashFaultRunMakesProgress) {
         SingleRun resumed;
         resumed.options.pipeline = true;
         resumed.options.faults = &schedule;
+        const RouteServerResult result =
+            resumed.run(nullptr, std::span(cuts).subspan(0, 4));
+        std::_Exit(telemetry_digest(result.epochs) == golden ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  // The real crash image: a pipelined run counts its cut-less priming
+  // round, so "crash:at=5" fires after round 5 with 4 cuts committed.
+  // The resume restarts its round count there (4 cuts + the priming
+  // round), so the clause cannot fire again.
+  const faults::FaultSchedule at5 = faults::FaultSchedule::materialize(
+      faults::parse_fault_plan("crash:at=5"), fixture.options.seed,
+      fixture.options.epochs);
+  EXPECT_EXIT(
+      {
+        SingleRun crashing;
+        crashing.options.pipeline = true;
+        crashing.options.faults = &at5;
+        std::size_t committed = 0;
+        crashing.run([&committed](const EngineCheckpoint&) {
+          std::fprintf(stderr, "committed=%zu\n", ++committed);
+        });
+      },
+      ::testing::ExitedWithCode(137),
+      "committed=4\nstaleflow: injected crash after commit point 5");
+  EXPECT_EXIT(
+      {
+        SingleRun resumed;
+        resumed.options.pipeline = true;
+        resumed.options.faults = &at5;
         const RouteServerResult result =
             resumed.run(nullptr, std::span(cuts).subspan(0, 4));
         std::_Exit(telemetry_digest(result.epochs) == golden ? 0 : 1);

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -139,18 +140,57 @@ std::vector<TenantFixture> neighbour_pool() {
 
 // --------------------------------------------------- registry == RouteServer
 
+void expect_same_cut(const EngineCheckpoint& a, const EngineCheckpoint& b,
+                     const std::string& label) {
+  EXPECT_EQ(telemetry_digest(std::span(&a.summary, 1)),
+            telemetry_digest(std::span(&b.summary, 1)))
+      << label;
+  EXPECT_EQ(a.rng_state, b.rng_state) << label;
+  EXPECT_EQ(a.flow, b.flow) << label;
+  EXPECT_EQ(a.client_paths, b.client_paths) << label;
+  EXPECT_TRUE(a.route_hist == b.route_hist) << label;
+}
+
 TEST(TenantRegistry, OneTenantMatchesPlainRouteServer) {
-  const TenantFixture tenant = watched_tenant();
+  // A solo server and a one-tenant registry serve through the same round
+  // loop: same result, and the same cut for every epoch, under either
+  // schedule and at any thread count.
+  for (const bool pipeline : {false, true}) {
+    TenantFixture tenant = watched_tenant();
+    tenant.options.server.pipeline = pipeline;
+    const std::string schedule = pipeline ? "pipelined" : "strict";
 
-  RouteServer server(tenant.instance, tenant.policy, *tenant.workload);
-  const Fingerprint solo = fingerprint(
-      server.run(FlowVector::uniform(tenant.instance),
-                 tenant.options.server));
+    std::vector<EngineCheckpoint> solo_cuts;
+    RouteServer server(tenant.instance, tenant.policy, *tenant.workload);
+    const Fingerprint solo = fingerprint(server.run(
+        FlowVector::uniform(tenant.instance), tenant.options.server, nullptr,
+        [&solo_cuts](const EngineCheckpoint& cut) {
+          solo_cuts.push_back(cut);
+        }));
+    ASSERT_EQ(solo_cuts.size(), tenant.options.server.epochs) << schedule;
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const auto fleet = run_fleet({&tenant}, threads);
-    expect_identical(solo, fleet.at("watched"),
-                     "registry-of-one @" + std::to_string(threads));
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string label = "registry-of-one, " + schedule + " @" +
+                                std::to_string(threads);
+      TenantRegistry registry;
+      registry.add(tenant.name, tenant.instance, tenant.policy,
+                   *tenant.workload, tenant.options);
+      Executor executor(threads);
+      std::vector<EngineCheckpoint> round_cuts;
+      const MultiTenantResult result = registry.run(
+          executor, nullptr, [&round_cuts](const RoundCheckpoint& round) {
+            for (const auto& [index, cut] : round.cuts) {
+              round_cuts.push_back(cut);
+            }
+          });
+      expect_identical(solo, fingerprint(result.tenants.front().server),
+                       label);
+      ASSERT_EQ(round_cuts.size(), solo_cuts.size()) << label;
+      for (std::size_t e = 0; e < solo_cuts.size(); ++e) {
+        expect_same_cut(solo_cuts[e], round_cuts[e],
+                        label + ", epoch " + std::to_string(e));
+      }
+    }
   }
 }
 

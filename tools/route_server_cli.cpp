@@ -30,28 +30,31 @@
 // WAL paths reject the flag up front so the logged header never
 // misdescribes the run.
 //
-// --tenants switches to multi-tenant mode: each ;-separated spec
-// (<name>[:key=value,...], keys scenario/policy/workload/clients/shards/
-// epochs/period/seed/weight/sub-batch) hosts one independent serving
-// instance, all multiplexed on ONE shared executor; unset keys inherit
-// the top-level flags (seed defaults to --seed + tenant position). Every
-// tenant gets its own digest[<name>]= line and, with --csv out.csv, its
-// own out.<name>.csv — per-tenant telemetry that is byte-identical to
-// the same tenant served alone, at any --threads.
+// Every run is served by a TenantRegistry on one executor: a solo run is
+// the one tenant "run", and only the banner, the per-epoch report and
+// the result lines differ. --tenants switches to multi-tenant mode: each
+// ;-separated spec (<name>[:key=value,...], keys scenario/policy/
+// workload/clients/shards/epochs/period/seed/weight/sub-batch) hosts one
+// independent serving instance, all multiplexed on ONE shared executor;
+// unset keys inherit the top-level flags (seed defaults to --seed +
+// tenant position). Every tenant gets its own digest[<name>]= line and,
+// with --csv out.csv, its own out.<name>.csv — per-tenant telemetry that
+// is byte-identical to the same tenant served alone, at any --threads.
 //
 // Crash recovery (src/recovery/): --wal <path> writes a write-ahead
-// epoch log — the run's full configuration, then every epoch's cut —
-// alongside the run. --resume <path> recovers a crashed run from its
-// WAL and serves only the remaining epochs, appending to the same file;
-// the resumed run's digests are byte-identical to the uninterrupted
-// run's. --resume takes the ENTIRE dynamics configuration from the WAL
-// header, so configuration flags (--scenario, --seed, --epochs, ...)
-// conflict with it; runtime knobs (--threads, --csv, --report-every,
-// --quiet, --trace, --progress) remain legal. The pipeline setting is
-// honored from the logged header (a v3 field) — a resumed pipelined run
-// re-serves pipelined; passing --pipeline is legal only when the header
-// agrees, and a contradiction exits 2. Inspect or re-execute a WAL
-// offline with wal_replay_cli.
+// epoch log — the run's full configuration, then every scheduler
+// round's cuts and committing round mark — alongside the run. --resume
+// <path> recovers a crashed run from its WAL and serves only the
+// remaining epochs, appending to the same file; the resumed run's
+// digests are byte-identical to the uninterrupted run's. --resume takes
+// the ENTIRE dynamics configuration from the WAL header, so
+// configuration flags (--scenario, --seed, --epochs, ...) conflict with
+// it; runtime knobs (--threads, --csv, --report-every, --quiet, --trace,
+// --progress) remain legal. The pipeline setting is honored from the
+// logged header (a v3 field) — a resumed pipelined run re-serves
+// pipelined; passing --pipeline is legal only when the header agrees,
+// and a contradiction exits 2. Inspect or re-execute a WAL offline with
+// wal_replay_cli.
 //
 // Fault injection (src/faults/): --faults <spec> schedules typed faults
 // (shard slowdowns, worker stalls, dropped telemetry, tenant brownouts,
@@ -76,8 +79,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -256,6 +257,12 @@ Host make_host(const recovery::TenantManifest& manifest,
   return Host{std::move(instance), std::move(policy), std::move(workload)};
 }
 
+/// The registry name of a manifest tenant: a solo run (unnamed in the
+/// WAL header) is served as the one tenant "run".
+std::string tenant_label(const recovery::TenantManifest& tenant) {
+  return tenant.name.empty() ? std::string("run") : tenant.name;
+}
+
 void print_resume_banner(const recovery::RecoveredRun& state, bool quiet) {
   if (quiet) return;
   if (state.truncated) {
@@ -264,24 +271,22 @@ void print_resume_banner(const recovery::RecoveredRun& state, bool quiet) {
   std::cout << "wal: resuming at round " << state.rounds;
   for (std::size_t i = 0; i < state.manifest.tenants.size(); ++i) {
     const recovery::TenantManifest& tenant = state.manifest.tenants[i];
-    std::cout << (i == 0 ? ": " : ", ")
-              << (tenant.name.empty() ? std::string("run") : tenant.name)
-              << " " << state.cuts[i].size() << "/" << tenant.options.epochs
+    std::cout << (i == 0 ? ": " : ", ") << tenant_label(tenant) << " "
+              << state.cuts[i].size() << "/" << tenant.options.epochs
               << " epochs done";
   }
   std::cout << "\n";
 }
 
-/// Shared tail of every single-server run (fresh, WAL-logged or
-/// resumed): summary lines, digest, CSV.
-int print_single_result(const RouteServerResult& result,
-                        const RouteServerOptions& options,
+/// Tail of a solo run (fresh, WAL-logged or resumed): summary lines,
+/// digest, CSV.
+int print_single_result(const RouteServerResult& result, bool record_latency,
                         const std::string& csv_path, bool quiet) {
   std::cout << result.total_queries << " queries, "
             << result.total_migrations << " migrations over "
             << result.epochs.size() << " epochs; final gap "
             << fmt(result.final_gap, 6) << "\n";
-  if (options.record_latency) {
+  if (record_latency) {
     std::cout << "throughput " << fmt(result.queries_per_second / 1e6, 3)
               << " Mq/s (" << fmt(result.wall_seconds, 2) << " s wall), p50 "
               << fmt(result.p50_us, 1) << " us, p99 "
@@ -290,13 +295,13 @@ int print_single_result(const RouteServerResult& result,
   std::cout << "digest=" << std::hex << telemetry_digest(result.epochs)
             << std::dec << "\n";
   if (!csv_path.empty()) {
-    write_epoch_csv(csv_path, result.epochs, options.record_latency);
+    write_epoch_csv(csv_path, result.epochs, record_latency);
     if (!quiet) std::cout << "wrote " << csv_path << "\n";
   }
   return 0;
 }
 
-/// Shared tail of every multi-tenant run.
+/// Tail of a multi-tenant run.
 int print_multi_result(const MultiTenantResult& result, bool record_latency,
                        const std::string& csv_path, bool quiet) {
   for (const TenantResult& tenant : result.tenants) {
@@ -327,10 +332,24 @@ int print_multi_result(const MultiTenantResult& result, bool record_latency,
   return 0;
 }
 
-EpochObserver make_epoch_observer(std::size_t total_epochs,
-                                  std::size_t report_every, bool quiet) {
-  if (quiet || report_every == 0) return nullptr;
-  return [report_every, total_epochs](const EpochSummary& e) {
+/// The per-epoch report line. A solo run reports every report_every-th
+/// epoch and its last one, with wall-clock throughput when recorded; a
+/// multi-tenant run prefixes each line with the tenant's name.
+TenantObserver make_reporter(const recovery::RunManifest& manifest,
+                             const TenantRegistry& tenants,
+                             std::size_t report_every) {
+  if (manifest.multi_tenant) {
+    return [&tenants, report_every](std::size_t tenant,
+                                    const EpochSummary& e) {
+      if (e.epoch % report_every != 0) return;
+      std::cout << "  [" << tenants.name(tenant) << "] epoch " << e.epoch
+                << ": " << e.queries << " queries, migration rate "
+                << fmt(e.migration_rate, 4) << ", gap "
+                << fmt(e.wardrop_gap, 6) << "\n";
+    };
+  }
+  const std::size_t total_epochs = manifest.tenants.front().options.epochs;
+  return [report_every, total_epochs](std::size_t, const EpochSummary& e) {
     if (e.epoch % report_every != 0 && e.epoch + 1 != total_epochs) {
       return;
     }
@@ -346,37 +365,37 @@ EpochObserver make_epoch_observer(std::size_t total_epochs,
   };
 }
 
-/// Multi-tenant mode: host every --tenants spec on one shared executor.
-/// `resume`, when set, replaces spec resolution entirely — the manifests
-/// come from the WAL — and `wal_path` is the file being appended to.
-int run_tenants_manifest(const std::string& wal_path,
-                         const recovery::RunManifest& manifest,
-                         const recovery::RecoveredRun* resume,
-                         std::size_t threads, const std::string& csv_path,
-                         std::size_t report_every, std::size_t progress_every,
-                         bool quiet) {
+/// Serves a resolved manifest — solo or --tenants, fresh or resumed — as
+/// a TenantRegistry on one shared executor (a solo run is the one tenant
+/// "run"). `resume`, when set, replaces spec resolution entirely — the
+/// manifests come from the WAL — and `wal_path` is the file being
+/// appended to. Only the banner, the per-epoch report and the result
+/// printing depend on manifest.multi_tenant.
+int run_manifest(const std::string& wal_path,
+                 const recovery::RunManifest& manifest,
+                 const recovery::RecoveredRun* resume, std::size_t threads,
+                 const std::string& csv_path, std::size_t report_every,
+                 std::size_t progress_every, bool quiet) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
   const faults::FaultSchedule fault_schedule =
       make_fault_schedule(manifest, quiet);
   std::deque<Host> hosts;
   TenantRegistry tenants;
   for (const recovery::TenantManifest& tenant : manifest.tenants) {
-    hosts.push_back(make_host(tenant, registry));
+    const Host& host = hosts.emplace_back(make_host(tenant, registry));
     // A feedback workload would silently fall back to the strict
     // schedule, so a logged pipeline header would misdescribe the run:
-    // the WAL paths fail closed instead.
+    // the WAL paths fail closed, before the WAL file is touched.
     if (manifest.pipeline && !wal_path.empty() &&
-        hosts.back().workload->uses_feedback()) {
+        host.workload->uses_feedback()) {
       throw cli::UsageError(
           "--pipeline cannot be combined with --wal/--resume for feedback "
-          "workload '" + hosts.back().workload->name() + "' (tenant '" +
-          tenant.name + "' falls back to the strict schedule)");
+          "workload '" + host.workload->name() + "' (tenant '" +
+          tenant_label(tenant) + "' falls back to the strict schedule)");
     }
     TenantOptions options;
     options.server = tenant.options;
-    options.server.threads = threads;
     options.server.pipeline = manifest.pipeline;
-    options.server.executor = nullptr;
     // Engine notices (the feedback pipeline fallback) print to stderr
     // unless --quiet; the library never writes there itself.
     if (!quiet) {
@@ -390,29 +409,33 @@ int run_tenants_manifest(const std::string& wal_path,
         fault_schedule.empty() ? nullptr : &fault_schedule;
     options.weight = tenant.weight;
     usage_error([&] {
-      tenants.add(tenant.name, hosts.back().instance, hosts.back().policy,
-                  *hosts.back().workload, options);
+      tenants.add(tenant_label(tenant), host.instance, host.policy,
+                  *host.workload, options);
       return 0;
     });
   }
 
-  const bool record_latency = manifest.tenants.front().options.record_latency;
-  if (!quiet) {
+  const recovery::TenantManifest& first = manifest.tenants.front();
+  const bool record_latency = first.options.record_latency;
+  if (!quiet && manifest.multi_tenant) {
     std::cout << "route_server: " << tenants.size()
               << " tenants on one executor (threads=" << threads
               << (record_latency ? "" : ", deterministic") << ")\n";
+  } else if (!quiet) {
+    const Host& host = hosts.front();
+    const RouteServerOptions& options = first.options;
+    std::cout << "route_server: " << first.scenario << " ("
+              << host.instance.describe() << ")\n  policy "
+              << host.policy.name() << ", workload " << host.workload->name()
+              << ", T=" << options.update_period << ", epochs="
+              << options.epochs << ", clients=" << options.num_clients
+              << ", shards=" << options.shards << ", threads=" << threads
+              << (record_latency ? "" : ", deterministic") << "\n";
   }
 
   TenantObserver observer = nullptr;
   if (!quiet && report_every > 0) {
-    observer = [&tenants, report_every](std::size_t tenant,
-                                        const EpochSummary& e) {
-      if (e.epoch % report_every != 0) return;
-      std::cout << "  [" << tenants.name(tenant) << "] epoch " << e.epoch
-                << ": " << e.queries << " queries, migration rate "
-                << fmt(e.migration_rate, 4) << ", gap "
-                << fmt(e.wardrop_gap, 6) << "\n";
-    };
+    observer = make_reporter(manifest, tenants, report_every);
   }
   if (progress_every > 0) {
     // Heartbeat counts epochs across ALL tenants (the host's serving
@@ -439,12 +462,20 @@ int run_tenants_manifest(const std::string& wal_path,
 
   Executor executor(threads);
   if (!fault_schedule.empty()) executor.set_fault_schedule(&fault_schedule);
-  const MultiTenantResult result =
-      tenants.run(executor, observer,
-                  log ? log->round_observer() : RoundCutObserver{},
-                  resume_state);
+  // Options the library rejects (a zero epoch budget, more shards than
+  // clients, an offered load past the Poisson sampler's range) surface
+  // as invalid_argument from the first epoch: usage errors, exit 2.
+  const MultiTenantResult result = usage_error([&] {
+    return tenants.run(executor, observer,
+                       log ? log->round_observer() : RoundCutObserver{},
+                       resume_state);
+  });
   if (log) log->finish();
-  return print_multi_result(result, record_latency, csv_path, quiet);
+  if (manifest.multi_tenant) {
+    return print_multi_result(result, record_latency, csv_path, quiet);
+  }
+  return print_single_result(result.tenants.front().server, record_latency,
+                             csv_path, quiet);
 }
 
 /// Resolves --tenants specs against the top-level defaults into the WAL
@@ -491,82 +522,6 @@ recovery::RunManifest resolve_tenant_manifest(
   return manifest;
 }
 
-/// Single-server run from a resolved manifest (fresh or resumed).
-int run_single_manifest(const std::string& wal_path,
-                        const recovery::RunManifest& manifest,
-                        const recovery::RecoveredRun* resume,
-                        std::size_t threads, const std::string& csv_path,
-                        std::size_t report_every, std::size_t progress_every,
-                        bool quiet) {
-  const recovery::TenantManifest& self = manifest.tenants.front();
-  RouteServerOptions options = self.options;
-  options.threads = threads;
-  options.pipeline = manifest.pipeline;
-  options.executor = nullptr;
-  // The engine routes its one-line notices (the feedback pipeline
-  // fallback) through this sink instead of printing itself; --quiet
-  // silences them like the rest of the chatter.
-  if (!quiet) {
-    options.notice = [](const std::string& message) {
-      std::cerr << message << "\n";
-    };
-  }
-  const faults::FaultSchedule fault_schedule =
-      make_fault_schedule(manifest, quiet);
-  if (!fault_schedule.empty()) options.faults = &fault_schedule;
-
-  const ScenarioRegistry registry = ScenarioRegistry::builtin();
-  const Host host = make_host(self, registry);
-  // Fail closed before the WAL file is created/appended: a feedback
-  // workload falls back to the strict schedule, so a pipeline=1 header
-  // would misdescribe the run.
-  if (manifest.pipeline && !wal_path.empty() &&
-      host.workload->uses_feedback()) {
-    throw cli::UsageError(
-        "--pipeline cannot be combined with --wal/--resume for feedback "
-        "workload '" + host.workload->name() +
-        "' (it falls back to the strict schedule)");
-  }
-
-  if (!quiet) {
-    std::cout << "route_server: " << self.scenario << " ("
-              << host.instance.describe() << ")\n  policy "
-              << host.policy.name() << ", workload " << host.workload->name()
-              << ", T=" << options.update_period << ", epochs="
-              << options.epochs << ", clients=" << options.num_clients
-              << ", shards=" << options.shards << ", threads="
-              << options.threads
-              << (options.record_latency ? "" : ", deterministic") << "\n";
-  }
-
-  std::optional<recovery::WalLog> log;
-  std::span<const EngineCheckpoint> resume_cuts;
-  if (resume != nullptr) {
-    print_resume_banner(*resume, quiet);
-    log.emplace(wal_path, *resume);
-    resume_cuts = resume->cuts.front();
-  } else if (!wal_path.empty()) {
-    log.emplace(wal_path, manifest);
-  }
-
-  EpochObserver observer =
-      make_epoch_observer(options.epochs, report_every, quiet);
-  if (progress_every > 0) {
-    auto meter = std::make_shared<ProgressMeter>(progress_every);
-    observer = [meter, inner = std::move(observer)](const EpochSummary& e) {
-      meter->tick(e);
-      if (inner) inner(e);
-    };
-  }
-
-  RouteServer server(host.instance, host.policy, *host.workload);
-  const RouteServerResult result = server.run(
-      FlowVector::uniform(host.instance), options, observer,
-      log ? log->single_observer() : CutObserver{}, resume_cuts);
-  if (log) log->finish();
-  return print_single_result(result, options, csv_path, quiet);
-}
-
 /// --resume: the WAL header is the configuration; serve what remains.
 /// The header's pipeline flag is honored — a pipelined run resumes
 /// pipelined, a strict one strict. An explicit --pipeline is legal only
@@ -604,13 +559,8 @@ int do_resume(const std::string& path, std::size_t threads,
     return 0;
   }
 
-  if (state.manifest.multi_tenant) {
-    return run_tenants_manifest(path, state.manifest, &state, threads,
-                                csv_path, report_every, progress_every,
-                                quiet);
-  }
-  return run_single_manifest(path, state.manifest, &state, threads,
-                             csv_path, report_every, progress_every, quiet);
+  return run_manifest(path, state.manifest, &state, threads, csv_path,
+                      report_every, progress_every, quiet);
 }
 
 /// Starts the recorder for --trace and guarantees the trailer is written
@@ -723,39 +673,27 @@ int do_run(const std::map<std::string, std::string>& flags) {
                      progress_every, quiet);
   }
 
-  if (tenants_given) {
-    recovery::RunManifest manifest = resolve_tenant_manifest(
-        tenants_flag, scenario_name, policy_name, workload_spec, options);
-    manifest.faults = faults_spec;
-    manifest.pipeline = options.pipeline;
-    return run_tenants_manifest(recovery_flags.wal, manifest, nullptr,
-                                options.threads, csv_path,
-                                report_every, progress_every, quiet);
-  }
-
-  // Default offered load: every client activates once per unit time on
-  // average, the finite-population analogue of the paper's unit-rate
-  // Poisson clocks.
-  if (workload_spec.empty()) {
-    std::ostringstream spec;
-    spec << "poisson:" << options.num_clients;
-    workload_spec = spec.str();
-  }
-
   recovery::RunManifest manifest;
-  manifest.multi_tenant = false;
+  if (tenants_given) {
+    manifest = resolve_tenant_manifest(tenants_flag, scenario_name,
+                                       policy_name, workload_spec, options);
+  } else {
+    // Default offered load: every client activates once per unit time on
+    // average, the finite-population analogue of the paper's unit-rate
+    // Poisson clocks.
+    recovery::TenantManifest self;
+    self.scenario = scenario_name;
+    self.policy = policy_name;
+    self.workload = workload_spec.empty()
+                        ? "poisson:" + std::to_string(options.num_clients)
+                        : workload_spec;
+    self.options = options;
+    manifest.tenants.push_back(std::move(self));
+  }
   manifest.faults = faults_spec;
   manifest.pipeline = options.pipeline;
-  recovery::TenantManifest self;
-  self.scenario = scenario_name;
-  self.policy = policy_name;
-  self.workload = workload_spec;
-  self.options = options;
-  self.weight = 1;
-  manifest.tenants.push_back(std::move(self));
-  return run_single_manifest(recovery_flags.wal, manifest, nullptr,
-                             options.threads, csv_path,
-                             report_every, progress_every, quiet);
+  return run_manifest(recovery_flags.wal, manifest, nullptr, options.threads,
+                      csv_path, report_every, progress_every, quiet);
 }
 
 int run_main(int argc, char** argv) {
