@@ -45,7 +45,7 @@ RunManifest decode_run_header(std::string_view payload) {
   binio::Reader r(payload);
   const std::uint32_t version = r.u32();
   // A v3 reader still accepts v2 files: the only layout change is the
-  // pipeline byte (absent in v2, meaning a strict-schedule run). Anything
+  // pipeline byte (absent in v2, meaning the reference schedule). Anything
   // else is a future format this build cannot decode — which is also how
   // a v2 reader treats a v3 header.
   if (version != 2 && version != kWalVersion) {

@@ -62,12 +62,13 @@ struct TenantManifest {
 
 struct RunManifest {
   bool multi_tenant = false;
-  /// Cross-epoch pipelining was on for this run (v3 headers; v2 files
-  /// decode as false). Cut CONTENT is schedule-independent — the flag is
-  /// logged so a resumed run re-serves with the crashed run's schedule
-  /// instead of silently downgrading to strict, and so tooling knows
-  /// committed cuts trail the crashed process's serving frontier by one
-  /// epoch.
+  /// The requested schedule: RouteServerOptions::pipeline of every
+  /// tenant (v3 headers; v2 files decode as false). Cut CONTENT is
+  /// schedule-independent — the byte is logged so a resumed run requests
+  /// the crashed run's schedule again, and so tooling knows committed
+  /// cuts of pipelined engines trail the crashed process's serving
+  /// frontier by one epoch. A feedback tenant serves the reference
+  /// schedule under either request.
   bool pipeline = false;
   /// The run's `--faults` spec ("" = healthy). The SPEC is what the WAL
   /// stores — a resumed run re-materializes the schedule from it plus the
@@ -176,7 +177,7 @@ class WalLog {
   /// round_observer() logs every round of a TenantRegistry (or of
   /// serve_rounds). single_observer() adapts a RouteServer's per-epoch
   /// cuts onto log_round: each cut is committed at once as a one-tenant
-  /// round (round r+1, credits {0}), the records a one-tenant strict
+  /// round (round r+1, credits {0}), the records a one-tenant unpipelined
   /// registry writes.
   CutObserver single_observer();
   RoundCutObserver round_observer();

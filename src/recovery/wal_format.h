@@ -40,12 +40,12 @@ inline constexpr char kWalMagic[8] = {'S', 'F', 'W', 'A', 'L', '1', '\n', 0};
 /// encoding changes; readers reject versions they don't know (a v3 reader
 /// still accepts v2 files — the superseded layout decodes with defaults).
 /// v2: the run header carries the --faults spec after the tenant flag.
-/// v3: a pipeline flag follows the tenant flag. When set, the run served
-///     with cross-epoch pipelining and its cuts were captured at the
-///     one-epoch overlap boundary — committed cuts trail the crashed
-///     process's serving frontier by one epoch, but their content (and
-///     the record protocol) is identical to a strict run's, and a resume
-///     re-serves with the logged schedule.
+/// v3: a pipeline flag follows the tenant flag: the requested schedule.
+///     When set, cuts of pipelined engines were captured at the one-epoch
+///     overlap boundary — committed cuts trail the crashed process's
+///     serving frontier by one epoch, but their content is identical to
+///     the reference schedule's — and a resume re-serves with the logged
+///     request.
 inline constexpr std::uint32_t kWalVersion = 3;
 
 /// Corruption guard: a structurally valid record never exceeds this

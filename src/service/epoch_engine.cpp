@@ -60,25 +60,11 @@ void EpochEngine::begin(const FlowVector& initial,
   }
 
   options_ = options;
-  // Pipelining is digest-neutral only when arrivals ignore LoadFeedback:
-  // a feedback workload (closed-loop-lat) falls back to the strict
-  // schedule, its arrivals need the previous epoch's summary. The
-  // fallback is announced — once through the host's notice sink and as a
-  // metrics counter — so a traced run records that the knob was ignored.
-  // Library code never writes to stderr itself: a host without a sink
-  // (sweep cells, tests) gets the counter only.
+  // Pipelining defers each epoch's summary into the next graph. A
+  // feedback workload (closed-loop-lat) reads the previous epoch's
+  // summary when it plans its arrivals, so it serves the reference
+  // schedule, whatever was requested.
   pipelined_ = options.pipeline && !workload_->uses_feedback();
-  if (options.pipeline && !pipelined_) {
-    static trace::Counter& fallback_counter =
-        trace::MetricsRegistry::global().counter("engine.pipeline_fallbacks");
-    fallback_counter.inc();
-    if (options_.notice) {
-      options_.notice("note: pipeline disabled for feedback workload '" +
-                      workload_->name() +
-                      "' (arrivals need the previous epoch's summary); "
-                      "serving the strict schedule");
-    }
-  }
   master_ = Rng(options.seed);
   clients_ = std::make_unique<Population>(*instance_, options.num_clients,
                                           initial.values());
@@ -191,26 +177,12 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
     throw std::logic_error("EpochEngine::add_epoch: all epochs served");
   }
   epoch_in_flight_ = true;
+  pending_finish_ = kNone;
+  serving_ = kNone;
 
-  if (!pipelined_) {
-    // Strict schedule: one epoch per graph, summary in the same graph
-    // (after fold, overlapping the snapshot build), publish host-side in
-    // finish_epoch. This is the reference node order the pipelined
-    // schedule must reproduce value-for-value.
-    const std::uint64_t e = epochs_done();
-    EpochStage& stage = stages_[e % 2];
-    const std::size_t fold =
-        plan_epoch(graph, stage, e, kNone, /*publish_in_graph=*/false);
-    add_summary_node(graph, stage, {fold});
-    planned_ = e + 1;
-    pending_finish_ = e;
-    return;
-  }
-
-  // Pipelined schedule: the previous epoch's summary runs as a ROOT of
-  // this graph, in parallel with this epoch's serve nodes; fold depends
-  // on it (the summary reads the pre-fold master flow for its Wardrop
-  // gap) and the publish moves in-graph after the CDF nodes. The two
+  // A summary deferred by the last graph runs as a ROOT of this one, in
+  // parallel with this epoch's serve nodes; fold depends on it (the
+  // summary reads the pre-fold master flow for its Wardrop gap). The two
   // in-flight epochs stage into alternating slots, so they share no
   // state. The final add_epoch (planned_ == epochs_total()) drains the
   // last deferred summary on its own.
@@ -223,24 +195,29 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
     // that epoch's boundary state. It is transient (the plan below splits
     // the master RNG), so snapshot it for the checkpoint() that becomes
     // answerable once the deferred summary drains.
-    if (capture_cuts_) capture_pending_cut(prev);
+    if (capture_cuts_) capture_boundary(prev.cut);
     summary_node = add_summary_node(graph, prev, {});
     pending_finish_ = planned_ - 1;
-  } else {
-    pending_finish_ = kNone;
   }
   if (planned_ < epochs_total()) {
     const std::uint64_t e = planned_;
-    plan_epoch(graph, stages_[e % 2], e, summary_node,
-               /*publish_in_graph=*/true);
+    EpochStage& stage = stages_[e % 2];
+    const std::size_t fold = plan_epoch(graph, stage, e, summary_node);
     planned_ = e + 1;
+    serving_ = e;
+    // The one schedule decision: the reference schedule summarizes an
+    // epoch in its own graph (after fold, overlapping the snapshot
+    // build); the pipelined one defers the summary into the next graph.
+    if (!pipelined_) {
+      add_summary_node(graph, stage, {fold});
+      pending_finish_ = e;
+    }
   }
 }
 
 std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
                                     std::uint64_t e,
-                                    std::size_t extra_fold_dep,
-                                    bool publish_in_graph) {
+                                    std::size_t extra_fold_dep) {
   const double T = options_.update_period;
   const std::size_t shards = options_.shards;
   stage.trace_epoch = e;
@@ -335,11 +312,11 @@ std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
   stage.batches = planned;
   ledger_->ensure_slots(stage.batches);
 
-  // The epoch task graph: serve -> fold -> next snapshot build. The
-  // snapshot's board post and per-commodity CDF nodes overlap the summary
-  // tail; everything after fold reads the folded flow, nothing writes
-  // shared state concurrently — and nothing outside this engine at all,
-  // so epochs of distinct engines coexist in one graph.
+  // The epoch task graph: serve -> fold -> next snapshot build ->
+  // publish. The snapshot's board post and per-commodity CDF nodes
+  // overlap the summary; everything after fold reads the folded flow,
+  // nothing writes shared state concurrently — and nothing outside this
+  // engine at all, so epochs of distinct engines coexist in one graph.
   stage.served = store_->acquire();
   stage.totals = FlowLedger::Totals{};
   stage.next.reset();
@@ -372,22 +349,19 @@ std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
     cdf_nodes.push_back(graph.add(
         [this, slot, c] { slot->next->build_cdf(CommodityId{c}); }, {post}));
   }
-  if (publish_in_graph) {
-    // The pipelined phase boundary: the board swap happens inside the
-    // graph, as soon as the snapshot is complete — the NEXT epoch's graph
-    // then serves against the fresh board while this epoch's summary is
-    // still pending.
-    if (cdf_nodes.empty()) cdf_nodes.push_back(post);
-    graph.add(
-        [this, slot] {
-          store_->publish(std::move(slot->next));
-          if (trace::active() && !slot->trace_drop) {
-            trace::instant(trace::EventKind::kSnapshotPublish, trace_tenant_,
-                           slot->trace_epoch + 1, /*arg=*/0, /*value=*/0);
-          }
-        },
-        std::span<const TaskGraph::NodeId>(cdf_nodes));
-  }
+  // The phase boundary: the board swap happens inside the graph, as soon
+  // as the snapshot is complete, so a summary deferred to the next graph
+  // never delays the next epoch's serving.
+  if (cdf_nodes.empty()) cdf_nodes.push_back(post);
+  graph.add(
+      [this, slot] {
+        store_->publish(std::move(slot->next));
+        if (trace::active() && !slot->trace_drop) {
+          trace::instant(trace::EventKind::kSnapshotPublish, trace_tenant_,
+                         slot->trace_epoch + 1, /*arg=*/0, /*value=*/0);
+        }
+      },
+      std::span<const TaskGraph::NodeId>(cdf_nodes));
   return fold;
 }
 
@@ -453,23 +427,24 @@ void EpochEngine::finish_epoch(double epoch_seconds,
     throw std::logic_error("EpochEngine::finish_epoch: no epoch in flight");
   }
   epoch_in_flight_ = false;
+  // The graph's wall seconds belong to the epoch it served, which a
+  // pipelined run summarizes one graph later.
+  if (serving_ != kNone) stages_[serving_ % 2].serve_seconds = epoch_seconds;
   if (pending_finish_ == kNone) {
     // First pipelined graph: epoch 0 served but its summary is deferred
     // into the next graph — nothing to record yet.
     return;
   }
   EpochStage& stage = stages_[pending_finish_ % 2];
-  pending_finish_ = kNone;
 
-  // Phase boundary: the fold tail (summary) and the snapshot build
-  // already ran inside the graph; the strict schedule publishes the
-  // folded flow's board here, a pipelined one published in-graph.
+  // Phase boundary: the summary, the snapshot build and the publish
+  // already ran inside a graph; record the epoch.
   run_route_.merge(stage.epoch_route);
   if (options_.record_latency) {
     run_wall_us_.merge(stage.epoch_wall);
     stage.summary.queries_per_second =
-        epoch_seconds > 0.0
-            ? static_cast<double>(stage.totals.queries) / epoch_seconds
+        stage.serve_seconds > 0.0
+            ? static_cast<double>(stage.totals.queries) / stage.serve_seconds
             : 0.0;
   }
 
@@ -477,8 +452,6 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   total_migrations_ += stage.totals.migrations;
   epochs_.push_back(stage.summary);
   if (observer) observer(stage.summary);
-
-  if (!pipelined_) store_->publish(std::move(stage.next));
   stage.served.reset();
 
   static trace::Counter& epochs_counter =
@@ -492,12 +465,6 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   migrations_counter.add(stage.totals.migrations);
 
   if (trace::active() && !stage.trace_drop) {
-    if (!pipelined_) {
-      // The board just swapped: epoch e+1 is now live for readers
-      // (pipelined runs emit this from the in-graph publish node).
-      trace::instant(trace::EventKind::kSnapshotPublish, trace_tenant_,
-                     stage.trace_epoch + 1, /*arg=*/0, /*value=*/0);
-    }
     trace::TraceEvent epoch_event;
     epoch_event.kind = trace::EventKind::kEpochSpan;
     epoch_event.tenant = trace_tenant_;
@@ -510,16 +477,16 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   }
 }
 
-void EpochEngine::capture_pending_cut(EpochStage& stage) {
-  stage.cut.rng_state = master_.state();
-  stage.cut.flow = flow_;
-  stage.cut.client_paths.clear();
-  stage.cut.client_paths.reserve(clients_->size());
+void EpochEngine::capture_boundary(PendingCut& out) const {
+  out.rng_state = master_.state();
+  out.flow = flow_;
+  out.client_paths.clear();
+  out.client_paths.reserve(clients_->size());
   for (std::size_t c = 0; c < clients_->size(); ++c) {
-    stage.cut.client_paths.push_back(
+    out.client_paths.push_back(
         static_cast<std::uint32_t>(clients_->local_path(c)));
   }
-  stage.cut.valid = true;
+  out.valid = true;
 }
 
 EngineCheckpoint EpochEngine::checkpoint() const {
@@ -530,29 +497,25 @@ EngineCheckpoint EpochEngine::checkpoint() const {
   }
   // The just-finished epoch's stage, still holding its parity slot.
   const EpochStage& stage = stages_[(epochs_.size() - 1) % 2];
-  EngineCheckpoint cut;
-  cut.summary = epochs_.back();
-  if (pipelined_) {
-    // The live engine state runs one epoch ahead of the last summarized
-    // epoch; the boundary state this cut needs was captured by add_epoch
-    // at the overlap boundary, before the next epoch was planned.
+  PendingCut boundary;
+  if (planned_ > epochs_.size()) {
+    // The engine has planned past the last finished epoch, so the live
+    // state runs one epoch ahead; add_epoch captured this epoch's
+    // boundary state before planning further.
     if (!stage.cut.valid) {
       throw std::logic_error(
           "EpochEngine::checkpoint: pipelined cuts need "
           "set_cut_capture(true) before the epoch was planned");
     }
-    cut.rng_state = stage.cut.rng_state;
-    cut.flow = stage.cut.flow;
-    cut.client_paths = stage.cut.client_paths;
+    boundary = stage.cut;
   } else {
-    cut.rng_state = master_.state();
-    cut.flow = flow_;
-    cut.client_paths.reserve(clients_->size());
-    for (std::size_t c = 0; c < clients_->size(); ++c) {
-      cut.client_paths.push_back(
-          static_cast<std::uint32_t>(clients_->local_path(c)));
-    }
+    capture_boundary(boundary);
   }
+  EngineCheckpoint cut;
+  cut.summary = epochs_.back();
+  cut.rng_state = boundary.rng_state;
+  cut.flow = std::move(boundary.flow);
+  cut.client_paths = std::move(boundary.client_paths);
   cut.route_hist = stage.epoch_route;
   return cut;
 }

@@ -12,7 +12,7 @@
 //     TaskGraph graph;
 //     engine.add_epoch(graph);        // plan + append this epoch's nodes
 //     executor.run(graph);            // serve -> fold -> {snapshot, summary}
-//     engine.finish_epoch(seconds, observer);  // merge, record, publish
+//     engine.finish_epoch(seconds, observer);  // merge, record
 //   }
 //   RouteServerResult result = engine.finish(wall_seconds);
 //
@@ -30,30 +30,33 @@
 // depends on which threads run its nodes or on what other engines' nodes
 // are interleaved with them.
 //
-// Cross-epoch pipelining (options.pipeline, non-feedback workloads only):
-// the engine defers epoch e's summary/telemetry node into the NEXT
-// add_epoch's graph, where it runs as a root in parallel with epoch
-// e+1's serve nodes — the snapshot publish moves in-graph (after the CDF
-// nodes), so epoch e+1 starts serving the fresh board while e's telemetry
-// tail is still merging histograms. fold(e+1) depends on summary(e)
-// (summary reads the pre-fold master flow for its Wardrop gap) and the
-// two epochs stage into alternating slots, so nothing is shared between
-// overlapping epochs. The host protocol is unchanged — the same
-// while (!done()) { add_epoch; run; finish_epoch } loop simply runs
-// epochs+1 iterations (the last one drains the final summary). Every
-// value is derived from the same streams in the same order as the strict
-// schedule, so digests are byte-identical with pipelining on or off.
+// One schedule, one decision point. Every epoch's graph holds its serve
+// nodes, the fold, the next board's post and per-commodity CDF nodes and
+// an in-graph publish after them; the only thing the schedule decides is
+// where the epoch's summary/telemetry node goes. Under the reference
+// schedule (options.pipeline off, or a feedback workload such as
+// closed-loop-lat, whose arrivals read the previous summary) it joins
+// the epoch's own graph after fold. Pipelined (options.pipeline on, a
+// feedback-free workload) it is deferred into the NEXT add_epoch's
+// graph, where it runs as a root in parallel with epoch e+1's serve
+// nodes, which already read the fresh board. fold(e+1) depends on
+// summary(e) (summary reads the pre-fold master flow for its Wardrop
+// gap) and the two epochs stage into alternating slots, so nothing is
+// shared between overlapping epochs. The host loop is the same
+// while (!done()) { add_epoch; run; finish_epoch } either way; a
+// pipelined run simply takes epochs+1 iterations (the last one drains
+// the final summary). Every value is derived from the same streams in
+// the same order, so digests are byte-identical under both schedules.
 //
-// Pipelining composes with the recovery WAL via overlap-spanning cuts:
-// with set_cut_capture(true), a pipelined add_epoch snapshots the
-// boundary state of the epoch it is about to defer (RNG cursor, flow,
-// client paths — captured host-side, when no graph is in flight) into
-// that stage's PendingCut; checkpoint() hands the cut out one graph
-// later, once the deferred summary has drained. Cuts therefore trail the
-// serving frontier by exactly one epoch, but their CONTENT is identical
-// to the strict schedule's — restore() works unchanged, and the first
-// pipelined add_epoch after a resume primes the double-buffer exactly as
-// a fresh begin() does.
+// The recovery WAL's cuts are the same bytes under both schedules. While
+// the engine has planned past its last finished epoch, its live state
+// runs one epoch ahead, so with set_cut_capture(true) add_epoch
+// snapshots the boundary state of the epoch it defers (RNG cursor, flow,
+// client paths; host-side, no graph in flight) into that stage's
+// PendingCut, and checkpoint() hands it out one graph later. Cuts
+// therefore trail the serving frontier by one epoch; restore() works
+// unchanged, and the first pipelined add_epoch after a resume primes the
+// double-buffer exactly as a fresh begin() does.
 #pragma once
 
 #include <array>
@@ -111,18 +114,18 @@ class EpochEngine {
   std::size_t epochs_done() const noexcept { return epochs_.size(); }
   bool done() const noexcept { return epochs_done() >= epochs_total(); }
 
-  /// True when cross-epoch pipelining is active: options.pipeline was set
-  /// AND the workload is feedback-free (a closed-loop-lat tenant silently
-  /// runs the strict schedule — its arrivals need the previous summary).
+  /// True when the summary is deferred into the next graph: options.pipeline
+  /// was set AND the workload is feedback-free (a closed-loop-lat tenant
+  /// serves the reference schedule: its arrivals need the previous
+  /// summary).
   bool pipelined() const noexcept { return pipelined_; }
 
   /// Plans the next epoch (workload arrivals, the deterministic sub-batch
   /// plan, one Rng stream per sub-batch in canonical order) and appends
-  /// its serve -> fold -> {board post + per-commodity CDF nodes, summary}
-  /// pipeline to `graph`. In pipelined mode the graph instead holds the
-  /// PREVIOUS epoch's deferred summary (as a root) plus this epoch's
-  /// serve/fold/snapshot/publish nodes; the final call appends only the
-  /// last summary. The appended nodes touch only this engine, so several
+  /// its serve -> fold -> board post -> per-commodity CDF -> publish nodes
+  /// to `graph`, plus its summary node after fold. Pipelined, the summary
+  /// is instead deferred: the graph holds the PREVIOUS epoch's summary (as
+  /// a root) and the final call appends only the last summary. The appended nodes touch only this engine, so several
   /// engines may append to the same graph.
   /// Exactly one graph may be in flight per engine: add_epoch / run /
   /// finish_epoch, in order.
@@ -130,13 +133,13 @@ class EpochEngine {
 
   /// Completes the epoch whose summary node ran in the last add_epoch's
   /// graph (the graph must have run): merges that epoch's histograms into
-  /// the run result, records the summary (calling `observer` if set),
-  /// and — strict schedule only — publishes the next snapshot (pipelined
-  /// runs publish in-graph; the first pipelined call completes nothing).
-  /// `epoch_seconds` is the wall-clock the host measured for the graph
-  /// (used for queries_per_second when latency recording is on; a
-  /// multi-tenant host passes the whole round's wall time, so per-epoch
-  /// qps then reads "queries per round-second").
+  /// the run result and records the summary (calling `observer` if set);
+  /// the first pipelined call completes nothing. `epoch_seconds` is the
+  /// wall-clock the host measured for the graph. It is booked on the
+  /// epoch the graph served, whose queries_per_second (when latency
+  /// recording is on) divides by it, even when that epoch is summarized
+  /// one graph later. A multi-tenant host passes the whole round's wall
+  /// time, so per-epoch qps then reads "queries per round-second".
   void finish_epoch(double epoch_seconds, const EpochObserver& observer);
 
   /// Finalizes and returns the run result (final flow and gap, wall-clock
@@ -148,19 +151,18 @@ class EpochEngine {
   /// e's summary exists the engine has already planned (and possibly
   /// folded) epoch e+1 — so with capture on, add_epoch snapshots the
   /// PendingCut (RNG cursor, flow, client paths) at the overlap boundary
-  /// before planning further. Off by default: un-logged pipelined runs
-  /// pay nothing. Strict engines ignore the flag (their boundary state is
-  /// live whenever checkpoint() may be called). Set before the first
-  /// add_epoch.
+  /// before planning further. Off by default: un-logged runs pay nothing.
+  /// Under the reference schedule nothing is ever deferred, so the flag
+  /// has no effect. Set before the first add_epoch.
   void set_cut_capture(bool capture) noexcept { capture_cuts_ = capture; }
 
   /// Snapshot of the dynamics state at the last finished epoch's boundary
   /// — the recovery WAL's cut record. Requires at least one finished
-  /// epoch and no epoch in flight. Strict engines read the live state; a
-  /// pipelined engine returns the PendingCut its add_epoch captured at
-  /// the one-epoch overlap boundary (requires set_cut_capture(true)
-  /// before the epoch was planned, else throws) — same bytes, one graph
-  /// later. Restoring the returned cut (plus its predecessors) into a
+  /// epoch and no epoch in flight. Reads the live state, unless the
+  /// engine has planned past that epoch: then it returns the PendingCut
+  /// add_epoch captured at the one-epoch overlap boundary (requires
+  /// set_cut_capture(true) before the epoch was planned, else throws) —
+  /// same bytes, one graph later. Restoring the returned cut (plus its predecessors) into a
   /// fresh engine continues the run bit-identically, under either
   /// schedule.
   EngineCheckpoint checkpoint() const;
@@ -184,21 +186,12 @@ class EpochEngine {
   void restore(std::span<const EngineCheckpoint> cuts);
 
  private:
-  /// Everything one in-flight epoch stages: its sub-batch contexts, the
-  /// snapshot it served against, the fold totals, the board it builds and
-  /// its telemetry accumulators. Two slots alternate by epoch parity so a
-  /// pipelined run can overlap epoch e+1's serving with epoch e's summary
-  /// without sharing a byte; the strict schedule uses the same slots one
-  /// at a time. The trace fields are wall-clock labelling only —
-  /// trace_drop is true while a drop-telemetry fault window covers the
-  /// epoch (the engine then emits no spans; the kFaultSpan marker itself
-  /// still fires).
-  /// A pipelined epoch's checkpointable boundary state, captured by
-  /// add_epoch at the instant this stage's epoch is the engine frontier
-  /// (post-fold, post-serve, pre-plan of the next epoch) and handed out
-  /// by checkpoint() one graph later, once the summary has drained. The
-  /// strict schedule never fills one — its boundary state is still live
-  /// when checkpoint() runs.
+  /// An epoch's checkpointable boundary state (RNG cursor, flow, client
+  /// paths). add_epoch captures it into a stage at the instant that
+  /// stage's epoch is the engine frontier (post-fold, post-serve,
+  /// pre-plan of the next epoch) when the summary is deferred, and
+  /// checkpoint() hands it out one graph later, once the summary has
+  /// drained; otherwise checkpoint() captures the live state.
   struct PendingCut {
     std::array<std::uint64_t, 4> rng_state{};
     std::vector<double> flow;
@@ -206,6 +199,15 @@ class EpochEngine {
     bool valid = false;
   };
 
+  /// Everything one in-flight epoch stages: its sub-batch contexts, the
+  /// snapshot it served against, the fold totals, the board it builds and
+  /// its telemetry accumulators. Two slots alternate by epoch parity so a
+  /// pipelined run can overlap epoch e+1's serving with epoch e's summary
+  /// without sharing a byte; the reference schedule uses the same slots
+  /// one at a time. The trace fields are wall-clock labelling only —
+  /// trace_drop is true while a drop-telemetry fault window covers the
+  /// epoch (the engine then emits no spans; the kFaultSpan marker itself
+  /// still fires).
   struct EpochStage {
     std::vector<detail::SubBatchContext> ctx;  // high-water pool
     std::size_t batches = 0;  // sub-batches planned for this epoch
@@ -215,31 +217,29 @@ class EpochEngine {
     EpochSummary summary;
     LogHistogram epoch_route;  // this epoch's merged route latencies
     LogHistogram epoch_wall;   // this epoch's merged service times (us)
-    PendingCut cut;            // pipelined: boundary state for the WAL
+    double serve_seconds = 0.0;  // wall seconds of the graph that served it
+    PendingCut cut;            // deferred summary: boundary state for the WAL
     std::uint64_t trace_epoch = 0;
     std::uint64_t trace_begin_ns = 0;
     bool trace_drop = false;
   };
 
-  /// "No epoch" sentinel for pending_finish_.
+  /// "No epoch" sentinel for pending_finish_ and serving_.
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   /// Plans epoch `e` into `stage` and appends its serve -> fold -> post ->
-  /// CDF nodes; `extra_fold_dep` (a summary node, pipelined mode) is added
-  /// to fold's dependencies when not kNone; with `publish_in_graph` a
-  /// final node publishes the built snapshot after the CDFs. Returns the
-  /// fold node's id.
+  /// CDF -> publish nodes; `extra_fold_dep` (a deferred summary node) is
+  /// added to fold's dependencies when not kNone. Returns the fold node's
+  /// id.
   std::size_t plan_epoch(TaskGraph& graph, EpochStage& stage,
-                         std::uint64_t e, std::size_t extra_fold_dep,
-                         bool publish_in_graph);
+                         std::uint64_t e, std::size_t extra_fold_dep);
   /// Appends `stage`'s summary/telemetry node with the given deps.
   std::size_t add_summary_node(TaskGraph& graph, EpochStage& stage,
                                std::initializer_list<std::size_t> deps);
   void serve_sub_batch(EpochStage& stage, std::size_t b);
   /// Copies the engine's current boundary state (RNG cursor, flow, client
-  /// paths) into `stage`'s PendingCut. Only meaningful when called from a
-  /// pipelined add_epoch, host-side, with no graph in flight.
-  void capture_pending_cut(EpochStage& stage);
+  /// paths) into `out`. Host-side only, with no graph in flight.
+  void capture_boundary(PendingCut& out) const;
 
   const Instance* instance_;
   const Policy* policy_;
@@ -256,9 +256,10 @@ class EpochEngine {
   EpochStage stages_[2];  // epoch e stages in stages_[e % 2]
   bool epoch_in_flight_ = false;
   bool pipelined_ = false;
-  bool capture_cuts_ = false;  // pipelined: snapshot PendingCuts for the WAL
+  bool capture_cuts_ = false;  // snapshot deferred epochs' PendingCuts
   std::size_t planned_ = 0;         // epochs planned so far (plan frontier)
   std::size_t pending_finish_ = kNone;  // epoch the next finish_epoch records
+  std::size_t serving_ = kNone;         // epoch the in-flight graph serves
 
   std::uint32_t trace_tenant_ = 0;
 

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/policy.h"
@@ -103,18 +102,17 @@ struct RouteServerOptions {
   /// fixed sub_batch_queries, with its own digest.
   bool sub_batch_auto = false;
 
-  /// Cross-epoch pipelining: overlap epoch e+1's serving with epoch e's
-  /// summary/telemetry tail. A runtime knob like `threads` — digests and
-  /// dynamics are byte-identical either way. Composes with the
-  /// checkpoint/WAL path (`cuts`): the engine captures each epoch's
-  /// boundary state at the one-epoch overlap boundary and emits the cut
-  /// one graph behind the serving frontier, with content identical to the
-  /// strict schedule's. The v3 WAL run header records the flag (not in
-  /// the per-tenant options payload) so a resumed run re-serves with the
-  /// same schedule instead of silently downgrading to strict.
-  /// Auto-disabled for feedback workloads (closed-loop-lat reads the
-  /// previous epoch's summary) — announced through the `notice` sink and
-  /// an `engine.pipeline_fallbacks` counter bump, never silently.
+  /// The requested epoch schedule. On, each epoch's summary/telemetry
+  /// tail is deferred into the next epoch's graph, overlapping its
+  /// serving; off, it runs in the epoch's own graph (the reference
+  /// schedule). A runtime knob like `threads`: digests and dynamics are
+  /// byte-identical either way, and checkpoint cuts carry the same bytes
+  /// (a deferred epoch's cut is captured at the overlap boundary and
+  /// emitted one graph behind the serving frontier). The WAL run header
+  /// records the requested schedule, so a resumed run re-serves with it.
+  /// A feedback workload (closed-loop-lat) reads the previous epoch's
+  /// summary when it plans arrivals, so it always serves the reference
+  /// schedule; EpochEngine::pipelined() reports what was served.
   bool pipeline = false;
 
   std::uint64_t seed = 1;
@@ -128,15 +126,6 @@ struct RouteServerOptions {
   /// digest-neutral; a crash clause _Exit(137)s the process right after
   /// the matching commit point. Must outlive run().
   const faults::FaultSchedule* faults = nullptr;
-
-  /// Sink for the engine's rare one-line human-facing notices (today:
-  /// the pipeline-to-strict fallback for a feedback workload). Library
-  /// code never writes to stderr itself — the host decides where notices
-  /// go (the CLIs print them unless --quiet; embedders like the sweep
-  /// runner and tests stay silent by default). nullptr = drop the text;
-  /// the metrics counters tick either way. A runtime hook like
-  /// `executor` — never serialized into the WAL.
-  std::function<void(const std::string&)> notice = nullptr;
 
   /// Record wall-clock per-query service time into per-shard
   /// LogHistograms. Off = deterministic replay mode: all telemetry fields

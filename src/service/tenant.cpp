@@ -93,7 +93,8 @@ std::size_t serve_rounds(Executor& executor,
                          const TenantObserver& observer,
                          const RoundCutObserver& round_cuts) {
   // Pipelined engines must snapshot their overlap-boundary state for the
-  // round cuts; capture is free for strict engines.
+  // round cuts; the reference schedule never defers, so it captures
+  // nothing.
   for (EpochEngine* engine : engines) {
     engine->set_cut_capture(static_cast<bool>(round_cuts));
   }
@@ -108,9 +109,8 @@ std::size_t serve_rounds(Executor& executor,
   // it every engine's interleaving — is deterministic, though no engine's
   // *outcome* depends on it (isolation contract). A resumed run picks the
   // credit vector up at the checkpointed round boundary. Under the
-  // strict schedule the remaining rounds are exactly the ones the
-  // uninterrupted run would have executed. Under --pipeline they are
-  // NOT: a round mark's credits include credit already spent on overlap
+  // reference schedule the remaining rounds are exactly the ones the
+  // uninterrupted run would have executed. Pipelined they are NOT: a round mark's credits include credit already spent on overlap
   // epochs that were served but not yet drained (no cut committed for
   // them in that round), so a resumed pipelined tenant restarts one
   // epoch behind a credit state that says the epoch was paid for,

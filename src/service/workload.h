@@ -45,8 +45,8 @@ class WorkloadGenerator {
   /// True when arrivals() actually reads `feedback` (the closed-loop-lat
   /// back-pressure shape). Cross-epoch pipelining is only digest-safe for
   /// non-feedback workloads — epoch e+1's arrivals must not depend on
-  /// epoch e's summary — so EpochEngine auto-disables `--pipeline` when
-  /// this returns true.
+  /// epoch e's summary — so EpochEngine serves the reference schedule
+  /// when this returns true, whatever RouteServerOptions::pipeline asks.
   virtual bool uses_feedback() const { return false; }
 };
 

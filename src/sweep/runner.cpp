@@ -17,7 +17,6 @@
 #include "faults/fault_plan.h"
 #include "net/flow.h"
 #include "exec/executor.h"
-#include "service/route_server.h"
 #include "service/tenant.h"
 #include "service/workload.h"
 
@@ -146,11 +145,6 @@ void run_service(const Instance& instance, const Policy& policy,
       std::max(1.0, std::round(spec.horizon / out.cell.update_period)));
   options.num_clients = spec.num_clients;
   options.shards = out.cell.shards;
-  // The cell serves on the sweep's own executor: in-cell sub-batch and
-  // snapshot-build tasks interleave with other cells on the one shared
-  // pool (no nested pools, no oversubscription), and the service
-  // determinism contract keeps the outcome independent of who runs what.
-  options.executor = &executor;
   options.sub_batch_queries = spec.sub_batch_queries;
   options.sub_batch_auto = spec.sub_batch_auto;
   options.record_latency = false;  // replay mode: fully deterministic
@@ -171,46 +165,16 @@ void run_service(const Instance& instance, const Policy& policy,
     options.faults = &fault_schedule;
   }
 
-  if (tenants == 1) {
-    options.seed = seeds.front();
-    RouteServer server(instance, policy, *workload);
-    const RouteServerResult result =
-        server.run(FlowVector::uniform(instance), options);
-
-    out.phases = result.epochs.size();
-    out.final_time =
-        out.cell.update_period * static_cast<double>(result.epochs.size());
-    out.final_gap = result.final_gap;
-    out.final_potential = potential(instance, result.final_flow.values());
-    out.converged = spec.stop_gap > 0.0 && out.final_gap <= spec.stop_gap;
-    if (out.converged) {
-      // First epoch boundary at which the folded flow reached the gap.
-      for (const EpochSummary& epoch : result.epochs) {
-        if (epoch.wardrop_gap <= spec.stop_gap) {
-          out.time_to_converge = epoch.end_time;
-          break;
-        }
-      }
-    }
-    out.queries = result.total_queries;
-    out.migrations = result.total_migrations;
-    out.migration_rate =
-        result.total_queries > 0
-            ? static_cast<double>(result.total_migrations) /
-                  static_cast<double>(result.total_queries)
-            : 0.0;
-    out.latency = result.route_latency;
-    return;
-  }
-
-  // Co-tenancy cell: N replicas of the configuration (per-tenant seeds
-  // split from the cell stream in tenant order) multiplexed on the shared
-  // executor. The aggregate reports the host's view: queries/migrations
-  // and the latency histogram pool over tenants, the gap is the WORST
-  // tenant's, convergence means EVERY tenant converged (time = the last
-  // tenant's crossing), and the potential is the tenant mean.
+  // N replicas of the configuration (per-tenant seeds split from the cell
+  // stream in tenant order) multiplexed on the shared executor; a plain
+  // cell is the one-tenant registry. The aggregate reports the host's
+  // view: queries/migrations and the latency histogram pool over tenants,
+  // the gap is the WORST tenant's, convergence means EVERY tenant
+  // converged (time = the last tenant's crossing), and the potential is
+  // the tenant mean. A one-tenant cell reports its tenant's own values bit
+  // for bit: the gap starts from the first tenant's, and the potential sum
+  // from -0.0, IEEE addition's exact identity.
   TenantRegistry registry;
-  options.executor = nullptr;  // the registry serves on `executor` directly
   for (std::size_t t = 0; t < tenants; ++t) {
     TenantOptions tenant;
     tenant.server = options;
@@ -224,8 +188,9 @@ void run_service(const Instance& instance, const Policy& policy,
   out.final_time = out.cell.update_period *
                    static_cast<double>(
                        multi.tenants.front().server.epochs.size());
+  out.final_gap = multi.tenants.front().server.final_gap;
   out.converged = spec.stop_gap > 0.0;
-  double potential_sum = 0.0;
+  double potential_sum = -0.0;
   for (const TenantResult& tenant : multi.tenants) {
     const RouteServerResult& result = tenant.server;
     out.final_gap = std::max(out.final_gap, result.final_gap);

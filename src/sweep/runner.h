@@ -6,10 +6,11 @@
 // dispatched. Cells share nothing mutable (the simulators are const and
 // keep all run state local), so the result vector is bit-identical for any
 // thread count — `sweep --threads 1` and `--threads 64` produce the same
-// CSV byte for byte. kService cells hand the sweep's own Executor down to
-// their RouteServer, so in-cell parallelism (sub-batch serving, pipelined
-// snapshot builds) runs on the same pool as the cell grid instead of
-// spawning nested pools — one pool, no oversubscription, same bits.
+// CSV byte for byte. A kService cell is a TenantRegistry (one tenant per
+// cell.tenants, at least one) served on the sweep's own Executor, so
+// in-cell parallelism (sub-batch serving, snapshot builds) runs on the
+// same pool as the cell grid instead of spawning nested pools — one
+// pool, no oversubscription, same bits.
 #pragma once
 
 #include <cstddef>

@@ -3,9 +3,11 @@
 // dynamics), healthy and under deterministic fault injection. The same
 // digests are what `route_server_cli run --deterministic` prints for
 // these configs; here every one is checked at 1 and 4 threads under the
-// strict and the pipelined schedule, so any change to execution
+// reference and the pipelined schedule, so any change to execution
 // (threads, pool, task graph, pipelining) that reaches the values fails
-// tier-1.
+// tier-1. The two service-sweep digests are what `sweep_cli run
+// --simulator service` prints for its configs, checked at 1 and 2
+// threads.
 //
 // Runs under `ctest -L golden` in the sanitizer CI job.
 #include <gtest/gtest.h>
@@ -96,7 +98,7 @@ struct Host {
 
 std::string label(const Schedule& schedule) {
   return std::to_string(schedule.threads) + " threads, " +
-         (schedule.pipeline ? "pipelined" : "strict");
+         (schedule.pipeline ? "pipelined" : "reference");
 }
 
 TEST(Golden, SoloRouteServer) {
@@ -168,6 +170,45 @@ TEST(Golden, ThreeTenantRegistry) {
       EXPECT_EQ(telemetry_digest(result.tenants[i].server.epochs),
                 kTrio[i].digest)
           << kTrio[i].name << ", " << label(schedule);
+    }
+  }
+}
+
+/// `sweep_cli run --simulator service --scenarios braess --policies
+/// replicator --periods 0.1 --horizon 2 --replicas 2 --workloads
+/// closed-loop:2000 --clients 2000` plus the listed shard and fault axes.
+struct SweepConfig {
+  const char* name;
+  std::vector<std::size_t> shards;
+  std::vector<std::string> faults;
+  std::uint64_t digest;  // pinned cells_digest of the sweep
+};
+
+const SweepConfig kSweeps[] = {
+    {"service sweep (--shards 1,4)", {1, 4}, {}, 0x128ef7a21bc629eeULL},
+    {"chaos sweep (--shards 4 --faults 'none;brownout:...')",
+     {4},
+     {"none", "brownout:shed=0.5,at=3,for=5"},
+     0xa501a42e6607a582ULL},
+};
+
+TEST(Golden, ServiceSweep) {
+  for (const SweepConfig& config : kSweeps) {
+    ExperimentSpec spec;
+    spec.simulator = SimulatorKind::kService;
+    spec.scenarios = {"braess"};
+    spec.policies = {named_policy("replicator")};
+    spec.update_periods = {0.1};
+    spec.horizon = 2.0;
+    spec.replicas = 2;
+    spec.workloads = {"closed-loop:2000"};
+    spec.shard_counts = config.shards;
+    spec.fault_specs = config.faults;
+    spec.num_clients = 2000;
+    for (const std::size_t threads : {1, 2}) {
+      const SweepResult result = SweepRunner().run(spec, threads);
+      EXPECT_EQ(cells_digest(result), config.digest)
+          << config.name << ", " << threads << " threads";
     }
   }
 }

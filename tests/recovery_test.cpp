@@ -6,14 +6,14 @@
 // flipped bit — and recover_wal + resume reproduce the uninterrupted
 // run's deterministic telemetry byte for byte: same per-epoch digests,
 // same final flow, same route-latency histogram. The contract holds
-// under BOTH execution schedules: strict epoch-at-a-time and cross-epoch
-// pipelining (--pipeline), whose overlap-spanning cuts must be byte-
-// identical to strict ones. The protocol invariants ride along: cut
-// records commit only at round marks, a single-server WAL is
-// record-for-record identical to a one-tenant registry's, the v3 header
-// records the pipeline flag (v2 files decode as strict), and the
-// CLI-facing recovery flags fail closed (exit 2) on conflicting or
-// unusable paths.
+// under BOTH epoch schedules: the reference one (each epoch summarized
+// in its own graph) and cross-epoch pipelining, whose overlap-spanning
+// cuts must be byte-identical to the reference ones. The protocol
+// invariants ride along: cut records commit only at round marks, a
+// single-server WAL is record-for-record identical to a one-tenant
+// registry's, the v3 header records the requested schedule (v2 files
+// decode as unpipelined), and the CLI-facing recovery flags fail closed
+// (exit 2) on conflicting or unusable paths.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -39,7 +39,6 @@
 #include "recovery/recovery.h"
 #include "service/service.h"
 #include "sweep/spec.h"
-#include "trace/metrics.h"
 #include "util/binio.h"
 #include "util/fnv.h"
 #include "util/log_histogram.h"
@@ -561,34 +560,26 @@ TEST(WalLog, PipelinedKilledAtAnyByteResumesToTheSameDigest) {
   }
 }
 
-TEST(PipelinedFallback, FeedbackWorkloadServesStrictAndBumpsCounter) {
-  trace::Counter& fallbacks =
-      trace::MetricsRegistry::global().counter("engine.pipeline_fallbacks");
-
+TEST(PipelinedFallback, FeedbackWorkloadServesTheReferenceSchedule) {
   SingleRun strict;
   strict.workload = make_workload("closed-loop-lat:400,0.01");
   strict.options.epochs = 4;
   const std::uint64_t golden = telemetry_digest(strict.run().epochs);
-  const std::uint64_t before = fallbacks.load();
 
-  // Same feedback workload with --pipeline: the engine must fall back to
-  // the strict schedule (identical telemetry), count the fallback, and
-  // announce it through the host's notice sink — exactly once, and only
-  // there (library code never prints itself; no sink = counter only).
+  // A feedback workload's arrivals read the previous epoch's summary, so
+  // a pipelined request serves the reference schedule: same telemetry,
+  // and the engine reports that it does not pipeline.
   SingleRun pipelined;
   pipelined.workload = make_workload("closed-loop-lat:400,0.01");
   pipelined.options.epochs = 4;
   pipelined.options.pipeline = true;
-  std::vector<std::string> notices;
-  pipelined.options.notice = [&notices](const std::string& message) {
-    notices.push_back(message);
-  };
   EXPECT_EQ(telemetry_digest(pipelined.run().epochs), golden);
-  EXPECT_EQ(fallbacks.load(), before + 1);
-  ASSERT_EQ(notices.size(), 1u);
-  EXPECT_NE(notices[0].find("pipeline disabled for feedback workload"),
-            std::string::npos);
-  EXPECT_NE(notices[0].find("closed-loop-lat"), std::string::npos);
+
+  SnapshotStore store;
+  EpochEngine engine(pipelined.instance, pipelined.policy,
+                     *pipelined.workload, store);
+  engine.begin(FlowVector::uniform(pipelined.instance), pipelined.options);
+  EXPECT_FALSE(engine.pipelined());
 }
 
 TEST(ResumeDeathTest, PipelinedResumeOfCrashFaultRunMakesProgress) {
@@ -882,6 +873,86 @@ TEST(WalLog, PipelinedThreeTenantsKilledMidRunResumeBitIdentically) {
           resumed_fixture.run(log.round_observer(), &resume);
       log.finish();
       EXPECT_EQ(tenant_digests(resumed), golden) << "killed at byte " << keep;
+
+      const recovery::RecoveredRun healed = recovery::recover_wal(crash_path);
+      EXPECT_TRUE(healed.clean_shutdown) << "killed at byte " << keep;
+      EXPECT_EQ(healed.digests, golden) << "killed at byte " << keep;
+    }
+  }
+}
+
+TEST(WalLog, PipelinedFeedbackTenantKilledAtAnyByteResumesBitIdentically) {
+  // A pipelined request over a feedback tenant (served on the reference
+  // schedule) next to a pipelined poisson tenant, logged to one WAL: the
+  // header records the requested schedule, and every crash image resumes
+  // to the uninterrupted per-tenant digests.
+  struct Tenant {
+    const char* name;
+    const char* workload;
+    std::uint64_t seed;
+  };
+  const Tenant tenants[] = {{"lat", "closed-loop-lat:400,0.01", 3},
+                            {"open", "poisson:600", 4}};
+  const Instance instance = braess(true);
+  const Policy policy = named_policy("replicator").make(instance, 0.1);
+  std::vector<WorkloadPtr> workloads;
+  RouteServerOptions options;
+  options.update_period = 0.1;
+  options.epochs = 6;
+  options.num_clients = 400;
+  options.shards = 2;
+  options.record_latency = false;
+  options.pipeline = true;
+
+  recovery::RunManifest manifest;
+  manifest.multi_tenant = true;
+  manifest.pipeline = true;
+  for (const Tenant& tenant : tenants) {
+    workloads.push_back(make_workload(tenant.workload));
+    recovery::TenantManifest logged;
+    logged.name = tenant.name;
+    logged.scenario = "braess";
+    logged.policy = "replicator";
+    logged.workload = tenant.workload;
+    logged.options = options;
+    logged.options.seed = tenant.seed;
+    manifest.tenants.push_back(std::move(logged));
+  }
+  const auto run = [&](const RoundCutObserver& rounds,
+                       const RegistryResume* resume) {
+    TenantRegistry registry;
+    for (std::size_t i = 0; i < manifest.tenants.size(); ++i) {
+      TenantOptions served;
+      served.server = manifest.tenants[i].options;
+      registry.add(tenants[i].name, instance, policy, *workloads[i], served);
+    }
+    Executor executor(1);
+    return registry.run(executor, nullptr, rounds, resume);
+  };
+
+  const std::string path = temp_path("feedbackpipe.wal");
+  std::vector<std::uint64_t> golden;
+  {
+    recovery::WalLog log(path, manifest);
+    golden = tenant_digests(run(log.round_observer(), nullptr));
+    log.finish();
+  }
+
+  const std::string bytes = read_file(path);
+  const recovery::WalScan scan = recovery::scan_wal(path);
+  const std::string crash_path = temp_path("feedbackpipe_crash.wal");
+  for (std::size_t i = 0; i + 1 < scan.records.size(); ++i) {
+    for (const std::size_t keep :
+         {scan.records[i].end_offset, scan.records[i].end_offset + 5}) {
+      write_file(crash_path, bytes.substr(0, keep));
+      const recovery::RecoveredRun state = recovery::recover_wal(crash_path);
+      ASSERT_FALSE(state.clean_shutdown) << "killed at byte " << keep;
+      EXPECT_TRUE(state.manifest.pipeline) << "killed at byte " << keep;
+      recovery::WalLog log(crash_path, state);
+      const RegistryResume resume = recovery::registry_resume(state);
+      EXPECT_EQ(tenant_digests(run(log.round_observer(), &resume)), golden)
+          << "killed at byte " << keep;
+      log.finish();
 
       const recovery::RecoveredRun healed = recovery::recover_wal(crash_path);
       EXPECT_TRUE(healed.clean_shutdown) << "killed at byte " << keep;

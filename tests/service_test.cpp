@@ -389,20 +389,24 @@ TEST(RouteServer, ServesEveryArrivalAndConservesFlow) {
   const Instance instance = braess(true);
   const Policy policy = make_replicator_policy(instance);
   const WorkloadPtr workload = closed_loop_workload(500);
-  RouteServer server(instance, policy, *workload);
 
-  const RouteServerOptions options = small_options();
-  const RouteServerResult result =
-      server.run(FlowVector::uniform(instance), options);
+  for (const bool pipeline : {false, true}) {
+    RouteServer server(instance, policy, *workload);
+    RouteServerOptions options = small_options();
+    options.pipeline = pipeline;
+    const RouteServerResult result =
+        server.run(FlowVector::uniform(instance), options);
 
-  EXPECT_EQ(result.total_queries, 500u * options.epochs);
-  EXPECT_EQ(result.epochs.size(), options.epochs);
-  EXPECT_TRUE(is_feasible(instance, result.final_flow.values(), 1e-7));
-  EXPECT_GT(result.total_migrations, 0u);
-  EXPECT_LE(result.total_migrations, result.total_queries);
-  // The published snapshot advanced to the last fold.
-  ASSERT_NE(server.snapshot(), nullptr);
-  EXPECT_EQ(server.snapshot()->epoch(), options.epochs);
+    EXPECT_EQ(result.total_queries, 500u * options.epochs);
+    EXPECT_EQ(result.epochs.size(), options.epochs);
+    EXPECT_TRUE(is_feasible(instance, result.final_flow.values(), 1e-7));
+    EXPECT_GT(result.total_migrations, 0u);
+    EXPECT_LE(result.total_migrations, result.total_queries);
+    // The published snapshot advanced to the last fold.
+    ASSERT_NE(server.snapshot(), nullptr);
+    EXPECT_EQ(server.snapshot()->epoch(), options.epochs)
+        << "pipeline=" << pipeline;
+  }
 }
 
 TEST(RouteServer, ClosesTheLoopTowardEquilibrium) {
@@ -530,6 +534,33 @@ TEST(RouteServer, LatencyRecordingPopulatesWallClockFields) {
   EXPECT_FALSE(result.wall_latency_us.empty());
   EXPECT_LE(result.wall_latency_us.count(), result.total_queries);
   EXPECT_DOUBLE_EQ(result.p50_us, result.wall_latency_us.quantile(0.5));
+}
+
+TEST(RouteServer, PipelinedEpochQpsIsBookedOnTheServingGraph) {
+  // A pipelined epoch is summarized one graph after the graph that served
+  // it (the last one in a drain graph that serves nothing), so its
+  // queries_per_second must divide by the serving graph's seconds. Booked
+  // against the summarizing graph, the drain epoch reads orders of
+  // magnitude above the run's rate.
+  const Instance instance = braess(true);
+  const Policy policy = make_replicator_policy(instance);
+  const WorkloadPtr workload = closed_loop_workload(50000);
+  RouteServer server(instance, policy, *workload);
+
+  RouteServerOptions options = small_options();
+  options.epochs = 10;
+  options.num_clients = 4000;
+  options.pipeline = true;
+  options.record_latency = true;
+  const RouteServerResult result =
+      server.run(FlowVector::uniform(instance), options);
+
+  ASSERT_GT(result.queries_per_second, 0.0);
+  for (const EpochSummary& e : result.epochs) {
+    EXPECT_GT(e.queries_per_second, 0.0) << "epoch " << e.epoch;
+    EXPECT_LE(e.queries_per_second, 20.0 * result.queries_per_second)
+        << "epoch " << e.epoch;
+  }
 }
 
 TEST(RouteServer, ReplayModeLeavesWallClockFieldsZeroed) {

@@ -5,7 +5,6 @@
 //                        [--period <T>] [--epochs <n>] [--clients <n>]
 //                        [--workload <spec>] [--shards <k>]
 //                        [--sub-batch <q>|auto] [--threads <k>]
-//                        [--pipeline]
 //                        [--seed <s>] [--deterministic] [--csv <path>]
 //                        [--tenants <spec>[;<spec>...]]
 //                        [--wal <path> | --resume <path>]
@@ -20,15 +19,13 @@
 // With --deterministic, wall-clock latency recording is off and the CSV
 // holds only deterministic columns — byte-identical for any --threads.
 //
-// --pipeline is a runtime performance knob, digest-neutral like
-// --threads: it overlaps each epoch's summary tail with the next
-// epoch's serving. Pipelining composes with --wal/--resume — cuts are
-// captured at the one-epoch overlap boundary and commit one graph
-// behind the serving frontier — except for the feedback-driven
-// closed-loop-lat workload, where the engine falls back to the strict
-// schedule (stderr notice + engine.pipeline_fallbacks counter) and the
-// WAL paths reject the flag up front so the logged header never
-// misdescribes the run.
+// Every fresh run requests cross-epoch pipelining: each epoch's summary
+// tail overlaps the next epoch's serving, which moves wall clock only,
+// never a digest. With --wal, cuts are captured at the one-epoch overlap
+// boundary and commit one graph behind the serving frontier, and the WAL
+// header records pipeline=1. A feedback workload (closed-loop-lat) reads
+// the previous epoch's summary, so its engine serves the reference
+// schedule under the same request (see EpochEngine::pipelined).
 //
 // Every run is served by a TenantRegistry on one executor: a solo run is
 // the one tenant "run", and only the banner, the per-epoch report and
@@ -50,11 +47,10 @@
 // the ENTIRE dynamics configuration from the WAL header, so
 // configuration flags (--scenario, --seed, --epochs, ...) conflict with
 // it; runtime knobs (--threads, --csv, --report-every, --quiet, --trace,
-// --progress) remain legal. The pipeline setting is honored from the
-// logged header (a v3 field) — a resumed pipelined run re-serves
-// pipelined; passing --pipeline is legal only when the header agrees,
-// and a contradiction exits 2. Inspect or re-execute a WAL offline with
-// wal_replay_cli.
+// --progress) remain legal. The schedule is honored from the logged
+// header (a v3 field): a pipeline=1 WAL resumes pipelined, a pipeline=0
+// one (written through the library) resumes on the reference schedule.
+// Inspect or re-execute a WAL offline with wal_replay_cli.
 //
 // Fault injection (src/faults/): --faults <spec> schedules typed faults
 // (shard slowdowns, worker stalls, dropped telemetry, tenant brownouts,
@@ -105,8 +101,7 @@ constexpr const char* kRecoveryGrammar =
     "           --resume <path> continues a crashed run from its WAL\n"
     "           (configuration flags conflict — the WAL header is the\n"
     "           configuration; --threads/--csv/--report-every/--quiet ok;\n"
-    "           the logged pipeline setting is honored, --pipeline must\n"
-    "           agree with it)\n";
+    "           the logged pipeline setting is honored)\n";
 constexpr const char* kTraceGrammar =
     "tracing:   --trace <path> records a binary trace for trace_dump_cli\n"
     "           (digest-neutral); --progress <n> prints a stderr\n"
@@ -135,7 +130,6 @@ const std::set<std::string> kConfigFlags = {
       "                       [--period <T>] [--epochs <n>] [--clients <n>]\n"
       "                       [--workload <spec>] [--shards <k>]\n"
       "                       [--sub-batch <q>|auto] [--threads <k>]\n"
-      "                       [--pipeline]\n"
       "                       [--seed <s>] [--deterministic] [--csv <path>]\n"
       "                       [--tenants <spec>[;<spec>...]]\n"
       "                       [--wal <path> | --resume <path>]\n"
@@ -383,26 +377,9 @@ int run_manifest(const std::string& wal_path,
   TenantRegistry tenants;
   for (const recovery::TenantManifest& tenant : manifest.tenants) {
     const Host& host = hosts.emplace_back(make_host(tenant, registry));
-    // A feedback workload would silently fall back to the strict
-    // schedule, so a logged pipeline header would misdescribe the run:
-    // the WAL paths fail closed, before the WAL file is touched.
-    if (manifest.pipeline && !wal_path.empty() &&
-        host.workload->uses_feedback()) {
-      throw cli::UsageError(
-          "--pipeline cannot be combined with --wal/--resume for feedback "
-          "workload '" + host.workload->name() + "' (tenant '" +
-          tenant_label(tenant) + "' falls back to the strict schedule)");
-    }
     TenantOptions options;
     options.server = tenant.options;
     options.server.pipeline = manifest.pipeline;
-    // Engine notices (the feedback pipeline fallback) print to stderr
-    // unless --quiet; the library never writes there itself.
-    if (!quiet) {
-      options.server.notice = [](const std::string& message) {
-        std::cerr << message << "\n";
-      };
-    }
     // All tenants share the run's one fault schedule; per-tenant clauses
     // select their victim with tenant= (registry index).
     options.server.faults =
@@ -522,25 +499,16 @@ recovery::RunManifest resolve_tenant_manifest(
   return manifest;
 }
 
-/// --resume: the WAL header is the configuration; serve what remains.
-/// The header's pipeline flag is honored — a pipelined run resumes
-/// pipelined, a strict one strict. An explicit --pipeline is legal only
-/// when it agrees with the header (exit 2 on contradiction, like any
-/// config flag fighting the WAL).
+/// --resume: the WAL header is the configuration (the schedule
+/// included); serve what remains.
 int do_resume(const std::string& path, std::size_t threads,
-              bool pipeline_flag, const std::string& csv_path,
-              std::size_t report_every, std::size_t progress_every,
-              bool quiet) {
+              const std::string& csv_path, std::size_t report_every,
+              std::size_t progress_every, bool quiet) {
   recovery::RecoveredRun state;
   try {
     state = recovery::recover_wal(path);
   } catch (const std::runtime_error& e) {
     throw cli::UsageError(e.what());
-  }
-  if (pipeline_flag && !state.manifest.pipeline) {
-    throw cli::UsageError(
-        "--pipeline contradicts the WAL header (the logged run served the "
-        "strict schedule); a resumed run honors the logged setting");
   }
 
   if (state.clean_shutdown) {
@@ -625,8 +593,6 @@ int do_run(const std::map<std::string, std::string>& flags) {
       }
     } else if (key == "threads") {
       options.threads = cli::parse_count(value, "--threads");
-    } else if (key == "pipeline") {
-      options.pipeline = true;
     } else if (key == "seed") {
       options.seed = cli::parse_count(value, "--seed");
     } else if (key == "deterministic") {
@@ -656,21 +622,14 @@ int do_run(const std::map<std::string, std::string>& flags) {
     }
   }
   cli::validate_recovery_flags(recovery_flags, flags, kConfigFlags);
-  // --pipeline composes with --wal/--resume: cuts span the one-epoch
-  // overlap and the v3 WAL header records the schedule. It is not in
-  // kConfigFlags — on resume an AGREEING --pipeline stays legal (the
-  // header is authoritative either way; do_resume rejects a
-  // contradiction). The only hard rejection left is feedback workloads,
-  // checked per run path once the workload is resolved.
 
   // --trace/--progress are runtime knobs (wall-clock telemetry only), so
   // like --threads/--csv they stay legal alongside --resume.
   const TraceScope trace_scope(trace_path);
 
   if (recovery_flags.resuming()) {
-    return do_resume(recovery_flags.resume, options.threads,
-                     options.pipeline, csv_path, report_every,
-                     progress_every, quiet);
+    return do_resume(recovery_flags.resume, options.threads, csv_path,
+                     report_every, progress_every, quiet);
   }
 
   recovery::RunManifest manifest;
@@ -691,7 +650,7 @@ int do_run(const std::map<std::string, std::string>& flags) {
     manifest.tenants.push_back(std::move(self));
   }
   manifest.faults = faults_spec;
-  manifest.pipeline = options.pipeline;
+  manifest.pipeline = true;  // every fresh run pipelines (see the header)
   return run_manifest(recovery_flags.wal, manifest, nullptr, options.threads,
                       csv_path, report_every, progress_every, quiet);
 }
@@ -703,8 +662,7 @@ int run_main(int argc, char** argv) {
   try {
     if (command == "list") return do_list();
     if (command == "run") {
-      return do_run(cli::parse_flags(
-          args, 1, {"quiet", "deterministic", "pipeline"}));
+      return do_run(cli::parse_flags(args, 1, {"quiet", "deterministic"}));
     }
   } catch (const cli::UsageError& e) {
     usage(e.what());

@@ -191,11 +191,11 @@ int do_replay(const std::string& path,
   options.threads = threads;
   options.executor = nullptr;
   options.record_latency = false;  // replay is deterministic by definition
-  // Replay always serves the strict schedule, even for a pipeline=1 WAL:
-  // cut content is schedule-independent (pipelined cuts are captured at
-  // the overlap boundary with the same bytes a strict run logs), and the
-  // strict epoch-at-a-time loop is what the record-by-record comparison
-  // below wants.
+  // Replay always serves the reference schedule, even for a pipeline=1
+  // WAL: cut content is schedule-independent (pipelined cuts are captured
+  // at the overlap boundary with the same bytes the reference schedule
+  // logs), and its epoch-at-a-time loop is what the record-by-record
+  // comparison below wants.
   options.pipeline = false;
 
   SnapshotStore store;
