@@ -1,10 +1,13 @@
 #include "recovery/run_log.h"
 
+#include <filesystem>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
-#include "recovery/wal_reader.h"
 #include "service/telemetry.h"
+#include "trace/metrics.h"
+#include "trace/recorder.h"
 #include "util/binio.h"
 #include "util/fnv.h"
 
@@ -246,9 +249,12 @@ std::vector<std::uint64_t> decode_trailer(std::string_view payload) {
 // --------------------------------------------------------------------------
 
 RecoveredRun recover_wal(const std::string& path) {
-  const WalScan scan = scan_wal(path);
+  const framed_log::Scan scan = framed_log::scan_frames(
+      path, "WAL", kWalMagic,
+      static_cast<std::uint32_t>(RecordType::kTrailer));
   if (scan.records.empty() ||
-      scan.records.front().type != RecordType::kRunHeader) {
+      scan.records.front().type !=
+          static_cast<std::uint32_t>(RecordType::kRunHeader)) {
     throw std::runtime_error("recover_wal: '" + path +
                              "' has no run header — not a resumable WAL");
   }
@@ -281,13 +287,13 @@ RecoveredRun recover_wal(const std::string& path) {
   };
 
   for (std::size_t index = 1; index < scan.records.size(); ++index) {
-    const WalRecord& record = scan.records[index];
+    const framed_log::Frame& record = scan.records[index];
     if (run.clean_shutdown) {
       stop("corrupt WAL: record after the clean-shutdown trailer");
       break;
     }
     try {
-      switch (record.type) {
+      switch (static_cast<RecordType>(record.type)) {
         case RecordType::kRunHeader:
           stop("corrupt WAL: duplicate run header");
           break;
@@ -314,10 +320,11 @@ RecoveredRun recover_wal(const std::string& path) {
             stop("corrupt WAL: cut digest cross-check failed");
             break;
           }
-          // Frame start = end offset minus (length+type+checksum words and
-          // the payload itself).
-          const std::uint64_t frame_start =
-              record.end_offset - (4 + 4 + 8) - record.payload.size();
+          // Frame start = end offset minus the frame overhead and the
+          // payload itself.
+          const std::uint64_t frame_start = record.end_offset -
+                                            framed_log::kFrameBytes -
+                                            record.payload.size();
           staged.push_back(StagedCut{std::move(cut), frame_start});
           break;
         }
@@ -393,21 +400,53 @@ RegistryResume registry_resume(const RecoveredRun& run) {
 // --------------------------------------------------------------------------
 
 WalLog::WalLog(const std::string& path, const RunManifest& manifest)
-    : writer_(WalWriter::create(path)),
-      digests_(manifest.tenants.size(), fnv::kOffsetBasis) {
+    : path_(path), digests_(manifest.tenants.size(), fnv::kOffsetBasis) {
   if (manifest.tenants.empty()) {
     throw std::invalid_argument("WalLog: manifest has no tenants");
   }
-  writer_.append(RecordType::kRunHeader, encode_run_header(manifest));
+  out_.open(path, std::ios::binary | std::ios::trunc);
+  if (!out_) {
+    throw std::runtime_error("WalLog: cannot open '" + path +
+                             "' for writing");
+  }
+  out_.write(kWalMagic, sizeof(kWalMagic));
+  append(RecordType::kRunHeader, encode_run_header(manifest));
 }
 
 WalLog::WalLog(const std::string& path, const RecoveredRun& recovered)
-    : writer_(WalWriter::append_to(path, recovered.valid_bytes)),
-      digests_(recovered.digests),
-      rounds_(recovered.rounds) {
+    : path_(path), digests_(recovered.digests), rounds_(recovered.rounds) {
   if (recovered.clean_shutdown) {
     throw std::invalid_argument(
         "WalLog: run already completed cleanly — nothing to append");
+  }
+  std::error_code ec;
+  std::filesystem::resize_file(path, recovered.valid_bytes, ec);
+  if (ec) {
+    throw std::runtime_error("WalLog: cannot truncate '" + path +
+                             "' to its valid prefix: " + ec.message());
+  }
+  out_.open(path, std::ios::binary | std::ios::app);
+  if (!out_) {
+    throw std::runtime_error("WalLog: cannot open '" + path +
+                             "' for appending");
+  }
+}
+
+void WalLog::append(RecordType type, std::string_view payload) {
+  const std::uint64_t frame_bytes = framed_log::kFrameBytes + payload.size();
+  static trace::Counter& records_counter =
+      trace::MetricsRegistry::global().counter("wal.records");
+  static trace::Counter& bytes_counter =
+      trace::MetricsRegistry::global().counter("wal.bytes");
+  records_counter.inc();
+  bytes_counter.add(frame_bytes);
+  trace::Span span(trace::EventKind::kWalAppend, /*tenant=*/0, /*epoch=*/0,
+                   /*arg=*/static_cast<std::uint64_t>(type));
+  span.value(frame_bytes);
+  framed_log::append_frame(out_, static_cast<std::uint32_t>(type), payload);
+  out_.flush();
+  if (!out_) {
+    throw std::runtime_error("WalLog: write failed on '" + path_ + "'");
   }
 }
 
@@ -415,20 +454,19 @@ void WalLog::log_round(const RoundCheckpoint& round) {
   for (const auto& [tenant, cut] : round.cuts) {
     const std::uint64_t digest =
         telemetry_digest_accumulate(digests_.at(tenant), cut.summary);
-    writer_.append(
-        RecordType::kEpochCut,
-        encode_epoch_cut(static_cast<std::uint32_t>(tenant), cut, digest));
+    append(RecordType::kEpochCut,
+           encode_epoch_cut(static_cast<std::uint32_t>(tenant), cut, digest));
     digests_[tenant] = digest;
   }
   RoundMark mark;
   mark.rounds = round.rounds;
   mark.credits.assign(round.credits.begin(), round.credits.end());
-  writer_.append(RecordType::kRoundMark, encode_round_mark(mark));
+  append(RecordType::kRoundMark, encode_round_mark(mark));
   rounds_ = round.rounds;
 }
 
 void WalLog::finish() {
-  writer_.append(RecordType::kTrailer, encode_trailer(digests_));
+  append(RecordType::kTrailer, encode_trailer(digests_));
 }
 
 CutObserver WalLog::single_observer() {

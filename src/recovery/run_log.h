@@ -1,7 +1,8 @@
 // Payload encodings and run-level protocol of the write-ahead epoch log.
 //
-// wal_format.h fixes the record *framing*; this header fixes what goes
-// inside the records and what a well-formed WAL means:
+// util/framed_log.h fixes the record *framing* and wal_format.h the record
+// types; this header fixes what goes inside the records and what a
+// well-formed WAL means:
 //
 //   kRunHeader   RunManifest — the run's complete configuration (per
 //                tenant: scenario/policy/workload names + resolved
@@ -34,23 +35,22 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "recovery/wal_format.h"
-#include "recovery/wal_writer.h"
 #include "service/checkpoint.h"
 #include "service/route_server.h"
 
 namespace staleflow::recovery {
 
 /// One tenant's (or the single server's) full configuration as logged in
-/// the run header. `options.threads` and `options.executor` are runtime
-/// knobs, not dynamics configuration — the determinism contract makes
-/// them digest-neutral — so they are NOT serialized and a resumed run may
-/// use any thread count.
+/// the run header. `options.threads` is a runtime knob, not dynamics
+/// configuration — the determinism contract makes it digest-neutral — so
+/// it is NOT serialized and a resumed run may use any thread count.
 struct TenantManifest {
   std::string name;      // empty for a plain single-server run
   std::string scenario;  // scenario registry key
@@ -92,7 +92,7 @@ struct RoundMark {
 };
 
 // Payload codecs (exposed for tests; the framing checksum lives in
-// wal_writer/wal_reader). Decoders throw std::runtime_error on a
+// util/framed_log). Decoders throw std::runtime_error on a
 // malformed or version-incompatible payload.
 std::string encode_run_header(const RunManifest& manifest);
 RunManifest decode_run_header(std::string_view payload);
@@ -154,17 +154,22 @@ RecoveredRun recover_wal(const std::string& path);
 /// spans alias `run.cuts`; `run` must outlive the returned value's use.
 RegistryResume registry_resume(const RecoveredRun& run);
 
-/// The write side: owns the WalWriter and the round-mark protocol. The
-/// serving CLIs install round_observer() as their recovery hook and call
-/// finish() after a completed run.
+/// The write side: owns the open WAL file and the round-mark protocol.
+/// Every record is flushed to the kernel before the append returns, so a
+/// `kill -9` (the crash model the recovery tier is pinned against) loses
+/// at most the record being written; surviving power loss would need an
+/// fsync per record. The serving CLIs install round_observer() as their
+/// recovery hook and call finish() after a completed run.
 class WalLog {
  public:
-  /// Fresh run: creates/truncates `path` and writes the run header.
+  /// Fresh run: creates/truncates `path`, writes the magic and the run
+  /// header. Throws std::runtime_error when the file cannot be written.
   WalLog(const std::string& path, const RunManifest& manifest);
 
   /// Resumed run: amputates the uncommitted tail at
   /// `recovered.valid_bytes` and appends, continuing the digest and
-  /// round counters where the committed prefix left off.
+  /// round counters where the committed prefix left off. Throws
+  /// std::runtime_error when the file cannot be resized or opened.
   WalLog(const std::string& path, const RecoveredRun& recovered);
 
   /// The one write path: logs every cut of the round, then the
@@ -182,10 +187,16 @@ class WalLog {
   CutObserver single_observer();
   RoundCutObserver round_observer();
 
-  const std::string& path() const noexcept { return writer_.path(); }
+  const std::string& path() const noexcept { return path_; }
 
  private:
-  WalWriter writer_;
+  /// Frames one record, flushes it and throws std::runtime_error on a
+  /// write failure. Counted as wal.records / wal.bytes and traced as a
+  /// kWalAppend span.
+  void append(RecordType type, std::string_view payload);
+
+  std::string path_;
+  std::ofstream out_;
   std::vector<std::uint64_t> digests_;  // per tenant, committed-so-far
   std::uint64_t rounds_ = 0;
 };

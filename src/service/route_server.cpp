@@ -1,7 +1,5 @@
 #include "service/route_server.h"
 
-#include <memory>
-
 #include "exec/executor.h"
 #include "service/epoch_engine.h"
 #include "service/tenant.h"
@@ -19,22 +17,14 @@ RouteServerResult RouteServer::run(const FlowVector& initial,
                                    const CutObserver& cuts,
                                    std::span<const EngineCheckpoint> resume) {
   // A solo run is a one-tenant registry: its one engine served by the
-  // shared round loop at weight 1, on its own (or a borrowed) executor.
+  // shared round loop at weight 1, on an executor this run owns.
   EpochEngine engine(*instance_, *policy_, *workload_, store_);
   engine.begin(initial, options);
   engine.restore(resume);
 
-  // The execution layer: borrowed from the caller (shared-pool mode, e.g.
-  // inside a sweep) or owned for this run.
-  std::unique_ptr<Executor> owned_executor;
-  Executor* exec = options.executor;
-  if (exec == nullptr) {
-    owned_executor = std::make_unique<Executor>(options.threads);
-    // Worker-stall faults apply to the executor this run owns; a borrowed
-    // executor's host (sweep runner, tenant CLI) wires its own.
-    owned_executor->set_fault_schedule(options.faults);
-    exec = owned_executor.get();
-  }
+  // Worker-stall faults apply to the executor this run owns.
+  Executor executor(options.threads);
+  executor.set_fault_schedule(options.faults);
 
   TenantObserver epoch_observer;
   if (observer) {
@@ -56,7 +46,7 @@ RouteServerResult RouteServer::run(const FlowVector& initial,
   EpochEngine* const engines[] = {&engine};
   const std::size_t weights[] = {1};
   const Stopwatch run_watch;
-  serve_rounds(*exec, engines, weights, rounds, {}, options.faults,
+  serve_rounds(executor, engines, weights, rounds, {}, options.faults,
                epoch_observer, round_cuts);
   return engine.finish(run_watch.seconds());
 }

@@ -49,8 +49,6 @@
 
 namespace staleflow {
 
-class Executor;
-
 namespace faults {
 class FaultSchedule;
 }
@@ -75,15 +73,10 @@ struct RouteServerOptions {
   /// `threads`. Must satisfy 1 <= shards <= num_clients.
   std::size_t shards = 16;
 
-  /// Worker threads serving sub-batches; 0 = hardware concurrency, 1 =
-  /// inline. Ignored when `executor` is set.
+  /// Worker threads of the executor RouteServer::run builds for the run;
+  /// 0 = hardware concurrency, 1 = inline. Ignored by a TenantRegistry,
+  /// which serves on the executor handed to its run().
   std::size_t threads = 1;
-
-  /// Borrowed execution layer to serve on (e.g. the sweep runner's, so a
-  /// kService sweep cell parallelizes on the shared pool instead of
-  /// spawning a nested one). nullptr = the server builds its own from
-  /// `threads`. Never owned; must outlive run().
-  Executor* executor = nullptr;
 
   /// Maximum queries one serving task handles: a shard whose epoch batch
   /// exceeds this splits into ceil(batch / sub_batch_queries) sub-batches
@@ -118,8 +111,8 @@ struct RouteServerOptions {
   std::uint64_t seed = 1;
 
   /// Materialized fault schedule (src/faults/), nullptr = healthy world.
-  /// A runtime pointer like `executor` — never serialized into the WAL
-  /// header (the `--faults` SPEC is; resume re-materializes from it).
+  /// A runtime pointer — never serialized into the WAL header (the
+  /// `--faults` SPEC is; resume re-materializes from it).
   /// Brownout windows deterministically shed this server's arrivals
   /// (digest-changing, for this tenant only); slowdown / stall /
   /// drop-telemetry windows burn wall clock or suppress traces and are

@@ -14,6 +14,7 @@
 #include "trace/metrics.h"
 #include "trace/trace_ring.h"
 #include "util/binio.h"
+#include "util/framed_log.h"
 
 namespace staleflow::trace {
 
@@ -51,6 +52,14 @@ struct ThreadSlot {
   std::uint64_t generation = 0;
 };
 
+/// Frames one record into the recorder's file. The stream state is the
+/// callers' business: start() checks it and throws, while the drainer
+/// batches, flushes and never throws.
+void append(std::ostream& out, TraceRecordType type,
+            std::string_view payload) {
+  framed_log::append_frame(out, static_cast<std::uint32_t>(type), payload);
+}
+
 ThreadSlot& tls_slot() noexcept {
   thread_local ThreadSlot slot;
   return slot;
@@ -76,7 +85,7 @@ void flush_once(Recorder& rec) {
     for (const TraceEvent& event : scratch) {
       encode_event(payload, event);
     }
-    append_record(rec.out, TraceRecordType::kEventBatch, payload.data());
+    append(rec.out, TraceRecordType::kEventBatch, payload.data());
     rec.events_written += scratch.size();
   }
 
@@ -89,7 +98,7 @@ void flush_once(Recorder& rec) {
       defs.u32(samples[i].id);
       defs.str(samples[i].name);
     }
-    append_record(rec.out, TraceRecordType::kCounterDefs, defs.data());
+    append(rec.out, TraceRecordType::kCounterDefs, defs.data());
     rec.counters_defined = static_cast<std::uint32_t>(samples.size());
   }
   if (!samples.empty()) {
@@ -100,7 +109,7 @@ void flush_once(Recorder& rec) {
       batch.u32(sample.id);
       batch.u64(sample.value);
     }
-    append_record(rec.out, TraceRecordType::kCounterBatch, batch.data());
+    append(rec.out, TraceRecordType::kCounterBatch, batch.data());
   }
 
   rec.out.flush();
@@ -175,7 +184,7 @@ void start(const std::string& path, std::string_view producer) {
   binio::Writer header;
   header.u32(kTraceVersion);
   header.str(producer);
-  append_record(rec->out, TraceRecordType::kTraceHeader, header.data());
+  append(rec->out, TraceRecordType::kTraceHeader, header.data());
   rec->out.flush();
   if (!rec->out) {
     throw std::runtime_error("trace: write failed on '" + path + "'");
@@ -214,7 +223,7 @@ void stop() {
   binio::Writer trailer;
   trailer.u64(rec->events_written);
   trailer.u64(dropped);
-  append_record(rec->out, TraceRecordType::kTraceTrailer, trailer.data());
+  append(rec->out, TraceRecordType::kTraceTrailer, trailer.data());
   rec->out.flush();
   delete rec;
 }

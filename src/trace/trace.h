@@ -1,5 +1,6 @@
 // Umbrella header for the observability plane: metrics registry,
 // per-worker event rings, the global recorder, and offline decoding.
+// Trace files are framed by util/framed_log.h, like the recovery WAL.
 //
 // Quickstart (always-on hooks are already in the serving stack):
 //
@@ -14,3 +15,4 @@
 #include "trace/trace_format.h"
 #include "trace/trace_reader.h"
 #include "trace/trace_ring.h"
+#include "util/framed_log.h"

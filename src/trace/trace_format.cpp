@@ -1,10 +1,5 @@
 #include "trace/trace_format.h"
 
-#include <ostream>
-#include <stdexcept>
-
-#include "util/fnv.h"
-
 namespace staleflow::trace {
 
 std::string_view event_kind_name(EventKind kind) noexcept {
@@ -53,32 +48,6 @@ TraceEvent decode_event(binio::Reader& reader) {
   event.end_ns = reader.u64();
   event.value = reader.u64();
   return event;
-}
-
-void append_record(std::ostream& out, TraceRecordType type,
-                   std::string_view payload) {
-  if (payload.size() > kMaxTracePayload) {
-    throw std::runtime_error("trace: record payload too large");
-  }
-  binio::Writer header;
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(static_cast<std::uint32_t>(type));
-
-  // Checksum covers the type word and the payload — identical discipline
-  // to the recovery WAL, verified by scan_trace before a record is
-  // trusted.
-  std::uint64_t checksum = fnv::kOffsetBasis;
-  fnv::hash_bytes(checksum, header.data().data() + 4, 4);
-  fnv::hash_bytes(checksum, payload.data(), payload.size());
-
-  binio::Writer footer;
-  footer.u64(checksum);
-
-  out.write(header.data().data(),
-            static_cast<std::streamsize>(header.data().size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.write(footer.data().data(),
-            static_cast<std::streamsize>(footer.data().size()));
 }
 
 }  // namespace staleflow::trace

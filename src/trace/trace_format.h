@@ -1,18 +1,10 @@
 // The always-on binary telemetry trace's on-disk format.
 //
-// A trace file is an 8-byte magic ("SFTRC1\n\0") followed by a sequence
-// of length-prefixed, checksummed records — the exact framing discipline
-// of the recovery WAL (recovery/wal_format.h):
-//
-//   +----------------+----------------+~~~~~~~~~~~+------------------+
-//   | payload length | record type    | payload   | FNV-1a checksum  |
-//   | u32 LE         | u32 LE         | N bytes   | u64 LE           |
-//   +----------------+----------------+~~~~~~~~~~~+------------------+
-//
-// The checksum covers the type word and the payload, so a torn final
-// write (the recorder is killed mid-flush) or a flipped bit fails
-// verification and the offline scanner truncates the trace at the last
-// record that checks out — a trace is ALWAYS analyzable up to the crash.
+// A trace file is a framed-record log (util/framed_log.h has the frame
+// diagram and the torn-tail rules; the recovery WAL uses the same one)
+// under the magic "SFTRC1\n\0". A torn final write (the recorder is
+// killed mid-flush) or a flipped bit ends the scan at the last record
+// that checks out, so a trace is ALWAYS analyzable up to the crash.
 //
 // Record types:
 //   kTraceHeader   — exactly once, first: format version + a free-form
@@ -37,28 +29,24 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <string_view>
 
 #include "util/binio.h"
+#include "util/framed_log.h"
 
 namespace staleflow::trace {
 
 /// First bytes of every trace file. Same hygiene as the WAL magic: the
 /// newline makes text-mode corruption detectable, the NUL ends the
 /// human-readable part.
-inline constexpr char kTraceMagic[8] = {'S', 'F', 'T', 'R', 'C', '1',
-                                        '\n', 0};
+inline constexpr char kTraceMagic[framed_log::kMagicBytes] = {
+    'S', 'F', 'T', 'R', 'C', '1', '\n', 0};
 
 /// Payload format version carried in the trace header. Bump when any
 /// payload encoding changes; readers reject versions they don't know.
 inline constexpr std::uint32_t kTraceVersion = 1;
 
-/// Corruption guard: a garbage length field must not drive a huge
-/// allocation during the offline scan.
-inline constexpr std::uint32_t kMaxTracePayload = 1u << 30;
-
+/// Record type words; scans reject any word outside 1..kTraceTrailer.
 enum class TraceRecordType : std::uint32_t {
   kTraceHeader = 1,
   kEventBatch = 2,
@@ -116,14 +104,6 @@ struct TraceEvent {
 
 inline constexpr std::size_t kEventBytes = 2 + 4 + 8 * 5;
 
-/// One decoded-from-disk record; `end_offset` is the file offset just
-/// past it (the truncation point the torn-tail tests pin).
-struct TraceRecord {
-  TraceRecordType type = TraceRecordType::kTraceHeader;
-  std::string payload;
-  std::uint64_t end_offset = 0;
-};
-
 /// Appends one event in the fixed kEventBytes layout.
 void encode_event(binio::Writer& writer, const TraceEvent& event);
 
@@ -131,11 +111,5 @@ void encode_event(binio::Writer& writer, const TraceEvent& event);
 /// scanner already rejected corrupt frames, so this only fires on a
 /// malformed payload inside a valid frame).
 TraceEvent decode_event(binio::Reader& reader);
-
-/// Writes one framed record (length, type, payload, FNV-1a checksum) to
-/// `out`. Shared by the recorder's drainer and the corruption tests that
-/// hand-build trace files.
-void append_record(std::ostream& out, TraceRecordType type,
-                   std::string_view payload);
 
 }  // namespace staleflow::trace

@@ -1,14 +1,12 @@
-// Offline trace decoding: frame scan (torn-tail tolerant) and full load.
+// Offline trace decoding.
 //
-// scan_trace mirrors recovery's scan_wal exactly: trust the longest
-// prefix of records whose length, checksum, and type all verify, mark
-// the scan truncated at the first record that doesn't, and report the
-// byte count of the trusted prefix. A trace torn mid-flush by a crash
-// is therefore analyzable up to the last completed drain.
-//
-// load_trace decodes the trusted records into typed data: timestamped
-// events with worker attribution, counter definitions + sampled time
-// series, and the trailer totals (when the recorder shut down cleanly).
+// load_trace scans the file with the shared framed-record scanner
+// (util/framed_log.h), which trusts the longest prefix of records whose
+// length, checksum and type all verify, so a trace torn mid-flush by a
+// crash is analyzable up to the last completed drain. It then decodes
+// the trusted records into typed data: timestamped events with worker
+// attribution, counter definitions + sampled time series, and the
+// trailer totals (when the recorder shut down cleanly).
 #pragma once
 
 #include <cstdint>
@@ -18,20 +16,6 @@
 #include "trace/trace_format.h"
 
 namespace staleflow::trace {
-
-struct TraceScan {
-  std::vector<TraceRecord> records;
-  /// Magic + every verified record; what a repair would truncate to.
-  std::uint64_t valid_bytes = 0;
-  bool truncated = false;
-  /// Why the scan stopped early, when it did.
-  std::string note;
-};
-
-/// Scans `path`, verifying frame lengths, checksums, and record types.
-/// Throws std::runtime_error only for I/O failure or bad magic; framing
-/// corruption is reported via `truncated`/`note`, never thrown.
-TraceScan scan_trace(const std::string& path);
 
 /// One event plus the id of the worker ring it was drained from.
 struct LoadedEvent {
@@ -64,9 +48,11 @@ struct LoadedTrace {
   std::string note;
 };
 
-/// Scans and decodes `path`. A payload that fails to decode inside a
-/// checksum-valid frame marks the trace truncated at that record (same
-/// trust-the-prefix posture as the scan).
+/// Scans and decodes `path`. Throws std::runtime_error only for I/O
+/// failure or bad magic; framing corruption is reported via
+/// `truncated`/`note`, never thrown. A payload that fails to decode
+/// inside a checksum-valid frame marks the trace truncated at that
+/// record (same trust-the-prefix posture as the scan).
 LoadedTrace load_trace(const std::string& path);
 
 }  // namespace staleflow::trace

@@ -7,7 +7,9 @@
 // (threads, pool, task graph, pipelining) that reaches the values fails
 // tier-1. The two service-sweep digests are what `sweep_cli run
 // --simulator service` prints for its configs, checked at 1 and 2
-// threads.
+// threads. The 5000-epoch solo digest is pinned through a real WAL:
+// logged, cut mid-record, recovered and resumed, as a crashed
+// route_server_cli run is.
 //
 // Runs under `ctest -L golden` in the sanitizer CI job.
 #include <gtest/gtest.h>
@@ -15,11 +17,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "exec/exec.h"
 #include "faults/faults.h"
+#include "recovery/recovery.h"
 #include "service/service.h"
 #include "sweep/sweep.h"
 
@@ -172,6 +177,64 @@ TEST(Golden, ThreeTenantRegistry) {
           << kTrio[i].name << ", " << label(schedule);
     }
   }
+}
+
+/// The solo config at `--epochs 5000 --wal <path>`, served as
+/// route_server_cli serves it: a one-tenant registry ("run") requesting
+/// the pipelined schedule, every round logged through WalLog.
+constexpr std::size_t kLongEpochs = 5000;
+constexpr std::uint64_t kLongDigest = 0xb7ba79a075cb8151ULL;
+
+/// Serves the long solo run on `threads`, logging to `wal`; resumes the
+/// run recovered from `wal` when `recovered` is set. Returns the digest.
+std::uint64_t serve_logged(const std::string& wal, std::size_t threads,
+                           const recovery::RecoveredRun* recovered) {
+  Host host(kSolo, kLongEpochs);
+  TenantOptions options;
+  options.server = host.options;
+  options.server.pipeline = true;
+  TenantRegistry registry;
+  registry.add("run", host.instance, host.policy, *host.workload, options);
+
+  std::optional<recovery::WalLog> log;
+  std::optional<RegistryResume> resume;
+  if (recovered != nullptr) {
+    log.emplace(wal, *recovered);
+    resume = recovery::registry_resume(*recovered);
+  } else {
+    recovery::RunManifest manifest;
+    manifest.pipeline = true;
+    manifest.tenants.push_back(
+        {"", kSolo.scenario, "replicator", kSolo.workload, host.options, 1});
+    log.emplace(wal, manifest);
+  }
+  Executor executor(threads);
+  const MultiTenantResult result = registry.run(
+      executor, nullptr, log->round_observer(), resume ? &*resume : nullptr);
+  log->finish();
+  return telemetry_digest(result.tenants.front().server.epochs);
+}
+
+TEST(Golden, LongSoloWalCutMidRecordResumes) {
+  const std::string wal = ::testing::TempDir() + "staleflow_golden_long.wal";
+  EXPECT_EQ(serve_logged(wal, 1, nullptr), kLongDigest);
+
+  // A crash image: the log amputated mid-record near its midpoint.
+  const std::uintmax_t size = std::filesystem::file_size(wal);
+  std::filesystem::resize_file(wal, size / 2);
+  const recovery::RecoveredRun recovered = recovery::recover_wal(wal);
+  EXPECT_TRUE(recovered.truncated);
+  EXPECT_FALSE(recovered.clean_shutdown);
+  ASSERT_GT(recovered.committed_epochs(0), 0u);
+  ASSERT_LT(recovered.committed_epochs(0), kLongEpochs);
+
+  EXPECT_EQ(serve_logged(wal, 4, &recovered), kLongDigest);
+  const recovery::RecoveredRun healed = recovery::recover_wal(wal);
+  EXPECT_TRUE(healed.clean_shutdown);
+  EXPECT_FALSE(healed.truncated);
+  ASSERT_EQ(healed.digests.size(), 1u);
+  EXPECT_EQ(healed.digests[0], kLongDigest);
+  std::filesystem::remove(wal);
 }
 
 /// `sweep_cli run --simulator service --scenarios braess --policies

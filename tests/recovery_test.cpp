@@ -26,6 +26,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -39,8 +40,10 @@
 #include "recovery/recovery.h"
 #include "service/service.h"
 #include "sweep/spec.h"
+#include "trace/trace_format.h"
 #include "util/binio.h"
 #include "util/fnv.h"
+#include "util/framed_log.h"
 #include "util/log_histogram.h"
 #include "util/rng.h"
 
@@ -185,83 +188,206 @@ TEST(TelemetryDigest, AccumulateFoldsToWholeRunDigest) {
   EXPECT_EQ(folded, telemetry_digest(epochs));
 }
 
-// ------------------------------------------------------- WAL framing
+// ------------------------------------------------ framed-record log
 
-TEST(WalFraming, WritesAndScansRecords) {
-  const std::string path = temp_path("framing.wal");
-  {
-    recovery::WalWriter writer = recovery::WalWriter::create(path);
-    writer.append(recovery::RecordType::kRunHeader, "alpha");
-    writer.append(recovery::RecordType::kEpochCut,
-                  std::string("b\0in", 4));
-    writer.append(recovery::RecordType::kTrailer, "");
+/// One file kind served by the shared framed-record scanner. The suite
+/// runs once per kind: the WAL and the trace must behave identically.
+struct LogKind {
+  const char* kind;
+  const char (*magic)[framed_log::kMagicBytes];
+  const char (*other_magic)[framed_log::kMagicBytes];  // the other kind
+  std::uint32_t max_type;
+};
+
+const LogKind kLogKinds[] = {
+    {"WAL", &recovery::kWalMagic, &trace::kTraceMagic,
+     static_cast<std::uint32_t>(recovery::RecordType::kTrailer)},
+    {"trace", &trace::kTraceMagic, &recovery::kWalMagic,
+     static_cast<std::uint32_t>(trace::TraceRecordType::kTraceTrailer)},
+};
+
+class FramedLog : public ::testing::TestWithParam<LogKind> {
+ protected:
+  std::string path(const std::string& name) const {
+    return temp_path(std::string(GetParam().kind) + "_" + name);
   }
-  const recovery::WalScan scan = recovery::scan_wal(path);
-  EXPECT_FALSE(scan.truncated);
-  ASSERT_EQ(scan.records.size(), 3u);
-  EXPECT_EQ(scan.records[0].type, recovery::RecordType::kRunHeader);
-  EXPECT_EQ(scan.records[0].payload, "alpha");
-  EXPECT_EQ(scan.records[1].payload, std::string("b\0in", 4));
-  EXPECT_EQ(scan.records[2].type, recovery::RecordType::kTrailer);
-  EXPECT_EQ(scan.valid_bytes, std::filesystem::file_size(path));
+
+  framed_log::Scan scan(const std::string& file) const {
+    return framed_log::scan_frames(file, GetParam().kind, *GetParam().magic,
+                                   GetParam().max_type);
+  }
+
+  /// `magic` followed by one frame per (type, payload).
+  static std::string framed(
+      const char (&magic)[framed_log::kMagicBytes],
+      const std::vector<std::pair<std::uint32_t, std::string>>& records) {
+    std::ostringstream out(std::ios::binary);
+    out.write(magic, framed_log::kMagicBytes);
+    for (const auto& [type, payload] : records) {
+      framed_log::append_frame(out, type, payload);
+    }
+    return out.str();
+  }
+
+  /// Three records: types 1, 2 and the last valid type word.
+  std::string three_records() const {
+    return framed(*GetParam().magic, {{1, "one"},
+                                      {2, std::string("t\0\0wo", 5)},
+                                      {GetParam().max_type, "three"}});
+  }
+};
+
+TEST_P(FramedLog, RoundTripsBinaryPayloads) {
+  const std::string file = path("roundtrip");
+  const std::string nul_bytes("b\0in\0", 5);
+  write_file(file, framed(*GetParam().magic, {{1, "alpha"},
+                                              {2, nul_bytes},
+                                              {GetParam().max_type, ""}}));
+  const framed_log::Scan full = scan(file);
+  EXPECT_FALSE(full.truncated);
+  EXPECT_TRUE(full.note.empty());
+  ASSERT_EQ(full.records.size(), 3u);
+  EXPECT_EQ(full.records[0].type, 1u);
+  EXPECT_EQ(full.records[0].payload, "alpha");
+  EXPECT_EQ(full.records[1].payload, nul_bytes);
+  EXPECT_EQ(full.records[2].type, GetParam().max_type);
+  EXPECT_EQ(full.records[2].payload, "");
+  // Each end offset is the previous one plus the frame overhead and the
+  // payload; the last is the file size.
+  std::uint64_t end = framed_log::kMagicBytes;
+  for (const framed_log::Frame& record : full.records) {
+    end += framed_log::kFrameBytes + record.payload.size();
+    EXPECT_EQ(record.end_offset, end);
+  }
+  EXPECT_EQ(full.valid_bytes, std::filesystem::file_size(file));
 }
 
-TEST(WalFraming, TornTailIsTruncatedAtLastGoodRecord) {
-  const std::string path = temp_path("torn.wal");
-  {
-    recovery::WalWriter writer = recovery::WalWriter::create(path);
-    writer.append(recovery::RecordType::kRunHeader, "one");
-    writer.append(recovery::RecordType::kEpochCut, "two-two");
-    writer.append(recovery::RecordType::kRoundMark, "three");
+TEST_P(FramedLog, TruncationAtEveryByteKeepsTheRecordPrefix) {
+  const std::string bytes = three_records();
+  const std::string file = path("torn");
+  write_file(file, bytes);
+  const framed_log::Scan full = scan(file);
+  ASSERT_EQ(full.records.size(), 3u);
+  std::vector<std::uint64_t> boundaries = {framed_log::kMagicBytes};
+  for (const framed_log::Frame& record : full.records) {
+    boundaries.push_back(record.end_offset);
   }
-  const std::string clean = read_file(path);
-  const recovery::WalScan full = recovery::scan_wal(path);
+
+  for (std::size_t cut = framed_log::kMagicBytes; cut <= bytes.size();
+       ++cut) {
+    write_file(file, bytes.substr(0, cut));
+    const framed_log::Scan torn = scan(file);
+    // The trusted prefix is the last record boundary at or before the
+    // cut; the scan is truncated exactly when the cut is off a boundary.
+    std::size_t kept = 0;
+    while (kept + 1 < boundaries.size() && boundaries[kept + 1] <= cut) {
+      ++kept;
+    }
+    const bool at_boundary = boundaries[kept] == cut;
+    EXPECT_EQ(torn.truncated, !at_boundary) << "cut at " << cut;
+    EXPECT_EQ(torn.note.empty(), at_boundary) << "cut at " << cut;
+    EXPECT_EQ(torn.valid_bytes, boundaries[kept]) << "cut at " << cut;
+    ASSERT_EQ(torn.records.size(), kept) << "cut at " << cut;
+    for (std::size_t r = 0; r < kept; ++r) {
+      EXPECT_EQ(torn.records[r].payload, full.records[r].payload);
+    }
+  }
+}
+
+TEST_P(FramedLog, BitFlipInRecordTwoKeepsRecordOneOnly) {
+  const std::string bytes = three_records();
+  const std::string file = path("flip");
+  write_file(file, bytes);
+  const framed_log::Scan full = scan(file);
   ASSERT_EQ(full.records.size(), 3u);
 
-  // Cut the file anywhere inside the third record: the scan keeps the
-  // first two and reports the amputation point.
-  for (const std::size_t keep :
-       {full.records[1].end_offset + 1, full.records[2].end_offset - 1}) {
-    write_file(path, clean.substr(0, keep));
-    const recovery::WalScan torn = recovery::scan_wal(path);
-    EXPECT_TRUE(torn.truncated);
-    ASSERT_EQ(torn.records.size(), 2u);
-    EXPECT_EQ(torn.valid_bytes, full.records[1].end_offset);
-    EXPECT_FALSE(torn.note.empty());
+  // Every single-bit flip anywhere in record 2 (length, type, payload,
+  // checksum) rejects it, and the prefix property keeps the intact
+  // record 3 from surfacing.
+  for (std::uint64_t at = full.records[0].end_offset;
+       at < full.records[1].end_offset; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = bytes;
+      corrupt[at] = static_cast<char>(corrupt[at] ^ (1 << bit));
+      write_file(file, corrupt);
+      const framed_log::Scan flipped = scan(file);
+      EXPECT_TRUE(flipped.truncated) << "flip at " << at << " bit " << bit;
+      ASSERT_EQ(flipped.records.size(), 1u)
+          << "flip at " << at << " bit " << bit;
+      EXPECT_EQ(flipped.records[0].payload, "one");
+      EXPECT_EQ(flipped.valid_bytes, full.records[0].end_offset);
+    }
   }
 }
 
-TEST(WalFraming, BitFlipStopsTheScan) {
-  const std::string path = temp_path("flip.wal");
-  {
-    recovery::WalWriter writer = recovery::WalWriter::create(path);
-    writer.append(recovery::RecordType::kRunHeader, "head");
-    writer.append(recovery::RecordType::kEpochCut, "payload-payload");
-    writer.append(recovery::RecordType::kRoundMark, "mark");
-  }
-  std::string bytes = read_file(path);
-  const recovery::WalScan full = recovery::scan_wal(path);
-  ASSERT_EQ(full.records.size(), 3u);
+TEST_P(FramedLog, StopsAtAnOversizedLengthOrAnUnknownType) {
+  const std::string head = framed(*GetParam().magic, {{1, "kept"}});
+  const std::string file = path("bad_frame");
 
-  // Flip one bit inside the SECOND record's payload: the scan must keep
-  // the header, reject the flipped record, and — prefix property — not
-  // surface the intact third record either.
-  const std::uint64_t flip_at = full.records[0].end_offset + 8 + 3;
-  bytes[flip_at] = static_cast<char>(bytes[flip_at] ^ 0x10);
-  write_file(path, bytes);
-  const recovery::WalScan flipped = recovery::scan_wal(path);
-  EXPECT_TRUE(flipped.truncated);
-  ASSERT_EQ(flipped.records.size(), 1u);
-  EXPECT_EQ(flipped.valid_bytes, full.records[0].end_offset);
-  EXPECT_NE(flipped.note.find("checksum"), std::string::npos);
+  // A length field past the cap is refused before any allocation.
+  binio::Writer oversized;
+  oversized.u32(framed_log::kMaxPayload + 1);
+  oversized.u32(1);
+  oversized.u64(0);
+  write_file(file, head + oversized.data());
+  framed_log::Scan bad = scan(file);
+  EXPECT_TRUE(bad.truncated);
+  EXPECT_EQ(bad.note, "corrupt record: impossible payload length");
+  EXPECT_EQ(bad.records.size(), 1u);
+  EXPECT_EQ(bad.valid_bytes, head.size());
+
+  // A checksum-valid frame whose type word is outside 1..max_type.
+  for (const std::uint32_t type : {0u, GetParam().max_type + 1}) {
+    write_file(file, framed(*GetParam().magic, {{1, "kept"}, {type, "x"}}));
+    bad = scan(file);
+    EXPECT_TRUE(bad.truncated) << "type " << type;
+    EXPECT_EQ(bad.note, "corrupt record: unknown record type");
+    EXPECT_EQ(bad.records.size(), 1u);
+    EXPECT_EQ(bad.valid_bytes, head.size());
+  }
 }
 
-TEST(WalFraming, RejectsNonWalFiles) {
-  const std::string path = temp_path("notawal.bin");
-  write_file(path, "this is certainly not a WAL file");
-  EXPECT_THROW(recovery::scan_wal(path), std::runtime_error);
-  EXPECT_THROW(recovery::scan_wal(temp_path("missing.wal")),
-               std::runtime_error);
+TEST_P(FramedLog, RejectsMissingEmptyAndForeignFiles) {
+  EXPECT_THROW(scan(path("missing")), std::runtime_error);
+
+  const std::string file = path("foreign");
+  write_file(file, "");
+  EXPECT_THROW(scan(file), std::runtime_error);
+  write_file(file, "this is certainly not a framed log");
+  EXPECT_THROW(scan(file), std::runtime_error);
+
+  // A well-formed file of the other kind (a WAL handed to the trace
+  // scanner, or the reverse) is refused by its magic, by name.
+  write_file(file, framed(*GetParam().other_magic, {{1, "x"}}));
+  try {
+    scan(file);
+    ADD_FAILURE() << "foreign magic accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(std::string("is not a ") +
+                                         GetParam().kind + " (bad magic)"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Magic only: a valid, empty log.
+  write_file(file, framed(*GetParam().magic, {}));
+  const framed_log::Scan empty = scan(file);
+  EXPECT_FALSE(empty.truncated);
+  EXPECT_TRUE(empty.records.empty());
+  EXPECT_EQ(empty.valid_bytes, framed_log::kMagicBytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WalAndTrace, FramedLog, ::testing::ValuesIn(kLogKinds),
+    [](const ::testing::TestParamInfo<LogKind>& info) {
+      return std::string(info.param.kind);
+    });
+
+/// The WAL's records, as recovery sees them before decoding.
+framed_log::Scan wal_frames(const std::string& path) {
+  return framed_log::scan_frames(
+      path, "WAL", recovery::kWalMagic,
+      static_cast<std::uint32_t>(recovery::RecordType::kTrailer));
 }
 
 // ---------------------------------------------------- serving fixtures
@@ -408,7 +534,7 @@ TEST(WalLog, KilledAtAnyByteResumesToTheSameDigest) {
     log.finish();
   }
   const std::string clean = read_file(clean_path);
-  const recovery::WalScan scan = recovery::scan_wal(clean_path);
+  const framed_log::Scan scan = wal_frames(clean_path);
 
   // Crash images: the WAL cut at every record boundary and mid-record —
   // every one must recover and resume to the uninterrupted digest. The
@@ -443,7 +569,7 @@ TEST(WalLog, BitFlippedCutRecoversToLastGoodEpoch) {
     log.finish();
   }
   std::string bytes = read_file(path);
-  const recovery::WalScan scan = recovery::scan_wal(path);
+  const framed_log::Scan scan = wal_frames(path);
   // Records: header, then (cut, mark) pairs. Flip a bit inside epoch 3's
   // cut record (records[7]): epochs 0..2 stay committed.
   ASSERT_GT(scan.records.size(), 8u);
@@ -536,7 +662,7 @@ TEST(WalLog, PipelinedKilledAtAnyByteResumesToTheSameDigest) {
   ASSERT_EQ(telemetry_digest(strict.run().epochs), golden);
 
   const std::string clean = read_file(clean_path);
-  const recovery::WalScan scan = recovery::scan_wal(clean_path);
+  const framed_log::Scan scan = wal_frames(clean_path);
   std::vector<std::size_t> prefixes;
   for (std::size_t i = 0; i + 1 < scan.records.size(); ++i) {
     prefixes.push_back(scan.records[i].end_offset);      // boundary
@@ -651,7 +777,8 @@ TEST(ResumeDeathTest, PipelinedResumeOfCrashFaultRunMakesProgress) {
 
 TEST(RecoverWal, RejectsHeaderlessWal) {
   const std::string path = temp_path("headerless.wal");
-  { recovery::WalWriter::create(path); }  // magic only, no records
+  write_file(path, std::string(recovery::kWalMagic,
+                               sizeof(recovery::kWalMagic)));  // no records
   EXPECT_THROW(recovery::recover_wal(path), std::runtime_error);
 }
 
@@ -682,8 +809,8 @@ TEST(WalProtocol, SingleServerMatchesOneTenantRegistryRecordForRecord) {
     log.finish();
   }
 
-  const recovery::WalScan single = recovery::scan_wal(single_path);
-  const recovery::WalScan tenant = recovery::scan_wal(tenant_path);
+  const framed_log::Scan single = wal_frames(single_path);
+  const framed_log::Scan tenant = wal_frames(tenant_path);
   ASSERT_EQ(single.records.size(), tenant.records.size());
   // Headers differ (multi-tenant flag, tenant name); every record after
   // them — cuts, round marks, trailer — must be byte-identical.
@@ -818,7 +945,7 @@ TEST(WalLog, MultiTenantKilledMidRunResumesBitIdentically) {
   // resume each crash image: per-tenant digests must match, and every
   // tenant picks up at a scheduler-round boundary (committed cuts only).
   const std::string bytes = read_file(path);
-  const recovery::WalScan scan = recovery::scan_wal(path);
+  const framed_log::Scan scan = wal_frames(path);
   const std::string crash_path = temp_path("multi_crash.wal");
   for (std::size_t i = 0; i + 1 < scan.records.size(); i += 2) {
     for (const std::size_t keep :
@@ -856,7 +983,7 @@ TEST(WalLog, PipelinedThreeTenantsKilledMidRunResumeBitIdentically) {
   }
 
   const std::string bytes = read_file(path);
-  const recovery::WalScan scan = recovery::scan_wal(path);
+  const framed_log::Scan scan = wal_frames(path);
   const std::string crash_path = temp_path("multipipe_crash.wal");
   for (std::size_t i = 0; i + 1 < scan.records.size(); i += 2) {
     for (const std::size_t keep :
@@ -939,7 +1066,7 @@ TEST(WalLog, PipelinedFeedbackTenantKilledAtAnyByteResumesBitIdentically) {
   }
 
   const std::string bytes = read_file(path);
-  const recovery::WalScan scan = recovery::scan_wal(path);
+  const framed_log::Scan scan = wal_frames(path);
   const std::string crash_path = temp_path("feedbackpipe_crash.wal");
   for (std::size_t i = 0; i + 1 < scan.records.size(); ++i) {
     for (const std::size_t keep :

@@ -31,6 +31,7 @@
 #include "sweep/spec.h"
 #include "trace/trace.h"
 #include "util/binio.h"
+#include "util/framed_log.h"
 
 namespace staleflow {
 namespace {
@@ -74,15 +75,18 @@ trace::TraceEvent sample_event(std::uint64_t epoch) {
   return event;
 }
 
+void append(std::ostream& out, trace::TraceRecordType type,
+            const std::string& payload) {
+  framed_log::append_frame(out, static_cast<std::uint32_t>(type), payload);
+}
+
 /// A minimal well-formed trace: header + one two-event batch.
 std::string small_trace() {
   std::ostringstream out(std::ios::binary);
   out.write(trace::kTraceMagic, sizeof(trace::kTraceMagic));
-  trace::append_record(out, trace::TraceRecordType::kTraceHeader,
-                       header_payload());
-  trace::append_record(out, trace::TraceRecordType::kEventBatch,
-                       event_batch_payload(0, {sample_event(1),
-                                               sample_event(2)}));
+  append(out, trace::TraceRecordType::kTraceHeader, header_payload());
+  append(out, trace::TraceRecordType::kEventBatch,
+         event_batch_payload(0, {sample_event(1), sample_event(2)}));
   return out.str();
 }
 
@@ -110,7 +114,8 @@ TEST(TraceCodec, EveryKindHasAStableName) {
   const std::vector<trace::EventKind> kinds = {
       trace::EventKind::kEpochSpan,      trace::EventKind::kSubBatchSpan,
       trace::EventKind::kSnapshotPublish, trace::EventKind::kSchedulerRound,
-      trace::EventKind::kGraphSpan,      trace::EventKind::kWalAppend};
+      trace::EventKind::kGraphSpan,      trace::EventKind::kWalAppend,
+      trace::EventKind::kFaultSpan};
   std::set<std::string> names;
   for (const trace::EventKind kind : kinds) {
     names.insert(std::string(trace::event_kind_name(kind)));
@@ -118,97 +123,50 @@ TEST(TraceCodec, EveryKindHasAStableName) {
   EXPECT_EQ(names.size(), kinds.size());  // distinct
   EXPECT_TRUE(names.count("epoch"));
   EXPECT_TRUE(names.count("sub_batch"));
+  EXPECT_TRUE(names.count("fault"));
 }
 
-// -------------------------------------------- torn-tail / corruption scan
+// ------------------------------------------- torn-tail / corruption load
+//
+// Frame-level truncation and bit flips are the shared scanner's, covered
+// for both file kinds by the FramedLog suite in recovery_test.cpp; these
+// cases pin what load_trace makes of the surviving records.
 
-TEST(TraceRecovery, CleanFileScansCompletely) {
-  const std::string path = temp_path("clean");
-  const std::string bytes = small_trace();
-  write_file(path, bytes);
-
-  const trace::TraceScan scan = trace::scan_trace(path);
-  EXPECT_FALSE(scan.truncated);
-  EXPECT_EQ(scan.valid_bytes, bytes.size());
-  ASSERT_EQ(scan.records.size(), 2u);
-  EXPECT_EQ(scan.records[0].type, trace::TraceRecordType::kTraceHeader);
-  EXPECT_EQ(scan.records[1].type, trace::TraceRecordType::kEventBatch);
-}
-
-TEST(TraceRecovery, TornTailTruncatesAtEveryByte) {
+TEST(TraceRecovery, TornTraceLoadsItsPrefixAtEveryByte) {
   const std::string bytes = small_trace();
   const std::string path = temp_path("torn");
-
-  // Find the header record's end: scan the full file once.
-  write_file(path, bytes);
-  const std::uint64_t header_end = trace::scan_trace(path).records[0].end_offset;
+  const std::size_t header_end =
+      sizeof(trace::kTraceMagic) + framed_log::kFrameBytes +
+      header_payload().size();
 
   for (std::size_t cut = sizeof(trace::kTraceMagic); cut < bytes.size();
        ++cut) {
     write_file(path, bytes.substr(0, cut));
-    // A cut strictly inside a record discards it (scan truncated); a cut
-    // exactly at a record boundary is a clean shorter trace. Either way
-    // the trusted prefix is a record boundary <= cut.
-    const bool at_boundary =
-        cut == sizeof(trace::kTraceMagic) || cut == header_end;
-    const trace::TraceScan scan = trace::scan_trace(path);
-    EXPECT_EQ(scan.truncated, !at_boundary) << "cut at " << cut;
-    EXPECT_LE(scan.valid_bytes, cut) << "cut at " << cut;
-    EXPECT_TRUE(scan.valid_bytes == sizeof(trace::kTraceMagic) ||
-                scan.valid_bytes == header_end)
-        << "cut at " << cut << " valid " << scan.valid_bytes;
-    // And the decoded view stays usable. Losing the header record itself
-    // also counts as truncation ("empty trace"); only the cut exactly
-    // after the header yields a complete-but-eventless trace.
+    // Losing the header record itself also counts as truncation ("empty
+    // trace"); only the cut exactly after the header yields a
+    // complete-but-eventless trace.
     const trace::LoadedTrace loaded = trace::load_trace(path);
     EXPECT_EQ(loaded.truncated, cut != header_end) << "cut at " << cut;
+    EXPECT_LE(loaded.valid_bytes, cut) << "cut at " << cut;
     EXPECT_FALSE(loaded.clean_shutdown) << "cut at " << cut;
     EXPECT_TRUE(loaded.events.empty()) << "cut at " << cut;
   }
-}
-
-TEST(TraceRecovery, BitFlipRejectsTheRecordButKeepsThePrefix) {
-  const std::string bytes = small_trace();
-  const std::string path = temp_path("flip");
   write_file(path, bytes);
-  const std::uint64_t header_end = trace::scan_trace(path).records[0].end_offset;
-
-  // Flip one bit in every byte of the second record (length, type,
-  // payload, checksum): each corruption must truncate at the header.
-  for (std::size_t at = header_end; at < bytes.size(); ++at) {
-    std::string corrupt = bytes;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x40);
-    write_file(path, corrupt);
-    const trace::TraceScan scan = trace::scan_trace(path);
-    EXPECT_TRUE(scan.truncated) << "flip at " << at;
-    EXPECT_EQ(scan.valid_bytes, header_end) << "flip at " << at;
-    EXPECT_EQ(scan.records.size(), 1u) << "flip at " << at;
-  }
+  const trace::LoadedTrace whole = trace::load_trace(path);
+  EXPECT_FALSE(whole.truncated);
+  EXPECT_EQ(whole.events.size(), 2u);
 }
 
-TEST(TraceRecovery, EmptyAndRotatedFiles) {
-  const std::string path = temp_path("empty");
-
-  // Zero bytes: not a trace at all.
-  write_file(path, "");
-  EXPECT_THROW(trace::scan_trace(path), std::runtime_error);
-
-  // Magic only — what a rotation leaves behind the instant after it
-  // truncates the file: scans clean-but-empty, loads as truncated
-  // (no header record) with zero events.
+TEST(TraceRecovery, MagicOnlyLoadsAsTruncatedAndEmpty) {
+  // What a rotation leaves behind the instant after it truncates the
+  // file: loads as truncated (no header record) with zero events.
+  const std::string path = temp_path("rotated");
   write_file(path, std::string(trace::kTraceMagic,
                                sizeof(trace::kTraceMagic)));
   const trace::LoadedTrace loaded = trace::load_trace(path);
   EXPECT_TRUE(loaded.truncated);
   EXPECT_TRUE(loaded.events.empty());
   EXPECT_FALSE(loaded.clean_shutdown);
-
-  // Wrong magic (a WAL, a text file): refused outright.
-  write_file(path, "SFWAL1\n\0 not a trace");
-  EXPECT_THROW(trace::scan_trace(path), std::runtime_error);
-
-  EXPECT_THROW(trace::scan_trace(temp_path("missing")),
-               std::runtime_error);
 }
 
 TEST(TraceRecovery, CorruptPayloadInsideValidFrameTruncates) {
@@ -217,8 +175,8 @@ TEST(TraceRecovery, CorruptPayloadInsideValidFrameTruncates) {
   const std::string path = temp_path("future");
   std::ostringstream out(std::ios::binary);
   out.write(trace::kTraceMagic, sizeof(trace::kTraceMagic));
-  trace::append_record(out, trace::TraceRecordType::kTraceHeader,
-                       header_payload(trace::kTraceVersion + 1));
+  append(out, trace::TraceRecordType::kTraceHeader,
+         header_payload(trace::kTraceVersion + 1));
   write_file(path, out.str());
 
   const trace::LoadedTrace loaded = trace::load_trace(path);

@@ -23,6 +23,17 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Routes std::invalid_argument from catalogue/grammar factories into
+/// UsageError (exit 2 + usage text), like bad flag values.
+template <typename Make>
+auto usage_error(const Make& make) {
+  try {
+    return make();
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
+}
+
 /// Parses "--key value" pairs from args[from..]; flags listed in
 /// `booleans` take no value and map to "1".
 inline std::map<std::string, std::string> parse_flags(

@@ -80,6 +80,7 @@
 
 #include "cli_common.h"
 #include "staleflow/staleflow.h"
+#include "tenant_host.h"
 
 namespace staleflow {
 namespace {
@@ -178,17 +179,6 @@ class ProgressMeter {
   Stopwatch watch_;
 };
 
-/// Routes std::invalid_argument from catalogue/grammar factories into
-/// UsageError (exit 2 + usage text), like bad flag values.
-template <typename Make>
-auto usage_error(const Make& make) {
-  try {
-    return make();
-  } catch (const std::invalid_argument& e) {
-    throw cli::UsageError(e.what());
-  }
-}
-
 /// "epochs.csv" + "a" -> "epochs.a.csv" (no extension: "out" -> "out.a").
 std::string tenant_csv_path(const std::string& base,
                             const std::string& name) {
@@ -213,7 +203,7 @@ faults::FaultSchedule make_fault_schedule(
   for (const recovery::TenantManifest& tenant : manifest.tenants) {
     epochs = std::max(epochs, tenant.options.epochs);
   }
-  faults::FaultSchedule schedule = usage_error([&] {
+  faults::FaultSchedule schedule = cli::usage_error([&] {
     return faults::FaultSchedule::materialize(
         faults::parse_fault_plan(manifest.faults),
         manifest.tenants.front().options.seed, epochs);
@@ -225,38 +215,6 @@ faults::FaultSchedule make_fault_schedule(
   return schedule;
 }
 
-/// The live objects behind one tenant manifest. Everything a tenant
-/// borrows must outlive the registry's run; hosts live in a deque so
-/// addresses stay stable while we append.
-struct Host {
-  Instance instance;
-  Policy policy;
-  WorkloadPtr workload;
-};
-
-/// Rebuilds a manifest's instance/policy/workload exactly as a fresh run
-/// would: same scenario registry, same seed-derived scenario Rng, same
-/// grammar factories — the construction order the resume contract pins.
-Host make_host(const recovery::TenantManifest& manifest,
-               const ScenarioRegistry& registry) {
-  cli::require_known(manifest.scenario, registry.names(), "scenario");
-  Rng scenario_rng(manifest.options.seed);
-  Instance instance = registry.at(manifest.scenario).make(scenario_rng);
-  Policy policy = usage_error([&] {
-    return named_policy(manifest.policy)
-        .make(instance, manifest.options.update_period);
-  });
-  WorkloadPtr workload =
-      usage_error([&] { return make_workload(manifest.workload); });
-  return Host{std::move(instance), std::move(policy), std::move(workload)};
-}
-
-/// The registry name of a manifest tenant: a solo run (unnamed in the
-/// WAL header) is served as the one tenant "run".
-std::string tenant_label(const recovery::TenantManifest& tenant) {
-  return tenant.name.empty() ? std::string("run") : tenant.name;
-}
-
 void print_resume_banner(const recovery::RecoveredRun& state, bool quiet) {
   if (quiet) return;
   if (state.truncated) {
@@ -265,7 +223,7 @@ void print_resume_banner(const recovery::RecoveredRun& state, bool quiet) {
   std::cout << "wal: resuming at round " << state.rounds;
   for (std::size_t i = 0; i < state.manifest.tenants.size(); ++i) {
     const recovery::TenantManifest& tenant = state.manifest.tenants[i];
-    std::cout << (i == 0 ? ": " : ", ") << tenant_label(tenant) << " "
+    std::cout << (i == 0 ? ": " : ", ") << cli::tenant_label(tenant) << " "
               << state.cuts[i].size() << "/" << tenant.options.epochs
               << " epochs done";
   }
@@ -373,10 +331,11 @@ int run_manifest(const std::string& wal_path,
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
   const faults::FaultSchedule fault_schedule =
       make_fault_schedule(manifest, quiet);
-  std::deque<Host> hosts;
+  std::deque<cli::Host> hosts;  // stable addresses: the registry borrows
   TenantRegistry tenants;
   for (const recovery::TenantManifest& tenant : manifest.tenants) {
-    const Host& host = hosts.emplace_back(make_host(tenant, registry));
+    const cli::Host& host =
+        hosts.emplace_back(cli::make_host(tenant, registry));
     TenantOptions options;
     options.server = tenant.options;
     options.server.pipeline = manifest.pipeline;
@@ -385,8 +344,8 @@ int run_manifest(const std::string& wal_path,
     options.server.faults =
         fault_schedule.empty() ? nullptr : &fault_schedule;
     options.weight = tenant.weight;
-    usage_error([&] {
-      tenants.add(tenant_label(tenant), host.instance, host.policy,
+    cli::usage_error([&] {
+      tenants.add(cli::tenant_label(tenant), host.instance, host.policy,
                   *host.workload, options);
       return 0;
     });
@@ -399,7 +358,7 @@ int run_manifest(const std::string& wal_path,
               << " tenants on one executor (threads=" << threads
               << (record_latency ? "" : ", deterministic") << ")\n";
   } else if (!quiet) {
-    const Host& host = hosts.front();
+    const cli::Host& host = hosts.front();
     const RouteServerOptions& options = first.options;
     std::cout << "route_server: " << first.scenario << " ("
               << host.instance.describe() << ")\n  policy "
@@ -442,7 +401,7 @@ int run_manifest(const std::string& wal_path,
   // Options the library rejects (a zero epoch budget, more shards than
   // clients, an offered load past the Poisson sampler's range) surface
   // as invalid_argument from the first epoch: usage errors, exit 2.
-  const MultiTenantResult result = usage_error([&] {
+  const MultiTenantResult result = cli::usage_error([&] {
     return tenants.run(executor, observer,
                        log ? log->round_observer() : RoundCutObserver{},
                        resume_state);
@@ -463,7 +422,7 @@ recovery::RunManifest resolve_tenant_manifest(
     const std::string& default_policy, const std::string& default_workload,
     const RouteServerOptions& defaults) {
   const std::vector<TenantSpec> specs =
-      usage_error([&] { return parse_tenant_specs(tenants_flag); });
+      cli::usage_error([&] { return parse_tenant_specs(tenants_flag); });
   recovery::RunManifest manifest;
   manifest.multi_tenant = true;
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -471,7 +430,6 @@ recovery::RunManifest resolve_tenant_manifest(
     recovery::TenantManifest tenant;
     tenant.name = spec.name;
     tenant.options = defaults;
-    tenant.options.executor = nullptr;
     if (spec.clients) tenant.options.num_clients = *spec.clients;
     if (spec.shards) tenant.options.shards = *spec.shards;
     if (spec.epochs) tenant.options.epochs = *spec.epochs;
@@ -609,7 +567,7 @@ int do_run(const std::map<std::string, std::string>& flags) {
       // Eager grammar check: a typo'd spec must exit 2 before any epoch
       // is served (the schedule itself is materialized per run path).
       const faults::FaultPlan plan =
-          usage_error([&] { return faults::parse_fault_plan(value); });
+          cli::usage_error([&] { return faults::parse_fault_plan(value); });
       faults_spec = plan.empty() ? std::string() : value;
     } else if (key == "progress") {
       progress_every = cli::parse_count(value, "--progress");

@@ -36,6 +36,7 @@
 
 #include "cli_common.h"
 #include "staleflow/staleflow.h"
+#include "tenant_host.h"
 
 namespace staleflow {
 namespace {
@@ -55,15 +56,6 @@ namespace {
   std::exit(2);
 }
 
-template <typename Make>
-auto usage_error(const Make& make) {
-  try {
-    return make();
-  } catch (const std::invalid_argument& e) {
-    throw cli::UsageError(e.what());
-  }
-}
-
 recovery::RecoveredRun recover_or_usage(const std::string& path) {
   cli::require_readable(path, "WAL");
   try {
@@ -71,10 +63,6 @@ recovery::RecoveredRun recover_or_usage(const std::string& path) {
   } catch (const std::runtime_error& e) {
     throw cli::UsageError(e.what());
   }
-}
-
-std::string display_name(const recovery::TenantManifest& tenant) {
-  return tenant.name.empty() ? std::string("run") : tenant.name;
 }
 
 int do_info(const std::string& path) {
@@ -92,7 +80,7 @@ int do_info(const std::string& path) {
   for (std::size_t i = 0; i < state.manifest.tenants.size(); ++i) {
     const recovery::TenantManifest& tenant = state.manifest.tenants[i];
     const RouteServerOptions& o = tenant.options;
-    std::cout << "tenant " << display_name(tenant)
+    std::cout << "tenant " << cli::tenant_label(tenant)
               << ": scenario=" << tenant.scenario
               << " policy=" << tenant.policy
               << " workload=" << tenant.workload << " epochs=" << o.epochs
@@ -105,7 +93,7 @@ int do_info(const std::string& path) {
     // deterministic route_p99.
     for (std::size_t c = 0; c < state.cuts[i].size(); ++c) {
       const EpochSummary& summary = state.cuts[i][c].summary;
-      std::cout << "cut[" << display_name(tenant)
+      std::cout << "cut[" << cli::tenant_label(tenant)
                 << "]: epoch=" << summary.epoch
                 << " offset=" << state.cut_offsets[i][c]
                 << " route_p99=" << fmt(summary.route_p99, 6) << "\n";
@@ -176,20 +164,11 @@ int do_replay(const std::string& path,
 
   // Rebuild the tenant's world exactly as the serving CLI does, then
   // drive its engine by hand: restore cuts [0, e), serve k more epochs.
-  const ScenarioRegistry registry = ScenarioRegistry::builtin();
-  cli::require_known(manifest.scenario, registry.names(), "scenario");
-  Rng scenario_rng(manifest.options.seed);
-  const Instance instance = registry.at(manifest.scenario).make(scenario_rng);
-  const Policy policy = usage_error([&] {
-    return named_policy(manifest.policy)
-        .make(instance, manifest.options.update_period);
-  });
-  const WorkloadPtr workload =
-      usage_error([&] { return make_workload(manifest.workload); });
+  const cli::Host host =
+      cli::make_host(manifest, ScenarioRegistry::builtin());
 
   RouteServerOptions options = manifest.options;
   options.threads = threads;
-  options.executor = nullptr;
   options.record_latency = false;  // replay is deterministic by definition
   // Replay always serves the reference schedule, even for a pipeline=1
   // WAL: cut content is schedule-independent (pipelined cuts are captured
@@ -199,12 +178,12 @@ int do_replay(const std::string& path,
   options.pipeline = false;
 
   SnapshotStore store;
-  EpochEngine engine(instance, policy, *workload, store);
-  engine.begin(FlowVector::uniform(instance), options);
+  EpochEngine engine(host.instance, host.policy, *host.workload, store);
+  engine.begin(FlowVector::uniform(host.instance), options);
   engine.restore(std::span(cuts).subspan(0, from_epoch));
 
   if (!quiet) {
-    std::cout << "replaying " << display_name(manifest) << " epochs ["
+    std::cout << "replaying " << cli::tenant_label(manifest) << " epochs ["
               << from_epoch << ", " << from_epoch + epoch_count << ") of "
               << manifest.scenario << "/" << manifest.policy << "\n";
   }
