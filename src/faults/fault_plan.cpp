@@ -1,13 +1,13 @@
 #include "faults/fault_plan.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "util/rng.h"
+#include "util/spec_parse.h"
 
 namespace staleflow::faults {
 namespace {
@@ -16,63 +16,7 @@ namespace {
 // every dynamics stream split from the same seed.
 constexpr std::uint64_t kFaultSeedSalt = 0x8F1D3A5C9B7E2460ULL;
 
-constexpr std::string_view kGrammar =
-    "expected \"slow:shard=S,us=U[,tenant=T][,at=E][,for=N]\" | "
-    "\"stall:workers=W,ms=M[,at=G][,for=N]\" | "
-    "\"drop-telemetry[:tenant=T][,at=E][,for=N]\" | "
-    "\"brownout:shed=F[,tenant=T][,at=E][,for=N]\" | "
-    "\"crash:at=N\" | \"none\", clauses joined by ';' or '+'";
-
-[[noreturn]] void bad_spec(std::string_view detail) {
-  throw std::invalid_argument("--faults: " + std::string(detail) + " (" +
-                              std::string(kGrammar) + ")");
-}
-
-std::vector<std::string_view> split_any(std::string_view text,
-                                        std::string_view separators) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || separators.find(text[i]) != std::string_view::npos) {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-std::uint64_t parse_u64(std::string_view value, std::string_view clause,
-                        std::string_view key) {
-  if (value.empty()) bad_spec("empty " + std::string(key) + " in \"" +
-                              std::string(clause) + "\"");
-  for (char c : value) {
-    if (!std::isdigit(static_cast<unsigned char>(c)))
-      bad_spec("non-numeric " + std::string(key) + "=\"" + std::string(value) +
-               "\" in \"" + std::string(clause) + "\"");
-  }
-  try {
-    return std::stoull(std::string(value));
-  } catch (const std::out_of_range&) {
-    bad_spec(std::string(key) + "=\"" + std::string(value) +
-             "\" out of range in \"" + std::string(clause) + "\"");
-  }
-}
-
-double parse_fraction(std::string_view value, std::string_view clause) {
-  std::size_t used = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(std::string(value), &used);
-  } catch (const std::exception&) {
-    bad_spec("bad shed=\"" + std::string(value) + "\" in \"" +
-             std::string(clause) + "\"");
-  }
-  if (used != value.size() || !(parsed > 0.0) || parsed > 1.0)
-    bad_spec("shed must be a fraction in (0,1], got \"" + std::string(value) +
-             "\" in \"" + std::string(clause) + "\"");
-  return parsed;
-}
-
+/// One clause; parse_fault_plan adds the spec and grammar to its errors.
 FaultClause parse_clause(std::string_view text) {
   const std::size_t colon = text.find(':');
   const std::string_view name = text.substr(0, colon);
@@ -92,46 +36,55 @@ FaultClause parse_clause(std::string_view text) {
   } else if (name == "crash") {
     clause.kind = FaultKind::kCrash;
   } else {
-    bad_spec("unknown fault kind \"" + std::string(name) + "\"");
+    throw std::invalid_argument("unknown fault kind \"" + std::string(name) +
+                                "\"");
   }
 
   bool saw_shard = false, saw_us = false, saw_workers = false, saw_ms = false,
        saw_shed = false;
   if (!args.empty()) {
-    for (std::string_view field : split_any(args, ",")) {
+    for (const std::string& field : split(args, ",")) {
       const std::size_t eq = field.find('=');
-      if (eq == std::string_view::npos || eq == 0)
-        bad_spec("expected key=value, got \"" + std::string(field) +
-                 "\" in \"" + std::string(text) + "\"");
-      const std::string_view key = field.substr(0, eq);
-      const std::string_view value = field.substr(eq + 1);
+      if (eq == std::string::npos || eq == 0) {
+        throw std::invalid_argument("expected key=value, got \"" + field +
+                                    "\"");
+      }
+      const std::string key = field.substr(0, eq);
+      const std::string value = field.substr(eq + 1);
       if (key == "at") {
-        clause.at = parse_u64(value, text, key);
+        clause.at = parse_count(value, key);
       } else if (key == "for") {
-        const std::uint64_t n = parse_u64(value, text, key);
-        if (n == 0) bad_spec("for=0 in \"" + std::string(text) + "\"");
+        const std::uint64_t n = parse_count(value, key);
+        if (n == 0) throw std::invalid_argument("for=0");
         clause.duration = n;
       } else if (key == "tenant" && clause.kind != FaultKind::kWorkerStall &&
                  clause.kind != FaultKind::kCrash) {
-        clause.tenant = static_cast<std::uint32_t>(parse_u64(value, text, key));
+        const std::uint64_t tenant = parse_count(value, key);
+        if (tenant > UINT32_MAX) {
+          throw std::invalid_argument("tenant " + value + " out of range");
+        }
+        clause.tenant = static_cast<std::uint32_t>(tenant);
       } else if (key == "shard" && clause.kind == FaultKind::kShardSlowdown) {
-        clause.shard = parse_u64(value, text, key);
+        clause.shard = parse_count(value, key);
         saw_shard = true;
       } else if (key == "us" && clause.kind == FaultKind::kShardSlowdown) {
-        clause.slow_us = parse_u64(value, text, key);
+        clause.slow_us = parse_count(value, key);
         saw_us = true;
       } else if (key == "workers" && clause.kind == FaultKind::kWorkerStall) {
-        clause.workers = parse_u64(value, text, key);
+        clause.workers = parse_count(value, key);
         saw_workers = true;
       } else if (key == "ms" && clause.kind == FaultKind::kWorkerStall) {
-        clause.stall_ms = parse_u64(value, text, key);
+        clause.stall_ms = parse_count(value, key);
         saw_ms = true;
       } else if (key == "shed" && clause.kind == FaultKind::kBrownout) {
-        clause.shed = parse_fraction(value, text);
+        clause.shed = parse_number(value, key);
+        if (!(clause.shed > 0.0) || clause.shed > 1.0) {
+          throw std::invalid_argument("shed must be a fraction in (0,1], got " +
+                                      value);
+        }
         saw_shed = true;
       } else {
-        bad_spec("unknown key \"" + std::string(key) + "\" for " +
-                 std::string(name) + " in \"" + std::string(text) + "\"");
+        throw std::invalid_argument("unknown key \"" + key + "\"");
       }
     }
   }
@@ -139,29 +92,24 @@ FaultClause parse_clause(std::string_view text) {
   switch (clause.kind) {
     case FaultKind::kShardSlowdown:
       if (!saw_shard || !saw_us)
-        bad_spec("slow requires shard= and us= in \"" + std::string(text) +
-                 "\"");
+        throw std::invalid_argument("slow requires shard= and us=");
       if (clause.slow_us == 0)
-        bad_spec("slow requires us > 0 in \"" + std::string(text) + "\"");
+        throw std::invalid_argument("slow requires us > 0");
       break;
     case FaultKind::kWorkerStall:
       if (!saw_workers || !saw_ms)
-        bad_spec("stall requires workers= and ms= in \"" + std::string(text) +
-                 "\"");
+        throw std::invalid_argument("stall requires workers= and ms=");
       if (clause.workers == 0 || clause.stall_ms == 0)
-        bad_spec("stall requires workers > 0 and ms > 0 in \"" +
-                 std::string(text) + "\"");
+        throw std::invalid_argument("stall requires workers > 0 and ms > 0");
       break;
     case FaultKind::kBrownout:
-      if (!saw_shed)
-        bad_spec("brownout requires shed= in \"" + std::string(text) + "\"");
+      if (!saw_shed) throw std::invalid_argument("brownout requires shed=");
       break;
     case FaultKind::kCrash:
-      if (!clause.at)
-        bad_spec("crash requires at= in \"" + std::string(text) + "\"");
+      if (!clause.at) throw std::invalid_argument("crash requires at=");
       if (*clause.at == 0)
-        bad_spec("crash requires at >= 1 (the first commit point) in \"" +
-                 std::string(text) + "\"");
+        throw std::invalid_argument(
+            "crash requires at >= 1 (the first commit point)");
       break;
     case FaultKind::kDropTelemetry:
       break;
@@ -183,15 +131,21 @@ std::string_view fault_kind_name(FaultKind kind) noexcept {
 }
 
 FaultPlan parse_fault_plan(std::string_view spec) {
-  if (spec.empty()) bad_spec("empty spec");
-  FaultPlan plan;
-  plan.spec = std::string(spec);
-  for (std::string_view clause : split_any(spec, ";+")) {
-    if (clause.empty()) bad_spec("empty clause in \"" + plan.spec + "\"");
-    if (clause == "none") continue;
-    plan.clauses.push_back(parse_clause(clause));
+  try {
+    if (spec.empty()) throw std::invalid_argument("empty spec");
+    FaultPlan plan;
+    plan.spec = std::string(spec);
+    for (const std::string& clause : split(spec, ";+")) {
+      if (clause.empty()) throw std::invalid_argument("empty clause");
+      if (clause == "none") continue;
+      plan.clauses.push_back(parse_clause(clause));
+    }
+    return plan;
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("--faults: " + std::string(e.what()) +
+                                " in \"" + std::string(spec) + "\" (expected " +
+                                std::string(kFaultGrammar) + ")");
   }
-  return plan;
 }
 
 FaultSchedule FaultSchedule::materialize(const FaultPlan& plan,

@@ -90,6 +90,16 @@ struct FaultPlan {
 /// any malformed spec.
 FaultPlan parse_fault_plan(std::string_view spec);
 
+/// The clause grammar above, as parse_fault_plan's errors and the tools'
+/// usage print it. `shed` is a number, the other values counts
+/// (util/spec_parse.h).
+inline constexpr std::string_view kFaultGrammar =
+    "slow:shard=S,us=U[,tenant=T][,at=E][,for=N] | "
+    "stall:workers=W,ms=M[,at=G][,for=N] | "
+    "drop-telemetry[:tenant=T][,at=E][,for=N] | "
+    "brownout:shed=F[,tenant=T][,at=E][,for=N] | crash:at=N | none, "
+    "clauses joined by ';' or '+'";
+
 /// One materialized fault window over [begin, end) in epoch (or graph,
 /// or commit-count) coordinates, depending on the clause kind.
 struct ActiveFault {

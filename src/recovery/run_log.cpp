@@ -38,7 +38,7 @@ std::string encode_run_header(const RunManifest& manifest) {
     w.u8(o.sub_batch_auto ? 1 : 0);
     w.u64(o.seed);
     w.u8(o.record_latency ? 1 : 0);
-    w.u64(o.latency_sample_every);
+    w.u64(kLatencySampleEvery);  // fixed now; the slot keeps the format
     w.u64(tenant.weight);
   }
   return w.take();
@@ -81,7 +81,7 @@ RunManifest decode_run_header(std::string_view payload) {
     o.sub_batch_auto = r.u8() != 0;
     o.seed = r.u64();
     o.record_latency = r.u8() != 0;
-    o.latency_sample_every = r.u64();
+    r.u64();  // the latency sample stride: wall-clock only, ignored
     tenant.weight = r.u64();
     manifest.tenants.push_back(std::move(tenant));
   }

@@ -1,6 +1,7 @@
 #include "service/epoch_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -30,9 +31,10 @@ void EpochEngine::begin(const FlowVector& initial,
   if (clients_ != nullptr) {
     throw std::logic_error("EpochEngine::begin: already begun");
   }
-  if (!(options.update_period > 0.0)) {
+  if (!std::isfinite(options.update_period) ||
+      !(options.update_period > 0.0)) {
     throw std::invalid_argument(
-        "RouteServer::run: update period must be > 0");
+        "RouteServer::run: update period must be finite and > 0");
   }
   if (options.epochs == 0) {
     throw std::invalid_argument("RouteServer::run: need at least one epoch");
@@ -53,10 +55,6 @@ void EpochEngine::begin(const FlowVector& initial,
   }
   if (!is_feasible(*instance_, initial.values(), 1e-7)) {
     throw std::invalid_argument("RouteServer::run: infeasible start");
-  }
-  if (options.record_latency && options.latency_sample_every == 0) {
-    throw std::invalid_argument(
-        "RouteServer::run: latency_sample_every must be >= 1");
   }
 
   options_ = options;
@@ -119,8 +117,8 @@ void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
   const SnapshotPtr snap = store_->acquire();
   const BulletinBoard& board = snap->board();
   for (std::size_t q = 0; q < sub.arrivals; ++q) {
-    const bool timed = options_.record_latency &&
-                       q % options_.latency_sample_every == 0;
+    const bool timed =
+        options_.record_latency && q % kLatencySampleEvery == 0;
     const WallClock::time_point begin =
         timed ? WallClock::now() : WallClock::time_point{};
 

@@ -59,8 +59,8 @@ struct RouteQuery {
 };
 
 struct RouteServerOptions {
-  /// Bulletin-board period T. Must be > 0 (the service boundary enforces
-  /// the same contract as the simulators).
+  /// Bulletin-board period T. Must be finite and > 0 (the service
+  /// boundary enforces the same contract as the simulators).
   double update_period = 0.1;
   std::size_t epochs = 100;
 
@@ -124,10 +124,12 @@ struct RouteServerOptions {
   /// LogHistograms. Off = deterministic replay mode: all telemetry fields
   /// are reproducible bit-for-bit.
   bool record_latency = true;
-  /// Time every k-th query of a shard (the clock reads are the cost; the
-  /// histogram itself stores nothing per sample).
-  std::size_t latency_sample_every = 32;
 };
+
+/// With record_latency, every kLatencySampleEvery-th query of a sub-batch
+/// is timed (the clock reads are the cost; the histogram itself stores
+/// nothing per sample).
+inline constexpr std::size_t kLatencySampleEvery = 32;
 
 struct RouteServerResult {
   FlowVector final_flow;

@@ -9,6 +9,7 @@
 #include "service/epoch_engine.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
+#include "util/spec_parse.h"
 #include "util/stopwatch.h"
 
 namespace staleflow {
@@ -260,54 +261,16 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
 
 namespace {
 
-constexpr const char* kTenantKeys =
-    "scenario, policy, workload, clients, shards, epochs, period, seed, "
-    "weight, sub-batch";
-
-[[noreturn]] void bad_spec(const std::string& what) {
-  throw std::invalid_argument("--tenants: " + what +
-                              " (keys: " + kTenantKeys + ")");
-}
-
-std::uint64_t parse_spec_count(const std::string& value,
-                               const std::string& key) {
-  if (value.empty() || value.find_first_not_of("0123456789") !=
-                           std::string::npos) {
-    bad_spec("bad value for " + key + ": '" + value + "'");
-  }
-  try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    bad_spec("bad value for " + key + ": '" + value + "'");
-  }
-}
-
-double parse_spec_number(const std::string& value, const std::string& key) {
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    bad_spec("bad value for " + key + ": '" + value + "'");
-  }
-}
-
 /// Splits the field list on ',' re-joining items that carry no '=' onto
 /// the previous value, so workload=bursty:40000,2000,3,2 survives intact.
 std::vector<std::pair<std::string, std::string>> split_fields(
     const std::string& text) {
   std::vector<std::pair<std::string, std::string>> fields;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', start), text.size());
-    const std::string item = text.substr(start, comma - start);
-    start = comma + 1;
-    if (item.empty()) continue;
+  for (const std::string& item : split_nonempty(text, ",")) {
     const std::size_t eq = item.find('=');
     if (eq == std::string::npos) {
       if (fields.empty()) {
-        bad_spec("expected key=value, got '" + item + "'");
+        throw std::invalid_argument("expected key=value, got '" + item + "'");
       }
       fields.back().second += ',' + item;  // value continuation
       continue;
@@ -322,13 +285,14 @@ TenantSpec parse_one_tenant(const std::string& text) {
   const std::size_t colon = text.find(':');
   spec.name = text.substr(0, colon);
   if (!legal_tenant_name(spec.name)) {
-    bad_spec("tenant name must be non-empty [A-Za-z0-9_-]+, got '" +
-             spec.name + "'");
+    throw std::invalid_argument(
+        "tenant name must be non-empty [A-Za-z0-9_-]+, got '" + spec.name +
+        "'");
   }
   if (colon == std::string::npos) return spec;
 
   for (const auto& [key, value] : split_fields(text.substr(colon + 1))) {
-    if (value.empty()) bad_spec("empty value for " + key);
+    if (value.empty()) throw std::invalid_argument("empty value for " + key);
     if (key == "scenario") {
       spec.scenario = value;
     } else if (key == "policy") {
@@ -336,27 +300,27 @@ TenantSpec parse_one_tenant(const std::string& text) {
     } else if (key == "workload") {
       spec.workload = value;
     } else if (key == "clients") {
-      spec.clients = parse_spec_count(value, key);
+      spec.clients = parse_count(value, key);
     } else if (key == "shards") {
-      spec.shards = parse_spec_count(value, key);
+      spec.shards = parse_count(value, key);
     } else if (key == "epochs") {
-      spec.epochs = parse_spec_count(value, key);
+      spec.epochs = parse_count(value, key);
     } else if (key == "period") {
-      spec.period = parse_spec_number(value, key);
+      spec.period = parse_number(value, key);
     } else if (key == "seed") {
-      spec.seed = parse_spec_count(value, key);
+      spec.seed = parse_count(value, key);
     } else if (key == "weight") {
-      spec.weight = parse_spec_count(value, key);
+      spec.weight = parse_count(value, key);
     } else if (key == "sub-batch") {
       if (value == "auto") {
         spec.sub_batch_auto = true;
         spec.sub_batch.reset();
       } else {
-        spec.sub_batch = parse_spec_count(value, key);
+        spec.sub_batch = parse_count(value, key);
         spec.sub_batch_auto = false;
       }
     } else {
-      bad_spec("unknown key '" + key + "'");
+      throw std::invalid_argument("unknown key '" + key + "'");
     }
   }
   return spec;
@@ -365,27 +329,26 @@ TenantSpec parse_one_tenant(const std::string& text) {
 }  // namespace
 
 std::vector<TenantSpec> parse_tenant_specs(const std::string& text) {
-  std::vector<TenantSpec> specs;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t semi = std::min(text.find(';', start), text.size());
-    const std::string item = text.substr(start, semi - start);
-    start = semi + 1;
-    if (item.empty()) continue;
-    specs.push_back(parse_one_tenant(item));
-  }
-  if (specs.empty()) {
-    bad_spec("no tenants in spec (grammar: "
-             "<name>[:key=value,...][;<name>...])");
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    for (std::size_t j = i + 1; j < specs.size(); ++j) {
-      if (specs[i].name == specs[j].name) {
-        bad_spec("duplicate tenant name '" + specs[i].name + "'");
+  try {
+    std::vector<TenantSpec> specs;
+    for (const std::string& item : split_nonempty(text, ";")) {
+      specs.push_back(parse_one_tenant(item));
+    }
+    if (specs.empty()) throw std::invalid_argument("no tenants in spec");
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      for (std::size_t j = i + 1; j < specs.size(); ++j) {
+        if (specs[i].name == specs[j].name) {
+          throw std::invalid_argument("duplicate tenant name '" +
+                                      specs[i].name + "'");
+        }
       }
     }
+    return specs;
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("--tenants: " + std::string(e.what()) +
+                                " (grammar: " + std::string(kTenantGrammar) +
+                                ")");
   }
-  return specs;
 }
 
 }  // namespace staleflow

@@ -37,6 +37,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/policy.h"
@@ -175,10 +176,16 @@ struct TenantSpec {
   bool sub_batch_auto = false;
 };
 
-/// Parses a `--tenants` value: semicolon-separated tenant specs
-///   <name>[:key=value[,key=value...]]
-/// with keys scenario, policy, workload, clients, shards, epochs, period,
-/// seed, weight, sub-batch (a count or "auto"). Values may themselves
+/// The `--tenants` grammar, as parse_tenant_specs' errors and the tools'
+/// usage print it. `period` is a number, the other numeric keys counts
+/// (util/spec_parse.h).
+inline constexpr std::string_view kTenantGrammar =
+    "<name>[:key=value,...][;<name>...] with keys scenario, policy, "
+    "workload, clients, shards, epochs, period, seed, weight, sub-batch "
+    "(a count or auto)";
+
+/// Parses a `--tenants` value in kTenantGrammar: semicolon-separated
+/// tenant specs (empty ones are skipped). Values may themselves
 /// contain commas (e.g. workload=bursty:40000,2000,3,2): an item without
 /// '=' continues the previous value. Repeated keys: the last one wins.
 /// Throws std::invalid_argument (listing the key catalogue or the

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/spec_parse.h"
+
 namespace staleflow {
 namespace {
 
@@ -119,8 +121,14 @@ class ClosedLoopLatencyWorkload final : public WorkloadGenerator {
     // clock, so the whole feedback loop replays bit-for-bit.
     const double cycle =
         think_ + (feedback.has_previous ? feedback.route_p50 : 0.0);
-    return static_cast<std::size_t>(static_cast<double>(clients_) * period /
-                                    cycle);
+    const double queries = static_cast<double>(clients_) * period / cycle;
+    // As in poisson_draw: no epoch holds 2^63 queries, and casting a
+    // double past size_t's range is undefined.
+    if (!(queries < 0x1p63)) {
+      throw std::invalid_argument(
+          "closed-loop-lat: 2^63 or more queries in one epoch");
+    }
+    return static_cast<std::size_t>(queries);
   }
 
   std::string name() const override {
@@ -135,42 +143,6 @@ class ClosedLoopLatencyWorkload final : public WorkloadGenerator {
   std::size_t clients_;
   double think_;
 };
-
-[[noreturn]] void bad_workload(const std::string& spec,
-                               const std::string& why) {
-  throw std::invalid_argument(
-      "make_workload: " + why + " in '" + spec +
-      "' (have: poisson:<rate>, bursty:<on>,<off>,<on_epochs>,<off_epochs>, "
-      "diurnal:<base>,<amplitude>,<day>, closed-loop:<n>, "
-      "closed-loop-lat:<clients>,<think>)");
-}
-
-double integral_or_die(const std::string& spec, double value,
-                       const std::string& what) {
-  if (value != std::floor(value)) {
-    bad_workload(spec, what + " must be an integer");
-  }
-  return value;
-}
-
-std::vector<double> parse_numbers(const std::string& spec,
-                                  const std::string& text,
-                                  std::size_t expect) {
-  std::vector<double> out;
-  std::istringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    try {
-      std::size_t used = 0;
-      out.push_back(std::stod(item, &used));
-      if (used != item.size()) throw std::invalid_argument(item);
-    } catch (const std::exception&) {
-      bad_workload(spec, "bad number '" + item + "'");
-    }
-  }
-  if (out.size() != expect) bad_workload(spec, "wrong parameter count");
-  return out;
-}
 
 }  // namespace
 
@@ -214,8 +186,9 @@ WorkloadPtr bursty_workload(double rate_on, double rate_off,
   if (!(rate_on >= 0.0) || !(rate_off >= 0.0)) {
     throw std::invalid_argument("bursty_workload: rates must be >= 0");
   }
-  if (on_epochs + off_epochs == 0) {
-    throw std::invalid_argument("bursty_workload: empty cycle");
+  if (on_epochs + off_epochs == 0 || on_epochs > ~off_epochs) {
+    throw std::invalid_argument(
+        "bursty_workload: the cycle must be 1 to 2^64 - 1 epochs");
   }
   return std::make_unique<BurstyWorkload>(rate_on, rate_off, on_epochs,
                                           off_epochs);
@@ -244,45 +217,60 @@ WorkloadPtr closed_loop_latency_workload(std::size_t clients,
   return std::make_unique<ClosedLoopLatencyWorkload>(clients, think_time);
 }
 
-WorkloadPtr make_workload(const std::string& spec) {
+namespace {
+
+/// make_workload without the grammar reminder: throws
+/// std::invalid_argument saying only what is wrong.
+WorkloadPtr parse_workload(const std::string& spec) {
   const std::size_t colon = spec.find(':');
   const std::string head = spec.substr(0, colon);
-  const std::string tail =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
+  const std::vector<std::string> p =
+      split(colon == std::string::npos ? "" : spec.substr(colon + 1), ",");
+  const auto arity = [&](std::size_t expect) {
+    if (p.size() != expect) {
+      throw std::invalid_argument("wrong parameter count");
+    }
+  };
 
   if (head == "poisson") {
-    const std::vector<double> p = parse_numbers(spec, tail, 1);
-    if (!(p[0] > 0.0)) bad_workload(spec, "rate must be > 0");
-    return poisson_workload(p[0]);
+    arity(1);
+    return poisson_workload(parse_number(p[0], "the rate"));
   }
   if (head == "bursty") {
-    const std::vector<double> p = parse_numbers(spec, tail, 4);
-    if (p[0] < 0.0 || p[1] < 0.0 || p[2] < 0.0 || p[3] < 0.0) {
-      bad_workload(spec, "negative parameter");
-    }
-    integral_or_die(spec, p[2], "on_epochs");
-    integral_or_die(spec, p[3], "off_epochs");
-    return bursty_workload(p[0], p[1], static_cast<std::uint64_t>(p[2]),
-                           static_cast<std::uint64_t>(p[3]));
+    arity(4);
+    return bursty_workload(parse_number(p[0], "the on rate"),
+                           parse_number(p[1], "the off rate"),
+                           parse_count(p[2], "on_epochs"),
+                           parse_count(p[3], "off_epochs"));
   }
   if (head == "diurnal") {
-    const std::vector<double> p = parse_numbers(spec, tail, 3);
-    return diurnal_workload(p[0], p[1], p[2]);
+    arity(3);
+    return diurnal_workload(parse_number(p[0], "the base rate"),
+                            parse_number(p[1], "the amplitude"),
+                            parse_number(p[2], "the day length"));
   }
   if (head == "closed-loop") {
-    const std::vector<double> p = parse_numbers(spec, tail, 1);
-    if (p[0] < 0.0) bad_workload(spec, "negative count");
-    integral_or_die(spec, p[0], "queries per epoch");
-    return closed_loop_workload(static_cast<std::size_t>(p[0]));
+    arity(1);
+    return closed_loop_workload(parse_count(p[0], "queries per epoch"));
   }
   if (head == "closed-loop-lat") {
-    const std::vector<double> p = parse_numbers(spec, tail, 2);
-    if (p[0] < 0.0) bad_workload(spec, "negative client count");
-    integral_or_die(spec, p[0], "clients");
-    if (!(p[1] > 0.0)) bad_workload(spec, "think time must be > 0");
-    return closed_loop_latency_workload(static_cast<std::size_t>(p[0]), p[1]);
+    arity(2);
+    return closed_loop_latency_workload(parse_count(p[0], "clients"),
+                                        parse_number(p[1], "the think time"));
   }
-  bad_workload(spec, "unknown workload '" + head + "'");
+  throw std::invalid_argument("unknown workload '" + head + "'");
+}
+
+}  // namespace
+
+WorkloadPtr make_workload(const std::string& spec) {
+  try {
+    return parse_workload(spec);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("make_workload: " + std::string(e.what()) +
+                                " in '" + spec + "' (have: " +
+                                std::string(kWorkloadGrammar) + ")");
+  }
 }
 
 }  // namespace staleflow

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "util/rng.h"
 
@@ -81,13 +82,16 @@ WorkloadPtr closed_loop_workload(std::size_t queries_per_epoch);
 WorkloadPtr closed_loop_latency_workload(std::size_t clients,
                                          double think_time);
 
-/// Parses a workload spec:
-///   "poisson:<rate>"
-///   "bursty:<rate_on>,<rate_off>,<on_epochs>,<off_epochs>"
-///   "diurnal:<base>,<amplitude>,<day_length>"
-///   "closed-loop:<n>"
-///   "closed-loop-lat:<clients>,<think_time>"
-/// Throws std::invalid_argument listing the grammar on a bad spec.
+/// The make_workload grammar, as its errors and the tools' usage print
+/// it: rates, amplitude, day and think time are numbers, the rest counts
+/// (util/spec_parse.h).
+inline constexpr std::string_view kWorkloadGrammar =
+    "poisson:<rate> | bursty:<on>,<off>,<on_epochs>,<off_epochs> | "
+    "diurnal:<base>,<amplitude>,<day> | closed-loop:<n> | "
+    "closed-loop-lat:<clients>,<think>";
+
+/// Parses a workload spec in kWorkloadGrammar. Throws
+/// std::invalid_argument listing the grammar on a bad spec.
 WorkloadPtr make_workload(const std::string& spec);
 
 /// Poisson variate with the given mean: Knuth's product method for small

@@ -1,5 +1,6 @@
 #include "sweep/runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -22,6 +23,12 @@
 
 namespace staleflow {
 namespace {
+
+/// max(1, round(x)) as a count, saturating at 2^63: casting a double past
+/// size_t's range is undefined, and no such budget finishes anyway.
+std::size_t round_count(double x) {
+  return static_cast<std::size_t>(std::clamp(std::round(x), 1.0, 0x1p63));
+}
 
 /// Fills the tail-behaviour fields from the recorder's flow snapshots.
 void analyse_tail(const TrajectoryRecorder& recorder, CellResult& out) {
@@ -66,10 +73,9 @@ void run_round(const Instance& instance, const Policy& policy,
                const ExperimentSpec& spec, CellResult& out) {
   RoundSimOptions options;
   options.activation_probability = spec.activation_probability;
-  options.rounds_per_update = static_cast<std::size_t>(std::max(
-      1.0, std::round(out.cell.update_period / spec.round_length)));
-  options.total_rounds = static_cast<std::size_t>(
-      std::max(1.0, std::round(spec.horizon / spec.round_length)));
+  options.rounds_per_update =
+      round_count(out.cell.update_period / spec.round_length);
+  options.total_rounds = round_count(spec.horizon / spec.round_length);
   options.stop_gap = spec.stop_gap;
 
   TrajectoryOptions record;
@@ -141,8 +147,7 @@ void run_service(const Instance& instance, const Policy& policy,
 
   RouteServerOptions options;
   options.update_period = out.cell.update_period;
-  options.epochs = static_cast<std::size_t>(
-      std::max(1.0, std::round(spec.horizon / out.cell.update_period)));
+  options.epochs = round_count(spec.horizon / out.cell.update_period);
   options.num_clients = spec.num_clients;
   options.shards = out.cell.shards;
   options.sub_batch_queries = spec.sub_batch_queries;

@@ -4,29 +4,17 @@
 
 #include "faults/fault_plan.h"
 #include "service/workload.h"
+#include "util/spec_parse.h"
 
 namespace staleflow {
-namespace {
-
-/// Parses the numeric parameter of a "name:value" policy spec.
-double parse_parameter(const std::string& spec, std::size_t colon) {
-  const std::string value = spec.substr(colon + 1);
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("named_policy: bad parameter in '" + spec +
-                                "'");
-  }
-}
-
-}  // namespace
 
 PolicySpec named_policy(const std::string& spec) {
   const std::size_t colon = spec.find(':');
   const std::string head = spec.substr(0, colon);
+  const auto parameter = [&] {
+    return parse_number(spec.substr(colon + 1),
+                        "the parameter of policy '" + spec + "'");
+  };
 
   // Parameter-less policies must not silently swallow a ":value" suffix —
   // the full spec string labels every result row, so running "replicator"
@@ -56,7 +44,7 @@ PolicySpec named_policy(const std::string& spec) {
       throw std::invalid_argument("named_policy: 'alpha' needs a parameter, "
                                   "e.g. 'alpha:0.5'");
     }
-    const double alpha = parse_parameter(spec, colon);
+    const double alpha = parameter();
     if (!(alpha > 0.0)) {
       throw std::invalid_argument("named_policy: alpha must be > 0");
     }
@@ -68,7 +56,10 @@ PolicySpec named_policy(const std::string& spec) {
       throw std::invalid_argument("named_policy: 'logit' needs a parameter, "
                                   "e.g. 'logit:10'");
     }
-    const double c = parse_parameter(spec, colon);
+    const double c = parameter();
+    if (!(c > 0.0)) {
+      throw std::invalid_argument("named_policy: logit c must be > 0");
+    }
     return {spec, [c](const Instance& instance, double) {
               return make_logit_policy(instance, c);
             }};
@@ -80,8 +71,7 @@ PolicySpec named_policy(const std::string& spec) {
             }};
   }
   if (head == "relative-slack") {
-    const double shift =
-        colon == std::string::npos ? 0.0 : parse_parameter(spec, colon);
+    const double shift = colon == std::string::npos ? 0.0 : parameter();
     if (shift < 0.0) {
       throw std::invalid_argument("named_policy: shift must be >= 0");
     }
@@ -96,8 +86,7 @@ PolicySpec named_policy(const std::string& spec) {
             }};
   }
   throw std::invalid_argument("named_policy: unknown policy '" + spec +
-                              "' (have: replicator, uniform-linear, alpha:<a>, "
-                              "logit:<c>, naive, relative-slack[:<s>], safe)");
+                              "' (have: " + std::string(kPolicyGrammar) + ")");
 }
 
 SimulatorKind parse_simulator_kind(const std::string& name) {

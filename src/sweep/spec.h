@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/policy.h"
@@ -38,8 +39,14 @@ struct PolicySpec {
 ///   "relative-slack[:<s>]"  proportional + relative slack, shift s [0]
 ///   "safe"                  most aggressive provably convergent policy
 ///                           for the cell's T (Corollary 5 inverted)
-/// Throws std::invalid_argument on an unknown name or a bad parameter.
+/// Throws std::invalid_argument on an unknown name or a bad parameter
+/// (parameters follow the number rule of util/spec_parse.h).
 PolicySpec named_policy(const std::string& spec);
+
+/// The named_policy grammar, as its errors and the tools' usage print it.
+inline constexpr std::string_view kPolicyGrammar =
+    "replicator | uniform-linear | alpha:<a> | logit:<c> | naive | "
+    "relative-slack[:<s>] | safe";
 
 /// Which simulator executes a cell.
 enum class SimulatorKind {

@@ -2,19 +2,19 @@
 //
 // All parse errors throw UsageError; each tool catches it in run_main and
 // routes the message through its own usage() printer (usage text + exit
-// 2). Count-valued flags go through parse_count, which rejects negatives
-// instead of letting them wrap through a size_t cast.
+// 2). Numeric flags follow the library's one number rule
+// (util/spec_parse.h), the same one every spec grammar reads.
 #pragma once
 
-#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "util/spec_parse.h"
 
 namespace staleflow::cli {
 
@@ -55,62 +55,15 @@ inline std::map<std::string, std::string> parse_flags(
   return flags;
 }
 
-/// Splits "a,b,c" into {"a","b","c"}, dropping empty items. The
-/// delimiter is configurable ("a;b" with ';' — e.g. --tenants specs whose
-/// items themselves contain commas).
-inline std::vector<std::string> split_list(const std::string& text,
-                                           char delimiter = ',') {
-  std::vector<std::string> out;
-  std::istringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, delimiter)) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-/// True when std::stod/std::stoll would silently skip leading space
-/// (" 5", "\t5"): a flag value with embedded whitespace is a quoting
-/// accident, not a number — reject it instead of guessing.
-inline bool has_leading_space(const std::string& text) {
-  return !text.empty() && std::isspace(static_cast<unsigned char>(text[0]));
-}
-
-/// Finite double. Rejects partial parses ("1.5x"), leading whitespace,
-/// out-of-range values, and the inf/nan spellings std::stod accepts —
-/// no flag in these tools means anything sane at infinity.
+/// The library's number rule (util/spec_parse.h), its errors as
+/// UsageError.
 inline double parse_number(const std::string& text, const std::string& what) {
-  try {
-    if (has_leading_space(text)) throw std::invalid_argument(text);
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    if (!std::isfinite(value)) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw UsageError("bad number for " + what + ": " + text);
-  }
+  return usage_error([&] { return staleflow::parse_number(text, what); });
 }
 
-inline long long parse_integer(const std::string& text,
-                               const std::string& what) {
-  try {
-    if (has_leading_space(text)) throw std::invalid_argument(text);
-    std::size_t used = 0;
-    const long long value = std::stoll(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw UsageError("bad integer for " + what + ": " + text);
-  }
-}
-
-/// Non-negative integer; "--epochs -1" is an error, not a 2^64 wrap.
 inline std::size_t parse_count(const std::string& text,
                                const std::string& what) {
-  const long long value = parse_integer(text, what);
-  if (value < 0) throw UsageError(what + " must be >= 0, got " + text);
-  return static_cast<std::size_t>(value);
+  return usage_error([&] { return staleflow::parse_count(text, what); });
 }
 
 /// count / seconds without the div-by-zero / inf hazards of a first

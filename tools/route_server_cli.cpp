@@ -12,10 +12,12 @@
 //                        [--report-every <n>] [--quiet]
 //   route_server_cli list
 //
-// `list` prints the scenario catalogue plus the policy, workload and
-// tenant grammars. `run` serves the workload for the configured number
-// of epochs, printing per-epoch telemetry and a final summary including
-// a digest of the deterministic telemetry (used by the CI golden test).
+// `list` prints the scenario catalogue plus the policy, workload,
+// tenant and fault grammars — the library's own strings. Every number
+// in a flag or spec follows one rule (util/spec_parse.h); a bad one
+// exits 2. `run` serves the workload for the configured number of
+// epochs, printing per-epoch telemetry and a final summary including a
+// digest of the deterministic telemetry (used by the CI golden test).
 // With --deterministic, wall-clock latency recording is off and the CSV
 // holds only deterministic columns — byte-identical for any --threads.
 //
@@ -30,8 +32,7 @@
 // Every run is served by a TenantRegistry on one executor: a solo run is
 // the one tenant "run", and only the banner, the per-epoch report and
 // the result lines differ. --tenants switches to multi-tenant mode: each
-// ;-separated spec (<name>[:key=value,...], keys scenario/policy/
-// workload/clients/shards/epochs/period/seed/weight/sub-batch) hosts one
+// ;-separated spec (kTenantGrammar, printed by `list`) hosts one
 // independent serving instance, all multiplexed on ONE shared executor;
 // unset keys inherit the top-level flags (seed defaults to --seed +
 // tenant position). Every tenant gets its own digest[<name>]= line and,
@@ -85,18 +86,6 @@
 namespace staleflow {
 namespace {
 
-constexpr const char* kPolicyGrammar =
-    "policies: replicator | uniform-linear | alpha:<a> | logit:<c> |\n"
-    "          naive | relative-slack[:<s>] | safe\n";
-constexpr const char* kWorkloadGrammar =
-    "workloads: poisson:<rate> | bursty:<on>,<off>,<on_epochs>,<off_epochs>"
-    " |\n           diurnal:<base>,<amplitude>,<day> | closed-loop:<n> |\n"
-    "           closed-loop-lat:<clients>,<think>\n";
-constexpr const char* kTenantGrammar =
-    "tenants:   <name>[:key=value,...][;<name>...] with keys scenario,\n"
-    "           policy, workload, clients, shards, epochs, period, seed,\n"
-    "           weight, sub-batch (count or auto); unset keys inherit the\n"
-    "           top-level flags\n";
 constexpr const char* kRecoveryGrammar =
     "recovery:  --wal <path> logs every epoch cut to a write-ahead log;\n"
     "           --resume <path> continues a crashed run from its WAL\n"
@@ -107,14 +96,6 @@ constexpr const char* kTraceGrammar =
     "tracing:   --trace <path> records a binary trace for trace_dump_cli\n"
     "           (digest-neutral); --progress <n> prints a stderr\n"
     "           heartbeat every n epochs (epochs/s, last route_p99)\n";
-constexpr const char* kFaultGrammar =
-    "faults:    --faults \"<clause>[;<clause>...]\" with clauses\n"
-    "           slow:shard=S,us=U[,tenant=T][,at=E][,for=N] |\n"
-    "           stall:workers=W,ms=M[,at=G][,for=N] |\n"
-    "           drop-telemetry[:tenant=T][,at=E][,for=N] |\n"
-    "           brownout:shed=F[,tenant=T][,at=E][,for=N] |\n"
-    "           crash:at=N | none; omitted at/for windows are drawn\n"
-    "           from a seed-derived stream (deterministic chaos)\n";
 
 /// The flags that ARE the run's dynamics configuration — all of them
 /// recorded in the WAL header, hence all of them conflicts with --resume.
@@ -122,6 +103,18 @@ const std::set<std::string> kConfigFlags = {
     "scenario", "policy",    "workload", "tenants", "period",
     "epochs",   "clients",   "shards",   "sub-batch",
     "seed",     "deterministic", "faults"};
+
+/// The grammars `list` and the usage text end with; the spec grammars
+/// are the library's own strings.
+void print_grammars(std::ostream& out) {
+  out << "policies:  " << kPolicyGrammar << "\nworkloads: " << kWorkloadGrammar
+      << "\ntenants:   " << kTenantGrammar
+      << "; unset keys inherit the top-level flags\n"
+      << kRecoveryGrammar << kTraceGrammar
+      << "faults:    --faults \"<spec>\" with " << faults::kFaultGrammar
+      << ";\n           omitted at/for windows are drawn from a seed-derived\n"
+         "           stream (deterministic chaos)\n";
+}
 
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
@@ -137,9 +130,8 @@ const std::set<std::string> kConfigFlags = {
       "                       [--faults <spec>] [--trace <path>]\n"
       "                       [--progress <n>] [--report-every <n>]\n"
       "                       [--quiet]\n"
-      "  route_server_cli list\n"
-      << kPolicyGrammar << kWorkloadGrammar << kTenantGrammar
-      << kRecoveryGrammar << kTraceGrammar << kFaultGrammar;
+      "  route_server_cli list\n";
+  print_grammars(std::cerr);
   std::exit(2);
 }
 
@@ -150,8 +142,8 @@ int do_list() {
     table.add_row({name, registry.at(name).description});
   }
   table.print(std::cout);
-  std::cout << '\n' << kPolicyGrammar << kWorkloadGrammar << kTenantGrammar
-            << kRecoveryGrammar << kTraceGrammar << kFaultGrammar;
+  std::cout << '\n';
+  print_grammars(std::cout);
   return 0;
 }
 

@@ -5,18 +5,23 @@
 //   staleflow_cli dot <instance-file>
 //   staleflow_cli solve <instance-file> [--tolerance <gap>]
 //   staleflow_cli poa <instance-file>
+//   staleflow_cli report <instance-file> [--flow uniform|equilibrium]
 //   staleflow_cli simulate <instance-file> --policy <name> [--T <period>]
 //                 [--horizon <t>] [--stop-gap <g>] [--trace]
 //
-// Policies: uniform-linear | replicator | logit:<c> | alpha:<a> |
-//           relative-slack:<shift> | best-response
+// Policies: the sweep grammar (named_policy: replicator | uniform-linear |
+// alpha:<a> | logit:<c> | naive | relative-slack[:<s>] | safe) plus
+// best-response, which runs BestResponseSimulator. Every policy is built
+// for --T (default 0.1). Without --T, a policy with a smoothness alpha
+// then runs at the Corollary 5 safe period for alpha (for "safe" that is
+// the T it was built for) and any other at T = 0.1. Numbers follow the
+// library's one rule (util/spec_parse.h); a bad one exits 2.
 //
 // Instance files use the text format documented in net/io.h (see also
 // `examples/` and the README).
 #include <cstdlib>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,35 +43,8 @@ namespace {
       "  staleflow_cli simulate <instance-file> --policy <name>\n"
       "                [--T <period>] [--horizon <t>] [--stop-gap <g>]\n"
       "                [--trace]\n"
-      "policies: uniform-linear | replicator | logit:<c> | alpha:<a> |\n"
-      "          relative-slack:<shift> | best-response\n";
+      "policies: " << kPolicyGrammar << " | best-response\n";
   std::exit(2);
-}
-
-Policy make_policy(const Instance& inst, const std::string& spec) {
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  const std::optional<double> parameter =
-      colon == std::string::npos
-          ? std::nullopt
-          : std::optional<double>(
-                cli::parse_number(spec.substr(colon + 1), "policy parameter"));
-  if (kind == "uniform-linear") return make_uniform_linear_policy(inst);
-  if (kind == "replicator") {
-    return make_replicator_policy(inst, parameter.value_or(0.0));
-  }
-  if (kind == "logit") {
-    if (!parameter) usage("logit needs a parameter, e.g. logit:5");
-    return make_logit_policy(inst, *parameter);
-  }
-  if (kind == "alpha") {
-    if (!parameter) usage("alpha needs a parameter, e.g. alpha:0.5");
-    return make_alpha_policy(*parameter);
-  }
-  if (kind == "relative-slack") {
-    return make_relative_slack_policy(parameter.value_or(0.0));
-  }
-  usage("unknown policy " + spec);
 }
 
 int cmd_info(const Instance& inst) {
@@ -166,15 +144,18 @@ int cmd_simulate(const Instance& inst,
     std::cout << "policy: best response, T = " << options.update_period
               << "\n";
   } else {
-    const Policy policy = make_policy(inst, policy_spec);
+    const auto period_flag = flags.find("T");
+    const double period = period_flag == flags.end()
+                              ? 0.1
+                              : cli::parse_number(period_flag->second, "--T");
+    const Policy policy = cli::usage_error(
+        [&] { return named_policy(policy_spec).make(inst, period); });
     SimulationOptions options;
     options.update_period =
         policy.smoothness()
             ? inst.safe_update_period(*policy.smoothness())
             : 0.1;
-    if (const auto it = flags.find("T"); it != flags.end()) {
-      options.update_period = cli::parse_number(it->second, "--T");
-    }
+    if (period_flag != flags.end()) options.update_period = period;
     options.horizon = horizon;
     options.stop_gap = stop_gap;
     const FluidSimulator sim(inst, policy);

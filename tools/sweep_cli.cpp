@@ -53,21 +53,15 @@
 namespace staleflow {
 namespace {
 
-constexpr const char* kPolicyGrammar =
-    "policies: replicator | uniform-linear | alpha:<a> | logit:<c> |\n"
-    "          naive | relative-slack[:<s>] | safe\n";
-constexpr const char* kWorkloadGrammar =
-    "workloads (service simulator): poisson:<rate> |"
-    " bursty:<on>,<off>,<on_epochs>,<off_epochs> |\n"
-    "          diurnal:<base>,<amplitude>,<day> | closed-loop:<n> |"
-    " closed-loop-lat:<clients>,<think>\n";
-constexpr const char* kFaultGrammar =
-    "faults (service simulator; ';'-separated axis values, clauses within\n"
-    "        one value joined by '+'): none |"
-    " slow:shard=<s>,us=<u>[,tenant=<t>][,at=<e>][,for=<n>] |\n"
-    "          drop-telemetry[:tenant=<t>][,at=<e>][,for=<n>] |"
-    " brownout:shed=<f>[,tenant=<t>][,at=<e>][,for=<n>]\n"
-    "        (crash/stall clauses: route_server_cli --faults only)\n";
+/// The grammars `list` and the usage text end with; the spec grammars
+/// are the library's own strings.
+void print_grammars(std::ostream& out) {
+  out << "policies: " << kPolicyGrammar
+      << "\nworkloads (service simulator): " << kWorkloadGrammar
+      << "\nfaults (service simulator): " << faults::kFaultGrammar
+      << "\n        (';' separates axis values, so one value joins its\n"
+         "        clauses with '+'; crash/stall: route_server_cli only)\n";
+}
 
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
@@ -83,8 +77,8 @@ constexpr const char* kFaultGrammar =
       "                [--threads <k>]\n"
       "                [--cells-csv <path>] [--summary-csv <path>]\n"
       "                [--hist-out <path>] [--trace <path>] [--quiet]\n"
-      "  sweep_cli list\n"
-      << kPolicyGrammar << kWorkloadGrammar << kFaultGrammar;
+      "  sweep_cli list\n";
+  print_grammars(std::cerr);
   std::exit(2);
 }
 
@@ -95,7 +89,8 @@ int do_list() {
     table.add_row({name, registry.at(name).description});
   }
   table.print(std::cout);
-  std::cout << '\n' << kPolicyGrammar << kWorkloadGrammar << kFaultGrammar;
+  std::cout << '\n';
+  print_grammars(std::cout);
   return 0;
 }
 
@@ -114,12 +109,12 @@ int do_run(const std::map<std::string, std::string>& flags) {
 
   for (const auto& [key, value] : flags) {
     if (key == "scenarios") {
-      spec.scenarios = cli::split_list(value);
+      spec.scenarios = split_nonempty(value, ",");
     } else if (key == "policies") {
-      policy_names = cli::split_list(value);
+      policy_names = split_nonempty(value, ",");
     } else if (key == "periods") {
       spec.update_periods.clear();
-      for (const std::string& item : cli::split_list(value)) {
+      for (const std::string& item : split_nonempty(value, ",")) {
         spec.update_periods.push_back(cli::parse_number(item, "--periods"));
       }
     } else if (key == "replicas") {
@@ -141,21 +136,21 @@ int do_run(const std::map<std::string, std::string>& flags) {
     } else if (key == "agents") {
       spec.num_agents = cli::parse_count(value, "--agents");
     } else if (key == "workloads") {
-      spec.workloads = cli::split_list(value);
+      spec.workloads = split_nonempty(value, ",");
     } else if (key == "shards") {
       spec.shard_counts.clear();
-      for (const std::string& item : cli::split_list(value)) {
+      for (const std::string& item : split_nonempty(value, ",")) {
         spec.shard_counts.push_back(cli::parse_count(item, "--shards"));
       }
     } else if (key == "tenants") {
       spec.tenant_counts.clear();
-      for (const std::string& item : cli::split_list(value)) {
+      for (const std::string& item : split_nonempty(value, ",")) {
         spec.tenant_counts.push_back(cli::parse_count(item, "--tenants"));
       }
     } else if (key == "faults") {
       // ';' splits axis values; clause lists within one value use '+'
       // (fault clauses contain commas, so ',' cannot separate values).
-      spec.fault_specs = cli::split_list(value, ';');
+      spec.fault_specs = split_nonempty(value, ";");
     } else if (key == "clients") {
       spec.num_clients = cli::parse_count(value, "--clients");
     } else if (key == "sub-batch") {
