@@ -114,6 +114,34 @@ void BM_AgentSimulator(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentSimulator)->Arg(1'000)->Arg(10'000);
 
+/// One candidate draw from an m-path proportional-sampling CDF over a
+/// random flow, as a route-service query makes it: the binary-search
+/// reference (guided = 0) against the guide-table lookup (guided = 1).
+/// Both return the same index for every variate.
+void BM_SampleFromCdf(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const bool guided = state.range(1) != 0;
+  const Instance inst = uniform_parallel_links(m, 0.5, 1.0);
+  const Policy policy = make_replicator_policy(inst);
+  Rng rng(11);
+  std::vector<double> flow(m);
+  double total = 0.0;
+  for (double& f : flow) total += (f = rng.uniform());
+  for (double& f : flow) f /= total;
+  BulletinBoard board(inst);
+  board.post(0.0, flow);
+  GuidedCdf cdf;
+  sampling_cdf(policy, inst, inst.commodity(CommodityId{0}),
+               board.path_flow(), board.path_latency(), cdf);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(guided ? cdf.sample(rng)
+                                    : sample_from_cdf(cdf.values(), rng));
+  }
+}
+BENCHMARK(BM_SampleFromCdf)
+    ->ArgsProduct({{8, 32, 512}, {0, 1}})
+    ->ArgNames({"paths", "guided"});
+
 void BM_BestResponsePhase(benchmark::State& state) {
   const Instance inst = two_link_pulse(4.0);
   const BestResponseSimulator sim(inst);

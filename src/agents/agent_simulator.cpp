@@ -30,7 +30,7 @@ AgentSimResult AgentSimulator::run(const FlowVector& initial,
 
   BulletinBoard board(*instance_);
   // Per-commodity sampling distribution, fixed within a phase.
-  std::vector<std::vector<double>> cdfs(k);
+  std::vector<GuidedCdf> cdfs(k);
   auto refresh_board = [&](double now) {
     board.post(now, population.empirical_flow());
     for (std::size_t c = 0; c < k; ++c) {
@@ -103,7 +103,7 @@ AgentSimResult AgentSimulator::run(const FlowVector& initial,
     const std::size_t current_local = population.local_path(agent);
 
     // Sample a candidate path from the phase-constant distribution.
-    const std::size_t sampled_local = sample_from_cdf(cdfs[c.index()], rng);
+    const std::size_t sampled_local = cdfs[c.index()].sample(rng);
     if (sampled_local == current_local) continue;
 
     const double l_current =

@@ -19,6 +19,9 @@ namespace staleflow {
 
 class Population {
  public:
+  /// Bytes held per client: its commodity id and its local path index.
+  static constexpr std::size_t kBytesPerClient = 2 * sizeof(std::uint32_t);
+
   /// Allocates `num_clients` across commodities proportionally to demand
   /// (at least one each; throws std::invalid_argument when num_clients <
   /// commodity_count()) and assigns each client to a path so the empirical

@@ -1,6 +1,7 @@
 #include "core/policy.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace staleflow {
@@ -63,17 +64,34 @@ void sampling_cdf(const Policy& policy, const Instance& instance,
                   const Commodity& commodity,
                   std::span<const double> board_path_flow,
                   std::span<const double> board_path_latency,
-                  std::vector<double>& out) {
-  out.resize(commodity.paths.size());
+                  GuidedCdf& out) {
+  std::vector<double>& cdf = out.cdf_;
+  cdf.resize(commodity.paths.size());
   policy.sampling().distribution(instance, commodity, board_path_flow,
-                                 board_path_latency, out);
+                                 board_path_latency, cdf);
   double acc = 0.0;
-  for (double& v : out) {
+  for (double& v : cdf) {
     acc += v;
     v = acc;
   }
-  // Defend against round-off in the final bucket.
-  if (!out.empty()) out.back() = std::max(out.back(), 1.0);
+  // Defend against round-off in the final bucket. (Every commodity has
+  // at least one path; InstanceBuilder rejects one with none.)
+  cdf.back() = std::max(cdf.back(), 1.0);
+
+  // One pass over the buckets and the CDF together: guide[k] is the
+  // first j with cdf[j] >= k / G, capped at the last path.
+  const std::size_t last = cdf.size() - 1;
+  const std::size_t buckets = std::bit_ceil(2 * cdf.size());
+  const double width = 1.0 / static_cast<double>(buckets);
+  out.guide_.resize(buckets);
+  std::size_t j = 0;
+  for (std::size_t k = 0; k < buckets; ++k) {
+    const double edge = static_cast<double>(k) * width;
+    while (j < last && cdf[j] < edge) ++j;
+    out.guide_[k] = static_cast<std::uint32_t>(j);
+  }
+  out.buckets_ = static_cast<double>(buckets);
+  out.last_ = last;
 }
 
 std::size_t sample_from_cdf(std::span<const double> cdf, Rng& rng) {

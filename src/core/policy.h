@@ -2,6 +2,7 @@
 // factories for the combinations the paper analyses.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -70,21 +71,68 @@ Policy make_relative_slack_policy(double shift = 0.0);
 /// then — no finite alpha is implied).
 Policy make_safe_policy(const Instance& instance, double update_period);
 
+/// A commodity's cumulative sampling distribution together with a guide
+/// table that turns the candidate draw into an O(1) expected-time lookup
+/// (the indexed search of Chen & Asau, 1974; Devroye, *Non-Uniform Random
+/// Variate Generation*, Sec. III.2.4). The lookup is exact: for every u it
+/// returns the index sample_from_cdf()'s lower_bound returns, so guided
+/// draws leave every digest unchanged. Built by sampling_cdf().
+class GuidedCdf {
+ public:
+  /// The cumulative distribution over the commodity's local path list.
+  std::span<const double> values() const noexcept { return cdf_; }
+
+  /// Entry k is the first index j with values()[j] >= k / G, capped at
+  /// size - 1. G = guide().size() is the smallest power of two >= 2 *
+  /// size(), so both u * G and k / G are exact in double.
+  std::span<const std::uint32_t> guide() const noexcept { return guide_; }
+
+  /// First index j with values()[j] >= u, clamped to size - 1: the index
+  /// sample_from_cdf() returns for the same u. Starts at the guide entry
+  /// of u's bucket and walks forward; the walk visits the paths whose
+  /// CDF steps fall inside that bucket, fewer than one on average.
+  /// Requires u in [0, 1) and a non-empty distribution.
+  std::size_t index_of(double u) const noexcept {
+    std::size_t j = guide_[static_cast<std::size_t>(u * buckets_)];
+    while (j < last_ && cdf_[j] < u) ++j;
+    return j;
+  }
+
+  /// Draws a local path index: one uniform variate, one guided lookup.
+  std::size_t sample(Rng& rng) const noexcept {
+    return index_of(rng.uniform());
+  }
+
+ private:
+  friend void sampling_cdf(const Policy& policy, const Instance& instance,
+                           const Commodity& commodity,
+                           std::span<const double> board_path_flow,
+                           std::span<const double> board_path_latency,
+                           GuidedCdf& out);
+
+  std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;
+  double buckets_ = 0.0;  // G
+  std::size_t last_ = 0;  // size - 1
+};
+
 /// Cumulative sampling distribution of `policy` over `commodity`'s local
-/// path list, evaluated against bulletin-board values. Resizes `out` to the
-/// commodity's path count; the final bucket is clamped to >= 1 so that
-/// round-off can never push a uniform draw past the end. Candidates are
-/// then drawn with one binary search per activation — the hot-path form
-/// shared by the finite-population simulator and the route service.
+/// path list, evaluated against bulletin-board values, and its guide
+/// table. Sizes `out` to the commodity's path count; the final bucket is
+/// clamped to >= 1 so that round-off can never push a uniform draw past
+/// the end. Candidates are then drawn with GuidedCdf::sample() — the
+/// hot-path form shared by the finite-population simulator and the route
+/// service.
 void sampling_cdf(const Policy& policy, const Instance& instance,
                   const Commodity& commodity,
                   std::span<const double> board_path_flow,
                   std::span<const double> board_path_latency,
-                  std::vector<double>& out);
+                  GuidedCdf& out);
 
-/// Draws a local path index from a distribution built by sampling_cdf():
-/// one uniform variate, one binary search, end-clamped against round-off.
-/// Requires a non-empty cdf.
+/// Draws a local path index from a cumulative distribution: one uniform
+/// variate, one binary search (std::lower_bound), end-clamped against
+/// round-off. The reference GuidedCdf::sample() must equal draw for draw;
+/// the serving paths use the guided form. Requires a non-empty cdf.
 std::size_t sample_from_cdf(std::span<const double> cdf, Rng& rng);
 
 }  // namespace staleflow

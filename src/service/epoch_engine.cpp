@@ -1,10 +1,13 @@
 #include "service/epoch_engine.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/policy.h"
@@ -17,6 +20,21 @@
 #include "util/stopwatch.h"
 
 namespace staleflow {
+namespace {
+
+/// The host's physical memory in bytes; SIZE_MAX when sysconf cannot
+/// tell.
+std::size_t physical_memory_bytes() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGESIZE);
+  if (pages <= 0 || page_size <= 0) {
+    return std::numeric_limits<std::size_t>::max();
+  }
+  return static_cast<std::size_t>(pages) *
+         static_cast<std::size_t>(page_size);
+}
+
+}  // namespace
 
 EpochEngine::EpochEngine(const Instance& instance, const Policy& policy,
                          const WorkloadGenerator& workload,
@@ -48,6 +66,14 @@ void EpochEngine::begin(const FlowVector& initial,
     throw std::invalid_argument(
         "RouteServer::run: num_clients must fit RouteQuery::client "
         "(uint32)");
+  }
+  if (const std::size_t memory = physical_memory_bytes();
+      options.num_clients > memory / Population::kBytesPerClient) {
+    throw std::invalid_argument(
+        "RouteServer::run: num_clients x " +
+        std::to_string(Population::kBytesPerClient) +
+        " B per client exceeds the host's physical memory (" +
+        std::to_string(memory >> 20) + " MB)");
   }
   if (!options.sub_batch_auto && options.sub_batch_queries == 0) {
     throw std::invalid_argument(
@@ -128,7 +154,7 @@ void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
     const Commodity& commodity = instance_->commodity(c);
 
     // Step (1): sample a candidate from the precomputed CDF.
-    const std::size_t sampled = sample_from_cdf(snap->cdf(c), sub.rng);
+    const std::size_t sampled = snap->guided_cdf(c).sample(sub.rng);
 
     // Step (2): migrate with probability mu(l_P, l_Q).
     const std::size_t current = clients_->local_path(query.client);

@@ -104,10 +104,10 @@ class EpochEngine {
               const WorkloadGenerator& workload, SnapshotStore& store);
 
   /// Validates the options (the RouteServer::run contract: positive
-  /// period, at least one epoch, shards in [1, num_clients], feasible
-  /// start, ...; `threads` and `executor` are ignored — the host supplies
-  /// execution) and publishes the epoch-0 snapshot. Must be called
-  /// exactly once, before any epoch.
+  /// period, at least one epoch, shards in [1, num_clients], client state
+  /// within physical memory, feasible start, ...; `threads` is ignored —
+  /// the host supplies execution) and publishes the epoch-0 snapshot.
+  /// Must be called exactly once, before any epoch.
   void begin(const FlowVector& initial, const RouteServerOptions& options);
 
   std::size_t epochs_total() const noexcept { return options_.epochs; }

@@ -65,7 +65,9 @@ struct RouteServerOptions {
   std::size_t epochs = 100;
 
   /// Virtual client fleet size (>= commodities; each carries
-  /// demand_i / N_i flow, as in the finite-population simulator).
+  /// demand_i / N_i flow, as in the finite-population simulator). Must
+  /// fit uint32, and the fleet's state (Population::kBytesPerClient each)
+  /// must fit the host's physical memory.
   std::size_t num_clients = 10'000;
 
   /// Logical shards the clients are partitioned over. Part of the

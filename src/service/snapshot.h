@@ -3,10 +3,11 @@
 // The paper's bulletin board is rebuilt once per period T and frozen in
 // between — exactly the shape of a production routing snapshot. A
 // BoardSnapshot wraps one frozen BulletinBoard together with everything a
-// query needs precomputed (per-commodity sampling CDFs, one binary search
-// per query), and the SnapshotStore swaps snapshots RCU-style: readers
-// acquire() a shared_ptr without ever taking a lock, writers publish() the
-// next epoch and the old board dies when its last reader drops it.
+// query needs precomputed (per-commodity sampling CDFs with guide tables,
+// an O(1) expected-time candidate lookup per query), and the SnapshotStore
+// swaps snapshots RCU-style: readers acquire() a shared_ptr without ever
+// taking a lock, writers publish() the next epoch and the old board dies
+// when its last reader drops it.
 #pragma once
 
 #include <atomic>
@@ -54,15 +55,19 @@ class BoardSnapshot {
   /// Cumulative sampling distribution over commodity `c`'s local path
   /// list (see sampling_cdf() in core/policy.h).
   std::span<const double> cdf(CommodityId c) const {
-    return cdf_[c.index()];
+    return cdf_[c.index()].values();
   }
+
+  /// The same distribution with its guide table: what a query draws its
+  /// candidate from.
+  const GuidedCdf& guided_cdf(CommodityId c) const { return cdf_[c.index()]; }
 
  private:
   const Instance* instance_;
   const Policy* policy_;
   std::uint64_t epoch_;
   BulletinBoard board_;
-  std::vector<std::vector<double>> cdf_;  // by commodity
+  std::vector<GuidedCdf> cdf_;  // by commodity
 };
 
 using SnapshotPtr = std::shared_ptr<const BoardSnapshot>;

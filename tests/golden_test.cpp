@@ -1,9 +1,10 @@
 // Pinned golden digests of the platform-stable service configurations
 // (closed-loop workloads on braess / uniform-links avoid libm in the
-// dynamics), healthy and under deterministic fault injection. The same
-// digests are what `route_server_cli run --deterministic` prints for
-// these configs; here every one is checked at 1 and 4 threads under the
-// reference and the pipelined schedule, so any change to execution
+// dynamics), healthy and under deterministic fault injection, plus one
+// bursty run pinned for glibc x86-64 (its arrivals draw through libm).
+// The same digests are what `route_server_cli run --deterministic`
+// prints for these configs; here every one is checked at 1 and 4 threads
+// under the reference and the pipelined schedule, so any change to execution
 // (threads, pool, task graph, pipelining) that reaches the values fails
 // tier-1. The two service-sweep digests are what `sweep_cli run
 // --simulator service` prints for its configs, checked at 1 and 2
@@ -117,6 +118,33 @@ TEST(Golden, SoloRouteServer) {
     EXPECT_EQ(telemetry_digest(result.epochs), kSolo.digest)
         << label(schedule);
   }
+}
+
+/// `route_server_cli run --scenario braess --policy replicator --period
+/// 0.1 --epochs 20 --clients 2000 --workload bursty:40000,2000,3,2
+/// --shards 8 --sub-batch 250 --seed 1 --deterministic`: a skewed load
+/// whose on-peak shards each split into many sub-batch tasks.
+const Config kBursty = {"",   "braess", "bursty:40000,2000,3,2", 2000, 8,
+                        1,    1,        0x6906848562aad352ULL};
+constexpr std::size_t kBurstySubBatch = 250;
+
+TEST(Golden, BurstySkewSplitIntoSubBatches) {
+#if defined(__GLIBC__) && defined(__x86_64__)
+  for (const Schedule& schedule : kSchedules) {
+    Host host(kBursty, kSoloEpochs);
+    host.options.threads = schedule.threads;
+    host.options.pipeline = schedule.pipeline;
+    host.options.sub_batch_queries = kBurstySubBatch;
+    RouteServer server(host.instance, host.policy, *host.workload);
+    const RouteServerResult result =
+        server.run(FlowVector::uniform(host.instance), host.options);
+    EXPECT_EQ(telemetry_digest(result.epochs), kBursty.digest)
+        << label(schedule);
+  }
+#else
+  GTEST_SKIP() << "the bursty arrivals draw through libm, so this digest "
+                  "is pinned for glibc on x86-64 only";
+#endif
 }
 
 /// The solo config under `--faults <spec>`, as the CI chaos step runs

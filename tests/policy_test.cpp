@@ -1,7 +1,9 @@
 // Tests for sampling rules, migration rules, alpha-smoothness
-// (Definition 2) and policy composition.
+// (Definition 2), policy composition and the guided candidate lookup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -365,6 +367,117 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SamplingPositivity,
     ::testing::Combine(::testing::Values(2, 3, 8),
                        ::testing::Values(0.01, 0.1, 0.5)));
+
+// ------------------------------------------------------------- guided cdf
+
+/// A GuidedCdf over parallel links whose sampling weights are exactly
+/// `weights`: proportional sampling with no floor on a demand-1 commodity
+/// samples path j with probability flow[j].
+struct WeightedCdf {
+  Instance instance;
+  GuidedCdf cdf;
+
+  explicit WeightedCdf(const std::vector<double>& weights)
+      : instance(uniform_parallel_links(weights.size(), 0.0, 1.0)) {
+    const std::vector<double> latency(weights.size(), 0.5);
+    sampling_cdf(make_replicator_policy(instance), instance,
+                 instance.commodity(CommodityId{0}), weights, latency, cdf);
+  }
+};
+
+/// What sample_from_cdf() returns for the variate u.
+std::size_t lower_bound_index(std::span<const double> cdf, double u) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return std::min(static_cast<std::size_t>(it - cdf.begin()),
+                  cdf.size() - 1);
+}
+
+std::vector<double> random_weights(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> weights(n);
+  double total = 0.0;
+  for (double& w : weights) total += (w = rng.uniform());
+  for (double& w : weights) w /= total;
+  return weights;
+}
+
+/// Degenerate and ordinary distributions, by name.
+std::vector<std::pair<std::string, std::vector<double>>> cdf_cases() {
+  return {
+      {"one path", {1.0}},
+      {"zero mass at the start", {0.0, 0.0, 0.5, 0.5}},
+      {"zero mass in the middle", {0.25, 0.0, 0.0, 0.75}},
+      {"zero mass at the end", {0.5, 0.5, 0.0, 0.0}},
+      {"all mass on one path", {0.0, 0.0, 1.0, 0.0, 0.0}},
+      {"steps on bucket edges", {0.25, 0.25, 0.25, 0.25}},
+      {"final bucket below 1, clamped", std::vector<double>(10, 0.1)},
+      {"32 random paths", random_weights(32, 7)},
+      {"1000 random paths", random_weights(1000, 8)},
+  };
+}
+
+TEST(GuidedCdf, GuideIsTheSmallestPowerOfTwoAtLeastTwicePaths) {
+  for (const auto& [name, weights] : cdf_cases()) {
+    const WeightedCdf built(weights);
+    const std::size_t paths = built.cdf.values().size();
+    const std::size_t buckets = built.cdf.guide().size();
+    ASSERT_EQ(paths, weights.size()) << name;
+    EXPECT_TRUE(std::has_single_bit(buckets)) << name;
+    EXPECT_GE(buckets, 2 * paths) << name;
+    EXPECT_LT(buckets / 2, 2 * paths) << name;
+    // guide[k] is lower_bound's index for the bucket's left edge k / G.
+    for (std::size_t k = 0; k < buckets; ++k) {
+      const double edge =
+          static_cast<double>(k) / static_cast<double>(buckets);
+      EXPECT_EQ(built.cdf.guide()[k],
+                lower_bound_index(built.cdf.values(), edge))
+          << name << ", k=" << k;
+    }
+  }
+}
+
+TEST(GuidedCdf, FinalBucketIsClampedToOne) {
+  const std::vector<double> tenths(10, 0.1);
+  ASSERT_LT(std::accumulate(tenths.begin(), tenths.end(), 0.0), 1.0);
+  const WeightedCdf built(tenths);
+  EXPECT_EQ(built.cdf.values().back(), 1.0);
+  EXPECT_EQ(built.cdf.index_of(std::nextafter(1.0, 0.0)), 9u);
+}
+
+TEST(GuidedCdf, EqualsLowerBoundAtEveryBucketEdgeAndStep) {
+  for (const auto& [name, weights] : cdf_cases()) {
+    const WeightedCdf built(weights);
+    const std::span<const double> cdf = built.cdf.values();
+    const double buckets = static_cast<double>(built.cdf.guide().size());
+    // Every bucket edge k / G and every CDF step, with the neighbouring
+    // doubles on each side, kept inside [0, 1).
+    std::vector<double> points;
+    for (double k = 0.0; k < buckets; k += 1.0) points.push_back(k / buckets);
+    points.insert(points.end(), cdf.begin(), cdf.end());
+    for (const double point : points) {
+      for (const double u : {std::nextafter(point, 0.0), point,
+                             std::nextafter(point, 1.0)}) {
+        if (!(u >= 0.0 && u < 1.0)) continue;
+        ASSERT_EQ(built.cdf.index_of(u), lower_bound_index(cdf, u))
+            << name << ", u=" << u;
+      }
+    }
+  }
+}
+
+TEST(GuidedCdf, DrawsEqualTheReferenceOnRandomVariates) {
+  constexpr std::size_t kDraws = std::size_t{1} << 20;
+  for (const auto& [name, weights] : cdf_cases()) {
+    const WeightedCdf built(weights);
+    Rng guided(42);
+    Rng reference(42);
+    for (std::size_t i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(built.cdf.sample(guided),
+                sample_from_cdf(built.cdf.values(), reference))
+          << name << ", draw " << i;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace staleflow

@@ -3,6 +3,7 @@
 // its thread-count determinism contract, plus the BulletinBoard edge
 // cases at the simulator/service boundary.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -352,6 +353,39 @@ TEST(EpochEngine, HugeEpochBudgetBeginsAndServesOneEpoch) {
   engine.finish_epoch(0.0, nullptr);
   EXPECT_EQ(engine.epochs_done(), 1u);
   EXPECT_FALSE(engine.done());
+}
+
+TEST(EpochEngine, ClientStateBeyondPhysicalMemoryIsRejectedBeforeAllocating) {
+  // 4e9 clients fit RouteQuery::client (uint32) but need 32 GB of client
+  // state. begin() must refuse them up front (exit 2 in the CLIs), not
+  // die on bad_alloc part-way through building the population.
+  constexpr std::size_t kClients = 4'000'000'000;
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGESIZE);
+  if (pages <= 0 || page_size <= 0 ||
+      static_cast<std::size_t>(pages) >=
+          kClients / static_cast<std::size_t>(page_size) *
+              Population::kBytesPerClient) {
+    GTEST_SKIP() << "this host's physical memory is unknown or holds the "
+                    "state of 4e9 clients";
+  }
+  const Instance instance = braess(true);
+  const Policy policy = make_replicator_policy(instance);
+  const WorkloadPtr workload = closed_loop_workload(100);
+  RouteServerOptions options = small_options();
+  options.num_clients = kClients;
+  SnapshotStore store;
+  EpochEngine engine(instance, policy, *workload, store);
+  try {
+    engine.begin(FlowVector::uniform(instance), options);
+    FAIL() << "begin() accepted 4e9 clients";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("physical memory"),
+              std::string::npos)
+        << e.what();
+  }
+  // Rejected before the population or the first board was built.
+  EXPECT_EQ(store.acquire(), nullptr);
 }
 
 TEST(RouteServer, LatencyFeedbackClosesTheLoopDeterministically) {

@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <fstream>
+#include <iostream>
 #include <map>
+#include <new>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -32,6 +34,14 @@ auto usage_error(const Make& make) {
   } catch (const std::invalid_argument& e) {
     throw UsageError(e.what());
   }
+}
+
+/// The last-resort answer to a std::bad_alloc that escaped every
+/// up-front size check: a message and exit 2, as for a bad flag value.
+inline int out_of_memory(const std::bad_alloc& e) {
+  std::cerr << "error: out of memory (" << e.what()
+            << "); the requested run is too large for this host\n";
+  return 2;
 }
 
 /// Parses "--key value" pairs from args[from..]; flags listed in

@@ -213,6 +213,8 @@ int main(int argc, char** argv) {
     return staleflow::run(args);
   } catch (const staleflow::cli::UsageError& e) {
     staleflow::usage(e.what());
+  } catch (const std::bad_alloc& e) {
+    return staleflow::cli::out_of_memory(e);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

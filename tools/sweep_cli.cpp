@@ -305,6 +305,8 @@ int run_main(int argc, char** argv) {
     }
   } catch (const cli::UsageError& e) {
     usage(e.what());
+  } catch (const std::bad_alloc& e) {
+    return cli::out_of_memory(e);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
