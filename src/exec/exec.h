@@ -1,8 +1,7 @@
 // Umbrella header for the deterministic execution layer (src/exec/): the
-// Executor/TaskGraph runtime over the shared ThreadPool and the
-// deterministic sub-batch splitting helpers. See README.md ("The
-// execution layer") for the architecture sketch and the determinism
-// contract it upholds.
+// Executor that runs TaskGraphs on its own workers, and the deterministic
+// sub-batch splitting helpers. See README.md ("The execution layer") for
+// the architecture sketch and the determinism contract it upholds.
 #pragma once
 
 #include "exec/executor.h"

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
-#include <thread>
+#include <string>
+#include <system_error>
 #include <utility>
 
 #include "faults/fault_plan.h"
@@ -41,103 +43,43 @@ TaskGraph::NodeId TaskGraph::add(std::function<void()> fn,
   return add(std::move(fn), std::span<const NodeId>(deps.begin(), deps.size()));
 }
 
-void TaskGraph::run_inline() {
-  // Insertion order is a topological order (deps point backward), so this
-  // IS the deterministic reference schedule.
-  for (Node& node : nodes_) node.fn();
-}
-
-void TaskGraph::run_on(ThreadPool& pool) {
-  std::vector<NodeId> roots;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    remaining_.assign(nodes_.size(), 0);
-    submitted_.assign(nodes_.size(), false);
-    cancelled_ = false;
-    for (std::size_t id = 0; id < nodes_.size(); ++id) {
-      remaining_[id] = nodes_[id].dependency_count;
-      if (remaining_[id] == 0) {
-        submitted_[id] = true;
-        roots.push_back(id);
-      }
-    }
-  }
-  const ThreadPool::CompletionToken token = pool.make_token();
-  for (const NodeId id : roots) submit_node(pool, token, id);
-  pool.wait(token);
-}
-
-void TaskGraph::submit_node(ThreadPool& pool,
-                            const ThreadPool::CompletionToken& token,
-                            NodeId id) {
-  auto run_node = [this, &pool, token, id] {
-        bool skip;
-        {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          skip = cancelled_;
-        }
-        std::exception_ptr error;
-        if (!skip) {
-          try {
-            nodes_[id].fn();
-          } catch (...) {
-            error = std::current_exception();
-          }
-        }
-        std::vector<NodeId> ready;
-        {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          if (error && !cancelled_) {
-            // First failure: release every not-yet-submitted node as a
-            // skip so the token drains instead of deadlocking on nodes
-            // whose dependencies will never finish.
-            cancelled_ = true;
-            for (NodeId other = 0; other < nodes_.size(); ++other) {
-              if (!submitted_[other]) {
-                submitted_[other] = true;
-                ready.push_back(other);
-              }
-            }
-          } else {
-            for (const NodeId dependent : nodes_[id].dependents) {
-              if (--remaining_[dependent] == 0 && !submitted_[dependent]) {
-                submitted_[dependent] = true;
-                ready.push_back(dependent);
-              }
-            }
-          }
-        }
-        for (const NodeId next : ready) submit_node(pool, token, next);
-        if (error) std::rethrow_exception(error);  // lands in the token
-  };
-  pool.submit(std::move(run_node), token);
-}
-
 // -------------------------------------------------------------- Executor
 
 Executor::Executor(std::size_t threads) {
   if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    threads = std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                      kMaxThreads);
   }
-  threads_ = threads;
-  if (threads > 1) {
-    // The calling thread helps while waiting, so T-1 workers + the caller
-    // give exactly T threads of progress.
-    pool_ = std::make_unique<ThreadPool>(threads - 1);
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("Executor: " + std::to_string(threads) +
+                                " threads exceeds the limit of " +
+                                std::to_string(kMaxThreads));
+  }
+  // The thread in run() helps while waiting, so T-1 workers + the caller
+  // give exactly T threads of progress.
+  workers_.reserve(threads - 1);
+  try {
+    for (std::size_t i = 1; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (const std::system_error& e) {
+    stop_workers();
+    throw std::invalid_argument("Executor: cannot start " +
+                                std::to_string(threads - 1) +
+                                " worker threads on this host (" + e.what() +
+                                ")");
   }
 }
 
-void Executor::parallel_for(std::size_t count,
-                            const std::function<void(std::size_t)>& fn) {
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
+Executor::~Executor() { stop_workers(); }
+
+void Executor::stop_workers() noexcept {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
   }
-  const ThreadPool::CompletionToken token = pool_->make_token();
-  for (std::size_t i = 0; i < count; ++i) {
-    pool_->submit([&fn, i] { fn(i); }, token);
-  }
-  pool_->wait(token);
+  wake_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 void Executor::run(TaskGraph& graph) {
@@ -148,21 +90,23 @@ void Executor::run(TaskGraph& graph) {
   graphs_counter.inc();
   nodes_counter.add(graph.size());
   trace::Span span(trace::EventKind::kGraphSpan, /*tenant=*/0,
-                   /*epoch=*/0, /*arg=*/pool_ == nullptr ? 0 : 1);
+                   /*epoch=*/0, /*arg=*/workers_.empty() ? 0 : 1);
   span.value(graph.size());
   const std::uint64_t graph_index =
       graphs_run_.fetch_add(1, std::memory_order_relaxed);
-  if (pool_ == nullptr) {
-    graph.run_inline();
+  if (workers_.empty()) {
+    // Insertion order is a topological order (deps point backward), so
+    // this IS the deterministic reference schedule.
+    for (TaskGraph::Node& node : graph.nodes_) node.fn();
     return;
   }
 
-  // Injected worker stall: submit sleep tasks BEFORE the graph's roots so
-  // the FIFO queue hands them to workers first — those workers are then
-  // out of service for the window while the graph runs on whoever is
-  // left (the caller helps, so progress is guaranteed even if every
-  // worker is held). Purely wall-clock contention.
-  ThreadPool::CompletionToken stall_token;
+  // Injected worker stall: a graph of sleep nodes queued BEFORE the
+  // caller's roots, so the FIFO hands them to workers first — those
+  // workers are then out of service for the window while the graph runs
+  // on whoever is left (the caller helps, so progress is guaranteed even
+  // if every worker is held). Purely wall-clock contention.
+  std::optional<TaskGraph> stall_graph;
   if (fault_schedule_ != nullptr) {
     const faults::FaultSchedule::Stall stall =
         fault_schedule_->stall_at(graph_index);
@@ -176,21 +120,106 @@ void Executor::run(TaskGraph& graph) {
             static_cast<std::uint64_t>(faults::FaultKind::kWorkerStall),
             stall.ms);
       }
-      stall_token = pool_->make_token();
+      stall_graph.emplace();
       const std::size_t held =
-          std::min<std::size_t>(stall.workers, pool_->size());
+          std::min<std::size_t>(stall.workers, workers_.size());
       for (std::size_t w = 0; w < held; ++w) {
-        pool_->submit(
-            [ms = stall.ms] {
-              std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-            },
-            stall_token);
+        stall_graph->add([ms = stall.ms] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+        });
       }
+      start(*stall_graph);
     }
   }
 
-  graph.run_on(*pool_);
-  if (stall_token != nullptr) pool_->wait(stall_token);
+  start(graph);
+  const std::exception_ptr error = wait(graph);
+  if (stall_graph) wait(*stall_graph);
+  if (error) std::rethrow_exception(error);
+}
+
+void Executor::start(TaskGraph& graph) {
+  const std::size_t size = graph.nodes_.size();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    graph.remaining_.resize(size);
+    graph.pending_ = 0;
+    graph.error_ = nullptr;
+    for (TaskGraph::NodeId id = 0; id < size; ++id) {
+      graph.remaining_[id] = graph.nodes_[id].dependency_count;
+      if (graph.remaining_[id] == 0) {
+        queue_.push_back(Entry{&graph, id});
+        ++graph.pending_;
+      }
+    }
+  }
+  wake_.notify_all();
+}
+
+std::exception_ptr Executor::wait(TaskGraph& graph) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (graph.pending_ != 0) {
+    // Help with our own graph: run its oldest queued node here. Nodes of
+    // other graphs are left to the workers (and to their own waiters) —
+    // running an arbitrary node while it may itself block on us is how
+    // nested pools deadlock.
+    const auto it = std::find_if(queue_.begin(), queue_.end(),
+                                 [&](const Entry& e) { return e.graph == &graph; });
+    if (it != queue_.end()) {
+      const Entry entry = *it;
+      queue_.erase(it);
+      execute(entry, lock);
+      continue;
+    }
+    // Nothing of ours queued: the rest of the graph is running on other
+    // threads. Sleep until a completion (or new work) shows up.
+    wake_.wait(lock);
+  }
+  return std::exchange(graph.error_, nullptr);
+}
+
+void Executor::execute(Entry entry, std::unique_lock<std::mutex>& lock) {
+  static trace::Counter& tasks_counter =
+      trace::MetricsRegistry::global().counter("pool.tasks");
+  TaskGraph& graph = *entry.graph;
+  std::exception_ptr error;
+  if (graph.error_ == nullptr) {  // fail-fast: skip after the first error
+    lock.unlock();
+    tasks_counter.inc();
+    try {
+      graph.nodes_[entry.node].fn();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+  }
+  bool wake = false;
+  if (error != nullptr) {
+    if (graph.error_ == nullptr) graph.error_ = error;
+  } else if (graph.error_ == nullptr) {
+    for (const TaskGraph::NodeId next : graph.nodes_[entry.node].dependents) {
+      if (--graph.remaining_[next] == 0) {
+        queue_.push_back(Entry{&graph, next});
+        ++graph.pending_;
+        wake = true;
+      }
+    }
+  }
+  // The graph may be destroyed as soon as its waiter sees pending_ == 0:
+  // nothing touches it after this decrement.
+  if (--graph.pending_ == 0) wake = true;
+  if (wake) wake_.notify_all();
+}
+
+void Executor::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping_ and drained
+    const Entry entry = queue_.front();
+    queue_.pop_front();
+    execute(entry, lock);
+  }
 }
 
 // ------------------------------------------------------------- splitting

@@ -1,24 +1,24 @@
-// The deterministic execution layer: one Executor, one ThreadPool, any
-// number of cooperating subsystems.
+// The deterministic execution layer: one Executor, its workers, and the
+// TaskGraph as the only unit of work.
 //
 // Everything parallel in staleflow follows the same discipline — work is
 // cut into tasks that share no mutable state, anything random or
 // order-sensitive is derived *before* dispatch, and reductions walk a
 // canonical order — so the only thing a subsystem needs from the runtime
-// is "run these tasks, some after others, and tell me when my batch is
-// done". Executor is that interface. It wraps a single ThreadPool that
-// the sweep runner and the route server share (a kService sweep cell uses
-// inner parallelism on the same pool instead of colliding nested pools),
-// runs everything inline in deterministic order when threads == 1, and
-// guarantees that the values computed are identical either way.
+// is "run these tasks, some after others, and tell me when they are
+// done". That is Executor::run over a TaskGraph. One executor is shared by
+// the sweep runner and the route servers inside its cells (a kService
+// sweep cell runs its epoch graphs on the same workers as the sweep's
+// cell graph instead of colliding nested pools), runs everything inline in
+// deterministic order when threads == 1, and guarantees that the values
+// computed are identical either way.
 //
-// TaskGraph adds dependencies: nodes may only depend on earlier nodes, so
-// insertion order is a topological order, which is exactly the order the
-// inline mode executes — the parallel schedule can only reorder work that
-// is independent by construction. This is how the route server pipelines
-// an epoch: serve nodes feed a fold node, which feeds the next snapshot's
-// board post + per-commodity CDF nodes in parallel with the telemetry
-// summary node.
+// Nodes may only depend on earlier nodes, so insertion order is a
+// topological order, which is exactly the order the inline mode executes
+// — the parallel schedule can only reorder work that is independent by
+// construction. This is how the route server pipelines an epoch: serve
+// nodes feed a fold node, which feeds the next snapshot's board post +
+// per-commodity CDF nodes in parallel with the telemetry summary node.
 //
 // sub_batch_count / sub_range are the deterministic work-splitting
 // helpers: split points are derived from batch sizes alone (never from
@@ -27,15 +27,16 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
-
-#include "util/thread_pool.h"
 
 namespace staleflow {
 
@@ -43,10 +44,10 @@ namespace faults {
 class FaultSchedule;
 }
 
-/// A one-shot dependency graph of tasks. Build with add(), hand to
-/// Executor::run(). Nodes may only depend on nodes added before them
-/// (enforced), so the graph is acyclic by construction and node order is
-/// a valid serial schedule.
+/// A dependency graph of tasks. Build with add(), hand to Executor::run().
+/// Nodes may only depend on nodes added before them (enforced), so the
+/// graph is acyclic by construction and node order is a valid serial
+/// schedule.
 class TaskGraph {
  public:
   using NodeId = std::size_t;
@@ -68,42 +69,46 @@ class TaskGraph {
     std::size_t dependency_count = 0;
   };
 
-  void run_inline();
-  void run_on(ThreadPool& pool);
-  void submit_node(ThreadPool& pool, const ThreadPool::CompletionToken& token,
-                   NodeId id);
-
   std::vector<Node> nodes_;
 
-  // Per-run scheduling state (run_on only).
-  std::mutex mutex_;
-  std::vector<std::size_t> remaining_;  // unfinished deps per node
-  std::vector<bool> submitted_;
-  bool cancelled_ = false;
+  // State of the current run, guarded by the running executor's mutex:
+  // unfinished dependencies per node, nodes queued or running, and the
+  // first node error (set = fail-fast, nodes not yet started are skipped).
+  std::vector<std::size_t> remaining_;
+  std::size_t pending_ = 0;
+  std::exception_ptr error_;
 };
 
-/// Executes batches and task graphs over one worker pool.
+/// Runs task graphs on the calling thread plus `threads - 1` workers.
 ///
-/// threads == 1 (the default) is inline mode: no pool, every task runs on
-/// the calling thread in submission/insertion order — the deterministic
-/// reference schedule. threads == 0 picks hardware concurrency. With
-/// threads == T > 1 the executor owns T-1 workers and the calling thread
-/// helps while waiting, so T threads make progress — and a task may
-/// itself call back into the executor (nested parallel_for / run) without
-/// deadlock or oversubscription, which is how sweep cells and the route
-/// server share the pool.
+/// threads == 1 (the default) is inline mode: no workers, every node runs
+/// on the calling thread in insertion order — the deterministic reference
+/// schedule. threads == 0 picks hardware concurrency. With threads == T > 1
+/// the executor owns T-1 workers draining one FIFO of ready nodes, and the
+/// thread in run() helps with its own graph's nodes while it waits, so T
+/// threads make progress — and a node may itself run a graph on the same
+/// executor without deadlock or oversubscription, which is how sweep cells
+/// and the route server share the workers.
+///
+/// The counter `pool.tasks` counts nodes run by workers or by helping
+/// waiters (0 in inline mode); `exec.graphs` and `exec.nodes` count every
+/// run() and the nodes of its graphs.
 class Executor {
  public:
+  /// Largest accepted thread count: a count the host cannot spawn fails
+  /// fast instead of exhausting its process table.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  /// Starts threads - 1 workers. Throws std::invalid_argument when
+  /// threads > kMaxThreads, or when the host cannot start a worker (the
+  /// workers already started are joined first).
   explicit Executor(std::size_t threads = 1);
 
-  /// Total threads that make progress on this executor's work (>= 1).
-  std::size_t threads() const noexcept { return threads_; }
-  bool inline_mode() const noexcept { return pool_ == nullptr; }
+  /// Joins the workers. No run() may be in flight.
+  ~Executor();
 
-  /// Runs fn(i) for i in [0, count) and waits; rethrows the first
-  /// exception any call raised.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
 
   /// Executes every node of the graph, respecting dependencies, and
   /// waits. Failure is fail-fast: the first node exception is rethrown
@@ -111,15 +116,15 @@ class Executor {
   /// or not — is skipped, so which independent nodes ran is
   /// scheduling-dependent after an error (inline mode skips everything
   /// after the throwing node). Don't hang cleanup side effects on graph
-  /// nodes. A graph may be run again after run() returns (scheduling
-  /// state is rebuilt per run).
+  /// nodes. A graph may be run again after run() returns. Any number of
+  /// threads (nodes included) may run distinct graphs concurrently.
   void run(TaskGraph& graph);
 
   /// Installs a fault schedule whose worker-stall windows apply to this
   /// executor's graph runs (nullptr = healthy, the default). A stall
-  /// window covering the N-th graph this executor runs occupies the
-  /// scheduled number of pool workers with sleep tasks for its duration —
-  /// wall-clock contention only, never dynamics (task *values* are
+  /// window covering the N-th graph this executor runs queues a graph of
+  /// sleep nodes, one per held worker, ahead of the caller's roots —
+  /// wall-clock contention only, never dynamics (node *values* are
   /// scheduling-independent by the determinism contract). No-op in
   /// inline mode (there are no workers to stall). The schedule must
   /// outlive every run().
@@ -128,8 +133,22 @@ class Executor {
   }
 
  private:
-  std::size_t threads_;
-  std::unique_ptr<ThreadPool> pool_;  // null in inline mode
+  struct Entry {
+    TaskGraph* graph;
+    TaskGraph::NodeId node;
+  };
+
+  void start(TaskGraph& graph);
+  std::exception_ptr wait(TaskGraph& graph);
+  void execute(Entry entry, std::unique_lock<std::mutex>& lock);
+  void worker_loop();
+  void stop_workers() noexcept;
+
+  std::vector<std::thread> workers_;  // empty in inline mode
+  std::deque<Entry> queue_;           // ready nodes, FIFO
+  std::mutex mutex_;
+  std::condition_variable wake_;  // new ready nodes, or a graph finished
+  bool stopping_ = false;
   const faults::FaultSchedule* fault_schedule_ = nullptr;
   // Graph sequence number for stall-window lookup; atomic because sweep
   // cells run graphs on one shared executor concurrently.

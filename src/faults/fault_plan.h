@@ -13,7 +13,7 @@
 // Fault kinds and their digest contract:
 //   - slow          per-shard busy-wait per serving sub-batch task.
 //                   Wall-clock only; never touches dynamics. Digest-neutral.
-//   - stall         occupies N pool workers with sleep tasks for the
+//   - stall         occupies N executor workers with sleep nodes for the
 //                   duration of scheduled task graphs. Digest-neutral.
 //   - drop-telemetry suppresses the engine's trace emission for a
 //                   (tenant, epoch) window. Traces are digest-neutral by

@@ -61,12 +61,14 @@ RunManifest decode_run_header(std::string_view payload) {
   manifest.multi_tenant = r.u8() != 0;
   if (version >= 3) manifest.pipeline = r.u8() != 0;
   manifest.faults = r.str();
-  const std::uint32_t count = r.u32();
+  // A tenant takes at least 98 bytes: four length prefixes, eight 8-byte
+  // fields and two flag bytes.
+  const std::size_t count = r.count<std::uint32_t>(4 * 8 + 8 * 8 + 2);
   if (count == 0 || (!manifest.multi_tenant && count != 1)) {
     throw std::runtime_error("WAL header: bad tenant count");
   }
   manifest.tenants.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     TenantManifest tenant;
     tenant.name = r.str();
     tenant.scenario = r.str();
@@ -166,22 +168,22 @@ CutRecord decode_epoch_cut(std::string_view payload) {
   s.p999_us = r.f64();
   s.queries_per_second = r.f64();
   for (std::uint64_t& word : record.cut.rng_state) word = r.u64();
-  const std::uint64_t paths = r.u64();
+  const std::size_t paths = r.count<std::uint64_t>(8);
   record.cut.flow.reserve(paths);
-  for (std::uint64_t i = 0; i < paths; ++i) record.cut.flow.push_back(r.f64());
-  const std::uint64_t clients = r.u64();
+  for (std::size_t i = 0; i < paths; ++i) record.cut.flow.push_back(r.f64());
+  const std::size_t clients = r.count<std::uint64_t>(4);
   record.cut.client_paths.reserve(clients);
-  for (std::uint64_t i = 0; i < clients; ++i) {
+  for (std::size_t i = 0; i < clients; ++i) {
     record.cut.client_paths.push_back(r.u32());
   }
 
   const double hist_min_value = r.f64();
   const double hist_max_value = r.f64();
   const std::uint32_t hist_bits = r.u32();
-  const std::uint64_t nonzero = r.u64();
+  const std::size_t nonzero = r.count<std::uint64_t>(16);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
   buckets.reserve(nonzero);
-  for (std::uint64_t i = 0; i < nonzero; ++i) {
+  for (std::size_t i = 0; i < nonzero; ++i) {
     const std::uint64_t bucket = r.u64();
     const std::uint64_t count = r.u64();
     buckets.emplace_back(bucket, count);
@@ -216,9 +218,9 @@ RoundMark decode_round_mark(std::string_view payload) {
   binio::Reader r(payload);
   RoundMark mark;
   mark.rounds = r.u64();
-  const std::uint32_t count = r.u32();
+  const std::size_t count = r.count<std::uint32_t>(8);
   mark.credits.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) mark.credits.push_back(r.u64());
+  for (std::size_t i = 0; i < count; ++i) mark.credits.push_back(r.u64());
   if (!r.done()) {
     throw std::runtime_error("WAL round mark: trailing bytes in payload");
   }
@@ -234,10 +236,10 @@ std::string encode_trailer(std::span<const std::uint64_t> digests) {
 
 std::vector<std::uint64_t> decode_trailer(std::string_view payload) {
   binio::Reader r(payload);
-  const std::uint32_t count = r.u32();
+  const std::size_t count = r.count<std::uint32_t>(8);
   std::vector<std::uint64_t> digests;
   digests.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) digests.push_back(r.u64());
+  for (std::size_t i = 0; i < count; ++i) digests.push_back(r.u64());
   if (!r.done()) {
     throw std::runtime_error("WAL trailer: trailing bytes in payload");
   }

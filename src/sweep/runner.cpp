@@ -305,19 +305,25 @@ SweepResult SweepRunner::run(const ExperimentSpec& spec, Executor& executor,
   std::size_t done = 0;
   std::mutex progress_mutex;
 
+  // Every cell is an independent node of one graph; inline mode runs them
+  // in insertion order, i.e. canonical cell order.
+  TaskGraph graph;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    graph.add([&, i] {
+      const CellSpec& cell = cells[i];
+      result.cells[i] = run_cell(registry_.at(cell.scenario),
+                                 *policies.at(cell.policy), spec, executor,
+                                 cell, streams[i]);
+      if (progress) {
+        // Count under the same lock as the callback so completion counts
+        // arrive in order (the final (total, total) call really is last).
+        const std::lock_guard<std::mutex> lock(progress_mutex);
+        progress(++done, cells.size());
+      }
+    });
+  }
   const auto start = std::chrono::steady_clock::now();
-  executor.parallel_for(cells.size(), [&](std::size_t i) {
-    const CellSpec& cell = cells[i];
-    result.cells[i] = run_cell(registry_.at(cell.scenario),
-                               *policies.at(cell.policy), spec, executor,
-                               cell, streams[i]);
-    if (progress) {
-      // Count under the same lock as the callback so completion counts
-      // arrive in order (the final (total, total) call really is last).
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      progress(++done, cells.size());
-    }
-  });
+  executor.run(graph);
   const auto end = std::chrono::steady_clock::now();
   result.wall_seconds =
       std::chrono::duration<double>(end - start).count();

@@ -9,8 +9,8 @@
 // CSV byte for byte. A kService cell is a TenantRegistry (one tenant per
 // cell.tenants, at least one) served on the sweep's own Executor, so
 // in-cell parallelism (sub-batch serving, snapshot builds) runs on the
-// same pool as the cell grid instead of spawning nested pools — one
-// pool, no oversubscription, same bits.
+// same workers as the cell graph instead of spawning nested pools — one
+// set of workers, no oversubscription, same bits.
 #pragma once
 
 #include <cstddef>
@@ -100,9 +100,9 @@ class SweepRunner {
   SweepResult run(const ExperimentSpec& spec, std::size_t threads = 1,
                   const SweepProgress& progress = nullptr) const;
 
-  /// Same, on a caller-owned Executor — the shared-pool form: cells run
-  /// as executor tasks, and kService cells reuse the same executor for
-  /// their in-cell parallelism.
+  /// Same, on a caller-owned Executor — the shared form: cells run as
+  /// independent nodes of one graph, and kService cells run their epoch
+  /// graphs on the same executor.
   SweepResult run(const ExperimentSpec& spec, Executor& executor,
                   const SweepProgress& progress = nullptr) const;
 

@@ -8,6 +8,9 @@
 //   static auto& tasks = MetricsRegistry::global().counter("pool.tasks");
 //   tasks.inc();
 //
+// (That one is Executor's: graph nodes run by its workers or by a thread
+// helping in run(); inline mode runs none.)
+//
 // Counters are process-global and always on; the trace recorder samples
 // the registry periodically into kCounterDefs/kCounterBatch records, so
 // the offline analyzer sees named time series without the serving code

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace staleflow::binio {
 
@@ -92,6 +93,23 @@ class Reader {
       throw std::runtime_error("binio: truncated payload (string)");
     }
     return std::string(need(static_cast<std::size_t>(size)));
+  }
+
+  /// Reads a `Count`-wide (std::uint32_t or std::uint64_t) item count
+  /// for a sequence whose items take at least `min_item_bytes` each, and
+  /// throws std::runtime_error when the rest of the payload cannot hold
+  /// that many — so a crafted count (the frame checksum is no MAC) is
+  /// reported as corruption before anything is reserved for it.
+  template <typename Count>
+  std::size_t count(std::size_t min_item_bytes) {
+    static_assert(std::is_same_v<Count, std::uint32_t> ||
+                  std::is_same_v<Count, std::uint64_t>);
+    const std::uint64_t value = sizeof(Count) == 4 ? u32() : u64();
+    if (value > remaining() / min_item_bytes) {
+      throw std::runtime_error("binio: item count " + std::to_string(value) +
+                               " exceeds the payload");
+    }
+    return static_cast<std::size_t>(value);
   }
 
   std::size_t remaining() const noexcept { return data_.size() - offset_; }

@@ -1,8 +1,7 @@
-// Tests for the deterministic execution layer (src/exec/) and the
-// completion-token ThreadPool underneath it: sub-batch splitting
-// arithmetic, task-graph dependency order, exception propagation, nested
-// submission on a shared pool, and the end-to-end property the layer
-// exists for — route
+// Tests for the deterministic execution layer (src/exec/): sub-batch
+// splitting arithmetic, task-graph dependency order, exception
+// propagation and re-runs, concurrent and nested graphs on one executor,
+// stall windows, and the end-to-end property the layer exists for — route
 // service dynamics that are byte-identical across 1/2/8 worker threads
 // with sub-batch splitting and epoch pipelining forced on.
 //
@@ -13,13 +12,14 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/generators.h"
 #include "service/service.h"
 #include "sweep/sweep.h"
 #include "exec/exec.h"
-#include "util/thread_pool.h"
+#include "faults/fault_plan.h"
 
 namespace staleflow {
 namespace {
@@ -143,91 +143,138 @@ TEST(TaskGraph, ExceptionPropagatesAndSkipsDownstream) {
 
 // ------------------------------------------------------------ Executor
 
-TEST(Executor, ParallelForCoversRangeAtAnyWidth) {
+TEST(Executor, RunsEveryIndependentNodeOnceAtAnyWidth) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
                                     std::size_t{8}}) {
     Executor executor(threads);
-    EXPECT_EQ(executor.threads(), threads);
-    EXPECT_EQ(executor.inline_mode(), threads == 1);
     std::vector<int> hits(257, 0);
-    executor.parallel_for(hits.size(),
-                          [&hits](std::size_t i) { hits[i] += 1; });
+    TaskGraph graph;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      graph.add([&hits, i] { hits[i] += 1; });
+    }
+    executor.run(graph);
     for (const int hit : hits) EXPECT_EQ(hit, 1);
   }
 }
 
-TEST(Executor, ParallelForPropagatesExceptions) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    Executor executor(threads);
-    EXPECT_THROW(executor.parallel_for(16,
-                                       [](std::size_t i) {
-                                         if (i == 5) {
-                                           throw std::runtime_error("i=5");
-                                         }
-                                       }),
-                 std::runtime_error);
+TEST(Executor, InlineModeRunsNodesInInsertionOrder) {
+  Executor executor(1);
+  std::vector<std::size_t> order;
+  TaskGraph graph;
+  for (std::size_t i = 0; i < 16; ++i) {
+    graph.add([&order, i] { order.push_back(i); });
+  }
+  executor.run(graph);
+  ASSERT_EQ(order.size(), 16u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(Executor, RejectsThreadCountsAboveTheLimit) {
+  EXPECT_THROW(Executor(Executor::kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW(Executor(static_cast<std::size_t>(-1)), std::invalid_argument);
+  Executor hardware(0);  // 0 = hardware concurrency, clamped to the limit
+  TaskGraph graph;
+  graph.add([] {});
+  hardware.run(graph);
+}
+
+TEST(Executor, ConcurrentGraphsKeepTheirOwnErrors) {
+  // Two threads run graphs on one executor at once; the failing graph's
+  // error reaches only its own caller, and the healthy graph completes.
+  Executor executor(2);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> healthy_done{0};
+    bool healthy_threw = false;
+    bool failing_threw = false;
+    std::thread healthy([&] {
+      TaskGraph graph;
+      for (int i = 0; i < 32; ++i) {
+        graph.add([&healthy_done] { healthy_done.fetch_add(1); });
+      }
+      try {
+        executor.run(graph);
+      } catch (...) {
+        healthy_threw = true;
+      }
+    });
+    std::thread failing([&] {
+      TaskGraph graph;
+      for (int i = 0; i < 32; ++i) {
+        graph.add([i] {
+          if (i == 7) throw std::runtime_error("graph boom");
+        });
+      }
+      try {
+        executor.run(graph);
+      } catch (const std::runtime_error& e) {
+        failing_threw = std::string(e.what()) == "graph boom";
+      }
+    });
+    healthy.join();
+    failing.join();
+    EXPECT_FALSE(healthy_threw) << round;
+    EXPECT_EQ(healthy_done.load(), 32) << round;
+    EXPECT_TRUE(failing_threw) << round;
   }
 }
 
-TEST(Executor, NestedParallelismSharesThePoolWithoutDeadlock) {
-  // Every outer task fans out an inner parallel_for on the SAME executor
-  // and waits for it — the sweep-cell-inside-the-sweep shape. With 2
-  // threads total this deadlocks unless waiters help drain their own
-  // batches.
+TEST(Executor, NestedGraphsShareTwoThreadsWithoutDeadlock) {
+  // Every outer node runs an inner graph on the SAME executor and waits
+  // for it — the sweep-cell-inside-the-sweep shape. With 2 threads total
+  // this deadlocks unless waiters help drain their own graphs.
   Executor executor(2);
   std::atomic<int> total{0};
-  executor.parallel_for(8, [&](std::size_t) {
-    executor.parallel_for(8, [&](std::size_t) { total.fetch_add(1); });
-  });
+  TaskGraph outer;
+  for (int i = 0; i < 8; ++i) {
+    outer.add([&executor, &total] {
+      TaskGraph inner;
+      for (int j = 0; j < 8; ++j) inner.add([&total] { total.fetch_add(1); });
+      executor.run(inner);
+    });
+  }
+  executor.run(outer);
   EXPECT_EQ(total.load(), 64);
 }
 
-// ---------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTokens, WaitSettlesOnlyItsOwnBatch) {
-  ThreadPool pool(2);
-  const ThreadPool::CompletionToken a = pool.make_token();
-  const ThreadPool::CompletionToken b = pool.make_token();
-  std::atomic<int> a_done{0};
-  std::atomic<int> b_done{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&a_done] { a_done.fetch_add(1); }, a);
-    pool.submit([&b_done] { b_done.fetch_add(1); }, b);
+TEST(Executor, GraphRunsAgainAfterAFailedRun) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Executor executor(threads);
+    bool fail = true;
+    std::atomic<int> tail_runs{0};
+    TaskGraph graph;
+    const TaskGraph::NodeId head = graph.add([&fail] {
+      if (fail) throw std::runtime_error("first run fails");
+    });
+    for (int i = 0; i < 8; ++i) {
+      graph.add([&tail_runs] { tail_runs.fetch_add(1); }, {head});
+    }
+    EXPECT_THROW(executor.run(graph), std::runtime_error);
+    EXPECT_EQ(tail_runs.load(), 0);
+    fail = false;
+    executor.run(graph);
+    EXPECT_EQ(tail_runs.load(), 8);
   }
-  pool.wait(a);
-  EXPECT_EQ(a_done.load(), 16);
-  pool.wait(b);
-  EXPECT_EQ(b_done.load(), 16);
-  // An empty token settles immediately; a null token is a usage error.
-  pool.wait(pool.make_token());
-  EXPECT_THROW(pool.wait(nullptr), std::invalid_argument);
-  EXPECT_THROW(pool.submit([] {}, nullptr), std::invalid_argument);
 }
 
-TEST(ThreadPoolTokens, BatchErrorsGoToTheBatchWaiter) {
-  ThreadPool pool(2);
-  const ThreadPool::CompletionToken token = pool.make_token();
-  pool.submit([] { throw std::runtime_error("batch boom"); }, token);
-  EXPECT_THROW(pool.wait(token), std::runtime_error);
-}
-
-TEST(ThreadPoolTokens, NestedSubmissionDrainsOnOneWorker) {
-  // A task on the pool's only worker submits sub-tasks to the same pool
-  // and waits: helping must run them on the waiting thread.
-  ThreadPool pool(1);
-  const ThreadPool::CompletionToken outer = pool.make_token();
-  std::atomic<int> inner_done{0};
-  pool.submit(
-      [&pool, &inner_done] {
-        const ThreadPool::CompletionToken inner = pool.make_token();
-        for (int i = 0; i < 8; ++i) {
-          pool.submit([&inner_done] { inner_done.fetch_add(1); }, inner);
-        }
-        pool.wait(inner);
-      },
-      outer);
-  pool.wait(outer);
-  EXPECT_EQ(inner_done.load(), 8);
+TEST(Executor, StallHoldingEveryWorkerStillCompletesTheGraph) {
+  // The window holds more workers than exist (all 3): the caller must
+  // run the whole graph itself, and run() returns after the window.
+  const faults::FaultPlan plan =
+      faults::parse_fault_plan("stall:workers=8,ms=20,at=0,for=2");
+  const faults::FaultSchedule schedule =
+      faults::FaultSchedule::materialize(plan, 1, 4);
+  Executor executor(4);
+  executor.set_fault_schedule(&schedule);
+  for (int run = 0; run < 3; ++run) {  // two stalled runs, one healthy
+    std::atomic<int> done{0};
+    TaskGraph graph;
+    const TaskGraph::NodeId first = graph.add([&done] { done.fetch_add(1); });
+    for (int i = 0; i < 16; ++i) {
+      graph.add([&done] { done.fetch_add(1); }, {first});
+    }
+    executor.run(graph);
+    EXPECT_EQ(done.load(), 17) << run;
+  }
 }
 
 // ------------------------------------------- end-to-end byte identity

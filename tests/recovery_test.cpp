@@ -782,6 +782,136 @@ TEST(RecoverWal, RejectsHeaderlessWal) {
   EXPECT_THROW(recovery::recover_wal(path), std::runtime_error);
 }
 
+// ------------------------------------------- crafted counts (no MAC)
+
+/// Overwrites the little-endian `width`-byte word at `at` with `value`.
+std::string patch_word(std::string payload, std::size_t at,
+                       std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    payload[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return payload;
+}
+
+/// Rewrites the WAL at `path` with record `index` carrying `payload`
+/// under a freshly computed (valid) checksum.
+void rewrite_record(const std::string& path, std::size_t index,
+                    const std::string& payload) {
+  const framed_log::Scan scan = wal_frames(path);
+  std::ostringstream out(std::ios::binary);
+  out.write(recovery::kWalMagic, framed_log::kMagicBytes);
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    const framed_log::Frame& frame = scan.records[i];
+    framed_log::append_frame(out, frame.type,
+                             i == index ? payload : frame.payload);
+  }
+  write_file(path, out.str());
+}
+
+TEST(BinIO, CountRejectsMoreItemsThanThePayloadHolds) {
+  binio::Writer w;
+  w.u32(3);
+  w.u64(7);
+  w.u64(8);
+  w.u64(9);
+  binio::Reader fits(w.data());
+  EXPECT_EQ(fits.count<std::uint32_t>(8), 3u);
+  binio::Reader too_many(w.data());
+  EXPECT_THROW(too_many.count<std::uint32_t>(9), std::runtime_error);
+  binio::Writer huge;
+  huge.u64(std::uint64_t{1} << 61);
+  binio::Reader wide(huge.data());
+  EXPECT_THROW(wide.count<std::uint64_t>(8), std::runtime_error);
+}
+
+TEST(RecoverWal, CraftedCountsAreCorruptionNotAllocations) {
+  // Every decoded count a crafted record could inflate — with a valid
+  // checksum, since FNV-1a is no MAC — is checked against the bytes left
+  // in its payload before anything is reserved. The header's is fatal
+  // (nothing to resume from); a cut's, a round mark's or the trailer's
+  // ends the trusted prefix like any other corrupt record.
+  SingleRun fixture;
+  const std::string clean_path = temp_path("crafted_clean.wal");
+  {
+    recovery::WalLog log(clean_path, fixture.manifest());
+    fixture.run(log.single_observer());
+    log.finish();
+  }
+  const framed_log::Scan clean = wal_frames(clean_path);
+  const auto first_of = [&clean](recovery::RecordType type) {
+    for (std::size_t i = 0; i < clean.records.size(); ++i) {
+      if (clean.records[i].type == static_cast<std::uint32_t>(type)) return i;
+    }
+    ADD_FAILURE() << "no record of type " << static_cast<int>(type);
+    return std::size_t{0};
+  };
+  const std::size_t cut = first_of(recovery::RecordType::kEpochCut);
+  const std::size_t mark = first_of(recovery::RecordType::kRoundMark);
+  const std::size_t trailer = first_of(recovery::RecordType::kTrailer);
+  const std::string& cut_payload = clean.records[cut].payload;
+  const recovery::CutRecord decoded = recovery::decode_epoch_cut(cut_payload);
+
+  // Payload offsets: the header's tenant count follows the version, two
+  // flag bytes and the (empty) fault spec; a cut's path count follows the
+  // tenant index, 15 summary words and the RNG state.
+  const std::size_t tenants_at = 4 + 1 + 1 + 8;
+  const std::size_t paths_at = 4 + 15 * 8 + 8 * decoded.cut.rng_state.size();
+  const std::size_t clients_at = paths_at + 8 + 8 * decoded.cut.flow.size();
+  const std::size_t buckets_at =
+      clients_at + 8 + 4 * decoded.cut.client_paths.size() + 8 + 8 + 4;
+
+  // Writing each count's true value back changes nothing: the offsets
+  // really address the counts.
+  const std::string& header = clean.records.front().payload;
+  const std::string& mark_payload = clean.records[mark].payload;
+  const std::string& trailer_payload = clean.records[trailer].payload;
+  ASSERT_EQ(patch_word(header, tenants_at, 1, 4), header);
+  ASSERT_EQ(patch_word(cut_payload, paths_at, decoded.cut.flow.size(), 8),
+            cut_payload);
+  ASSERT_EQ(patch_word(cut_payload, clients_at,
+                       decoded.cut.client_paths.size(), 8),
+            cut_payload);
+  std::uint64_t nonzero = 0;
+  for (std::size_t b = 0; b < decoded.cut.route_hist.bucket_count(); ++b) {
+    if (decoded.cut.route_hist.bucket_value(b) != 0) ++nonzero;
+  }
+  ASSERT_EQ(patch_word(cut_payload, buckets_at, nonzero, 8), cut_payload);
+  ASSERT_EQ(patch_word(mark_payload, 8, 1, 4), mark_payload);
+  ASSERT_EQ(patch_word(trailer_payload, 0, 1, 4), trailer_payload);
+
+  const std::string path = temp_path("crafted.wal");
+  const auto recover_crafted = [&](std::size_t index,
+                                   const std::string& payload) {
+    write_file(path, read_file(clean_path));
+    rewrite_record(path, index, payload);
+    return recovery::recover_wal(path);
+  };
+
+  try {
+    recover_crafted(0, patch_word(header, tenants_at, 0xFFFFFFFFu, 4));
+    ADD_FAILURE() << "a 2^32-1 tenant count decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the payload"),
+              std::string::npos)
+        << e.what();
+  }
+
+  const std::vector<std::pair<std::size_t, std::string>> in_log = {
+      {cut, patch_word(cut_payload, paths_at, std::uint64_t{1} << 61, 8)},
+      {cut, patch_word(cut_payload, clients_at, std::uint64_t{1} << 61, 8)},
+      {cut, patch_word(cut_payload, buckets_at, std::uint64_t{1} << 61, 8)},
+      {mark, patch_word(mark_payload, 8, 0xFFFFFFFFu, 4)},
+      {trailer, patch_word(trailer_payload, 0, 0xFFFFFFFFu, 4)},
+  };
+  for (const auto& [index, payload] : in_log) {
+    const recovery::RecoveredRun state = recover_crafted(index, payload);
+    EXPECT_TRUE(state.truncated) << index;
+    EXPECT_FALSE(state.clean_shutdown) << index;
+    EXPECT_EQ(state.note.rfind("corrupt WAL: binio: item count", 0), 0u)
+        << index << ": " << state.note;
+  }
+}
+
 // ------------------------------------- single-server == one-tenant WAL
 
 TEST(WalProtocol, SingleServerMatchesOneTenantRegistryRecordForRecord) {

@@ -320,6 +320,9 @@ int run_manifest(const std::string& wal_path,
                  const recovery::RecoveredRun* resume, std::size_t threads,
                  const std::string& csv_path, std::size_t report_every,
                  std::size_t progress_every, bool quiet) {
+  // First, so a thread count the host cannot run exits 2 before any
+  // client state is built or a WAL is written.
+  Executor executor = cli::usage_error([&] { return Executor(threads); });
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
   const faults::FaultSchedule fault_schedule =
       make_fault_schedule(manifest, quiet);
@@ -388,7 +391,6 @@ int run_manifest(const std::string& wal_path,
     log.emplace(wal_path, manifest);
   }
 
-  Executor executor(threads);
   if (!fault_schedule.empty()) executor.set_fault_schedule(&fault_schedule);
   // Options the library rejects (a zero epoch budget, more shards than
   // clients, an offered load past the Poisson sampler's range) surface

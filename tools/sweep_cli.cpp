@@ -212,6 +212,7 @@ int do_run(const std::map<std::string, std::string>& flags) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
+  Executor executor = cli::usage_error([&] { return Executor(threads); });
   const std::size_t total = cell_count(spec);
   if (!quiet) {
     std::cout << "sweep: " << spec.scenarios.size() << " scenarios x "
@@ -250,7 +251,7 @@ int do_run(const std::map<std::string, std::string>& flags) {
   }
   SweepResult result;
   try {
-    result = runner.run(spec, threads, progress);
+    result = runner.run(spec, executor, progress);
   } catch (...) {
     if (!trace_path.empty()) trace::stop();
     throw;

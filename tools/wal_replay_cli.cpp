@@ -127,6 +127,7 @@ int do_replay(const std::string& path,
     }
   }
 
+  Executor executor = cli::usage_error([&] { return Executor(threads); });
   const recovery::RecoveredRun state = recover_or_usage(path);
   std::size_t tenant = 0;
   if (!tenant_name.empty()) {
@@ -168,7 +169,6 @@ int do_replay(const std::string& path,
       cli::make_host(manifest, ScenarioRegistry::builtin());
 
   RouteServerOptions options = manifest.options;
-  options.threads = threads;
   options.record_latency = false;  // replay is deterministic by definition
   // Replay always serves the reference schedule, even for a pipeline=1
   // WAL: cut content is schedule-independent (pipelined cuts are captured
@@ -188,7 +188,6 @@ int do_replay(const std::string& path,
               << manifest.scenario << "/" << manifest.policy << "\n";
   }
 
-  Executor executor(threads);
   std::size_t mismatches = 0;
   for (std::size_t e = from_epoch; e < from_epoch + epoch_count; ++e) {
     TaskGraph graph;
