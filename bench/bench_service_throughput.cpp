@@ -2,8 +2,7 @@
 // the execution layer.
 //
 // Serves two fixed workloads on 1..N worker threads and reports
-// throughput, latency quantiles, speedup over single-threaded and
-// parallel efficiency:
+// throughput, speedup over single-threaded and parallel efficiency:
 //   - closed-loop: the PR-2/PR-3 baseline shape (uniform batches, no
 //     sub-batch splitting at the default threshold) — comparable against
 //     the historical BENCH_service.json trajectory;
@@ -34,8 +33,6 @@ namespace {
 struct ScalingPoint {
   std::size_t threads = 0;
   double qps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
   double wall_seconds = 0.0;
   double speedup = 0.0;
   double efficiency = 0.0;
@@ -104,7 +101,7 @@ int run_main(int argc, char** argv) {
 
     std::cout << "\n  workload " << run.name << " (sub-batch "
               << run.sub_batch_queries << ")\n\n";
-    Table table({"threads", "Mq/s", "p50 us", "p99 us", "speedup", "eff"});
+    Table table({"threads", "Mq/s", "speedup", "eff"});
     std::uint64_t reference_digest = 0;
 
     for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
@@ -125,8 +122,6 @@ int run_main(int argc, char** argv) {
       ScalingPoint point;
       point.threads = threads;
       point.qps = result.queries_per_second;
-      point.p50_us = result.p50_us;
-      point.p99_us = result.p99_us;
       point.wall_seconds = result.wall_seconds;
       point.speedup =
           run.points.empty() ? 1.0 : point.qps / run.points.front().qps;
@@ -134,7 +129,6 @@ int run_main(int argc, char** argv) {
       run.points.push_back(point);
 
       table.add_row({std::to_string(threads), fmt(point.qps / 1e6, 3),
-                     fmt(point.p50_us, 2), fmt(point.p99_us, 2),
                      fmt(point.speedup, 2), fmt(point.efficiency, 2)});
     }
     table.print(std::cout);
@@ -168,7 +162,6 @@ int run_main(int argc, char** argv) {
     for (std::size_t i = 0; i < run.points.size(); ++i) {
       const ScalingPoint& p = run.points[i];
       json << "      {\"threads\": " << p.threads << ", \"qps\": " << p.qps
-           << ", \"p50_us\": " << p.p50_us << ", \"p99_us\": " << p.p99_us
            << ", \"wall_seconds\": " << p.wall_seconds
            << ", \"speedup\": " << bench::json_scaling(p.speedup)
            << ", \"efficiency\": " << bench::json_scaling(p.efficiency) << "}"

@@ -38,7 +38,7 @@ std::string encode_run_header(const RunManifest& manifest) {
     w.u8(o.sub_batch_auto ? 1 : 0);
     w.u64(o.seed);
     w.u8(o.record_latency ? 1 : 0);
-    w.u64(kLatencySampleEvery);  // fixed now; the slot keeps the format
+    w.u64(32);  // the retired latency sample stride; the slot stays
     w.u64(tenant.weight);
   }
   return w.take();
@@ -83,7 +83,7 @@ RunManifest decode_run_header(std::string_view payload) {
     o.sub_batch_auto = r.u8() != 0;
     o.seed = r.u64();
     o.record_latency = r.u8() != 0;
-    r.u64();  // the latency sample stride: wall-clock only, ignored
+    r.u64();  // the retired latency sample stride, ignored
     tenant.weight = r.u64();
     manifest.tenants.push_back(std::move(tenant));
   }
@@ -109,9 +109,8 @@ std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
   w.f64(s.route_p50);
   w.f64(s.route_p99);
   w.f64(s.route_p999);
-  w.f64(s.p50_us);
-  w.f64(s.p99_us);
-  w.f64(s.p999_us);
+  // Three retired slots (the wall-clock p50/p99/p999 us): written as 0.
+  for (int retired = 0; retired < 3; ++retired) w.f64(0.0);
   w.f64(s.queries_per_second);
   for (const std::uint64_t word : cut.rng_state) w.u64(word);
   w.u64(cut.flow.size());
@@ -163,9 +162,7 @@ CutRecord decode_epoch_cut(std::string_view payload) {
   s.route_p50 = r.f64();
   s.route_p99 = r.f64();
   s.route_p999 = r.f64();
-  s.p50_us = r.f64();
-  s.p99_us = r.f64();
-  s.p999_us = r.f64();
+  for (int retired = 0; retired < 3; ++retired) r.f64();  // read, discarded
   s.queries_per_second = r.f64();
   for (std::uint64_t& word : record.cut.rng_state) word = r.u64();
   const std::size_t paths = r.count<std::uint64_t>(8);

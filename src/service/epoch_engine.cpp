@@ -17,7 +17,6 @@
 #include "service/workload.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
-#include "util/stopwatch.h"
 
 namespace staleflow {
 namespace {
@@ -143,11 +142,6 @@ void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
   const SnapshotPtr snap = store_->acquire();
   const BulletinBoard& board = snap->board();
   for (std::size_t q = 0; q < sub.arrivals; ++q) {
-    const bool timed =
-        options_.record_latency && q % kLatencySampleEvery == 0;
-    const WallClock::time_point begin =
-        timed ? WallClock::now() : WallClock::time_point{};
-
     const RouteQuery query{static_cast<std::uint32_t>(
         s + shards * (sub.client_begin + sub.rng.below(sub.client_count)))};
     const CommodityId c = clients_->commodity_of(query.client);
@@ -182,10 +176,6 @@ void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
     // routed against — a deterministic board value, not wall clock.
     sub.route_hist.record(
         board.path_latency()[commodity.paths[served_path].index()]);
-
-    if (timed) {
-      sub.wall_hist.record(1e6 * seconds_between(begin, WallClock::now()));
-    }
   }
 }
 
@@ -329,7 +319,6 @@ std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
       sub.arrivals = sub_range(batch, pieces, piece).count;
       sub.rng = epoch_rng.split();
       sub.route_hist.reset();
-      sub.wall_hist.reset();
     }
     planned += pieces;
   }
@@ -430,17 +419,6 @@ std::size_t EpochEngine::add_summary_node(
           slot->summary.route_p99 = slot->epoch_route.quantile(0.99);
           slot->summary.route_p999 = slot->epoch_route.quantile(0.999);
         }
-        if (options_.record_latency) {
-          slot->epoch_wall.reset();
-          for (std::size_t b = 0; b < slot->batches; ++b) {
-            slot->epoch_wall.merge(slot->ctx[b].wall_hist);
-          }
-          if (!slot->epoch_wall.empty()) {
-            slot->summary.p50_us = slot->epoch_wall.quantile(0.5);
-            slot->summary.p99_us = slot->epoch_wall.quantile(0.99);
-            slot->summary.p999_us = slot->epoch_wall.quantile(0.999);
-          }
-        }
       },
       std::span<const std::size_t>(deps.begin(), deps.size()));
 }
@@ -465,7 +443,6 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   // already ran inside a graph; record the epoch.
   run_route_.merge(stage.epoch_route);
   if (options_.record_latency) {
-    run_wall_us_.merge(stage.epoch_wall);
     stage.summary.queries_per_second =
         stage.serve_seconds > 0.0
             ? static_cast<double>(stage.totals.queries) / stage.serve_seconds
@@ -620,17 +597,11 @@ RouteServerResult EpochEngine::finish(double wall_seconds) {
   result.final_gap = result.epochs.back().wardrop_gap;
   result.route_latency = run_route_;
   if (options_.record_latency) {
-    result.wall_latency_us = run_wall_us_;
     result.wall_seconds = wall_seconds;
     result.queries_per_second =
         result.wall_seconds > 0.0
             ? static_cast<double>(result.total_queries) / result.wall_seconds
             : 0.0;
-    if (!result.wall_latency_us.empty()) {
-      result.p50_us = result.wall_latency_us.quantile(0.5);
-      result.p99_us = result.wall_latency_us.quantile(0.99);
-      result.p999_us = result.wall_latency_us.quantile(0.999);
-    }
   }
   return result;
 }

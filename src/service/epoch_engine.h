@@ -82,7 +82,7 @@ class TaskGraph;
 namespace detail {
 /// Everything one serving task needs for an epoch: which shard it belongs
 /// to, its contiguous slice of that shard's client list, its arrival
-/// quota, its own Rng stream and its latency histograms. Sub-batches
+/// quota, its own Rng stream and its route-latency histogram. Sub-batches
 /// never touch each other's context; the alignment keeps neighbouring
 /// contexts off the same cache line (the rng state is written on every
 /// query).
@@ -93,7 +93,6 @@ struct alignas(64) SubBatchContext {
   std::size_t arrivals = 0;
   Rng rng{0};
   LogHistogram route_hist;  // board latency of the served path (exact)
-  LogHistogram wall_hist;   // per-query service time in us (wall clock)
 };
 }  // namespace detail
 
@@ -132,8 +131,8 @@ class EpochEngine {
   void add_epoch(TaskGraph& graph);
 
   /// Completes the epoch whose summary node ran in the last add_epoch's
-  /// graph (the graph must have run): merges that epoch's histograms into
-  /// the run result and records the summary (calling `observer` if set);
+  /// graph (the graph must have run): merges that epoch's route histogram
+  /// into the run result and records the summary (calling `observer` if set);
   /// the first pipelined call completes nothing. `epoch_seconds` is the
   /// wall-clock the host measured for the graph. It is booked on the
   /// epoch the graph served, whose queries_per_second (when latency
@@ -216,7 +215,6 @@ class EpochEngine {
     std::shared_ptr<BoardSnapshot> next;
     EpochSummary summary;
     LogHistogram epoch_route;  // this epoch's merged route latencies
-    LogHistogram epoch_wall;   // this epoch's merged service times (us)
     double serve_seconds = 0.0;  // wall seconds of the graph that served it
     PendingCut cut;            // deferred summary: boundary state for the WAL
     std::uint64_t trace_epoch = 0;
@@ -269,7 +267,6 @@ class EpochEngine {
   std::size_t total_queries_ = 0;
   std::size_t total_migrations_ = 0;
   LogHistogram run_route_;
-  LogHistogram run_wall_us_;
 };
 
 }  // namespace staleflow

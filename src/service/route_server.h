@@ -122,16 +122,13 @@ struct RouteServerOptions {
   /// the matching commit point. Must outlive run().
   const faults::FaultSchedule* faults = nullptr;
 
-  /// Record wall-clock per-query service time into per-shard
-  /// LogHistograms. Off = deterministic replay mode: all telemetry fields
-  /// are reproducible bit-for-bit.
+  /// Read the clock around each epoch graph and the run, for the
+  /// per-epoch and run `queries_per_second` and `wall_seconds`. The
+  /// serve loop itself reads no clock: per-query serve time is the
+  /// kSubBatchSpan trace span divided by its queries. Off = deterministic
+  /// replay mode: every telemetry field is reproducible bit-for-bit.
   bool record_latency = true;
 };
-
-/// With record_latency, every kLatencySampleEvery-th query of a sub-batch
-/// is timed (the clock reads are the cost; the histogram itself stores
-/// nothing per sample).
-inline constexpr std::size_t kLatencySampleEvery = 32;
 
 struct RouteServerResult {
   FlowVector final_flow;
@@ -147,13 +144,9 @@ struct RouteServerResult {
   /// histogram configuration.
   LogHistogram route_latency;
 
-  // Wall-clock (non-deterministic; zero / empty in replay mode).
-  LogHistogram wall_latency_us;  // per-query service time, merged over run
+  // Wall-clock (non-deterministic; zero in replay mode).
   double wall_seconds = 0.0;
   double queries_per_second = 0.0;
-  double p50_us = 0.0;  // quantiles of wall_latency_us
-  double p99_us = 0.0;
-  double p999_us = 0.0;
 };
 
 /// Called at every phase boundary with the finished epoch's summary.

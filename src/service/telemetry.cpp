@@ -28,7 +28,7 @@ void write_epoch_csv(const std::string& path,
                                      "route_p50",  "route_p99",
                                      "route_p999"};
   if (include_timing) {
-    header.insert(header.end(), {"p50_us", "p99_us", "p999_us", "qps"});
+    header.push_back("qps");
   }
   CsvWriter csv(path, header);
   for (const EpochSummary& e : epochs) {
@@ -40,9 +40,6 @@ void write_epoch_csv(const std::string& path,
         fmt(e.route_p50),             fmt(e.route_p99),
         fmt(e.route_p999)};
     if (include_timing) {
-      row.push_back(fmt(e.p50_us));
-      row.push_back(fmt(e.p99_us));
-      row.push_back(fmt(e.p999_us));
       row.push_back(fmt(e.queries_per_second));
     }
     csv.add_row(row);

@@ -4,16 +4,17 @@
 // classes: *deterministic* outcomes of the dynamics (queries, migrations,
 // Wardrop gap, board latency, and the route-latency quantiles extracted
 // from the epoch's merged LogHistogram — functions of seed and
-// configuration only) and *wall-clock* figures (query service-time
-// quantiles, throughput) that vary run to run. The CSV writer can
-// restrict itself to the deterministic columns so replay runs diff
-// byte-for-byte regardless of worker-thread count, and the digest pins
-// those columns for golden tests.
+// configuration only) and one *wall-clock* figure, throughput, that
+// varies run to run. The CSV writer can restrict itself to the
+// deterministic columns so replay runs diff byte-for-byte regardless of
+// worker-thread count, and the digest pins those columns for golden
+// tests.
 //
-// Latency distributions are log-bucket histograms (util/log_histogram.h),
-// not sampled vectors: per-shard recordings merge exactly into per-epoch
-// and per-run distributions, and quantiles are extracted from counts —
-// mergeable across shards, epochs, and (in the sweep engine) whole cells.
+// The route-latency distribution is a log-bucket histogram
+// (util/log_histogram.h), not a sampled vector: per-shard recordings
+// merge exactly into per-epoch and per-run distributions, and quantiles
+// are extracted from counts — mergeable across shards, epochs, and (in
+// the sweep engine) whole cells.
 #pragma once
 
 #include <cstddef>
@@ -43,11 +44,8 @@ struct EpochSummary {
   double route_p99 = 0.0;
   double route_p999 = 0.0;
 
-  // Wall-clock figures; zeroed when latency recording is off. Quantiles
-  // come from the epoch's merged service-time histogram.
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
+  // The one wall-clock figure: queries over the wall seconds of the
+  // graph that served the epoch; zero when latency recording is off.
   double queries_per_second = 0.0;
 };
 

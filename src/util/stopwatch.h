@@ -1,35 +1,29 @@
-// Wall-clock helpers shared by the serving layer (route server, epoch
-// engine, tenant registry), the benches (bench/bench_common.h), and the
-// trace plane: one monotonic clock alias, the duration-in-seconds
-// conversion every epoch/run measurement uses, and a Stopwatch for the
-// begin/elapsed idiom. Everything times against the same steady_clock
-// the trace recorder stamps spans with, so bench numbers and offline
-// trace quantiles are directly comparable.
+// The one wall-clock timer shared by the serving layer (route server,
+// tenant registry) and the benches (bench/bench_common.h): a Stopwatch for
+// the begin/elapsed idiom. It times against the same steady_clock the
+// trace recorder stamps spans with, so bench numbers and offline trace
+// quantiles are directly comparable.
 #pragma once
 
 #include <chrono>
 
 namespace staleflow {
 
-using WallClock = std::chrono::steady_clock;
-
-inline double seconds_between(WallClock::time_point begin,
-                              WallClock::time_point end) {
-  return std::chrono::duration<double>(end - begin).count();
-}
-
 /// The one begin/elapsed timing idiom: starts on construction, reads
 /// without stopping, restarts for loop reuse. Wall-clock telemetry only —
 /// never feeds the deterministic digest.
 class Stopwatch {
  public:
-  Stopwatch() : begin_(WallClock::now()) {}
+  Stopwatch() : begin_(Clock::now()) {}
 
-  double seconds() const { return seconds_between(begin_, WallClock::now()); }
-  void restart() { begin_ = WallClock::now(); }
+  double seconds() const {
+    return std::chrono::duration<double>(Clock::now() - begin_).count();
+  }
+  void restart() { begin_ = Clock::now(); }
 
  private:
-  WallClock::time_point begin_;
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point begin_;
 };
 
 }  // namespace staleflow

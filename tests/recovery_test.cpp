@@ -16,6 +16,7 @@
 // (exit 2) on conflicting or unusable paths.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -1259,6 +1260,95 @@ TEST(WalHeader, V3RecordsPipelineAndReadsV2) {
   std::string v4 = v3;
   v4[0] = 4;
   EXPECT_THROW(recovery::decode_run_header(v4), std::runtime_error);
+}
+
+TEST(WalHeader, RetiredLatencySlotsKeepTheV3Layout) {
+  // The wall-clock p50/p99/p999 us fields are gone, but their WAL slots
+  // stay: the header's sample-stride slot still holds 32, every cut still
+  // carries three (zeroed) doubles after route_p999, and cuts a
+  // latency-recording build wrote — nonzero in those slots — still
+  // decode and resume.
+  SingleRun fixture;
+  const std::string header_payload =
+      recovery::encode_run_header(fixture.manifest());
+  binio::Reader header(header_payload);
+  EXPECT_EQ(header.u32(), recovery::kWalVersion);
+  header.u8();  // multi_tenant
+  header.u8();  // pipeline
+  header.str();  // faults
+  ASSERT_EQ(header.u32(), 1u);  // tenants
+  for (int name = 0; name < 4; ++name) header.str();
+  header.f64();  // update_period
+  for (int word = 0; word < 4; ++word) header.u64();  // epochs .. sub_batch
+  header.u8();   // sub_batch_auto
+  header.u64();  // seed
+  header.u8();   // record_latency
+  EXPECT_EQ(header.u64(), 32u);  // the retired latency sample stride
+  EXPECT_EQ(header.u64(), 1u);   // weight
+  EXPECT_TRUE(header.done());
+
+  const std::string clean_path = temp_path("retired_clean.wal");
+  std::uint64_t golden = 0;
+  {
+    recovery::WalLog log(clean_path, fixture.manifest());
+    golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
+    log.finish();
+  }
+  const framed_log::Scan clean = wal_frames(clean_path);
+  const std::size_t retired_at = 4 + 11 * 8;  // tenant, 11 summary words
+  std::ostringstream out(std::ios::binary);
+  out.write(recovery::kWalMagic, framed_log::kMagicBytes);
+  std::size_t cuts = 0;
+  for (const framed_log::Frame& frame : clean.records) {
+    std::string payload = frame.payload;
+    if (frame.type == static_cast<std::uint32_t>(
+                          recovery::RecordType::kEpochCut)) {
+      const recovery::CutRecord decoded = recovery::decode_epoch_cut(payload);
+      const EngineCheckpoint& cut = decoded.cut;
+      std::uint64_t nonzero = 0;
+      for (std::size_t b = 0; b < cut.route_hist.bucket_count(); ++b) {
+        if (cut.route_hist.bucket_value(b) != 0) ++nonzero;
+      }
+      EXPECT_EQ(payload.size(),
+                4 + 15 * 8 + 8 * cut.rng_state.size() + 8 +
+                    8 * cut.flow.size() + 8 + 4 * cut.client_paths.size() +
+                    (8 + 8 + 4 + 8 + 16 * nonzero + 3 * 8) + 8);
+      EXPECT_EQ(payload.substr(retired_at, 3 * 8), std::string(3 * 8, '\0'));
+      EXPECT_EQ(recovery::encode_epoch_cut(decoded.tenant, cut,
+                                           decoded.digest_so_far),
+                payload);
+      for (int slot = 0; slot < 3; ++slot) {
+        payload = patch_word(payload, retired_at + 8 * slot,
+                             std::bit_cast<std::uint64_t>(0.1 * (slot + 1)),
+                             8);
+      }
+      ++cuts;
+    }
+    framed_log::append_frame(out, frame.type, payload);
+  }
+  ASSERT_EQ(cuts, fixture.options.epochs);
+  const std::string path = temp_path("retired_nonzero.wal");
+  write_file(path, out.str());
+
+  const recovery::RecoveredRun expected = recovery::recover_wal(clean_path);
+  const recovery::RecoveredRun state = recovery::recover_wal(path);
+  EXPECT_TRUE(state.clean_shutdown);
+  EXPECT_FALSE(state.truncated);
+  ASSERT_EQ(state.cuts.size(), 1u);
+  ASSERT_EQ(state.cuts[0].size(), expected.cuts[0].size());
+  for (std::size_t e = 0; e < state.cuts[0].size(); ++e) {
+    const EpochSummary& got = state.cuts[0][e].summary;
+    const EpochSummary& want = expected.cuts[0][e].summary;
+    EXPECT_EQ(telemetry_digest_accumulate(fnv::kOffsetBasis, got),
+              telemetry_digest_accumulate(fnv::kOffsetBasis, want))
+        << "epoch " << e;
+    EXPECT_EQ(got.queries_per_second, want.queries_per_second);
+  }
+  EXPECT_EQ(state.digests[0], golden);
+  const std::size_t half = state.cuts[0].size() / 2;
+  const RouteServerResult resumed =
+      fixture.run(nullptr, std::span(state.cuts[0]).subspan(0, half));
+  EXPECT_EQ(telemetry_digest(resumed.epochs), golden);
 }
 
 // ------------------------------------------------- CLI recovery flags

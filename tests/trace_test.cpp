@@ -433,5 +433,57 @@ TEST(DigestNeutrality, MultiTenantTracedEqualsUntraced) {
   EXPECT_EQ(epoch_tenants, (std::set<std::uint32_t>{0, 1}));
 }
 
+// --------------------------------------------- crafted payloads (no MAC)
+
+TEST(TraceRecovery, CraftedPayloadsTruncateOrLoadCleanNeverThrow) {
+  // The frame checksum is FNV-1a, no MAC: anyone can re-frame a damaged
+  // payload so that it verifies. Flip every byte of every record payload
+  // of a small real trace, one at a time, re-frame it with a valid
+  // checksum, and load: the decoder must either stop trusting the file
+  // at that record or load it clean — never throw, crash or hang.
+  const std::string path = temp_path("crafted_source");
+  {
+    const Instance instance = braess(true);
+    const Policy policy = named_policy("replicator").make(instance, 0.1);
+    const WorkloadPtr workload = make_workload("closed-loop:200");
+    RouteServerOptions options = serving_options(2, 3);
+    options.num_clients = 100;
+    options.shards = 2;
+    options.threads = 1;
+    trace::start(path, "trace_test crafted");
+    RouteServer server(instance, policy, *workload);
+    server.run(FlowVector::uniform(instance), options);
+    trace::stop();
+  }
+  const framed_log::Scan clean = framed_log::scan_frames(
+      path, "trace", trace::kTraceMagic,
+      static_cast<std::uint32_t>(trace::TraceRecordType::kTraceTrailer));
+  ASSERT_FALSE(clean.truncated) << clean.note;
+  ASSERT_GE(clean.records.size(), 3u);  // header, events, ..., trailer
+
+  const std::string crafted_path = temp_path("crafted");
+  std::size_t flips = 0;
+  for (std::size_t i = 0; i < clean.records.size(); ++i) {
+    for (std::size_t at = 0; at < clean.records[i].payload.size(); ++at) {
+      std::ostringstream out(std::ios::binary);
+      out.write(trace::kTraceMagic, sizeof(trace::kTraceMagic));
+      for (std::size_t k = 0; k < clean.records.size(); ++k) {
+        std::string payload = clean.records[k].payload;
+        if (k == i) payload[at] = static_cast<char>(~payload[at]);
+        framed_log::append_frame(out, clean.records[k].type, payload);
+      }
+      write_file(crafted_path, out.str());
+      trace::LoadedTrace loaded;
+      ASSERT_NO_THROW(loaded = trace::load_trace(crafted_path))
+          << "record " << i << " byte " << at;
+      EXPECT_TRUE(loaded.truncated || loaded.clean_shutdown)
+          << "record " << i << " byte " << at;
+      EXPECT_LE(loaded.valid_bytes, out.str().size());
+      ++flips;
+    }
+  }
+  EXPECT_GT(flips, 0u);
+}
+
 }  // namespace
 }  // namespace staleflow

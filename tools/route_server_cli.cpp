@@ -18,8 +18,11 @@
 // exits 2. `run` serves the workload for the configured number of
 // epochs, printing per-epoch telemetry and a final summary including a
 // digest of the deterministic telemetry (used by the CI golden test).
-// With --deterministic, wall-clock latency recording is off and the CSV
-// holds only deterministic columns — byte-identical for any --threads.
+// The only wall-clock figures are throughput and wall seconds, per epoch
+// and per run; per-query serve time is read from --trace sub-batch spans
+// (trace_dump_cli). With --deterministic there are no wall-clock figures
+// and the CSV holds only deterministic columns — byte-identical for any
+// --threads.
 //
 // Every fresh run requests cross-epoch pipelining: each epoch's summary
 // tail overlaps the next epoch's serving, which moves wall clock only,
@@ -232,9 +235,7 @@ int print_single_result(const RouteServerResult& result, bool record_latency,
             << fmt(result.final_gap, 6) << "\n";
   if (record_latency) {
     std::cout << "throughput " << fmt(result.queries_per_second / 1e6, 3)
-              << " Mq/s (" << fmt(result.wall_seconds, 2) << " s wall), p50 "
-              << fmt(result.p50_us, 1) << " us, p99 "
-              << fmt(result.p99_us, 1) << " us\n";
+              << " Mq/s (" << fmt(result.wall_seconds, 2) << " s wall)\n";
   }
   std::cout << "digest=" << std::hex << telemetry_digest(result.epochs)
             << std::dec << "\n";
@@ -302,8 +303,7 @@ TenantObserver make_reporter(const recovery::RunManifest& manifest,
               << ", gap " << fmt(e.wardrop_gap, 6) << ", board latency "
               << fmt(e.board_latency, 4);
     if (e.queries_per_second > 0.0) {
-      std::cout << ", " << fmt(e.queries_per_second / 1e6, 2)
-                << " Mq/s, p99 " << fmt(e.p99_us, 1) << " us";
+      std::cout << ", " << fmt(e.queries_per_second / 1e6, 2) << " Mq/s";
     }
     std::cout << "\n";
   };

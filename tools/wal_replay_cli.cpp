@@ -152,7 +152,7 @@ int do_replay(const std::string& path,
         "prefix (" + std::to_string(cuts.size()) + " cuts in the WAL)");
   }
   if (!epochs_given) epoch_count = cuts.size() - from_epoch;
-  if (from_epoch + epoch_count > cuts.size()) {
+  if (epoch_count > cuts.size() - from_epoch) {  // no wrap: checked above
     throw cli::UsageError(
         "--epoch " + std::to_string(from_epoch) + " + --epochs " +
         std::to_string(epoch_count) + " exceeds the committed prefix (" +
