@@ -47,11 +47,11 @@ std::string encode_run_header(const RunManifest& manifest) {
 RunManifest decode_run_header(std::string_view payload) {
   binio::Reader r(payload);
   const std::uint32_t version = r.u32();
-  // A v3 reader still accepts v2 files: the only layout change is the
-  // pipeline byte (absent in v2, meaning the reference schedule). Anything
-  // else is a future format this build cannot decode — which is also how
-  // a v2 reader treats a v3 header.
-  if (version != 2 && version != kWalVersion) {
+  // A v4 reader still accepts v2 and v3 files: v3 added the pipeline
+  // byte (absent in v2, meaning the reference schedule), v4 only a record
+  // type. Anything else is a future format this build cannot decode —
+  // which is also how an older reader treats a newer header.
+  if (version < 2 || version > kWalVersion) {
     throw std::runtime_error("WAL header: unknown payload version " +
                              std::to_string(version) +
                              " (this build reads 2.." +
@@ -93,9 +93,13 @@ RunManifest decode_run_header(std::string_view payload) {
   return manifest;
 }
 
-std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
-                             std::uint64_t digest_so_far) {
-  binio::Writer w;
+namespace {
+
+// A cut record is head, client section, tail: the keyframe and the delta
+// differ only in the client section.
+
+void write_cut_head(binio::Writer& w, std::uint32_t tenant,
+                    const EngineCheckpoint& cut) {
   w.u32(tenant);
   const EpochSummary& s = cut.summary;
   w.u64(s.epoch);
@@ -115,9 +119,10 @@ std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
   for (const std::uint64_t word : cut.rng_state) w.u64(word);
   w.u64(cut.flow.size());
   for (const double f : cut.flow) w.f64(f);
-  w.u64(cut.client_paths.size());
-  for (const std::uint32_t p : cut.client_paths) w.u32(p);
+}
 
+void write_cut_tail(binio::Writer& w, const EngineCheckpoint& cut,
+                    std::uint64_t digest_so_far) {
   const LogHistogram& h = cut.route_hist;
   w.f64(h.min_value());
   w.f64(h.max_value());
@@ -143,12 +148,9 @@ std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
     w.f64(h.sum());
   }
   w.u64(digest_so_far);
-  return w.take();
 }
 
-CutRecord decode_epoch_cut(std::string_view payload) {
-  binio::Reader r(payload);
-  CutRecord record;
+void read_cut_head(binio::Reader& r, CutRecord& record) {
   record.tenant = r.u32();
   EpochSummary& s = record.cut.summary;
   s.epoch = r.u64();
@@ -168,12 +170,9 @@ CutRecord decode_epoch_cut(std::string_view payload) {
   const std::size_t paths = r.count<std::uint64_t>(8);
   record.cut.flow.reserve(paths);
   for (std::size_t i = 0; i < paths; ++i) record.cut.flow.push_back(r.f64());
-  const std::size_t clients = r.count<std::uint64_t>(4);
-  record.cut.client_paths.reserve(clients);
-  for (std::size_t i = 0; i < clients; ++i) {
-    record.cut.client_paths.push_back(r.u32());
-  }
+}
 
+void read_cut_tail(binio::Reader& r, CutRecord& record) {
   const double hist_min_value = r.f64();
   const double hist_max_value = r.f64();
   const std::uint32_t hist_bits = r.u32();
@@ -200,7 +199,66 @@ CutRecord decode_epoch_cut(std::string_view payload) {
   if (!r.done()) {
     throw std::runtime_error("WAL cut: trailing bytes in payload");
   }
+}
+
+}  // namespace
+
+std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
+                             std::uint64_t digest_so_far) {
+  binio::Writer w;
+  write_cut_head(w, tenant, cut);
+  w.u64(cut.client_paths.size());
+  for (const std::uint32_t p : cut.client_paths) w.u32(p);
+  write_cut_tail(w, cut, digest_so_far);
+  return w.take();
+}
+
+CutRecord decode_epoch_cut(std::string_view payload) {
+  binio::Reader r(payload);
+  CutRecord record;
+  read_cut_head(r, record);
+  const std::size_t clients = r.count<std::uint64_t>(4);
+  record.cut.client_paths.reserve(clients);
+  for (std::size_t i = 0; i < clients; ++i) {
+    record.cut.client_paths.push_back(r.u32());
+  }
+  read_cut_tail(r, record);
   return record;
+}
+
+std::string encode_epoch_delta(std::uint32_t tenant,
+                               const EngineCheckpoint& cut,
+                               std::uint64_t digest_so_far,
+                               std::span<const PathChange> changes) {
+  binio::Writer w;
+  write_cut_head(w, tenant, cut);
+  w.u64(changes.size());
+  for (const PathChange& change : changes) {
+    w.u32(change.client);
+    w.u32(change.path);
+  }
+  write_cut_tail(w, cut, digest_so_far);
+  return w.take();
+}
+
+DeltaRecord decode_epoch_delta(std::string_view payload) {
+  binio::Reader r(payload);
+  DeltaRecord delta;
+  read_cut_head(r, delta.record);
+  const std::size_t changes = r.count<std::uint64_t>(8);
+  delta.changes.reserve(changes);
+  for (std::size_t i = 0; i < changes; ++i) {
+    PathChange change;
+    change.client = r.u32();
+    change.path = r.u32();
+    if (i > 0 && change.client <= delta.changes.back().client) {
+      throw std::runtime_error(
+          "WAL delta: clients not in strictly ascending order");
+    }
+    delta.changes.push_back(change);
+  }
+  read_cut_tail(r, delta.record);
+  return delta;
 }
 
 std::string encode_round_mark(const RoundMark& mark) {
@@ -247,10 +305,10 @@ std::vector<std::uint64_t> decode_trailer(std::string_view payload) {
 // recover_wal
 // --------------------------------------------------------------------------
 
-RecoveredRun recover_wal(const std::string& path) {
-  const framed_log::Scan scan = framed_log::scan_frames(
-      path, "WAL", kWalMagic,
-      static_cast<std::uint32_t>(RecordType::kTrailer));
+RecoveredRun recover_wal(const std::string& path,
+                         std::optional<CutRef> paths_at) {
+  const framed_log::Scan scan =
+      framed_log::scan_frames(path, "WAL", kWalMagic, kMaxRecordType);
   if (scan.records.empty() ||
       scan.records.front().type !=
           static_cast<std::uint32_t>(RecordType::kRunHeader)) {
@@ -259,7 +317,9 @@ RecoveredRun recover_wal(const std::string& path) {
   }
 
   RecoveredRun run;
-  run.manifest = decode_run_header(scan.records.front().payload);
+  const std::string& header = scan.records.front().payload;
+  run.manifest = decode_run_header(header);
+  run.version = binio::Reader(header).u32();
   const std::size_t tenants = run.manifest.tenants.size();
   run.cuts.resize(tenants);
   run.cut_offsets.resize(tenants);
@@ -272,13 +332,20 @@ RecoveredRun recover_wal(const std::string& path) {
   // Cuts stage between round marks; only a round mark commits them. The
   // scan stops at the first record that is structurally valid but
   // semantically impossible (bad tenant index, epoch gap, digest
-  // mismatch, records after the trailer): like a checksum failure,
-  // nothing after it can be trusted.
+  // mismatch, a delta without a base, records after the trailer): like a
+  // checksum failure, nothing after it can be trusted.
   struct StagedCut {
-    CutRecord record;
+    CutRecord record;  // a keyframe carries its client paths here
+    bool delta = false;
+    std::vector<PathChange> changes;  // a delta's
     std::uint64_t offset = 0;  // where the cut's frame starts in the file
   };
   std::vector<StagedCut> staged;
+  // Per tenant: whether a keyframe, staged or committed, precedes the
+  // next record — the base a delta folds onto.
+  std::vector<bool> has_base(tenants, false);
+  // Per tenant: the client paths of its last committed cut.
+  std::vector<std::vector<std::uint32_t>> paths(tenants);
   const auto stop = [&run, &staged](const std::string& why) {
     run.truncated = true;
     run.note = why;
@@ -296,35 +363,68 @@ RecoveredRun recover_wal(const std::string& path) {
         case RecordType::kRunHeader:
           stop("corrupt WAL: duplicate run header");
           break;
-        case RecordType::kEpochCut: {
-          CutRecord cut = decode_epoch_cut(record.payload);
-          if (cut.tenant >= tenants) {
+        case RecordType::kEpochCut:
+        case RecordType::kEpochDelta: {
+          StagedCut pending;
+          pending.delta = record.type == static_cast<std::uint32_t>(
+                                             RecordType::kEpochDelta);
+          if (!pending.delta) {
+            pending.record = decode_epoch_cut(record.payload);
+          } else if (run.version < 4) {
+            stop("corrupt WAL: delta cut in a v" +
+                 std::to_string(run.version) + " file");
+            break;
+          } else {
+            DeltaRecord delta = decode_epoch_delta(record.payload);
+            pending.record = std::move(delta.record);
+            pending.changes = std::move(delta.changes);
+          }
+          const std::uint32_t tenant = pending.record.tenant;
+          if (tenant >= tenants) {
             stop("corrupt WAL: cut for unknown tenant");
             break;
           }
-          std::size_t expected = run.cuts[cut.tenant].size();
-          std::uint64_t digest = run.digests[cut.tenant];
-          for (const StagedCut& pending : staged) {
-            if (pending.record.tenant == cut.tenant) {
+          std::size_t expected = run.cuts[tenant].size();
+          std::uint64_t digest = run.digests[tenant];
+          for (const StagedCut& earlier : staged) {
+            if (earlier.record.tenant == tenant) {
               ++expected;
-              digest = pending.record.digest_so_far;
+              digest = earlier.record.digest_so_far;
             }
           }
-          if (cut.cut.summary.epoch != expected) {
+          if (pending.record.cut.summary.epoch != expected) {
             stop("corrupt WAL: cut epochs not contiguous");
             break;
           }
-          if (telemetry_digest_accumulate(digest, cut.cut.summary) !=
-              cut.digest_so_far) {
+          if (telemetry_digest_accumulate(digest,
+                                          pending.record.cut.summary) !=
+              pending.record.digest_so_far) {
             stop("corrupt WAL: cut digest cross-check failed");
+            break;
+          }
+          const std::size_t clients =
+              run.manifest.tenants[tenant].options.num_clients;
+          if (!pending.delta) {
+            if (pending.record.cut.client_paths.size() != clients) {
+              stop("corrupt WAL: keyframe client count differs from the "
+                   "run header's");
+              break;
+            }
+            has_base[tenant] = true;
+          } else if (!has_base[tenant]) {
+            stop("corrupt WAL: delta cut without a keyframe base");
+            break;
+          } else if (!pending.changes.empty() &&
+                     pending.changes.back().client >= clients) {
+            stop("corrupt WAL: delta cut names a client past the tenant's " +
+                 std::to_string(clients));
             break;
           }
           // Frame start = end offset minus the frame overhead and the
           // payload itself.
-          const std::uint64_t frame_start = record.end_offset -
-                                            framed_log::kFrameBytes -
-                                            record.payload.size();
-          staged.push_back(StagedCut{std::move(cut), frame_start});
+          pending.offset = record.end_offset - framed_log::kFrameBytes -
+                           record.payload.size();
+          staged.push_back(std::move(pending));
           break;
         }
         case RecordType::kRoundMark: {
@@ -338,10 +438,23 @@ RecoveredRun recover_wal(const std::string& path) {
             break;
           }
           for (StagedCut& pending : staged) {
-            run.digests[pending.record.tenant] = pending.record.digest_so_far;
-            run.cuts[pending.record.tenant].push_back(
-                std::move(pending.record.cut));
-            run.cut_offsets[pending.record.tenant].push_back(pending.offset);
+            const std::uint32_t tenant = pending.record.tenant;
+            EngineCheckpoint& cut = pending.record.cut;
+            if (pending.delta) {
+              for (const PathChange& change : pending.changes) {
+                paths[tenant][change.client] = change.path;
+              }
+            } else {
+              paths[tenant] = std::move(cut.client_paths);
+              cut.client_paths.clear();
+            }
+            if (paths_at && paths_at->tenant == tenant &&
+                paths_at->epoch == cut.summary.epoch) {
+              cut.client_paths = paths[tenant];
+            }
+            run.digests[tenant] = pending.record.digest_so_far;
+            run.cuts[tenant].push_back(std::move(cut));
+            run.cut_offsets[tenant].push_back(pending.offset);
           }
           staged.clear();
           run.rounds = mark.rounds;
@@ -380,6 +493,13 @@ RecoveredRun recover_wal(const std::string& path) {
     run.truncated = true;
     if (run.note.empty()) run.note = "uncommitted cuts without a round mark";
   }
+  // The folded paths belong to each tenant's last committed cut: the one
+  // EpochEngine::restore reads them from.
+  for (std::size_t tenant = 0; tenant < tenants; ++tenant) {
+    if (!run.cuts[tenant].empty()) {
+      run.cuts[tenant].back().client_paths = std::move(paths[tenant]);
+    }
+  }
   return run;
 }
 
@@ -399,7 +519,9 @@ RegistryResume registry_resume(const RecoveredRun& run) {
 // --------------------------------------------------------------------------
 
 WalLog::WalLog(const std::string& path, const RunManifest& manifest)
-    : path_(path), digests_(manifest.tenants.size(), fnv::kOffsetBasis) {
+    : path_(path),
+      digests_(manifest.tenants.size(), fnv::kOffsetBasis),
+      logged_paths_(manifest.tenants.size()) {
   if (manifest.tenants.empty()) {
     throw std::invalid_argument("WalLog: manifest has no tenants");
   }
@@ -413,7 +535,11 @@ WalLog::WalLog(const std::string& path, const RunManifest& manifest)
 }
 
 WalLog::WalLog(const std::string& path, const RecoveredRun& recovered)
-    : path_(path), digests_(recovered.digests), rounds_(recovered.rounds) {
+    : path_(path),
+      digests_(recovered.digests),
+      rounds_(recovered.rounds),
+      deltas_(recovered.version >= 4),
+      logged_paths_(recovered.digests.size()) {
   if (recovered.clean_shutdown) {
     throw std::invalid_argument(
         "WalLog: run already completed cleanly — nothing to append");
@@ -453,8 +579,22 @@ void WalLog::log_round(const RoundCheckpoint& round) {
   for (const auto& [tenant, cut] : round.cuts) {
     const std::uint64_t digest =
         telemetry_digest_accumulate(digests_.at(tenant), cut.summary);
-    append(RecordType::kEpochCut,
-           encode_epoch_cut(static_cast<std::uint32_t>(tenant), cut, digest));
+    const auto index = static_cast<std::uint32_t>(tenant);
+    std::vector<std::uint32_t>& logged = logged_paths_[tenant];
+    if (deltas_ && !logged.empty() &&
+        logged.size() == cut.client_paths.size()) {
+      std::vector<PathChange> changes;
+      for (std::size_t c = 0; c < logged.size(); ++c) {
+        if (cut.client_paths[c] == logged[c]) continue;
+        logged[c] = cut.client_paths[c];
+        changes.push_back({static_cast<std::uint32_t>(c), logged[c]});
+      }
+      append(RecordType::kEpochDelta,
+             encode_epoch_delta(index, cut, digest, changes));
+    } else {
+      append(RecordType::kEpochCut, encode_epoch_cut(index, cut, digest));
+      if (deltas_) logged = cut.client_paths;
+    }
     digests_[tenant] = digest;
   }
   RoundMark mark;

@@ -12,7 +12,18 @@
 //   kEpochCut    one tenant's EngineCheckpoint plus that tenant's
 //                digest-so-far (the incremental telemetry digest over
 //                its epochs 0..e) as an end-to-end cross-check beyond
-//                the per-record frame checksum.
+//                the per-record frame checksum. Every client's path
+//                rides along: a keyframe.
+//   kEpochDelta  (v4) the same record with the client section replaced
+//                by the (client, path) pairs that changed since the
+//                tenant's previous cut in the file, staged or committed,
+//                in strictly ascending client order. Near equilibrium
+//                almost nobody migrates, so a delta is a few hundred
+//                bytes where a keyframe carries all N paths. The keyframe
+//                rule: a tenant's first cut in every writer session (fresh
+//                or resumed) is a kEpochCut, so every delta chain starts
+//                at a keyframe in the file; a resumed v3 file keeps
+//                writing keyframes only.
 //   kRoundMark   the commit point: cut records are STAGED until their
 //                round mark. Recovery replays committed rounds only —
 //                the resume truncation offset is the end of the last
@@ -29,6 +40,10 @@
 // recover_wal() turns a (possibly torn) WAL file back into typed state:
 // the manifest, every tenant's committed cut prefix, the scheduler
 // round/credit state, and whether the run had already finished cleanly.
+// It folds each tenant's delta chain forward, holding full client paths
+// for one cut per tenant: only each tenant's last committed cut carries
+// them (all EpochEngine::restore reads), plus at most one cut the caller
+// names.
 // WalLog is the write side the serving CLIs install as their round
 // observer.
 #pragma once
@@ -36,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -85,6 +101,19 @@ struct CutRecord {
   std::uint64_t digest_so_far = 0;
 };
 
+/// One client's new path in a kEpochDelta record.
+struct PathChange {
+  std::uint32_t client = 0;
+  std::uint32_t path = 0;
+};
+
+/// A decoded kEpochDelta record: `record.cut.client_paths` stays empty;
+/// `changes` holds the clients whose path changed, strictly ascending.
+struct DeltaRecord {
+  CutRecord record;
+  std::vector<PathChange> changes;
+};
+
 /// A decoded kRoundMark record.
 struct RoundMark {
   std::uint64_t rounds = 0;
@@ -99,6 +128,14 @@ RunManifest decode_run_header(std::string_view payload);
 std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
                              std::uint64_t digest_so_far);
 CutRecord decode_epoch_cut(std::string_view payload);
+/// Encodes `cut` as a kEpochDelta carrying `changes` in place of its
+/// client paths (cut.client_paths is not read). `changes` must be in
+/// strictly ascending client order; the decoder rejects anything else.
+std::string encode_epoch_delta(std::uint32_t tenant,
+                               const EngineCheckpoint& cut,
+                               std::uint64_t digest_so_far,
+                               std::span<const PathChange> changes);
+DeltaRecord decode_epoch_delta(std::string_view payload);
 std::string encode_round_mark(const RoundMark& mark);
 RoundMark decode_round_mark(std::string_view payload);
 std::string encode_trailer(std::span<const std::uint64_t> digests);
@@ -108,8 +145,14 @@ std::vector<std::uint64_t> decode_trailer(std::string_view payload);
 struct RecoveredRun {
   RunManifest manifest;
 
+  /// The header's payload version (2..kWalVersion). It governs what a
+  /// resumed WalLog may append: deltas from v4 on.
+  std::uint32_t version = kWalVersion;
+
   /// Per tenant (manifest order): the committed cut prefix, epochs 0..e
-  /// in order. Empty = that tenant had not finished an epoch yet.
+  /// in order. Empty = that tenant had not finished an epoch yet. Only
+  /// each tenant's last cut (and the cut recover_wal's `paths_at` names)
+  /// carries client_paths; every other cut's is empty.
   std::vector<std::vector<EngineCheckpoint>> cuts;
 
   /// Parallel to `cuts`: the byte offset in the WAL file where each cut
@@ -143,12 +186,24 @@ struct RecoveredRun {
   }
 };
 
+/// Names one committed cut: a tenant index and an epoch.
+struct CutRef {
+  std::size_t tenant = 0;
+  std::size_t epoch = 0;
+};
+
 /// Scans and decodes `path`. Throws std::runtime_error when the file is
 /// missing, lacks the WAL magic, carries no (or a malformed) run header,
 /// or uses an unknown payload version — those mean "not a resumable WAL",
 /// as opposed to a torn tail, which is recovered from silently (see
-/// RecoveredRun::truncated / note).
-RecoveredRun recover_wal(const std::string& path);
+/// RecoveredRun::truncated / note). A delta without a base, out of
+/// order or naming a client past the header's num_clients, and a
+/// keyframe whose client count is not num_clients, end the trusted
+/// prefix like any other corrupt record. `paths_at`, when it names a
+/// committed cut, gives that cut its client paths too (a point-in-time
+/// replay restores from it).
+RecoveredRun recover_wal(const std::string& path,
+                         std::optional<CutRef> paths_at = std::nullopt);
 
 /// View of a RecoveredRun in the shape TenantRegistry::run consumes. The
 /// spans alias `run.cuts`; `run` must outlive the returned value's use.
@@ -173,7 +228,9 @@ class WalLog {
   WalLog(const std::string& path, const RecoveredRun& recovered);
 
   /// The one write path: logs every cut of the round, then the
-  /// committing round mark.
+  /// committing round mark. A tenant's first cut in this session is a
+  /// keyframe; later ones are deltas against the paths it last logged
+  /// (keyframes only when the file's header predates v4).
   void log_round(const RoundCheckpoint& round);
 
   /// Writes the clean-shutdown trailer (final per-tenant digests).
@@ -199,6 +256,10 @@ class WalLog {
   std::ofstream out_;
   std::vector<std::uint64_t> digests_;  // per tenant, committed-so-far
   std::uint64_t rounds_ = 0;
+  bool deltas_ = true;  // the file's header version allows kEpochDelta
+  /// Per tenant: the client paths this session last logged (empty until
+  /// its keyframe).
+  std::vector<std::vector<std::uint32_t>> logged_paths_;
 };
 
 }  // namespace staleflow::recovery

@@ -8,12 +8,17 @@
 //                 (per-tenant scenario/policy/workload names + options),
 //                 so `--resume <wal>` needs no other flags.
 //   kEpochCut   — one tenant's EngineCheckpoint after a finished epoch
-//                 (a single-server run is tenant 0).
+//                 (a single-server run is tenant 0), every client's path
+//                 included: a keyframe.
 //   kRoundMark  — closes a scheduler round: round counter + credit
 //                 vector. Cut records only COMMIT at their round mark —
 //                 recovery resumes from the last marked round boundary.
 //   kTrailer    — clean shutdown: the final per-tenant digests. Absent
 //                 after a crash, by definition.
+//   kEpochDelta — (v4) a kEpochCut whose client section lists only the
+//                 clients whose path changed since that tenant's previous
+//                 cut in the file. A tenant's first cut in every writer
+//                 session is a keyframe, so a delta always has a base.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +33,9 @@ inline constexpr char kWalMagic[framed_log::kMagicBytes] = {
     'S', 'F', 'W', 'A', 'L', '1', '\n', 0};
 
 /// Payload format version inside the run header. Bump when any payload
-/// encoding changes; readers reject versions they don't know (a v3 reader
-/// still accepts v2 files — the superseded layout decodes with defaults).
+/// encoding changes; readers reject versions they don't know (a v4 reader
+/// still accepts v2 and v3 files — superseded layouts decode with
+/// defaults).
 /// v2: the run header carries the --faults spec after the tenant flag.
 /// v3: a pipeline flag follows the tenant flag: the requested schedule.
 ///     When set, cuts of pipelined engines were captured at the one-epoch
@@ -37,14 +43,21 @@ inline constexpr char kWalMagic[framed_log::kMagicBytes] = {
 ///     serving frontier by one epoch, but their content is identical to
 ///     the reference schedule's — and a resume re-serves with the logged
 ///     request.
-inline constexpr std::uint32_t kWalVersion = 3;
+/// v4: kEpochDelta records. Every other layout is v3's, so a v3 file is a
+///     v4 file without deltas; the header version governs what may be
+///     appended, and a resumed v3 file keeps writing keyframes only.
+inline constexpr std::uint32_t kWalVersion = 4;
 
-/// Record type words; scans reject any word outside 1..kTrailer.
+/// Record type words; scans reject any word outside 1..kMaxRecordType.
 enum class RecordType : std::uint32_t {
   kRunHeader = 1,
   kEpochCut = 2,
   kRoundMark = 3,
   kTrailer = 4,
+  kEpochDelta = 5,
 };
+
+inline constexpr std::uint32_t kMaxRecordType =
+    static_cast<std::uint32_t>(RecordType::kEpochDelta);
 
 }  // namespace staleflow::recovery

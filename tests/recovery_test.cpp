@@ -386,9 +386,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// The WAL's records, as recovery sees them before decoding.
 framed_log::Scan wal_frames(const std::string& path) {
-  return framed_log::scan_frames(
-      path, "WAL", recovery::kWalMagic,
-      static_cast<std::uint32_t>(recovery::RecordType::kTrailer));
+  return framed_log::scan_frames(path, "WAL", recovery::kWalMagic,
+                                 recovery::kMaxRecordType);
 }
 
 // ---------------------------------------------------- serving fixtures
@@ -794,6 +793,16 @@ std::string patch_word(std::string payload, std::size_t at,
   return payload;
 }
 
+/// The index of the first record of `type` in `scan`.
+std::size_t first_record(const framed_log::Scan& scan,
+                         recovery::RecordType type) {
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    if (scan.records[i].type == static_cast<std::uint32_t>(type)) return i;
+  }
+  ADD_FAILURE() << "no record of type " << static_cast<int>(type);
+  return 0;
+}
+
 /// Rewrites the WAL at `path` with record `index` carrying `payload`
 /// under a freshly computed (valid) checksum.
 void rewrite_record(const std::string& path, std::size_t index,
@@ -829,8 +838,8 @@ TEST(RecoverWal, CraftedCountsAreCorruptionNotAllocations) {
   // Every decoded count a crafted record could inflate — with a valid
   // checksum, since FNV-1a is no MAC — is checked against the bytes left
   // in its payload before anything is reserved. The header's is fatal
-  // (nothing to resume from); a cut's, a round mark's or the trailer's
-  // ends the trusted prefix like any other corrupt record.
+  // (nothing to resume from); a cut's, a delta's, a round mark's or the
+  // trailer's ends the trusted prefix like any other corrupt record.
   SingleRun fixture;
   const std::string clean_path = temp_path("crafted_clean.wal");
   {
@@ -839,16 +848,12 @@ TEST(RecoverWal, CraftedCountsAreCorruptionNotAllocations) {
     log.finish();
   }
   const framed_log::Scan clean = wal_frames(clean_path);
-  const auto first_of = [&clean](recovery::RecordType type) {
-    for (std::size_t i = 0; i < clean.records.size(); ++i) {
-      if (clean.records[i].type == static_cast<std::uint32_t>(type)) return i;
-    }
-    ADD_FAILURE() << "no record of type " << static_cast<int>(type);
-    return std::size_t{0};
-  };
-  const std::size_t cut = first_of(recovery::RecordType::kEpochCut);
-  const std::size_t mark = first_of(recovery::RecordType::kRoundMark);
-  const std::size_t trailer = first_of(recovery::RecordType::kTrailer);
+  const std::size_t cut =
+      first_record(clean, recovery::RecordType::kEpochCut);
+  const std::size_t mark =
+      first_record(clean, recovery::RecordType::kRoundMark);
+  const std::size_t trailer =
+      first_record(clean, recovery::RecordType::kTrailer);
   const std::string& cut_payload = clean.records[cut].payload;
   const recovery::CutRecord decoded = recovery::decode_epoch_cut(cut_payload);
 
@@ -880,6 +885,27 @@ TEST(RecoverWal, CraftedCountsAreCorruptionNotAllocations) {
   ASSERT_EQ(patch_word(mark_payload, 8, 1, 4), mark_payload);
   ASSERT_EQ(patch_word(trailer_payload, 0, 1, 4), trailer_payload);
 
+  // A delta shares the cut's head, so its change count sits where the
+  // keyframe's client count does; its pairs take 8 bytes each.
+  const std::size_t delta =
+      first_record(clean, recovery::RecordType::kEpochDelta);
+  const std::string& delta_payload = clean.records[delta].payload;
+  const recovery::DeltaRecord decoded_delta =
+      recovery::decode_epoch_delta(delta_payload);
+  ASSERT_EQ(decoded_delta.record.cut.flow.size(), decoded.cut.flow.size());
+  ASSERT_FALSE(decoded_delta.changes.empty());
+  const std::size_t delta_buckets_at =
+      clients_at + 8 + 8 * decoded_delta.changes.size() + 8 + 8 + 4;
+  ASSERT_EQ(patch_word(delta_payload, paths_at, decoded.cut.flow.size(), 8),
+            delta_payload);
+  ASSERT_EQ(patch_word(delta_payload, clients_at,
+                       decoded_delta.changes.size(), 8),
+            delta_payload);
+  ASSERT_EQ(patch_word(delta_payload, delta_buckets_at,
+                       nonzero_buckets(decoded_delta.record.cut.route_hist).size(),
+                       8),
+            delta_payload);
+
   const std::string path = temp_path("crafted.wal");
   const auto recover_crafted = [&](std::size_t index,
                                    const std::string& payload) {
@@ -901,6 +927,11 @@ TEST(RecoverWal, CraftedCountsAreCorruptionNotAllocations) {
       {cut, patch_word(cut_payload, paths_at, std::uint64_t{1} << 61, 8)},
       {cut, patch_word(cut_payload, clients_at, std::uint64_t{1} << 61, 8)},
       {cut, patch_word(cut_payload, buckets_at, std::uint64_t{1} << 61, 8)},
+      {delta, patch_word(delta_payload, paths_at, std::uint64_t{1} << 61, 8)},
+      {delta,
+       patch_word(delta_payload, clients_at, std::uint64_t{1} << 61, 8)},
+      {delta, patch_word(delta_payload, delta_buckets_at,
+                         std::uint64_t{1} << 61, 8)},
       {mark, patch_word(mark_payload, 8, 0xFFFFFFFFu, 4)},
       {trailer, patch_word(trailer_payload, 0, 0xFFFFFFFFu, 4)},
   };
@@ -1225,25 +1256,33 @@ TEST(WalHeader, V3RecordsPipelineAndReadsV2) {
   SingleRun fixture;
   recovery::RunManifest manifest = fixture.manifest();
   manifest.pipeline = true;
-  const std::string v3 = recovery::encode_run_header(manifest);
+  const std::string current = recovery::encode_run_header(manifest);
 
   // Wire layout under test: u32 version (LE), u8 multi_tenant, u8
-  // pipeline — the pipeline byte is exactly what v3 added.
-  binio::Reader head(v3);
-  ASSERT_EQ(recovery::kWalVersion, 3u);
+  // pipeline — the pipeline byte is exactly what v3 added. v4 added only
+  // a record type, so its header is v3's under a new version word.
+  binio::Reader head(current);
+  ASSERT_EQ(recovery::kWalVersion, 4u);
   EXPECT_EQ(head.u32(), recovery::kWalVersion);
   EXPECT_EQ(head.u8(), 0u);  // multi_tenant
   EXPECT_EQ(head.u8(), 1u);  // pipeline
 
-  const recovery::RunManifest decoded = recovery::decode_run_header(v3);
+  const recovery::RunManifest decoded = recovery::decode_run_header(current);
   EXPECT_TRUE(decoded.pipeline);
   ASSERT_EQ(decoded.tenants.size(), 1u);
   EXPECT_EQ(decoded.tenants[0].options.epochs, fixture.options.epochs);
 
+  std::string v3 = current;
+  v3[0] = 3;
+  const recovery::RunManifest older = recovery::decode_run_header(v3);
+  EXPECT_TRUE(older.pipeline);
+  ASSERT_EQ(older.tenants.size(), 1u);
+  EXPECT_EQ(older.tenants[0].options.seed, fixture.options.seed);
+
   // A v2 header is the same payload minus the pipeline byte. Splice it
-  // out and patch the version word: a v3 reader must accept it and
+  // out and patch the version word: a v4 reader must accept it and
   // default pipeline off — every pre-existing WAL stays resumable.
-  std::string v2 = v3;
+  std::string v2 = current;
   v2.erase(5, 1);
   v2[0] = 2;
   const recovery::RunManifest old = recovery::decode_run_header(v2);
@@ -1255,19 +1294,22 @@ TEST(WalHeader, V3RecordsPipelineAndReadsV2) {
   EXPECT_EQ(old.tenants[0].options.seed, fixture.options.seed);
 
   // An unknown version fails closed. This is also how the OTHER side of
-  // the skew behaves: a v2 reader's version check rejects anything but
-  // its own version, so a v3 WAL never half-decodes on an old build.
-  std::string v4 = v3;
-  v4[0] = 4;
-  EXPECT_THROW(recovery::decode_run_header(v4), std::runtime_error);
+  // the skew behaves: an older reader's version check rejects anything
+  // newer, so a v4 WAL never half-decodes on an old build.
+  for (const char version : {1, 5}) {
+    std::string unknown = current;
+    unknown[0] = version;
+    EXPECT_THROW(recovery::decode_run_header(unknown), std::runtime_error)
+        << "version " << int{version};
+  }
 }
 
 TEST(WalHeader, RetiredLatencySlotsKeepTheV3Layout) {
   // The wall-clock p50/p99/p999 us fields are gone, but their WAL slots
-  // stay: the header's sample-stride slot still holds 32, every cut still
-  // carries three (zeroed) doubles after route_p999, and cuts a
-  // latency-recording build wrote — nonzero in those slots — still
-  // decode and resume.
+  // stay: the header's sample-stride slot still holds 32, every cut —
+  // keyframe or delta — still carries three (zeroed) doubles after
+  // route_p999, and cuts a latency-recording build wrote — nonzero in
+  // those slots — still decode and resume.
   SingleRun fixture;
   const std::string header_payload =
       recovery::encode_run_header(fixture.manifest());
@@ -1299,6 +1341,7 @@ TEST(WalHeader, RetiredLatencySlotsKeepTheV3Layout) {
   std::ostringstream out(std::ios::binary);
   out.write(recovery::kWalMagic, framed_log::kMagicBytes);
   std::size_t cuts = 0;
+  std::size_t deltas = 0;
   for (const framed_log::Frame& frame : clean.records) {
     std::string payload = frame.payload;
     if (frame.type == static_cast<std::uint32_t>(
@@ -1324,9 +1367,36 @@ TEST(WalHeader, RetiredLatencySlotsKeepTheV3Layout) {
       }
       ++cuts;
     }
+    if (frame.type == static_cast<std::uint32_t>(
+                          recovery::RecordType::kEpochDelta)) {
+      // A delta is the same layout with (client, path) pairs in place of
+      // the client section.
+      const recovery::DeltaRecord decoded =
+          recovery::decode_epoch_delta(payload);
+      const EngineCheckpoint& cut = decoded.record.cut;
+      EXPECT_EQ(payload.size(),
+                4 + 15 * 8 + 8 * cut.rng_state.size() + 8 +
+                    8 * cut.flow.size() + 8 + 8 * decoded.changes.size() +
+                    (8 + 8 + 4 + 8 + 16 * nonzero_buckets(cut.route_hist).size() +
+                     3 * 8) +
+                    8);
+      EXPECT_EQ(payload.substr(retired_at, 3 * 8), std::string(3 * 8, '\0'));
+      EXPECT_EQ(recovery::encode_epoch_delta(decoded.record.tenant, cut,
+                                             decoded.record.digest_so_far,
+                                             decoded.changes),
+                payload);
+      for (int slot = 0; slot < 3; ++slot) {
+        payload = patch_word(payload, retired_at + 8 * slot,
+                             std::bit_cast<std::uint64_t>(0.1 * (slot + 1)),
+                             8);
+      }
+      ++cuts;
+      ++deltas;
+    }
     framed_log::append_frame(out, frame.type, payload);
   }
   ASSERT_EQ(cuts, fixture.options.epochs);
+  EXPECT_EQ(deltas, fixture.options.epochs - 1);  // one keyframe, then deltas
   const std::string path = temp_path("retired_nonzero.wal");
   write_file(path, out.str());
 
@@ -1345,10 +1415,433 @@ TEST(WalHeader, RetiredLatencySlotsKeepTheV3Layout) {
     EXPECT_EQ(got.queries_per_second, want.queries_per_second);
   }
   EXPECT_EQ(state.digests[0], golden);
+  // Resuming mid-run needs the client paths of the cut resumed from.
   const std::size_t half = state.cuts[0].size() / 2;
+  const recovery::RecoveredRun at_half =
+      recovery::recover_wal(path, recovery::CutRef{0, half - 1});
   const RouteServerResult resumed =
-      fixture.run(nullptr, std::span(state.cuts[0]).subspan(0, half));
+      fixture.run(nullptr, std::span(at_half.cuts[0]).subspan(0, half));
   EXPECT_EQ(telemetry_digest(resumed.epochs), golden);
+}
+
+// ------------------------------------------------ delta cuts (WAL v4)
+
+/// The frames of `scan` from `from` up to (not including) `to`, framed
+/// again: a WAL image spliced around one record.
+std::string reframe(const framed_log::Scan& scan, std::size_t from,
+                    std::size_t to) {
+  std::ostringstream out(std::ios::binary);
+  for (std::size_t i = from; i < to; ++i) {
+    framed_log::append_frame(out, scan.records[i].type,
+                             scan.records[i].payload);
+  }
+  return out.str();
+}
+
+TEST(RecoverWal, FoldsPathsIntoTheLastCutAndTheNamedOne) {
+  // Recovery folds each tenant's delta chain forward and hands out full
+  // client paths for its last committed cut only, plus the one cut the
+  // caller names: both must equal what the engine captured.
+  SingleRun fixture;
+  const std::string path = temp_path("fold.wal");
+  std::vector<EngineCheckpoint> captured;
+  {
+    recovery::WalLog log(path, fixture.manifest());
+    const CutObserver logged = log.single_observer();
+    fixture.run([&](const EngineCheckpoint& cut) {
+      captured.push_back(cut);
+      logged(cut);
+    });
+    log.finish();
+  }
+  ASSERT_EQ(captured.size(), fixture.options.epochs);
+
+  const recovery::RecoveredRun state = recovery::recover_wal(path);
+  EXPECT_EQ(state.version, recovery::kWalVersion);
+  ASSERT_EQ(state.cuts[0].size(), captured.size());
+  for (std::size_t e = 0; e + 1 < captured.size(); ++e) {
+    EXPECT_TRUE(state.cuts[0][e].client_paths.empty()) << "epoch " << e;
+  }
+  EXPECT_EQ(state.cuts[0].back().client_paths, captured.back().client_paths);
+
+  for (std::size_t e = 0; e < captured.size(); ++e) {
+    const recovery::RecoveredRun named =
+        recovery::recover_wal(path, recovery::CutRef{0, e});
+    EXPECT_EQ(named.cuts[0][e].client_paths, captured[e].client_paths)
+        << "epoch " << e;
+    EXPECT_EQ(named.cuts[0].back().client_paths,
+              captured.back().client_paths);
+  }
+}
+
+TEST(WalLog, ResumedSessionOpensWithAKeyframeAndTearsAtEveryByte) {
+  // The keyframe rule: a resumed writer logs each tenant's first cut in
+  // full, so the deltas after it fold onto a base in the file. Write,
+  // tear mid-record, resume (a keyframe lands mid-file), then tear the
+  // healed log at every byte: each image resumes bit-identically.
+  SingleRun fixture;
+  fixture.options.num_clients = 48;
+  fixture.options.epochs = 6;
+  const std::string path = temp_path("rekey.wal");
+  std::uint64_t golden = 0;
+  {
+    recovery::WalLog log(path, fixture.manifest());
+    golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
+    log.finish();
+  }
+  const std::string first = read_file(path);
+  write_file(path, first.substr(0, first.size() / 2));
+  const recovery::RecoveredRun torn = recovery::recover_wal(path);
+  ASSERT_TRUE(torn.truncated);
+  ASSERT_GT(torn.cuts[0].size(), 1u);  // a delta chain precedes the tear
+  EXPECT_EQ(resume_single_to_completion(path, fixture), golden);
+
+  const std::string healed = read_file(path);
+  const framed_log::Scan scan = wal_frames(path);
+  std::size_t keyframes = 0;
+  bool keyframe_at_resume = false;
+  for (const framed_log::Frame& frame : scan.records) {
+    if (frame.type !=
+        static_cast<std::uint32_t>(recovery::RecordType::kEpochCut)) {
+      continue;
+    }
+    ++keyframes;
+    const std::uint64_t start =
+        frame.end_offset - framed_log::kFrameBytes - frame.payload.size();
+    if (start == torn.valid_bytes) keyframe_at_resume = true;
+  }
+  EXPECT_EQ(keyframes, 2u);
+  EXPECT_TRUE(keyframe_at_resume);
+
+  const std::string crash_path = temp_path("rekey_crash.wal");
+  for (std::size_t keep = scan.records.front().end_offset;
+       keep < healed.size(); ++keep) {
+    write_file(crash_path, healed.substr(0, keep));
+    EXPECT_EQ(resume_single_to_completion(crash_path, fixture), golden)
+        << "torn at byte " << keep;
+  }
+}
+
+TEST(RecoverWal, BrokenDeltaChainsStopWithANoteNotAThrow) {
+  // A delta with no base, naming a client past the tenant's count,
+  // naming a client twice or out of order, or in a file whose header
+  // predates v4 ends the trusted prefix at that record, as does a
+  // keyframe whose client count is not the header's; the prefix before
+  // it still resumes to the uninterrupted digest.
+  SingleRun fixture;
+  const std::string clean_path = temp_path("chain_clean.wal");
+  std::uint64_t golden = 0;
+  {
+    recovery::WalLog log(clean_path, fixture.manifest());
+    golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
+    log.finish();
+  }
+  const framed_log::Scan clean = wal_frames(clean_path);
+  const std::size_t key_at =
+      first_record(clean, recovery::RecordType::kEpochCut);
+  const std::size_t delta_at =
+      first_record(clean, recovery::RecordType::kEpochDelta);
+  const recovery::CutRecord key =
+      recovery::decode_epoch_cut(clean.records[key_at].payload);
+  const recovery::DeltaRecord delta =
+      recovery::decode_epoch_delta(clean.records[delta_at].payload);
+  const auto clients =
+      static_cast<std::uint32_t>(fixture.options.num_clients);
+  const auto with_changes =
+      [&delta](std::vector<recovery::PathChange> changes) {
+        return recovery::encode_epoch_delta(delta.record.tenant,
+                                            delta.record.cut,
+                                            delta.record.digest_so_far,
+                                            changes);
+      };
+  std::string v3_header = clean.records.front().payload;
+  v3_header[0] = 3;
+
+  EngineCheckpoint short_key = key.cut;
+  short_key.client_paths.pop_back();
+  struct Case {
+    const char* what;
+    std::size_t index;
+    recovery::RecordType type;
+    std::string payload;
+    std::size_t committed;  // cuts before the broken record
+    const char* note;
+  };
+  const Case cases[] = {
+      {"first cut is a delta", key_at, recovery::RecordType::kEpochDelta,
+       recovery::encode_epoch_delta(key.tenant, key.cut, key.digest_so_far,
+                                    {}),
+       0, "corrupt WAL: delta cut without a keyframe base"},
+      {"keyframe short of the header's clients", key_at,
+       recovery::RecordType::kEpochCut,
+       recovery::encode_epoch_cut(key.tenant, short_key, key.digest_so_far),
+       0, "corrupt WAL: keyframe client count differs from the run header's"},
+      {"client past the tenant's count", delta_at,
+       recovery::RecordType::kEpochDelta, with_changes({{clients, 0}}), 1,
+       "corrupt WAL: delta cut names a client past the tenant's 400"},
+      {"repeated client", delta_at, recovery::RecordType::kEpochDelta,
+       with_changes({{1, 0}, {1, 0}}), 1,
+       "corrupt WAL: WAL delta: clients not in strictly ascending order"},
+      {"out of order", delta_at, recovery::RecordType::kEpochDelta,
+       with_changes({{2, 0}, {1, 0}}), 1,
+       "corrupt WAL: WAL delta: clients not in strictly ascending order"},
+      {"delta under a v3 header", 0, recovery::RecordType::kRunHeader,
+       v3_header, 1, "corrupt WAL: delta cut in a v3 file"},
+  };
+  const std::string magic(recovery::kWalMagic, framed_log::kMagicBytes);
+  const std::string path = temp_path("chain.wal");
+  for (const Case& broken : cases) {
+    std::ostringstream record(std::ios::binary);
+    framed_log::append_frame(record, static_cast<std::uint32_t>(broken.type),
+                             broken.payload);
+    write_file(path, magic + reframe(clean, 0, broken.index) + record.str() +
+                         reframe(clean, broken.index + 1,
+                                 clean.records.size()));
+    recovery::RecoveredRun state;
+    try {
+      state = recovery::recover_wal(path);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << broken.what << ": threw " << e.what();
+      continue;
+    }
+    EXPECT_TRUE(state.truncated) << broken.what;
+    EXPECT_FALSE(state.clean_shutdown) << broken.what;
+    EXPECT_EQ(state.note, broken.note) << broken.what;
+    EXPECT_EQ(state.cuts[0].size(), broken.committed) << broken.what;
+    SingleRun resumed;
+    EXPECT_EQ(resume_single_to_completion(path, resumed), golden)
+        << broken.what;
+  }
+}
+
+/// Two small tenants on different scenarios, small enough that the
+/// payload fuzz below can flip every byte of every cut record.
+struct PairRun {
+  Instance braess_instance = braess(true);
+  Instance links = uniform_parallel_links(8, 0.5, 1.0);
+  Policy braess_policy = named_policy("replicator").make(braess_instance, 0.1);
+  Policy links_policy = named_policy("replicator").make(links, 0.1);
+  WorkloadPtr workload_a = make_workload("closed-loop:120");
+  WorkloadPtr workload_b = make_workload("closed-loop:80");
+  TenantOptions options_a;
+  TenantOptions options_b;
+
+  PairRun() {
+    options_a.server.update_period = 0.1;
+    options_a.server.epochs = 4;
+    options_a.server.num_clients = 40;
+    options_a.server.shards = 2;
+    options_a.server.seed = 5;
+    options_a.server.record_latency = false;
+    options_a.weight = 2;
+
+    options_b.server = options_a.server;
+    options_b.server.epochs = 3;
+    options_b.server.num_clients = 24;
+    options_b.server.seed = 9;
+  }
+
+  recovery::RunManifest manifest() const {
+    recovery::RunManifest m;
+    m.multi_tenant = true;
+    m.tenants.push_back({"a", "braess", "replicator", "closed-loop:120",
+                         options_a.server, options_a.weight});
+    m.tenants.push_back({"b", "uniform-links-8", "replicator",
+                         "closed-loop:80", options_b.server,
+                         options_b.weight});
+    return m;
+  }
+
+  MultiTenantResult run(const RoundCutObserver& rounds = nullptr,
+                        const RegistryResume* resume = nullptr) const {
+    TenantRegistry registry;
+    registry.add("a", braess_instance, braess_policy, *workload_a, options_a);
+    registry.add("b", links, links_policy, *workload_b, options_b);
+    Executor executor(1);
+    return registry.run(executor, nullptr, rounds, resume);
+  }
+};
+
+TEST(RecoverWal, CraftedCutAndDeltaPayloadsTruncateOrLoadClean) {
+  // FNV-1a is no MAC: flip every byte of every keyframe and delta payload
+  // of a real two-tenant WAL and re-frame it under a valid checksum.
+  // Recovery must end the trusted prefix with a note or load clean; it
+  // must never throw, crash or size anything from an unchecked count.
+  PairRun fixture;
+  const std::string clean_path = temp_path("fuzz_clean.wal");
+  {
+    recovery::WalLog log(clean_path, fixture.manifest());
+    fixture.run(log.round_observer());
+    log.finish();
+  }
+  const framed_log::Scan clean = wal_frames(clean_path);
+  const std::string magic(recovery::kWalMagic, framed_log::kMagicBytes);
+  const std::string path = temp_path("fuzz.wal");
+  std::size_t keyframes = 0;
+  std::size_t deltas = 0;
+  std::size_t flips = 0;
+  std::size_t truncated = 0;
+  for (std::size_t index = 0; index < clean.records.size(); ++index) {
+    const framed_log::Frame& frame = clean.records[index];
+    if (frame.type ==
+        static_cast<std::uint32_t>(recovery::RecordType::kEpochCut)) {
+      ++keyframes;
+    } else if (frame.type == static_cast<std::uint32_t>(
+                                 recovery::RecordType::kEpochDelta)) {
+      if (!recovery::decode_epoch_delta(frame.payload).changes.empty()) {
+        ++deltas;
+      }
+    } else {
+      continue;
+    }
+    const std::string before = magic + reframe(clean, 0, index);
+    const std::string after = reframe(clean, index + 1, clean.records.size());
+    for (std::size_t at = 0; at < frame.payload.size(); ++at) {
+      for (const unsigned mask : {0x01u, 0xFFu}) {
+        std::string flipped = frame.payload;
+        flipped[at] = static_cast<char>(flipped[at] ^ mask);
+        std::ostringstream record(std::ios::binary);
+        framed_log::append_frame(record, frame.type, flipped);
+        write_file(path, before + record.str() + after);
+        ++flips;
+        try {
+          const recovery::RecoveredRun state = recovery::recover_wal(path);
+          if (state.truncated) {
+            ++truncated;
+            EXPECT_EQ(state.note.rfind("corrupt WAL:", 0), 0u)
+                << "record " << index << " byte " << at << ": " << state.note;
+            EXPECT_FALSE(state.clean_shutdown);
+          } else {
+            EXPECT_TRUE(state.clean_shutdown)
+                << "record " << index << " byte " << at;
+          }
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "record " << index << " byte " << at << " mask "
+                        << mask << ": threw " << e.what();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(keyframes, 2u);  // one per tenant: a single writer session
+  EXPECT_GT(deltas, 0u);     // some delta carries changed paths
+  EXPECT_GT(truncated, 0u);
+  EXPECT_LT(truncated, flips);  // flips in flow or RNG words load clean
+}
+
+TEST(WalCompat, V3LogRecoversLikeV4AndResumesWithKeyframesOnly) {
+  // A v3 (or v2) writer logged every cut as a keyframe. Build that log
+  // from the public codecs for a run whose v4 log is also written: both
+  // recover to the same digests and the same last-cut state, and a torn
+  // copy of the old log resumes to the uninterrupted digests while
+  // appending keyframes only under its old header.
+  PairRun fixture;
+  const std::string v4_path = temp_path("compat_v4.wal");
+  std::vector<RoundCheckpoint> rounds;
+  std::vector<std::uint64_t> golden;
+  {
+    recovery::WalLog log(v4_path, fixture.manifest());
+    const RoundCutObserver logged = log.round_observer();
+    golden = tenant_digests(fixture.run([&](const RoundCheckpoint& round) {
+      rounds.push_back(round);
+      logged(round);
+    }));
+    log.finish();
+  }
+  const recovery::RecoveredRun v4 = recovery::recover_wal(v4_path);
+  EXPECT_EQ(v4.version, 4u);
+  EXPECT_EQ(v4.digests, golden);
+
+  for (const std::uint32_t version : {2u, 3u}) {
+    // The headers differ only in the version word and, before v3, the
+    // pipeline byte after the mode byte.
+    std::string header = recovery::encode_run_header(fixture.manifest());
+    if (version == 2) header.erase(5, 1);
+    header[0] = static_cast<char>(version);  // the LE version word's low byte
+    std::ostringstream out(std::ios::binary);
+    out.write(recovery::kWalMagic, framed_log::kMagicBytes);
+    const auto append = [&out](recovery::RecordType type,
+                               const std::string& payload) {
+      framed_log::append_frame(out, static_cast<std::uint32_t>(type),
+                               payload);
+    };
+    append(recovery::RecordType::kRunHeader, header);
+    std::vector<std::uint64_t> digests(golden.size(), fnv::kOffsetBasis);
+    for (const RoundCheckpoint& round : rounds) {
+      for (const auto& [tenant, cut] : round.cuts) {
+        digests[tenant] =
+            telemetry_digest_accumulate(digests[tenant], cut.summary);
+        append(recovery::RecordType::kEpochCut,
+               recovery::encode_epoch_cut(static_cast<std::uint32_t>(tenant),
+                                          cut, digests[tenant]));
+      }
+      recovery::RoundMark mark;
+      mark.rounds = round.rounds;
+      mark.credits.assign(round.credits.begin(), round.credits.end());
+      append(recovery::RecordType::kRoundMark,
+             recovery::encode_round_mark(mark));
+    }
+    append(recovery::RecordType::kTrailer, recovery::encode_trailer(digests));
+    const std::string old_path =
+        temp_path("compat_v" + std::to_string(version) + ".wal");
+    write_file(old_path, out.str());
+
+    const recovery::RecoveredRun old = recovery::recover_wal(old_path);
+    EXPECT_EQ(old.version, version);
+    EXPECT_TRUE(old.clean_shutdown);
+    EXPECT_FALSE(old.truncated);
+    EXPECT_EQ(old.digests, golden);
+    EXPECT_EQ(old.rounds, v4.rounds);
+    EXPECT_EQ(old.credits, v4.credits);
+    ASSERT_EQ(old.cuts.size(), v4.cuts.size());
+    for (std::size_t t = 0; t < old.cuts.size(); ++t) {
+      ASSERT_EQ(old.cuts[t].size(), v4.cuts[t].size());
+      for (std::size_t e = 0; e < old.cuts[t].size(); ++e) {
+        const EngineCheckpoint& a = old.cuts[t][e];
+        const EngineCheckpoint& b = v4.cuts[t][e];
+        EXPECT_EQ(telemetry_digest_accumulate(fnv::kOffsetBasis, a.summary),
+                  telemetry_digest_accumulate(fnv::kOffsetBasis, b.summary));
+        EXPECT_EQ(a.rng_state, b.rng_state);
+        EXPECT_EQ(a.flow, b.flow);
+        EXPECT_EQ(a.client_paths, b.client_paths);  // empty but the last
+        EXPECT_TRUE(a.route_hist == b.route_hist);
+      }
+      EXPECT_EQ(old.cuts[t].back().client_paths.size(),
+                t == 0 ? fixture.options_a.server.num_clients
+                       : fixture.options_b.server.num_clients);
+    }
+
+    const std::string bytes = read_file(old_path);
+    const framed_log::Scan scan = wal_frames(old_path);
+    const std::string crash_path = temp_path("compat_crash.wal");
+    for (std::size_t i = 0; i + 1 < scan.records.size(); ++i) {
+      for (const std::size_t keep :
+           {scan.records[i].end_offset, scan.records[i].end_offset + 5}) {
+        write_file(crash_path, bytes.substr(0, keep));
+        const recovery::RecoveredRun state =
+            recovery::recover_wal(crash_path);
+        ASSERT_FALSE(state.clean_shutdown) << "torn at byte " << keep;
+        EXPECT_EQ(state.version, version);
+        recovery::WalLog log(crash_path, state);
+        const RegistryResume resume = recovery::registry_resume(state);
+        EXPECT_EQ(tenant_digests(fixture.run(log.round_observer(), &resume)),
+                  golden)
+            << "v" << version << " torn at byte " << keep;
+        log.finish();
+
+        const framed_log::Scan healed = wal_frames(crash_path);
+        EXPECT_EQ(binio::Reader(healed.records.front().payload).u32(),
+                  version);
+        for (const framed_log::Frame& frame : healed.records) {
+          EXPECT_NE(frame.type, static_cast<std::uint32_t>(
+                                    recovery::RecordType::kEpochDelta))
+              << "v" << version << " torn at byte " << keep;
+        }
+        const recovery::RecoveredRun done = recovery::recover_wal(crash_path);
+        EXPECT_TRUE(done.clean_shutdown) << "torn at byte " << keep;
+        EXPECT_EQ(done.digests, golden) << "torn at byte " << keep;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- CLI recovery flags

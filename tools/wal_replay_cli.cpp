@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -56,10 +57,12 @@ namespace {
   std::exit(2);
 }
 
-recovery::RecoveredRun recover_or_usage(const std::string& path) {
+recovery::RecoveredRun recover_or_usage(
+    const std::string& path,
+    std::optional<recovery::CutRef> paths_at = std::nullopt) {
   cli::require_readable(path, "WAL");
   try {
-    return recovery::recover_wal(path);
+    return recovery::recover_wal(path, paths_at);
   } catch (const std::runtime_error& e) {
     throw cli::UsageError(e.what());
   }
@@ -128,7 +131,7 @@ int do_replay(const std::string& path,
   }
 
   Executor executor = cli::usage_error([&] { return Executor(threads); });
-  const recovery::RecoveredRun state = recover_or_usage(path);
+  recovery::RecoveredRun state = recover_or_usage(path);
   std::size_t tenant = 0;
   if (!tenant_name.empty()) {
     bool found = false;
@@ -143,25 +146,32 @@ int do_replay(const std::string& path,
       throw cli::UsageError("no tenant '" + tenant_name + "' in this WAL");
     }
   }
-  const recovery::TenantManifest& manifest = state.manifest.tenants[tenant];
-  const std::vector<EngineCheckpoint>& cuts = state.cuts[tenant];
+  const std::size_t committed = state.cuts[tenant].size();
 
-  if (from_epoch > cuts.size()) {
+  if (from_epoch > committed) {
     throw cli::UsageError(
         "--epoch " + std::to_string(from_epoch) + " is past the committed "
-        "prefix (" + std::to_string(cuts.size()) + " cuts in the WAL)");
+        "prefix (" + std::to_string(committed) + " cuts in the WAL)");
   }
-  if (!epochs_given) epoch_count = cuts.size() - from_epoch;
-  if (epoch_count > cuts.size() - from_epoch) {  // no wrap: checked above
+  if (!epochs_given) epoch_count = committed - from_epoch;
+  if (epoch_count > committed - from_epoch) {  // no wrap: checked above
     throw cli::UsageError(
         "--epoch " + std::to_string(from_epoch) + " + --epochs " +
         std::to_string(epoch_count) + " exceeds the committed prefix (" +
-        std::to_string(cuts.size()) + " cuts in the WAL)");
+        std::to_string(committed) + " cuts in the WAL)");
   }
   if (epoch_count == 0) {
     std::cout << "nothing to replay (0 epochs requested)\n";
     return 0;
   }
+  // Recovery keeps client paths for each tenant's last cut only; the
+  // restore below reads them from cut e-1, so fold the log once more and
+  // keep that cut's too.
+  if (from_epoch > 0) {
+    state = recover_or_usage(path, recovery::CutRef{tenant, from_epoch - 1});
+  }
+  const recovery::TenantManifest& manifest = state.manifest.tenants[tenant];
+  const std::vector<EngineCheckpoint>& cuts = state.cuts[tenant];
 
   // Rebuild the tenant's world exactly as the serving CLI does, then
   // drive its engine by hand: restore cuts [0, e), serve k more epochs.
