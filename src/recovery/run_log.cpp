@@ -176,6 +176,16 @@ void read_cut_tail(binio::Reader& r, CutRecord& record) {
   const double hist_min_value = r.f64();
   const double hist_max_value = r.f64();
   const std::uint32_t hist_bits = r.u32();
+  // The engine's route histogram is default-configured; any other
+  // geometry would size the dense bucket array from the payload (about
+  // 2^31 buckets at 20 sub-bucket bits over the double range).
+  const LogHistogram route_geometry;
+  if (hist_min_value != route_geometry.min_value() ||
+      hist_max_value != route_geometry.max_value() ||
+      hist_bits != route_geometry.sub_bucket_bits()) {
+    throw std::runtime_error(
+        "WAL cut: histogram geometry is not the route histogram's");
+  }
   const std::size_t nonzero = r.count<std::uint64_t>(16);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
   buckets.reserve(nonzero);

@@ -2,8 +2,9 @@
 // (closed-loop workloads on braess / uniform-links avoid libm in the
 // dynamics), healthy and under deterministic fault injection, plus one
 // bursty run pinned for glibc x86-64 (its arrivals draw through libm).
-// The same digests are what `route_server_cli run --deterministic`
-// prints for these configs; here every one is checked at 1 and 4 threads
+// The values live in golden_digests.h; cli_test.cpp checks that
+// `route_server_cli run --deterministic` prints the same digests for
+// these configs. Here every one is checked at 1 and 4 threads
 // under the reference and the pipelined schedule, so any change to execution
 // (threads, pool, task graph, pipelining) that reaches the values fails
 // tier-1. The two service-sweep digests are what `sweep_cli run
@@ -11,8 +12,6 @@
 // threads. The 5000-epoch solo digest is pinned through a real WAL:
 // logged, cut mid-record, recovered and resumed, as a crashed
 // route_server_cli run is.
-//
-// Runs under `ctest -L golden` in the sanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -25,6 +24,7 @@
 
 #include "exec/exec.h"
 #include "faults/faults.h"
+#include "golden_digests.h"
 #include "recovery/recovery.h"
 #include "service/service.h"
 #include "sweep/sweep.h"
@@ -57,8 +57,8 @@ constexpr Schedule kSchedules[] = {
 /// `route_server_cli run --scenario braess --policy replicator --period
 /// 0.1 --epochs 20 --clients 2000 --workload closed-loop:4000 --shards 8
 /// --seed 1 --deterministic`.
-const Config kSolo = {"",     "braess", "closed-loop:4000", 2000, 8, 1, 1,
-                      0xa1dacc4addb92e51ULL};
+const Config kSolo = {"", "braess", "closed-loop:4000", 2000, 8, 1, 1,
+                      golden::kSolo};
 constexpr std::size_t kSoloEpochs = 20;
 
 /// The same CLI with --epochs 15 --clients 2000 --shards 8 --seed 1 and
@@ -67,12 +67,10 @@ constexpr std::size_t kSoloEpochs = 20;
 /// workload=closed-loop:1500,clients=1000,shards=4,seed=9'. A tenant
 /// without seed= gets --seed + its position.
 const std::vector<Config> kTrio = {
-    {"small", "braess", "closed-loop:500", 500, 2, 1, 1,
-     0x7de48e376f181577ULL},
-    {"big", "braess", "closed-loop:4000", 2000, 8, 2, 2,
-     0xcd28849b09fd0742ULL},
+    {"small", "braess", "closed-loop:500", 500, 2, 1, 1, golden::kTrioSmall},
+    {"big", "braess", "closed-loop:4000", 2000, 8, 2, 2, golden::kTrioBig},
     {"links", "uniform-links-8", "closed-loop:1500", 1000, 4, 9, 1,
-     0xc3150d3447f1efddULL},
+     golden::kTrioLinks},
 };
 constexpr std::size_t kTrioEpochs = 15;
 
@@ -124,8 +122,8 @@ TEST(Golden, SoloRouteServer) {
 /// 0.1 --epochs 20 --clients 2000 --workload bursty:40000,2000,3,2
 /// --shards 8 --sub-batch 250 --seed 1 --deterministic`: a skewed load
 /// whose on-peak shards each split into many sub-batch tasks.
-const Config kBursty = {"",   "braess", "bursty:40000,2000,3,2", 2000, 8,
-                        1,    1,        0x6906848562aad352ULL};
+const Config kBursty = {"", "braess", "bursty:40000,2000,3,2", 2000, 8,
+                        1,  1,        golden::kBursty};
 constexpr std::size_t kBurstySubBatch = 250;
 
 TEST(Golden, BurstySkewSplitIntoSubBatches) {
@@ -147,9 +145,9 @@ TEST(Golden, BurstySkewSplitIntoSubBatches) {
 #endif
 }
 
-/// The solo config under `--faults <spec>`, as the CI chaos step runs
-/// it. Brownout sheds floor(total * shed) arrivals, so no libm call
-/// reaches the dynamics and the digests stay platform-stable.
+/// The solo config under `--faults <spec>`. Brownout sheds floor(total *
+/// shed) arrivals, so no libm call reaches the dynamics and the digests
+/// stay platform-stable.
 struct Chaos {
   const char* spec;
   std::uint64_t digest;
@@ -157,11 +155,11 @@ struct Chaos {
 
 constexpr Chaos kChaos[] = {
     // Half of every epoch's arrivals shed for epochs 5..10.
-    {"brownout:shed=0.5,at=5,for=6", 0x334feb6db721d128ULL},
+    {"brownout:shed=0.5,at=5,for=6", golden::kSoloBrownout},
     // Wall-clock-only faults keep the healthy digest.
     {"slow:shard=1,us=50,at=2,for=3;drop-telemetry:at=5,for=2;"
      "stall:workers=2,ms=10,at=0,for=3",
-     0xa1dacc4addb92e51ULL},
+     golden::kSolo},
 };
 
 TEST(Golden, SoloChaos) {
@@ -211,7 +209,6 @@ TEST(Golden, ThreeTenantRegistry) {
 /// route_server_cli serves it: a one-tenant registry ("run") requesting
 /// the pipelined schedule, every round logged through WalLog.
 constexpr std::size_t kLongEpochs = 5000;
-constexpr std::uint64_t kLongDigest = 0xb7ba79a075cb8151ULL;
 
 /// Serves the long solo run on `threads`, logging to `wal`; resumes the
 /// run recovered from `wal` when `recovered` is set. Returns the digest.
@@ -245,7 +242,7 @@ std::uint64_t serve_logged(const std::string& wal, std::size_t threads,
 
 TEST(Golden, LongSoloWalCutMidRecordResumes) {
   const std::string wal = ::testing::TempDir() + "staleflow_golden_long.wal";
-  EXPECT_EQ(serve_logged(wal, 1, nullptr), kLongDigest);
+  EXPECT_EQ(serve_logged(wal, 1, nullptr), golden::kLongSolo);
 
   // A crash image: the log amputated mid-record near its midpoint.
   const std::uintmax_t size = std::filesystem::file_size(wal);
@@ -256,12 +253,12 @@ TEST(Golden, LongSoloWalCutMidRecordResumes) {
   ASSERT_GT(recovered.committed_epochs(0), 0u);
   ASSERT_LT(recovered.committed_epochs(0), kLongEpochs);
 
-  EXPECT_EQ(serve_logged(wal, 4, &recovered), kLongDigest);
+  EXPECT_EQ(serve_logged(wal, 4, &recovered), golden::kLongSolo);
   const recovery::RecoveredRun healed = recovery::recover_wal(wal);
   EXPECT_TRUE(healed.clean_shutdown);
   EXPECT_FALSE(healed.truncated);
   ASSERT_EQ(healed.digests.size(), 1u);
-  EXPECT_EQ(healed.digests[0], kLongDigest);
+  EXPECT_EQ(healed.digests[0], golden::kLongSolo);
   std::filesystem::remove(wal);
 }
 
@@ -276,11 +273,11 @@ struct SweepConfig {
 };
 
 const SweepConfig kSweeps[] = {
-    {"service sweep (--shards 1,4)", {1, 4}, {}, 0x128ef7a21bc629eeULL},
+    {"service sweep (--shards 1,4)", {1, 4}, {}, golden::kServiceSweep},
     {"chaos sweep (--shards 4 --faults 'none;brownout:...')",
      {4},
      {"none", "brownout:shed=0.5,at=3,for=5"},
-     0xa501a42e6607a582ULL},
+     golden::kChaosSweep},
 };
 
 TEST(Golden, ServiceSweep) {

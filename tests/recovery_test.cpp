@@ -1526,8 +1526,9 @@ TEST(RecoverWal, BrokenDeltaChainsStopWithANoteNotAThrow) {
   // A delta with no base, naming a client past the tenant's count,
   // naming a client twice or out of order, or in a file whose header
   // predates v4 ends the trusted prefix at that record, as does a
-  // keyframe whose client count is not the header's; the prefix before
-  // it still resumes to the uninterrupted digest.
+  // keyframe whose client count is not the header's and a keyframe or
+  // delta whose route histogram geometry is not the engine's; the prefix
+  // before it still resumes to the uninterrupted digest.
   SingleRun fixture;
   const std::string clean_path = temp_path("chain_clean.wal");
   std::uint64_t golden = 0;
@@ -1559,6 +1560,12 @@ TEST(RecoverWal, BrokenDeltaChainsStopWithANoteNotAThrow) {
 
   EngineCheckpoint short_key = key.cut;
   short_key.client_paths.pop_back();
+  // A small geometry: the check must not depend on the bucket count.
+  const LogHistogram odd_geometry(1e-3, 1e3, 2);
+  EngineCheckpoint odd_key = key.cut;
+  odd_key.route_hist = odd_geometry;
+  EngineCheckpoint odd_delta = delta.record.cut;
+  odd_delta.route_hist = odd_geometry;
   struct Case {
     const char* what;
     std::size_t index;
@@ -1587,6 +1594,18 @@ TEST(RecoverWal, BrokenDeltaChainsStopWithANoteNotAThrow) {
        "corrupt WAL: WAL delta: clients not in strictly ascending order"},
       {"delta under a v3 header", 0, recovery::RecordType::kRunHeader,
        v3_header, 1, "corrupt WAL: delta cut in a v3 file"},
+      {"keyframe histogram geometry", key_at, recovery::RecordType::kEpochCut,
+       recovery::encode_epoch_cut(key.tenant, odd_key, key.digest_so_far), 0,
+       "corrupt WAL: WAL cut: histogram geometry is not the route "
+       "histogram's"},
+      {"delta histogram geometry", delta_at,
+       recovery::RecordType::kEpochDelta,
+       recovery::encode_epoch_delta(delta.record.tenant, odd_delta,
+                                    delta.record.digest_so_far,
+                                    delta.changes),
+       1,
+       "corrupt WAL: WAL cut: histogram geometry is not the route "
+       "histogram's"},
   };
   const std::string magic(recovery::kWalMagic, framed_log::kMagicBytes);
   const std::string path = temp_path("chain.wal");
