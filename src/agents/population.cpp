@@ -71,23 +71,23 @@ std::vector<std::size_t> initial_counts(const Commodity& commodity,
 Population::Population(const Instance& instance, std::size_t num_clients,
                        std::span<const double> target)
     : instance_(&instance),
-      clients_per_commodity_(allocate_clients(instance, num_clients)),
+      first_client_(instance.commodity_count() + 1, 0),
       flow_per_client_(instance.commodity_count(), 0.0),
       empirical_(instance.path_count(), 0.0) {
-  commodity_.reserve(num_clients);
+  const std::vector<std::size_t> clients =
+      allocate_clients(instance, num_clients);
   local_path_.reserve(num_clients);
   const std::size_t k = instance.commodity_count();
   for (std::size_t c = 0; c < k; ++c) {
     const Commodity& commodity = instance.commodity(CommodityId{c});
-    const std::size_t n_c = clients_per_commodity_[c];
+    const std::size_t n_c = clients[c];
+    first_client_[c + 1] = first_client_[c] + n_c;
     flow_per_client_[c] = commodity.demand / static_cast<double>(n_c);
     const std::vector<std::size_t> counts =
         initial_counts(commodity, target, n_c);
     for (std::size_t j = 0; j < counts.size(); ++j) {
-      for (std::size_t a = 0; a < counts[j]; ++a) {
-        commodity_.push_back(static_cast<std::uint32_t>(c));
-        local_path_.push_back(static_cast<std::uint32_t>(j));
-      }
+      local_path_.insert(local_path_.end(), counts[j],
+                         static_cast<std::uint32_t>(j));
       empirical_[commodity.paths[j].index()] +=
           static_cast<double>(counts[j]) * flow_per_client_[c];
     }
@@ -100,8 +100,9 @@ PathId Population::path_of(std::size_t client) const {
 }
 
 void Population::migrate(std::size_t client, std::size_t target) {
-  const Commodity& commodity = instance_->commodity(commodity_of(client));
-  const double flow = flow_per_client_[commodity_[client]];
+  const CommodityId c = commodity_of(client);
+  const Commodity& commodity = instance_->commodity(c);
+  const double flow = flow_per_client_[c.index()];
   empirical_[commodity.paths[local_path_[client]].index()] -= flow;
   empirical_[commodity.paths[target].index()] += flow;
   local_path_[client] = static_cast<std::uint32_t>(target);

@@ -7,8 +7,14 @@
 // commodities (proportional to demand, at least one each), the initial
 // path assignment approximating a target flow, and the induced empirical
 // path-flow vector.
+//
+// Client ids enumerate commodities in order, so commodity i owns the
+// contiguous id range [first_client_[i], first_client_[i + 1]). The only
+// per-client word is the local path index; a client's commodity is
+// derived from the C + 1 offsets, never stored.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,8 +25,9 @@ namespace staleflow {
 
 class Population {
  public:
-  /// Bytes held per client: its commodity id and its local path index.
-  static constexpr std::size_t kBytesPerClient = 2 * sizeof(std::uint32_t);
+  /// Bytes held per client: its local path index. The commodity is
+  /// derived from per-commodity offsets, which cost O(C), not O(N).
+  static constexpr std::size_t kBytesPerClient = sizeof(std::uint32_t);
 
   /// Allocates `num_clients` across commodities proportionally to demand
   /// (at least one each; throws std::invalid_argument when num_clients <
@@ -31,10 +38,16 @@ class Population {
   Population(const Instance& instance, std::size_t num_clients,
              std::span<const double> target);
 
-  std::size_t size() const noexcept { return commodity_.size(); }
+  std::size_t size() const noexcept { return local_path_.size(); }
 
+  /// The commodity whose id range holds `client`: 0 for a one-commodity
+  /// instance, else a binary search over the C + 1 offsets.
   CommodityId commodity_of(std::size_t client) const {
-    return CommodityId{static_cast<std::size_t>(commodity_[client])};
+    if (first_client_.size() == 2) return CommodityId{0};
+    const auto next =
+        std::upper_bound(first_client_.begin(), first_client_.end(), client);
+    return CommodityId{
+        static_cast<std::size_t>(next - first_client_.begin() - 1)};
   }
 
   /// Index into the client's commodity path list.
@@ -45,13 +58,23 @@ class Population {
   /// Global path the client currently uses.
   PathId path_of(std::size_t client) const;
 
-  /// Flow volume the client carries (its commodity's demand_i / N_i).
-  double flow_of(std::size_t client) const {
-    return flow_per_client_[commodity_[client]];
+  /// Every client's local path index, by client id.
+  std::span<const std::uint32_t> local_paths() const noexcept {
+    return local_path_;
+  }
+
+  /// Flow volume each client of commodity `c` carries (demand_c / N_c).
+  double flow_per_client(CommodityId c) const {
+    return flow_per_client_[c.index()];
+  }
+
+  /// First client id of commodity `c`; clients_of(c) ids follow it.
+  std::size_t first_client(CommodityId c) const {
+    return first_client_[c.index()];
   }
 
   std::size_t clients_of(CommodityId c) const {
-    return clients_per_commodity_[c.index()];
+    return first_client_[c.index() + 1] - first_client_[c.index()];
   }
 
   /// Empirical path flow induced by the assignment. Reflects migrate()
@@ -73,9 +96,8 @@ class Population {
 
  private:
   const Instance* instance_;
-  std::vector<std::uint32_t> commodity_;   // by client
+  std::vector<std::size_t> first_client_;  // by commodity, C + 1 offsets
   std::vector<std::uint32_t> local_path_;  // by client
-  std::vector<std::size_t> clients_per_commodity_;
   std::vector<double> flow_per_client_;    // by commodity
   std::vector<double> empirical_;          // by path
 };

@@ -164,7 +164,7 @@ void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
       if (sub.rng.bernoulli(mu)) {
         migrated = true;
         served_path = sampled;
-        const double moved = clients_->flow_of(query.client);
+        const double moved = clients_->flow_per_client(c);
         ledger_->add(b, commodity.paths[current].index(), -moved);
         ledger_->add(b, commodity.paths[sampled].index(), +moved);
         clients_->reassign(query.client, sampled);
@@ -481,12 +481,8 @@ void EpochEngine::finish_epoch(double epoch_seconds,
 void EpochEngine::capture_boundary(PendingCut& out) const {
   out.rng_state = master_.state();
   out.flow = flow_;
-  out.client_paths.clear();
-  out.client_paths.reserve(clients_->size());
-  for (std::size_t c = 0; c < clients_->size(); ++c) {
-    out.client_paths.push_back(
-        static_cast<std::uint32_t>(clients_->local_path(c)));
-  }
+  const std::span<const std::uint32_t> paths = clients_->local_paths();
+  out.client_paths.assign(paths.begin(), paths.end());
   out.valid = true;
 }
 
@@ -560,16 +556,20 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
 
   flow_ = last.flow;
   master_ = Rng::from_state(last.rng_state);
-  for (std::size_t c = 0; c < clients_->size(); ++c) {
-    const std::size_t path = last.client_paths[c];
-    const Commodity& commodity =
-        instance_->commodity(clients_->commodity_of(c));
-    if (path >= commodity.paths.size()) {
-      throw std::invalid_argument(
-          "EpochEngine::restore: client path out of its commodity's "
-          "range");
+  for (std::size_t i = 0; i < instance_->commodity_count(); ++i) {
+    const CommodityId c{i};
+    const std::size_t path_count = instance_->commodity(c).paths.size();
+    const std::size_t first = clients_->first_client(c);
+    for (std::size_t client = first; client < first + clients_->clients_of(c);
+         ++client) {
+      const std::size_t path = last.client_paths[client];
+      if (path >= path_count) {
+        throw std::invalid_argument(
+            "EpochEngine::restore: client path out of its commodity's "
+            "range");
+      }
+      clients_->reassign(client, path);
     }
-    clients_->reassign(c, path);
   }
 
   // The plan frontier resumes at the restored epoch count — there is no

@@ -20,6 +20,7 @@
 #include "core/fluid_simulator.h"
 #include "equilibrium/metrics.h"
 #include "exec/exec.h"
+#include "latency/functions.h"
 #include "net/flow.h"
 #include "net/generators.h"
 #include "service/service.h"
@@ -76,7 +77,91 @@ TEST(Population, EmpiricalFlowIsFeasibleAndTracksMigrations) {
       instance.commodity(population.commodity_of(0));
   EXPECT_NEAR(
       population.empirical_flow()[commodity.paths[before].index()],
-      flow_before - population.flow_of(0), 1e-12);
+      flow_before - population.flow_per_client(population.commodity_of(0)),
+      1e-12);
+}
+
+// Three commodities s_i -> t over 2, 3 and 2 parallel links, with uneven
+// demands 0.6 / 0.3 / 0.1.
+Instance uneven_commodities() {
+  Graph g(4);
+  const VertexId t{3};
+  const std::size_t links[] = {2, 3, 2};
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < links[i]; ++j) g.add_edge(VertexId{i}, t);
+  }
+  InstanceBuilder builder(std::move(g));
+  for (std::size_t e = 0; e < 7; ++e) {
+    builder.set_latency(EdgeId{e},
+                        affine(0.1 * static_cast<double>(e), 1.0));
+  }
+  builder.add_commodity(VertexId{0}, t, 0.6);
+  builder.add_commodity(VertexId{1}, t, 0.3);
+  builder.add_commodity(VertexId{2}, t, 0.1);
+  return std::move(builder).build();
+}
+
+static_assert(Population::kBytesPerClient == 4);
+
+TEST(Population, DerivesEachClientsCommodityFromOffsets) {
+  const Instance instance = uneven_commodities();
+  const FlowVector initial = FlowVector::uniform(instance);
+  const Population population(instance, 1003, initial.values());
+  const std::size_t k = instance.commodity_count();
+  ASSERT_EQ(k, 3u);
+
+  // Client ids enumerate commodities in order: commodity_of starts at 0,
+  // ends at k - 1 and steps up by one exactly where a range ends.
+  std::vector<std::size_t> tally(k, 0);
+  std::size_t previous = 0;
+  for (std::size_t client = 0; client < population.size(); ++client) {
+    const std::size_t c = population.commodity_of(client).index();
+    ASSERT_LT(c, k);
+    ASSERT_TRUE(c == previous || c == previous + 1) << "client " << client;
+    previous = c;
+    ++tally[c];
+  }
+  EXPECT_EQ(population.commodity_of(0).index(), 0u);
+  EXPECT_EQ(population.commodity_of(population.size() - 1).index(), k - 1);
+
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < k; ++c) {
+    const CommodityId id{c};
+    const std::size_t first = population.first_client(id);
+    const std::size_t count = population.clients_of(id);
+    EXPECT_EQ(tally[c], count);
+    EXPECT_EQ(first, total);
+    EXPECT_EQ(population.commodity_of(first), id);
+    EXPECT_EQ(population.commodity_of(first + count - 1), id);
+    total += count;
+  }
+  EXPECT_EQ(total, population.size());
+  // Uneven demand, uneven ranges.
+  EXPECT_GT(population.clients_of(CommodityId{0}),
+            population.clients_of(CommodityId{1}));
+  EXPECT_GT(population.clients_of(CommodityId{1}),
+            population.clients_of(CommodityId{2}));
+
+  // The derived commodity rebuilds the constructor's empirical flow.
+  std::vector<double> rebuilt(instance.path_count(), 0.0);
+  for (std::size_t client = 0; client < population.size(); ++client) {
+    rebuilt[population.path_of(client).index()] +=
+        population.flow_per_client(population.commodity_of(client));
+  }
+  for (std::size_t p = 0; p < rebuilt.size(); ++p) {
+    EXPECT_NEAR(rebuilt[p], population.empirical_flow()[p], 1e-12);
+  }
+}
+
+TEST(Population, OneCommodityMapsEveryClientToCommodityZero) {
+  const Instance instance = braess(true);
+  const FlowVector initial = FlowVector::uniform(instance);
+  const Population population(instance, 999, initial.values());
+  for (std::size_t client = 0; client < population.size(); ++client) {
+    ASSERT_EQ(population.commodity_of(client), CommodityId{0});
+  }
+  EXPECT_EQ(population.first_client(CommodityId{0}), 0u);
+  EXPECT_EQ(population.clients_of(CommodityId{0}), population.size());
 }
 
 // ------------------------------------------------------------ SnapshotStore
@@ -356,10 +441,11 @@ TEST(EpochEngine, HugeEpochBudgetBeginsAndServesOneEpoch) {
 }
 
 TEST(EpochEngine, ClientStateBeyondPhysicalMemoryIsRejectedBeforeAllocating) {
-  // 4e9 clients fit RouteQuery::client (uint32) but need 32 GB of client
-  // state. begin() must refuse them up front (exit 2 in the CLIs), not
-  // die on bad_alloc part-way through building the population.
-  constexpr std::size_t kClients = 4'000'000'000;
+  // The largest fleet RouteQuery::client (uint32) can address needs
+  // 2^32 - 1 clients x kBytesPerClient of client state (17.2 GB at 4 B).
+  // begin() must refuse it up front (exit 2 in the CLIs), not die on
+  // bad_alloc part-way through building the population.
+  constexpr std::size_t kClients = std::numeric_limits<std::uint32_t>::max();
   const long pages = sysconf(_SC_PHYS_PAGES);
   const long page_size = sysconf(_SC_PAGESIZE);
   if (pages <= 0 || page_size <= 0 ||
@@ -367,7 +453,7 @@ TEST(EpochEngine, ClientStateBeyondPhysicalMemoryIsRejectedBeforeAllocating) {
           kClients / static_cast<std::size_t>(page_size) *
               Population::kBytesPerClient) {
     GTEST_SKIP() << "this host's physical memory is unknown or holds the "
-                    "state of 4e9 clients";
+                    "state of 2^32 - 1 clients";
   }
   const Instance instance = braess(true);
   const Policy policy = make_replicator_policy(instance);
@@ -378,14 +464,60 @@ TEST(EpochEngine, ClientStateBeyondPhysicalMemoryIsRejectedBeforeAllocating) {
   EpochEngine engine(instance, policy, *workload, store);
   try {
     engine.begin(FlowVector::uniform(instance), options);
-    FAIL() << "begin() accepted 4e9 clients";
+    FAIL() << "begin() accepted 2^32 - 1 clients";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("physical memory"),
-              std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("physical memory"), std::string::npos) << what;
+    EXPECT_NE(what.find("4 B per client"), std::string::npos) << what;
   }
   // Rejected before the population or the first board was built.
   EXPECT_EQ(store.acquire(), nullptr);
+}
+
+TEST(EpochEngine, RestoreRejectsAClientPathOutOfItsCommoditysRange) {
+  // Commodities own 2, 3 and 2 paths. The last client of commodity 0 gets
+  // path 2 (legal for commodity 1, not for its own), the first client of
+  // commodity 1 gets path 3: each cut must be refused.
+  const Instance instance = uneven_commodities();
+  const Policy policy = make_replicator_policy(instance);
+  const WorkloadPtr workload = closed_loop_workload(100);
+  const RouteServerOptions options = small_options();
+  const FlowVector initial = FlowVector::uniform(instance);
+
+  SnapshotStore store;
+  EpochEngine served(instance, policy, *workload, store);
+  served.begin(initial, options);
+  TaskGraph graph;
+  served.add_epoch(graph);
+  Executor().run(graph);
+  served.finish_epoch(0.0, nullptr);
+  const EngineCheckpoint cut = served.checkpoint();
+
+  const Population population(instance, options.num_clients,
+                              initial.values());
+  const std::size_t last_of_0 =
+      population.first_client(CommodityId{1}) - 1;
+  const std::size_t first_of_1 = population.first_client(CommodityId{1});
+  ASSERT_EQ(population.commodity_of(last_of_0), CommodityId{0});
+
+  const auto restore = [&](std::size_t client, std::uint32_t path) {
+    EngineCheckpoint tampered = cut;
+    tampered.client_paths[client] = path;
+    SnapshotStore fresh_store;
+    EpochEngine fresh(instance, policy, *workload, fresh_store);
+    fresh.begin(initial, options);
+    fresh.restore(std::span<const EngineCheckpoint>(&tampered, 1));
+  };
+  const auto paths_of = [&](std::size_t c) {
+    return static_cast<std::uint32_t>(
+        instance.commodity(CommodityId{c}).paths.size());
+  };
+  // The last legal path of each commodity restores.
+  EXPECT_NO_THROW(restore(last_of_0, paths_of(0) - 1));
+  EXPECT_NO_THROW(restore(first_of_1, paths_of(1) - 1));
+  // One past it does not.
+  EXPECT_THROW(restore(last_of_0, paths_of(0)), std::invalid_argument);
+  EXPECT_THROW(restore(first_of_1, paths_of(1)), std::invalid_argument);
 }
 
 TEST(RouteServer, LatencyFeedbackClosesTheLoopDeterministically) {
