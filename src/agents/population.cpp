@@ -94,11 +94,6 @@ Population::Population(const Instance& instance, std::size_t num_clients,
   }
 }
 
-PathId Population::path_of(std::size_t client) const {
-  const Commodity& commodity = instance_->commodity(commodity_of(client));
-  return commodity.paths[local_path_[client]];
-}
-
 void Population::migrate(std::size_t client, std::size_t target) {
   const CommodityId c = commodity_of(client);
   const Commodity& commodity = instance_->commodity(c);

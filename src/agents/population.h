@@ -55,9 +55,6 @@ class Population {
     return local_path_[client];
   }
 
-  /// Global path the client currently uses.
-  PathId path_of(std::size_t client) const;
-
   /// Every client's local path index, by client id.
   std::span<const std::uint32_t> local_paths() const noexcept {
     return local_path_;

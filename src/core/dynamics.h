@@ -32,15 +32,6 @@ class PhaseRates {
   /// The generator matrix G with f' = G f.
   const Matrix& generator() const noexcept { return generator_; }
 
-  /// Per-agent migration rate m_PQ = sigma_Q(f̂) * mu(l̂_P, l̂_Q) from path
-  /// p to path q (zero across commodities and on the diagonal). The flow
-  /// migrating P->Q over the phase is m_PQ * INT f_P(t) dt, which the
-  /// Lemma 3/4 decomposition (V_PQ terms, Fig. 1) needs.
-  double pair_rate(PathId p, PathId q) const {
-    return pair_rates_(p.index(), q.index());
-  }
-  const Matrix& pair_rates() const noexcept { return pair_rates_; }
-
   /// Evaluates f' = G f into dfdt (both sized |P|).
   void rhs(std::span<const double> path_flow, std::span<double> dfdt) const;
 
@@ -56,6 +47,10 @@ class PhaseRates {
 
  private:
   Matrix generator_;
+  /// Per-agent migration rate m_PQ = sigma_Q(f̂) * mu(l̂_P, l̂_Q) from path
+  /// p to path q (zero across commodities and on the diagonal). The flow
+  /// migrating P->Q over the phase is m_PQ * INT f_P(t) dt, which the
+  /// Lemma 3/4 decomposition (V_PQ terms, Fig. 1) needs.
   Matrix pair_rates_;
 };
 

@@ -52,8 +52,6 @@ class LinearMigration final : public MigrationRule {
   std::optional<double> smoothness() const override { return 1.0 / scale_; }
   std::string name() const override;
 
-  double scale() const noexcept { return scale_; }
-
  private:
   double scale_;
 };
@@ -86,8 +84,6 @@ class RelativeSlackMigration final : public MigrationRule {
   double probability(double current, double sampled) const override;
   std::optional<double> smoothness() const override;
   std::string name() const override;
-
-  double shift() const noexcept { return shift_; }
 
  private:
   double shift_;

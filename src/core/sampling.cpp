@@ -83,64 +83,6 @@ std::string LogitSampling::name() const {
   return os.str();
 }
 
-BlendedSampling::BlendedSampling(std::vector<Component> components)
-    : components_(std::move(components)) {
-  if (components_.empty()) {
-    throw std::invalid_argument("BlendedSampling: need >= 1 component");
-  }
-  double total = 0.0;
-  for (const Component& part : components_) {
-    if (part.rule == nullptr) {
-      throw std::invalid_argument("BlendedSampling: null component rule");
-    }
-    if (part.weight < 0.0) {
-      throw std::invalid_argument("BlendedSampling: negative weight");
-    }
-    total += part.weight;
-  }
-  if (!(total > 0.0)) {
-    throw std::invalid_argument(
-        "BlendedSampling: weights must have positive sum");
-  }
-  for (Component& part : components_) part.weight /= total;
-}
-
-void BlendedSampling::distribution(const Instance& instance,
-                                   const Commodity& commodity,
-                                   std::span<const double> board_path_flow,
-                                   std::span<const double> board_path_latency,
-                                   std::span<double> out) const {
-  check_out_size(commodity, out);
-  std::fill(out.begin(), out.end(), 0.0);
-  std::vector<double> partial(out.size());
-  for (const Component& part : components_) {
-    if (part.weight == 0.0) continue;
-    part.rule->distribution(instance, commodity, board_path_flow,
-                            board_path_latency, partial);
-    for (std::size_t j = 0; j < out.size(); ++j) {
-      out[j] += part.weight * partial[j];
-    }
-  }
-}
-
-bool BlendedSampling::depends_on_flow() const {
-  for (const Component& part : components_) {
-    if (part.weight > 0.0 && part.rule->depends_on_flow()) return true;
-  }
-  return false;
-}
-
-std::string BlendedSampling::name() const {
-  std::ostringstream os;
-  os << "blend(";
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << components_[i].weight << "*" << components_[i].rule->name();
-  }
-  os << ")";
-  return os.str();
-}
-
 SamplingPtr uniform_sampling() {
   return std::make_unique<UniformSampling>();
 }
@@ -151,10 +93,6 @@ SamplingPtr proportional_sampling(double uniform_floor) {
 
 SamplingPtr logit_sampling(double c) {
   return std::make_unique<LogitSampling>(c);
-}
-
-SamplingPtr blended_sampling(std::vector<BlendedSampling::Component> parts) {
-  return std::make_unique<BlendedSampling>(std::move(parts));
 }
 
 }  // namespace staleflow

@@ -11,7 +11,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "net/instance.h"
 
@@ -36,10 +35,6 @@ class SamplingRule {
                             std::span<const double> board_path_latency,
                             std::span<double> out) const = 0;
 
-  /// True if the rule reads the board flow (proportional does, uniform
-  /// does not); used by tests and for documentation only.
-  virtual bool depends_on_flow() const = 0;
-
   virtual std::string name() const = 0;
 };
 
@@ -50,7 +45,6 @@ class UniformSampling final : public SamplingRule {
                     std::span<const double> board_path_flow,
                     std::span<const double> board_path_latency,
                     std::span<double> out) const override;
-  bool depends_on_flow() const override { return false; }
   std::string name() const override { return "uniform"; }
 };
 
@@ -65,7 +59,6 @@ class ProportionalSampling final : public SamplingRule {
                     std::span<const double> board_path_flow,
                     std::span<const double> board_path_latency,
                     std::span<double> out) const override;
-  bool depends_on_flow() const override { return true; }
   std::string name() const override { return "proportional"; }
 
  private:
@@ -82,10 +75,7 @@ class LogitSampling final : public SamplingRule {
                     std::span<const double> board_path_flow,
                     std::span<const double> board_path_latency,
                     std::span<double> out) const override;
-  bool depends_on_flow() const override { return false; }
   std::string name() const override;
-
-  double temperature_parameter() const noexcept { return c_; }
 
  private:
   double c_;
@@ -93,36 +83,8 @@ class LogitSampling final : public SamplingRule {
 
 using SamplingPtr = std::unique_ptr<const SamplingRule>;
 
-/// Convex combination of sampling rules: sigma = sum_i w_i * sigma_i with
-/// w_i >= 0 summing to 1. The paper's class is closed under mixing (each
-/// component is continuous in f; positivity holds if any component with
-/// positive weight is positive), so Theorem 2 / Corollary 5 apply to any
-/// blend — this rule exercises that generality.
-class BlendedSampling final : public SamplingRule {
- public:
-  struct Component {
-    double weight;
-    SamplingPtr rule;
-  };
-
-  /// Requires >= 1 component, non-negative weights with positive sum
-  /// (weights are normalised), non-null rules.
-  explicit BlendedSampling(std::vector<Component> components);
-
-  void distribution(const Instance& instance, const Commodity& commodity,
-                    std::span<const double> board_path_flow,
-                    std::span<const double> board_path_latency,
-                    std::span<double> out) const override;
-  bool depends_on_flow() const override;
-  std::string name() const override;
-
- private:
-  std::vector<Component> components_;
-};
-
 SamplingPtr uniform_sampling();
 SamplingPtr proportional_sampling(double uniform_floor = 0.0);
 SamplingPtr logit_sampling(double c);
-SamplingPtr blended_sampling(std::vector<BlendedSampling::Component> parts);
 
 }  // namespace staleflow

@@ -49,18 +49,6 @@ double weakly_unsatisfied_volume(const Instance& instance,
   return volume;
 }
 
-bool is_delta_eps_equilibrium(const Instance& instance,
-                              std::span<const double> path_flow, double delta,
-                              double eps) {
-  return unsatisfied_volume(instance, path_flow, delta) <= eps;
-}
-
-bool is_weak_delta_eps_equilibrium(const Instance& instance,
-                                   std::span<const double> path_flow,
-                                   double delta, double eps) {
-  return weakly_unsatisfied_volume(instance, path_flow, delta) <= eps;
-}
-
 double max_latency_deviation(const Instance& instance,
                              std::span<const double> path_flow,
                              double flow_threshold) {

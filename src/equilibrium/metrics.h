@@ -30,17 +30,6 @@ double weakly_unsatisfied_volume(const Instance& instance,
                                  std::span<const double> path_flow,
                                  double delta);
 
-/// f is at a (delta, eps)-equilibrium iff unsatisfied volume <= eps.
-bool is_delta_eps_equilibrium(const Instance& instance,
-                              std::span<const double> path_flow, double delta,
-                              double eps);
-
-/// f is at a weak (delta, eps)-equilibrium iff weakly unsatisfied volume
-/// <= eps.
-bool is_weak_delta_eps_equilibrium(const Instance& instance,
-                                   std::span<const double> path_flow,
-                                   double delta, double eps);
-
 /// Maximum latency deviation from the commodity minimum over paths that
 /// carry at least `flow_threshold` volume. This is the X of the paper's
 /// Section 3.2 oscillation analysis.

@@ -119,17 +119,6 @@ FaultClause parse_clause(std::string_view text) {
 
 }  // namespace
 
-std::string_view fault_kind_name(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kShardSlowdown: return "slow";
-    case FaultKind::kWorkerStall: return "stall";
-    case FaultKind::kDropTelemetry: return "drop-telemetry";
-    case FaultKind::kBrownout: return "brownout";
-    case FaultKind::kCrash: return "crash";
-  }
-  return "unknown";
-}
-
 FaultPlan parse_fault_plan(std::string_view spec) {
   try {
     if (spec.empty()) throw std::invalid_argument("empty spec");

@@ -46,9 +46,6 @@ enum class FaultKind : std::uint8_t {
   kCrash = 4,           ///< _Exit(137) after the N-th commit point
 };
 
-/// Human-readable fault-kind name ("slow", "stall", ...).
-std::string_view fault_kind_name(FaultKind kind) noexcept;
-
 /// One parsed fault clause. Which fields are meaningful depends on
 /// `kind`; `at`/`duration` stay unset when the spec omits them and are
 /// drawn from the fault Rng stream at materialize time.

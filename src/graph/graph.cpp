@@ -1,24 +1,14 @@
 #include "graph/graph.h"
 
-#include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace staleflow {
 
-Graph::Graph(std::size_t n) : out_edges_(n), in_edges_(n) {}
+Graph::Graph(std::size_t n) : out_edges_(n) {}
 
 VertexId Graph::add_vertex() {
   out_edges_.emplace_back();
-  in_edges_.emplace_back();
   return VertexId{vertex_count() - 1};
-}
-
-VertexId Graph::add_vertices(std::size_t count) {
-  const VertexId first{vertex_count()};
-  out_edges_.resize(vertex_count() + count);
-  in_edges_.resize(in_edges_.size() + count);
-  return first;
 }
 
 EdgeId Graph::add_edge(VertexId from, VertexId to) {
@@ -27,7 +17,6 @@ EdgeId Graph::add_edge(VertexId from, VertexId to) {
   const EdgeId id{edge_count()};
   edges_.push_back(Edge{from, to});
   out_edges_[from.index()].push_back(id);
-  in_edges_[to.index()].push_back(id);
   return id;
 }
 
@@ -39,11 +28,6 @@ const Graph::Edge& Graph::edge(EdgeId e) const {
 std::span<const EdgeId> Graph::out_edges(VertexId v) const {
   check_vertex(v);
   return out_edges_[v.index()];
-}
-
-std::span<const EdgeId> Graph::in_edges(VertexId v) const {
-  check_vertex(v);
-  return in_edges_[v.index()];
 }
 
 bool Graph::is_acyclic() const {
@@ -65,62 +49,6 @@ bool Graph::is_acyclic() const {
     }
   }
   return popped == vertex_count();
-}
-
-std::vector<VertexId> Graph::topological_order() const {
-  std::vector<std::size_t> indegree(vertex_count());
-  for (const Edge& e : edges_) ++indegree[e.to.index()];
-  std::vector<VertexId> queue;
-  for (std::size_t v = 0; v < vertex_count(); ++v) {
-    if (indegree[v] == 0) queue.push_back(VertexId{v});
-  }
-  std::vector<VertexId> order;
-  order.reserve(vertex_count());
-  while (!queue.empty()) {
-    const VertexId v = queue.back();
-    queue.pop_back();
-    order.push_back(v);
-    for (const EdgeId e : out_edges_[v.index()]) {
-      const VertexId w = edges_[e.index()].to;
-      if (--indegree[w.index()] == 0) queue.push_back(w);
-    }
-  }
-  if (order.size() != vertex_count()) {
-    throw std::logic_error("Graph::topological_order: graph has a cycle");
-  }
-  return order;
-}
-
-bool Graph::reachable(VertexId from, VertexId to) const {
-  check_vertex(from);
-  check_vertex(to);
-  if (from == to) return true;
-  std::vector<bool> seen(vertex_count());
-  std::vector<VertexId> stack{from};
-  seen[from.index()] = true;
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    for (const EdgeId e : out_edges_[v.index()]) {
-      const VertexId w = edges_[e.index()].to;
-      if (w == to) return true;
-      if (!seen[w.index()]) {
-        seen[w.index()] = true;
-        stack.push_back(w);
-      }
-    }
-  }
-  return false;
-}
-
-std::string Graph::describe() const {
-  std::ostringstream os;
-  os << "Graph(V=" << vertex_count() << ", E=" << edge_count() << ")";
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    os << (i == 0 ? ": " : " ") << 'v' << edges_[i].from.value << "->v"
-       << edges_[i].to.value << "(e" << i << ')';
-  }
-  return os.str();
 }
 
 void Graph::check_vertex(VertexId v) const {

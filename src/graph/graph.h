@@ -2,7 +2,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "graph/ids.h"
@@ -30,9 +29,6 @@ class Graph {
   /// Adds a vertex and returns its id.
   VertexId add_vertex();
 
-  /// Adds `count` vertices; returns the id of the first.
-  VertexId add_vertices(std::size_t count);
-
   /// Adds a directed edge. Both endpoints must already exist.
   EdgeId add_edge(VertexId from, VertexId to);
 
@@ -51,31 +47,17 @@ class Graph {
   VertexId source(EdgeId e) const { return edge(e).from; }
   VertexId target(EdgeId e) const { return edge(e).to; }
 
-  /// Outgoing / incoming edge lists of a vertex.
+  /// Outgoing edge list of a vertex.
   std::span<const EdgeId> out_edges(VertexId v) const;
-  std::span<const EdgeId> in_edges(VertexId v) const;
-
-  std::size_t out_degree(VertexId v) const { return out_edges(v).size(); }
-  std::size_t in_degree(VertexId v) const { return in_edges(v).size(); }
 
   /// True if the graph contains no directed cycle.
   bool is_acyclic() const;
-
-  /// Topological order of the vertices. Throws std::logic_error if cyclic.
-  std::vector<VertexId> topological_order() const;
-
-  /// True if `to` is reachable from `from` along directed edges.
-  bool reachable(VertexId from, VertexId to) const;
-
-  /// Human-readable dump, e.g. "v0->v1(e0) v0->v1(e1)".
-  std::string describe() const;
 
  private:
   void check_vertex(VertexId v) const;
 
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> out_edges_;
-  std::vector<std::vector<EdgeId>> in_edges_;
 };
 
 }  // namespace staleflow

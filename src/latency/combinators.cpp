@@ -7,6 +7,38 @@
 #include "latency/functions.h"
 
 namespace staleflow {
+namespace {
+
+/// f(x) + c, evaluated as the sum of f and the constant latency c.
+class OffsetLatency final : public LatencyFunction {
+ public:
+  OffsetLatency(const LatencyFunction& base, double constant_term)
+      : base_(base.clone()), shift_(constant_term) {}
+  double value(double x) const override {
+    return base_->value(x) + shift_.value(x);
+  }
+  double derivative(double x) const override {
+    return base_->derivative(x) + shift_.derivative(x);
+  }
+  double integral(double x) const override {
+    return base_->integral(x) + shift_.integral(x);
+  }
+  double max_slope(double x_max) const override {
+    return base_->max_slope(x_max) + shift_.max_slope(x_max);
+  }
+  std::string describe() const override {
+    return "(" + base_->describe() + ") + (" + shift_.describe() + ")";
+  }
+  LatencyPtr clone() const override {
+    return std::make_unique<OffsetLatency>(*base_, shift_.constant_value());
+  }
+
+ private:
+  LatencyPtr base_;
+  ConstantLatency shift_;
+};
+
+}  // namespace
 
 ScaledLatency::ScaledLatency(double factor, const LatencyFunction& base)
     : factor_(factor), base_(base.clone()) {
@@ -41,34 +73,6 @@ LatencyPtr ScaledLatency::clone() const {
   return std::make_unique<ScaledLatency>(factor_, *base_);
 }
 
-SumLatency::SumLatency(const LatencyFunction& lhs, const LatencyFunction& rhs)
-    : lhs_(lhs.clone()), rhs_(rhs.clone()) {}
-
-double SumLatency::value(double x) const {
-  return lhs_->value(x) + rhs_->value(x);
-}
-
-double SumLatency::derivative(double x) const {
-  return lhs_->derivative(x) + rhs_->derivative(x);
-}
-
-double SumLatency::integral(double x) const {
-  return lhs_->integral(x) + rhs_->integral(x);
-}
-
-double SumLatency::max_slope(double x_max) const {
-  // Sum of the bounds; a valid (if not tight) upper bound on (f+g)'.
-  return lhs_->max_slope(x_max) + rhs_->max_slope(x_max);
-}
-
-std::string SumLatency::describe() const {
-  return "(" + lhs_->describe() + ") + (" + rhs_->describe() + ")";
-}
-
-LatencyPtr SumLatency::clone() const {
-  return std::make_unique<SumLatency>(*lhs_, *rhs_);
-}
-
 LatencyPtr scale(double factor, const LatencyFunction& base) {
   return std::make_unique<ScaledLatency>(factor, base);
 }
@@ -78,20 +82,8 @@ LatencyPtr scale(double factor, const LatencyPtr& base) {
   return scale(factor, *base);
 }
 
-LatencyPtr add(const LatencyFunction& lhs, const LatencyFunction& rhs) {
-  return std::make_unique<SumLatency>(lhs, rhs);
-}
-
-LatencyPtr add(const LatencyPtr& lhs, const LatencyPtr& rhs) {
-  if (lhs == nullptr || rhs == nullptr) {
-    throw std::invalid_argument("add: null latency");
-  }
-  return add(*lhs, *rhs);
-}
-
 LatencyPtr offset(const LatencyFunction& base, double constant_term) {
-  const ConstantLatency shift(constant_term);
-  return add(base, shift);
+  return std::make_unique<OffsetLatency>(base, constant_term);
 }
 
 LatencyPtr offset(const LatencyPtr& base, double constant_term) {

@@ -2,11 +2,10 @@
 // while keeping exact derivatives, integrals and slope bounds.
 //
 //   scale(c, f)   : x -> c * f(x)          (c >= 0)
-//   add(f, g)     : x -> f(x) + g(x)
 //   offset(f, c)  : x -> f(x) + c          (c >= 0)
 //
 // Combinators own clones of their operands, so temporaries are safe:
-//   LatencyPtr l = add(scale(2.0, affine(0, 1)), constant(3.0));
+//   LatencyPtr l = offset(scale(2.0, affine(0, 1)), 3.0);
 #pragma once
 
 #include "latency/latency_function.h"
@@ -29,26 +28,8 @@ class ScaledLatency final : public LatencyFunction {
   LatencyPtr base_;
 };
 
-/// f(x) + g(x).
-class SumLatency final : public LatencyFunction {
- public:
-  SumLatency(const LatencyFunction& lhs, const LatencyFunction& rhs);
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double integral(double x) const override;
-  double max_slope(double x_max) const override;
-  std::string describe() const override;
-  LatencyPtr clone() const override;
-
- private:
-  LatencyPtr lhs_;
-  LatencyPtr rhs_;
-};
-
 LatencyPtr scale(double factor, const LatencyFunction& base);
 LatencyPtr scale(double factor, const LatencyPtr& base);
-LatencyPtr add(const LatencyFunction& lhs, const LatencyFunction& rhs);
-LatencyPtr add(const LatencyPtr& lhs, const LatencyPtr& rhs);
 LatencyPtr offset(const LatencyFunction& base, double constant_term);
 LatencyPtr offset(const LatencyPtr& base, double constant_term);
 

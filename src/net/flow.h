@@ -39,7 +39,6 @@ class FlowVector {
 
   std::span<const double> values() const noexcept { return values_; }
   std::vector<double>& mutable_values() noexcept { return values_; }
-  std::size_t size() const noexcept { return values_.size(); }
 
  private:
   std::vector<double> values_;

@@ -151,8 +151,6 @@ Instance InstanceBuilder::build() && {
       inst.path_owner_.push_back(cid);
       commodity.paths.push_back(pid);
     }
-    inst.max_paths_per_commodity_ =
-        std::max(inst.max_paths_per_commodity_, commodity.paths.size());
     inst.commodities_.push_back(std::move(commodity));
   }
 

@@ -50,10 +50,6 @@ class Instance {
   /// Commodity that owns path `p`.
   CommodityId commodity_of(PathId p) const;
 
-  std::span<const PathId> paths_of(CommodityId c) const {
-    return commodity(c).paths;
-  }
-
   /// D: maximum number of edges on any admissible path.
   std::size_t max_path_length() const noexcept { return max_path_length_; }
 
@@ -62,11 +58,6 @@ class Instance {
 
   /// ell_max: upper bound on any path latency, max_P sum_{e in P} l_e(1).
   double max_latency() const noexcept { return max_latency_; }
-
-  /// Largest per-commodity path count, max_i |P_i| (Theorem 6's m).
-  std::size_t max_paths_per_commodity() const noexcept {
-    return max_paths_per_commodity_;
-  }
 
   /// The paper's safe update period bound T = 1/(4 * D * alpha * beta) from
   /// Lemma 4, for a given migration smoothness alpha. Returns +infinity when
@@ -86,7 +77,6 @@ class Instance {
   std::vector<CommodityId> path_owner_;
   std::vector<Commodity> commodities_;
   std::size_t max_path_length_ = 0;
-  std::size_t max_paths_per_commodity_ = 0;
   double max_slope_ = 0.0;
   double max_latency_ = 0.0;
 };

@@ -160,12 +160,6 @@ std::string serialize_instance(const Instance& instance) {
   return os.str();
 }
 
-Instance parse_instance(std::istream& in) {
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return parse_instance(buffer.str());
-}
-
 Instance parse_instance(const std::string& text) {
   // Two-pass parse: first build the graph (vertices + edges), then attach
   // latencies and commodities through the builder.

@@ -17,7 +17,6 @@
 // Commodities always use auto-enumerated path sets in this format.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "net/instance.h"
@@ -35,7 +34,6 @@ std::string serialize_instance(const Instance& instance);
 
 /// Parses the text format. Throws std::invalid_argument with a line
 /// number on malformed input.
-Instance parse_instance(std::istream& in);
 Instance parse_instance(const std::string& text);
 
 /// Convenience file wrappers (throw std::runtime_error on I/O failure).

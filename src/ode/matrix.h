@@ -31,8 +31,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  std::span<const double> data() const noexcept { return data_; }
-
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);
   Matrix& operator*=(double scalar);
@@ -40,7 +38,6 @@ class Matrix {
   friend Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
   friend Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
   friend Matrix operator*(Matrix a, double s) { return a *= s; }
-  friend Matrix operator*(double s, Matrix a) { return a *= s; }
 
   /// Matrix product; requires cols() == other.rows().
   Matrix multiply(const Matrix& other) const;

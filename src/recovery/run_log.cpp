@@ -124,9 +124,9 @@ void write_cut_head(binio::Writer& w, std::uint32_t tenant,
 void write_cut_tail(binio::Writer& w, const EngineCheckpoint& cut,
                     std::uint64_t digest_so_far) {
   const LogHistogram& h = cut.route_hist;
-  w.f64(h.min_value());
-  w.f64(h.max_value());
-  w.u32(h.sub_bucket_bits());
+  w.f64(LogHistogram::kMinValue);
+  w.f64(LogHistogram::kMaxValue);
+  w.u32(LogHistogram::kSubBucketBits);
   std::uint64_t nonzero = 0;
   for (std::size_t b = 0; b < h.bucket_count(); ++b) {
     if (h.bucket_value(b) != 0) ++nonzero;
@@ -176,13 +176,12 @@ void read_cut_tail(binio::Reader& r, CutRecord& record) {
   const double hist_min_value = r.f64();
   const double hist_max_value = r.f64();
   const std::uint32_t hist_bits = r.u32();
-  // The engine's route histogram is default-configured; any other
-  // geometry would size the dense bucket array from the payload (about
-  // 2^31 buckets at 20 sub-bucket bits over the double range).
-  const LogHistogram route_geometry;
-  if (hist_min_value != route_geometry.min_value() ||
-      hist_max_value != route_geometry.max_value() ||
-      hist_bits != route_geometry.sub_bucket_bits()) {
+  // Every LogHistogram has the one geometry the writer records here; a
+  // payload naming any other has bucket indices this build would read
+  // against the wrong bounds.
+  if (hist_min_value != LogHistogram::kMinValue ||
+      hist_max_value != LogHistogram::kMaxValue ||
+      hist_bits != LogHistogram::kSubBucketBits) {
     throw std::runtime_error(
         "WAL cut: histogram geometry is not the route histogram's");
   }
@@ -199,8 +198,7 @@ void read_cut_tail(binio::Reader& r, CutRecord& record) {
   const double hist_sum = r.f64();
   try {
     record.cut.route_hist =
-        LogHistogram::from_state(hist_min_value, hist_max_value, hist_bits,
-                                 buckets, hist_min, hist_max, hist_sum);
+        LogHistogram::from_state(buckets, hist_min, hist_max, hist_sum);
   } catch (const std::invalid_argument& bad) {
     throw std::runtime_error(std::string("WAL cut: bad histogram state: ") +
                              bad.what());

@@ -179,11 +179,6 @@ struct RecoveredRun {
   std::uint64_t valid_bytes = 0;
   /// Why the scan stopped early (empty when nothing was discarded).
   std::string note;
-
-  /// The per-tenant epoch count still to serve (0 when clean_shutdown).
-  std::size_t committed_epochs(std::size_t tenant) const {
-    return cuts.at(tenant).size();
-  }
 };
 
 /// Names one committed cut: a tenant index and an epoch.
@@ -243,8 +238,6 @@ class WalLog {
   /// registry writes.
   CutObserver single_observer();
   RoundCutObserver round_observer();
-
-  const std::string& path() const noexcept { return path_; }
 
  private:
   /// Frames one record, flushes it and throws std::runtime_error on a

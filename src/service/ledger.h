@@ -23,8 +23,6 @@ class FlowLedger {
   /// a cache-line multiple so concurrent slots never false-share.
   FlowLedger(std::size_t path_count, std::size_t slots);
 
-  std::size_t slots() const noexcept { return counters_.size(); }
-
   /// Grows the ledger to at least `slots` zeroed slots (no-op when already
   /// large enough). NOT thread-safe: call between epochs, never while
   /// serving tasks are writing. The epoch sub-batch plan sizes the ledger
@@ -52,13 +50,8 @@ class FlowLedger {
   /// Folds the first `active_slots` slots' deltas into `flow` (slot-index
   /// order — the canonical fold the determinism contract fixes), returns
   /// the summed counters, and resets those slots for the next epoch.
-  /// Requires active_slots <= slots().
+  /// Requires active_slots <= the slot count.
   Totals fold_into(std::span<double> flow, std::size_t active_slots) noexcept;
-
-  /// Folds every slot.
-  Totals fold_into(std::span<double> flow) noexcept {
-    return fold_into(flow, counters_.size());
-  }
 
  private:
   std::size_t path_count_;

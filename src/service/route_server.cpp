@@ -18,7 +18,8 @@ RouteServerResult RouteServer::run(const FlowVector& initial,
                                    std::span<const EngineCheckpoint> resume) {
   // A solo run is a one-tenant registry: its one engine served by the
   // shared round loop at weight 1, on an executor this run owns.
-  EpochEngine engine(*instance_, *policy_, *workload_, store_);
+  SnapshotStore store;
+  EpochEngine engine(*instance_, *policy_, *workload_, store);
   engine.begin(initial, options);
   engine.restore(resume);
 

@@ -122,11 +122,12 @@ struct RouteServerOptions {
   /// the matching commit point. Must outlive run().
   const faults::FaultSchedule* faults = nullptr;
 
-  /// Read the clock around each epoch graph and the run, for the
-  /// per-epoch and run `queries_per_second` and `wall_seconds`. The
-  /// serve loop itself reads no clock: per-query serve time is the
-  /// kSubBatchSpan trace span divided by its queries. Off = deterministic
-  /// replay mode: every telemetry field is reproducible bit-for-bit.
+  /// Report the per-epoch and run `queries_per_second` and the run's
+  /// `wall_seconds`. The host loop times each epoch graph and the run
+  /// either way; off leaves these fields 0 (deterministic replay mode:
+  /// every telemetry field is reproducible bit-for-bit). The serve loop
+  /// itself reads no clock: per-query serve time is the kSubBatchSpan
+  /// trace span divided by its queries.
   bool record_latency = true;
 };
 
@@ -179,16 +180,10 @@ class RouteServer {
                         const CutObserver& cuts = nullptr,
                         std::span<const EngineCheckpoint> resume = {});
 
-  /// Read side: the currently published snapshot (nullptr before the
-  /// first epoch of a run). Safe to call concurrently with run() — this
-  /// is the RCU read path external query threads would use.
-  SnapshotPtr snapshot() const noexcept { return store_.acquire(); }
-
  private:
   const Instance* instance_;
   const Policy* policy_;
   const WorkloadGenerator* workload_;
-  SnapshotStore store_;
 };
 
 }  // namespace staleflow

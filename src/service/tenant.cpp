@@ -68,7 +68,6 @@ void TenantRegistry::add(const std::string& name, const Instance& instance,
   tenant.policy = &policy;
   tenant.workload = &workload;
   tenant.options = options;
-  tenant.store = std::make_unique<SnapshotStore>();
   tenants_.push_back(std::move(tenant));
 }
 
@@ -77,13 +76,6 @@ const std::string& TenantRegistry::name(std::size_t tenant) const {
     throw std::out_of_range("TenantRegistry::name: no such tenant");
   }
   return tenants_[tenant].name;
-}
-
-SnapshotPtr TenantRegistry::snapshot(std::size_t tenant) const {
-  if (tenant >= tenants_.size()) {
-    throw std::out_of_range("TenantRegistry::snapshot: no such tenant");
-  }
-  return tenants_[tenant].store->acquire();
 }
 
 std::size_t serve_rounds(Executor& executor,
@@ -216,6 +208,7 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
   // Spin up one engine per tenant. begin() validates each tenant's
   // options before ANY tenant serves, so a bad tenant fails the run
   // up front instead of mid-multiplex.
+  std::vector<SnapshotStore> stores(tenants_.size());
   std::vector<std::unique_ptr<EpochEngine>> owned;
   std::vector<EpochEngine*> engines;
   std::vector<std::size_t> weights;
@@ -227,7 +220,7 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     Tenant& tenant = tenants_[i];
     owned.push_back(std::make_unique<EpochEngine>(
-        *tenant.instance, *tenant.policy, *tenant.workload, *tenant.store));
+        *tenant.instance, *tenant.policy, *tenant.workload, stores[i]));
     EpochEngine& engine = *owned.back();
     engine.set_trace_tenant(static_cast<std::uint32_t>(i));
     engine.begin(FlowVector::uniform(*tenant.instance), tenant.options.server);

@@ -118,11 +118,6 @@ class TenantRegistry {
   std::size_t size() const noexcept { return tenants_.size(); }
   const std::string& name(std::size_t tenant) const;
 
-  /// RCU read path of tenant `tenant`'s current board: nullptr before its
-  /// first epoch, then the latest published snapshot. Safe to call
-  /// concurrently with run().
-  SnapshotPtr snapshot(std::size_t tenant) const;
-
   /// Serves every tenant's full epoch budget, multiplexed on `executor`
   /// (each tenant starting from the uniform split of its instance).
   /// Throws std::invalid_argument when the registry is empty or a
@@ -149,7 +144,6 @@ class TenantRegistry {
     const Policy* policy = nullptr;
     const WorkloadGenerator* workload = nullptr;
     TenantOptions options;
-    std::unique_ptr<SnapshotStore> store;  // stable address across runs
   };
   std::vector<Tenant> tenants_;
 };

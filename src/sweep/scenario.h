@@ -45,8 +45,6 @@ class ScenarioRegistry {
   /// Registered names in registration order.
   std::vector<std::string> names() const;
 
-  std::size_t size() const noexcept { return scenarios_.size(); }
-
  private:
   std::vector<Scenario> scenarios_;  // registration order; linear lookup
 };

@@ -10,43 +10,19 @@ namespace staleflow {
 namespace {
 
 /// Raw bucket index of a non-negative finite double: its bit pattern
-/// shifted so that each power-of-two octave contributes 2^bits linear
-/// sub-buckets. Positive IEEE-754 doubles order exactly like their bit
-/// patterns, so this is a monotone, exact, libm-free bucketing.
-std::uint64_t raw_index(double value, unsigned sub_bucket_bits) noexcept {
-  return std::bit_cast<std::uint64_t>(value) >> (52 - sub_bucket_bits);
+/// shifted so that each power-of-two octave contributes 2^kSubBucketBits
+/// linear sub-buckets. Positive IEEE-754 doubles order exactly like their
+/// bit patterns, so this is a monotone, exact, libm-free bucketing.
+std::uint64_t raw_index(double value) noexcept {
+  return std::bit_cast<std::uint64_t>(value) >>
+         (52 - LogHistogram::kSubBucketBits);
 }
 
-double value_of_raw(std::uint64_t raw, unsigned sub_bucket_bits) noexcept {
-  return std::bit_cast<double>(raw << (52 - sub_bucket_bits));
+double value_of_raw(std::uint64_t raw) noexcept {
+  return std::bit_cast<double>(raw << (52 - LogHistogram::kSubBucketBits));
 }
 
 }  // namespace
-
-LogHistogram::LogHistogram(double min_value, double max_value,
-                           unsigned sub_bucket_bits)
-    : min_value_(min_value),
-      max_value_(max_value),
-      sub_bucket_bits_(sub_bucket_bits) {
-  if (!(min_value > 0.0) || !std::isfinite(min_value) ||
-      !(max_value > min_value) || !std::isfinite(max_value)) {
-    throw std::invalid_argument(
-        "LogHistogram: need 0 < min_value < max_value, both finite");
-  }
-  if (sub_bucket_bits > 20) {
-    throw std::invalid_argument("LogHistogram: sub_bucket_bits must be <= 20");
-  }
-  lo_raw_ = raw_index(min_value, sub_bucket_bits_);
-  hi_raw_ = raw_index(max_value, sub_bucket_bits_);
-  if (lo_raw_ == 0) {
-    // Would fuse the underflow bucket with the first regular one and break
-    // the bucket_lower/bucket_index round-trip.
-    throw std::invalid_argument("LogHistogram: min_value too small");
-  }
-  // counts_ stays unallocated until the first record()/merge: a histogram
-  // member on a result struct that never sees a sample (non-service sweep
-  // cells) costs nothing.
-}
 
 void LogHistogram::ensure_counts() {
   if (counts_.empty()) counts_.assign(bucket_count(), 0);
@@ -70,16 +46,7 @@ void LogHistogram::record(double value, std::uint64_t count) {
   sum_ += value * static_cast<double>(count);
 }
 
-bool LogHistogram::same_config(const LogHistogram& other) const noexcept {
-  return min_value_ == other.min_value_ && max_value_ == other.max_value_ &&
-         sub_bucket_bits_ == other.sub_bucket_bits_;
-}
-
 void LogHistogram::merge(const LogHistogram& other) {
-  if (!same_config(other)) {
-    throw std::invalid_argument(
-        "LogHistogram::merge: configuration mismatch");
-  }
   if (other.count_ == 0) return;
   ensure_counts();  // other.count_ > 0 implies other.counts_ is allocated
   for (std::size_t b = 0; b < counts_.size(); ++b) {
@@ -112,11 +79,6 @@ double LogHistogram::min() const {
 double LogHistogram::max() const {
   if (count_ == 0) throw std::logic_error("LogHistogram::max: empty");
   return max_;
-}
-
-double LogHistogram::mean() const {
-  if (count_ == 0) throw std::logic_error("LogHistogram::mean: empty");
-  return sum_ / static_cast<double>(count_);
 }
 
 double LogHistogram::quantile(double q) const {
@@ -162,11 +124,11 @@ std::size_t LogHistogram::bucket_index(double value) const {
   // Normalise -0.0: its sign-bit pattern would otherwise order above
   // every positive value and land the smallest possible sample in the
   // overflow bucket.
-  if (value == 0.0) return 0;  // zero is always below min_value (> 0)
-  const std::uint64_t raw = raw_index(value, sub_bucket_bits_);
-  if (raw < lo_raw_) return 0;
-  if (raw > hi_raw_) return bucket_count() - 1;
-  return static_cast<std::size_t>(raw - lo_raw_) + 1;
+  if (value == 0.0) return 0;  // zero is always below kMinValue (> 0)
+  const std::uint64_t raw = raw_index(value);
+  if (raw < kLoRaw) return 0;
+  if (raw > kHiRaw) return bucket_count() - 1;
+  return static_cast<std::size_t>(raw - kLoRaw) + 1;
 }
 
 double LogHistogram::bucket_lower(std::size_t b) const {
@@ -174,7 +136,7 @@ double LogHistogram::bucket_lower(std::size_t b) const {
     throw std::out_of_range("LogHistogram::bucket_lower: bad bucket");
   }
   if (b == 0) return 0.0;
-  return value_of_raw(lo_raw_ + (b - 1), sub_bucket_bits_);
+  return value_of_raw(kLoRaw + (b - 1));
 }
 
 double LogHistogram::bucket_upper(std::size_t b) const {
@@ -195,10 +157,9 @@ std::uint64_t LogHistogram::bucket_value(std::size_t b) const {
 }
 
 LogHistogram LogHistogram::from_state(
-    double min_value, double max_value, unsigned sub_bucket_bits,
     std::span<const std::pair<std::uint64_t, std::uint64_t>> buckets,
     double min, double max, double sum) {
-  LogHistogram hist(min_value, max_value, sub_bucket_bits);
+  LogHistogram hist;
   if (buckets.empty()) return hist;
   hist.ensure_counts();
   for (const auto& [bucket, count] : buckets) {
@@ -223,9 +184,7 @@ LogHistogram LogHistogram::from_state(
 }
 
 bool operator==(const LogHistogram& a, const LogHistogram& b) {
-  if (!a.same_config(b) || a.count_ != b.count_ || a.sum_ != b.sum_) {
-    return false;
-  }
+  if (a.count_ != b.count_ || a.sum_ != b.sum_) return false;
   // Two empty histograms are equal whether or not their bucket arrays
   // have been (lazily) allocated yet.
   if (a.count_ == 0) return true;

@@ -3,24 +3,25 @@
 //
 // A LogHistogram records non-negative doubles into buckets whose
 // boundaries are spaced logarithmically: each power-of-two octave is cut
-// into 2^sub_bucket_bits linear sub-buckets, so the relative bucket width
-// is at most 2^-sub_bucket_bits everywhere in the tracked range. Bucket
+// into 2^kSubBucketBits linear sub-buckets, so the relative bucket width
+// is at most 2^-kSubBucketBits everywhere in the tracked range. Bucket
 // indices are computed by integer arithmetic on the IEEE-754 bit pattern
 // (positive doubles order like their bits), never through log()/exp(), so
 // bucketing is exact, platform-stable and byte-reproducible — the
 // property the service digest and the sweep CSV contract rely on.
 //
-// Histograms with the same configuration merge by adding counts; merging
-// is commutative and associative, which is what lets per-shard recordings
-// combine into per-epoch distributions, epochs into runs, and sweep cells
-// into capacity-table rows without ever storing raw samples. Quantiles
-// are extracted exactly from the counts: the returned value is the
-// midpoint of the bucket holding the requested rank (clamped to the
-// recorded min/max, so quantile(0) and quantile(1) are the exact
+// Every histogram has the same geometry, so any two merge by adding
+// counts; merging is commutative and associative, which is what lets
+// per-shard recordings combine into per-epoch distributions, epochs into
+// runs, and sweep cells into capacity-table rows without ever storing raw
+// samples. Quantiles are extracted exactly from the counts: the returned
+// value is the midpoint of the bucket holding the requested rank (clamped
+// to the recorded min/max, so quantile(0) and quantile(1) are the exact
 // extremes), hence within one bucket width of the true sorted-sample
 // quantile.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -31,27 +32,25 @@ namespace staleflow {
 
 class LogHistogram {
  public:
-  /// Tracks values in [min_value, max_value] with 2^sub_bucket_bits
-  /// linear sub-buckets per octave (default 32: <= 3.2% relative bucket
-  /// width). Values below/above the range land in dedicated underflow /
-  /// overflow buckets and are still counted (and still drive the exact
-  /// min/max). Requires 0 < min_value < max_value, both finite, and
-  /// sub_bucket_bits in [0, 20]; throws std::invalid_argument otherwise.
-  explicit LogHistogram(double min_value = 1e-9, double max_value = 1e9,
-                        unsigned sub_bucket_bits = 5);
+  /// The one geometry: values in [kMinValue, kMaxValue] with
+  /// 2^kSubBucketBits linear sub-buckets per octave (32: <= 3.2% relative
+  /// bucket width). Values below/above the range land in dedicated
+  /// underflow / overflow buckets and are still counted (and still drive
+  /// the exact min/max).
+  static constexpr double kMinValue = 1e-9;
+  static constexpr double kMaxValue = 1e9;
+  static constexpr unsigned kSubBucketBits = 5;
 
   /// Records one (or `count`) occurrences of `value`. Negative, NaN and
   /// infinite values are rejected with std::invalid_argument (a latency
   /// can be zero but never negative or undefined).
   void record(double value, std::uint64_t count = 1);
 
-  /// Adds `other`'s counts into this histogram. Both must share the exact
-  /// same configuration (min, max, sub_bucket_bits); throws
-  /// std::invalid_argument on a mismatch.
+  /// Adds `other`'s counts into this histogram.
   void merge(const LogHistogram& other);
 
-  /// Drops every recorded value, keeping the configuration (no
-  /// reallocation — for per-epoch reuse in serving loops).
+  /// Drops every recorded value (no reallocation — for per-epoch reuse in
+  /// serving loops).
   void reset() noexcept;
 
   /// Total number of recorded values.
@@ -64,8 +63,6 @@ class LogHistogram {
 
   /// Sum of recorded values, accumulated in recording order (0 if empty).
   double sum() const noexcept { return sum_; }
-  /// sum() / count(). Requires count() > 0.
-  double mean() const;
 
   /// The q-quantile, q in [0, 1]. quantile(0) == min() and
   /// quantile(1) == max() exactly (the recorded extremes, as in
@@ -81,8 +78,8 @@ class LogHistogram {
   /// (last) buckets. Pure geometry — defined whether or not anything has
   /// been recorded (the bucket array itself is allocated lazily on first
   /// record/merge, so unused histogram members cost nothing).
-  std::size_t bucket_count() const noexcept {
-    return static_cast<std::size_t>(hi_raw_ - lo_raw_) + 3;
+  static constexpr std::size_t bucket_count() noexcept {
+    return static_cast<std::size_t>(kHiRaw - kLoRaw) + 3;
   }
 
   /// Bucket that `value` (>= 0, finite) falls into.
@@ -99,39 +96,33 @@ class LogHistogram {
   /// Count recorded in bucket b. Requires b < bucket_count().
   std::uint64_t bucket_value(std::size_t b) const;
 
-  double min_value() const noexcept { return min_value_; }
-  double max_value() const noexcept { return max_value_; }
-  unsigned sub_bucket_bits() const noexcept { return sub_bucket_bits_; }
-
   // ---- checkpoint/restore (the recovery WAL path) ----
 
-  /// Rebuilds a histogram from previously exported state: the
-  /// configuration, the nonzero (bucket index, count) pairs, and the
-  /// exact min/max/sum the accessors reported. The result compares
-  /// operator==-equal to the original — bucket counts, count, min, max
-  /// and sum restored bit-for-bit — so merges and quantiles continue
-  /// exactly. `min`/`max`/`sum` are ignored when `buckets` is empty (an
-  /// empty histogram has no extremes). Throws std::invalid_argument on a
-  /// bad configuration, an out-of-range or repeated bucket index, a zero
-  /// per-bucket count, or (when nonempty) min > max.
+  /// Rebuilds a histogram from previously exported state: the nonzero
+  /// (bucket index, count) pairs and the exact min/max/sum the accessors
+  /// reported. The result compares operator==-equal to the original —
+  /// bucket counts, count, min, max and sum restored bit-for-bit — so
+  /// merges and quantiles continue exactly. `min`/`max`/`sum` are ignored when `buckets` is empty (an
+  /// empty histogram has no extremes). Throws std::invalid_argument on an
+  /// out-of-range or repeated bucket index, a zero per-bucket count, or
+  /// (when nonempty) min > max.
   static LogHistogram from_state(
-      double min_value, double max_value, unsigned sub_bucket_bits,
       std::span<const std::pair<std::uint64_t, std::uint64_t>> buckets,
       double min, double max, double sum);
 
-  /// True when both histograms have the same configuration AND the same
-  /// counts, min, max and sum — i.e. they are observationally identical.
+  /// True when both histograms have the same counts, min, max and sum —
+  /// i.e. they are observationally identical.
   friend bool operator==(const LogHistogram& a, const LogHistogram& b);
 
  private:
-  bool same_config(const LogHistogram& other) const noexcept;
-  void ensure_counts();
+  // Raw bit-indices of the first and last regular buckets (see raw_index
+  // in the .cpp).
+  static constexpr std::uint64_t kLoRaw =
+      std::bit_cast<std::uint64_t>(kMinValue) >> (52 - kSubBucketBits);
+  static constexpr std::uint64_t kHiRaw =
+      std::bit_cast<std::uint64_t>(kMaxValue) >> (52 - kSubBucketBits);
 
-  double min_value_ = 0.0;
-  double max_value_ = 0.0;
-  unsigned sub_bucket_bits_ = 0;
-  std::uint64_t lo_raw_ = 0;  // raw bit-index of the first regular bucket
-  std::uint64_t hi_raw_ = 0;  // raw bit-index of the last regular bucket
+  void ensure_counts();
 
   std::vector<std::uint64_t> counts_;  // [underflow, regular..., overflow]
   std::uint64_t count_ = 0;

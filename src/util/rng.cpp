@@ -62,13 +62,6 @@ std::uint64_t Rng::below(std::uint64_t n) {
   }
 }
 
-std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::range: lo > hi");
-  const auto width =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  return lo + static_cast<std::int64_t>(below(width));
-}
-
 bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -91,31 +84,6 @@ double Rng::normal(double mean, double stddev) {
   const double u2 = uniform();
   const double radius = std::sqrt(-2.0 * std::log(u1));
   return mean + stddev * radius * std::cos(2.0 * std::numbers::pi * u2);
-}
-
-std::size_t Rng::weighted_index(std::span<const double> weights) {
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0) {
-      throw std::invalid_argument("Rng::weighted_index: negative weight");
-    }
-    total += w;
-  }
-  if (!(total > 0.0)) {
-    throw std::invalid_argument(
-        "Rng::weighted_index: weights must have positive sum");
-  }
-  const double target = uniform() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (target < acc) return i;
-  }
-  // Floating-point slack: return the last positive-weight index.
-  for (std::size_t i = weights.size(); i > 0; --i) {
-    if (weights[i - 1] > 0.0) return i - 1;
-  }
-  return weights.size() - 1;
 }
 
 Rng Rng::split() noexcept {

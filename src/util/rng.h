@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -41,9 +40,6 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection).
   std::uint64_t below(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t range(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 
@@ -52,10 +48,6 @@ class Rng {
 
   /// Standard normal variate (Box-Muller, no caching for determinism).
   double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  /// Requires at least one strictly positive weight; negatives are an error.
-  std::size_t weighted_index(std::span<const double> weights);
 
   /// Fisher-Yates shuffle of `items`.
   template <typename T>

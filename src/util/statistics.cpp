@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace staleflow {
 
@@ -17,23 +18,6 @@ void RunningStats::add(double x) noexcept {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::mean() const {
@@ -60,13 +44,6 @@ double RunningStats::max() const {
   return max_;
 }
 
-double quantile(std::span<const double> samples, double q) {
-  if (samples.empty()) throw std::invalid_argument("quantile: empty input");
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sorted_quantile(sorted, q);
-}
-
 double sorted_quantile(std::span<const double> sorted, double q) {
   if (sorted.empty()) {
     throw std::invalid_argument("sorted_quantile: empty input");
@@ -85,22 +62,6 @@ double sorted_quantile(std::span<const double> sorted, double q) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Summary summarize(std::span<const double> samples) {
-  Summary s;
-  if (samples.empty()) return s;
-  RunningStats rs;
-  for (const double x : samples) rs.add(x);
-  s.count = rs.count();
-  s.mean = rs.mean();
-  s.stddev = rs.count() > 1 ? rs.stddev() : 0.0;
-  s.min = rs.min();
-  s.max = rs.max();
-  s.median = quantile(samples, 0.5);
-  s.p05 = quantile(samples, 0.05);
-  s.p95 = quantile(samples, 0.95);
-  return s;
 }
 
 LinearFit fit_line(std::span<const double> xs, std::span<const double> ys) {

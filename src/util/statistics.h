@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace staleflow {
 
@@ -13,9 +12,6 @@ namespace staleflow {
 class RunningStats {
  public:
   void add(double x) noexcept;
-
-  /// Merges another accumulator into this one (parallel combine).
-  void merge(const RunningStats& other) noexcept;
 
   std::size_t count() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }
@@ -30,8 +26,6 @@ class RunningStats {
   double min() const;
   /// Requires count() > 0.
   double max() const;
-  /// Sum of all samples (0 when empty).
-  double sum() const noexcept { return mean_ * static_cast<double>(count_); }
 
  private:
   std::size_t count_ = 0;
@@ -41,29 +35,11 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Batch summary of a sample vector.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-  double p05 = 0.0;
-  double p95 = 0.0;
-};
-
-/// Computes a Summary. Returns a zeroed Summary for an empty input.
-Summary summarize(std::span<const double> samples);
-
-/// Linear-interpolation quantile, q in [0, 1]. Requires non-empty input
-/// (throws std::invalid_argument on an empty span or q outside [0, 1]).
-double quantile(std::span<const double> samples, double q);
-
-/// Same, for input that is already sorted ascending — no copy, no re-sort.
-/// Use when reading several quantiles off one sample set. Edge cases are
-/// exact: q == 0 returns the first sample, q == 1 the last, and a
-/// single-sample input returns that sample for every q.
+/// Linear-interpolation quantile, q in [0, 1], of input already sorted
+/// ascending. Edge cases are exact: q == 0 returns the first sample,
+/// q == 1 the last, and a single-sample input returns that sample for
+/// every q. Throws std::invalid_argument on an empty span or q outside
+/// [0, 1].
 double sorted_quantile(std::span<const double> sorted, double q);
 
 /// Ordinary least squares fit y = a + b*x. Returns {a, b, r2}.

@@ -10,7 +10,7 @@
 namespace staleflow {
 
 /// The one begin/elapsed timing idiom: starts on construction, reads
-/// without stopping, restarts for loop reuse. Wall-clock telemetry only —
+/// without stopping. Wall-clock telemetry only —
 /// never feeds the deterministic digest.
 class Stopwatch {
  public:
@@ -19,7 +19,6 @@ class Stopwatch {
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - begin_).count();
   }
-  void restart() { begin_ = Clock::now(); }
 
  private:
   using Clock = std::chrono::steady_clock;

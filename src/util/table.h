@@ -20,7 +20,6 @@ class Table {
   void add_row(std::vector<std::string> cells);
 
   std::size_t rows() const noexcept { return rows_.size(); }
-  std::size_t columns() const noexcept { return headers_.size(); }
 
   /// Renders with a header rule, e.g.
   ///   T        amplitude   predicted

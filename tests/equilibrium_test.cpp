@@ -137,7 +137,8 @@ TEST(WeaklyUnsatisfiedVolume, UsesAverageLatency) {
 }
 
 TEST(ApproximateEquilibria, StrictImpliesWeak) {
-  // Every (delta, eps)-equilibrium is also a weak one (min <= average).
+  // Every weakly delta-unsatisfied agent is delta-unsatisfied (min <=
+  // average), so every (delta, eps)-equilibrium is also a weak one.
   const Instance inst = two_affine_links();
   Rng rng(3);
   for (int trial = 0; trial < 30; ++trial) {
@@ -145,10 +146,8 @@ TEST(ApproximateEquilibria, StrictImpliesWeak) {
     f[0] = rng.uniform();
     f[1] = 1.0 - f[0];
     const double delta = rng.uniform(0.01, 0.5);
-    const double eps = rng.uniform(0.01, 0.5);
-    if (is_delta_eps_equilibrium(inst, f, delta, eps)) {
-      EXPECT_TRUE(is_weak_delta_eps_equilibrium(inst, f, delta, eps));
-    }
+    EXPECT_LE(weakly_unsatisfied_volume(inst, f, delta),
+              unsatisfied_volume(inst, f, delta));
   }
 }
 

@@ -330,7 +330,8 @@ TEST(ExecDeterminism, RouteServerByteIdenticalUnderForcedSplits) {
         EXPECT_EQ(result.epochs[e].route_p999,
                   reference.epochs[e].route_p999);
       }
-      for (std::size_t p = 0; p < reference.final_flow.size(); ++p) {
+      for (std::size_t p = 0; p < reference.final_flow.values().size();
+           ++p) {
         EXPECT_EQ(result.final_flow.values()[p],
                   reference.final_flow.values()[p])
             << label;

@@ -139,17 +139,6 @@ TEST(Combinators, ScaleIsExact) {
   EXPECT_THROW(ScaledLatency(-1.0, *base), std::invalid_argument);
 }
 
-TEST(Combinators, SumIsExact) {
-  const LatencyPtr a = monomial(1.0, 2.0);
-  const LatencyPtr b = constant(0.5);
-  const LatencyPtr sum = add(a, b);
-  for (double x : {0.0, 0.4, 1.0}) {
-    EXPECT_DOUBLE_EQ(sum->value(x), a->value(x) + 0.5);
-    EXPECT_DOUBLE_EQ(sum->integral(x), a->integral(x) + 0.5 * x);
-  }
-  EXPECT_EQ(check_latency_contract(*sum), "");
-}
-
 TEST(Combinators, OffsetAndNesting) {
   const LatencyPtr nested = offset(scale(3.0, linear(1.0)), 2.0);  // 3x + 2
   EXPECT_DOUBLE_EQ(nested->value(1.0), 5.0);
@@ -162,7 +151,6 @@ TEST(Combinators, OffsetAndNesting) {
 TEST(Combinators, NullArgumentsThrow) {
   const LatencyPtr null_ptr;
   EXPECT_THROW(scale(1.0, null_ptr), std::invalid_argument);
-  EXPECT_THROW(add(null_ptr, null_ptr), std::invalid_argument);
   EXPECT_THROW(offset(null_ptr, 1.0), std::invalid_argument);
 }
 
@@ -177,65 +165,6 @@ TEST(Combinators, UsableInInstances) {
   const Instance inst = std::move(b).build();
   const FrankWolfeResult eq = solve_equilibrium(inst);
   EXPECT_NEAR(eq.flow[PathId{0}], 1.0, 1e-4);  // Pigou in disguise
-}
-
-// ----------------------------------------------------------- convergence
-
-TEST(EstimateDecay, RecoversExactExponential) {
-  std::vector<double> times, values;
-  for (int i = 0; i < 40; ++i) {
-    const double t = 0.25 * i;
-    times.push_back(t);
-    values.push_back(3.0 * std::exp(-0.7 * t));
-  }
-  const DecayEstimate est = estimate_decay(times, values);
-  ASSERT_TRUE(est.valid);
-  EXPECT_NEAR(est.rate, 0.7, 1e-9);
-  EXPECT_NEAR(est.coefficient, 3.0, 1e-9);
-  EXPECT_NEAR(est.r_squared, 1.0, 1e-12);
-}
-
-TEST(EstimateDecay, SkipsNonPositiveSamples) {
-  const std::vector<double> times{0.0, 1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> values{1.0, 0.5, 0.0, 0.25, 0.125};
-  const DecayEstimate est = estimate_decay(times, values);
-  EXPECT_TRUE(est.valid);
-  EXPECT_GT(est.rate, 0.0);
-}
-
-TEST(EstimateDecay, InvalidWhenTooFewPoints) {
-  const std::vector<double> times{0.0, 1.0};
-  const std::vector<double> values{1.0, 0.5};
-  EXPECT_FALSE(estimate_decay(times, values).valid);
-  const std::vector<double> same_t{1.0, 1.0, 1.0};
-  const std::vector<double> vals{1.0, 0.5, 0.25};
-  EXPECT_FALSE(estimate_decay(same_t, vals).valid);
-  const std::vector<double> bad{1.0};
-  EXPECT_THROW(estimate_decay(times, bad), std::invalid_argument);
-}
-
-TEST(EstimateGapDecay, WorksOnRealTrajectory) {
-  const Instance inst = pigou();
-  const Policy policy = make_uniform_linear_policy(inst);
-  const FluidSimulator sim(inst, policy);
-  TrajectoryRecorder recorder(inst);
-  SimulationOptions options;
-  options.update_period = 0.25;
-  options.horizon = 60.0;
-  sim.run(FlowVector::uniform(inst), options, recorder.observer());
-  const DecayEstimate est = estimate_gap_decay(recorder.samples());
-  ASSERT_TRUE(est.valid);
-  EXPECT_GT(est.rate, 0.0);
-  EXPECT_GT(est.r_squared, 0.8);  // near-exponential decay
-}
-
-TEST(SettlingIndex, FindsFirstStableWindow) {
-  const std::vector<double> series{5.0, 2.0, 0.5, 0.1, 0.2, 0.05, 0.01, 0.01};
-  EXPECT_EQ(settling_index(series, 0.3, 1), 3u);  // first value <= 0.3
-  EXPECT_EQ(settling_index(series, 0.3, 3), 3u);  // run 0.1, 0.2, 0.05
-  EXPECT_EQ(settling_index(series, 0.15, 2), 5u); // 0.2 breaks the run
-  EXPECT_EQ(settling_index(series, 0.005, 1), std::nullopt);
-  EXPECT_EQ(settling_index({}, 1.0), std::nullopt);
 }
 
 // ----------------------------------------------------------------- jitter

@@ -250,8 +250,8 @@ TEST(Golden, LongSoloWalCutMidRecordResumes) {
   const recovery::RecoveredRun recovered = recovery::recover_wal(wal);
   EXPECT_TRUE(recovered.truncated);
   EXPECT_FALSE(recovered.clean_shutdown);
-  ASSERT_GT(recovered.committed_epochs(0), 0u);
-  ASSERT_LT(recovered.committed_epochs(0), kLongEpochs);
+  ASSERT_GT(recovered.cuts[0].size(), 0u);
+  ASSERT_LT(recovered.cuts[0].size(), kLongEpochs);
 
   EXPECT_EQ(serve_logged(wal, 4, &recovered), golden::kLongSolo);
   const recovery::RecoveredRun healed = recovery::recover_wal(wal);

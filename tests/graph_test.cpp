@@ -1,11 +1,10 @@
-// Tests for the graph module: multigraph, paths, shortest paths and
-// simple-path enumeration.
+// Tests for the graph module: multigraph, paths and simple-path
+// enumeration.
 #include <gtest/gtest.h>
 
 #include "graph/graph.h"
 #include "graph/path.h"
 #include "graph/path_enumeration.h"
-#include "graph/shortest_path.h"
 
 namespace staleflow {
 namespace {
@@ -44,21 +43,13 @@ TEST(Graph, BuildsVerticesAndEdges) {
   EXPECT_EQ(g.target(e), b);
 }
 
-TEST(Graph, AddVerticesBulk) {
-  Graph g;
-  const VertexId first = g.add_vertices(5);
-  EXPECT_EQ(first, VertexId{0});
-  EXPECT_EQ(g.vertex_count(), 5u);
-}
-
 TEST(Graph, SupportsParallelEdgesAndLoops) {
   Graph g(2);
   const EdgeId e1 = g.add_edge(VertexId{0}, VertexId{1});
   const EdgeId e2 = g.add_edge(VertexId{0}, VertexId{1});
   const EdgeId loop = g.add_edge(VertexId{0}, VertexId{0});
   EXPECT_NE(e1, e2);
-  EXPECT_EQ(g.out_degree(VertexId{0}), 3u);
-  EXPECT_EQ(g.in_degree(VertexId{1}), 2u);
+  EXPECT_EQ(g.out_edges(VertexId{0}).size(), 3u);
   EXPECT_EQ(g.source(loop), g.target(loop));
 }
 
@@ -73,9 +64,8 @@ TEST(Graph, RejectsUnknownIds) {
 TEST(Graph, AdjacencyLists) {
   const Graph g = diamond();
   EXPECT_EQ(g.out_edges(VertexId{0}).size(), 2u);
-  EXPECT_EQ(g.in_edges(VertexId{3}).size(), 2u);
   EXPECT_EQ(g.out_edges(VertexId{1}).size(), 2u);
-  EXPECT_EQ(g.in_edges(VertexId{0}).size(), 0u);
+  EXPECT_EQ(g.out_edges(VertexId{3}).size(), 0u);
 }
 
 TEST(Graph, AcyclicityDetection) {
@@ -83,40 +73,6 @@ TEST(Graph, AcyclicityDetection) {
   EXPECT_TRUE(dag.is_acyclic());
   dag.add_edge(VertexId{3}, VertexId{0});
   EXPECT_FALSE(dag.is_acyclic());
-}
-
-TEST(Graph, TopologicalOrderRespectsEdges) {
-  const Graph g = diamond();
-  const std::vector<VertexId> order = g.topological_order();
-  ASSERT_EQ(order.size(), 4u);
-  std::vector<std::size_t> pos(4);
-  for (std::size_t i = 0; i < order.size(); ++i) pos[order[i].index()] = i;
-  for (std::size_t e = 0; e < g.edge_count(); ++e) {
-    const auto& edge = g.edge(EdgeId{e});
-    EXPECT_LT(pos[edge.from.index()], pos[edge.to.index()]);
-  }
-}
-
-TEST(Graph, TopologicalOrderThrowsOnCycle) {
-  Graph g(2);
-  g.add_edge(VertexId{0}, VertexId{1});
-  g.add_edge(VertexId{1}, VertexId{0});
-  EXPECT_THROW(g.topological_order(), std::logic_error);
-}
-
-TEST(Graph, Reachability) {
-  const Graph g = diamond();
-  EXPECT_TRUE(g.reachable(VertexId{0}, VertexId{3}));
-  EXPECT_TRUE(g.reachable(VertexId{1}, VertexId{2}));
-  EXPECT_FALSE(g.reachable(VertexId{3}, VertexId{0}));
-  EXPECT_TRUE(g.reachable(VertexId{2}, VertexId{2}));
-}
-
-TEST(Graph, DescribeMentionsEdges) {
-  Graph g(2);
-  g.add_edge(VertexId{0}, VertexId{1});
-  const std::string desc = g.describe();
-  EXPECT_NE(desc.find("v0->v1"), std::string::npos);
 }
 
 TEST(Path, ValidatesContiguity) {
@@ -152,81 +108,6 @@ TEST(Path, EqualityAndDescribe) {
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == c);
   EXPECT_NE(a.describe(g).find("-e0->"), std::string::npos);
-}
-
-TEST(Dijkstra, FindsShortestDistances) {
-  const Graph g = diamond();
-  // weights: e0=1, e1=4, e2=1, e3=1, e4=1
-  const std::vector<double> w{1.0, 4.0, 1.0, 1.0, 1.0};
-  const ShortestPathTree tree = dijkstra(g, VertexId{0}, w);
-  EXPECT_DOUBLE_EQ(tree.dist[0], 0.0);
-  EXPECT_DOUBLE_EQ(tree.dist[1], 1.0);
-  EXPECT_DOUBLE_EQ(tree.dist[2], 2.0);  // via 0->1->2, not 0->2 (4)
-  EXPECT_DOUBLE_EQ(tree.dist[3], 2.0);  // via 0->1->3
-}
-
-TEST(Dijkstra, ReportsUnreachable) {
-  Graph g(3);
-  g.add_edge(VertexId{0}, VertexId{1});
-  const std::vector<double> w{1.0};
-  const ShortestPathTree tree = dijkstra(g, VertexId{0}, w);
-  EXPECT_TRUE(tree.reachable(VertexId{1}));
-  EXPECT_FALSE(tree.reachable(VertexId{2}));
-}
-
-TEST(Dijkstra, RejectsBadInput) {
-  const Graph g = diamond();
-  const std::vector<double> short_w{1.0};
-  EXPECT_THROW(dijkstra(g, VertexId{0}, short_w), std::invalid_argument);
-  const std::vector<double> negative{1, 1, 1, 1, -1};
-  EXPECT_THROW(dijkstra(g, VertexId{0}, negative), std::invalid_argument);
-  const std::vector<double> ok{1, 1, 1, 1, 1};
-  EXPECT_THROW(dijkstra(g, VertexId{99}, ok), std::out_of_range);
-}
-
-TEST(BellmanFord, MatchesDijkstraOnNonNegative) {
-  const Graph g = diamond();
-  const std::vector<double> w{1.0, 4.0, 1.0, 1.0, 1.0};
-  const ShortestPathTree dj = dijkstra(g, VertexId{0}, w);
-  const ShortestPathTree bf = bellman_ford(g, VertexId{0}, w);
-  for (std::size_t v = 0; v < 4; ++v) {
-    EXPECT_DOUBLE_EQ(dj.dist[v], bf.dist[v]);
-  }
-}
-
-TEST(BellmanFord, HandlesNegativeWeights) {
-  Graph g(3);
-  g.add_edge(VertexId{0}, VertexId{1});  // w = 5
-  g.add_edge(VertexId{1}, VertexId{2});  // w = -3
-  g.add_edge(VertexId{0}, VertexId{2});  // w = 4
-  const std::vector<double> w{5.0, -3.0, 4.0};
-  const ShortestPathTree tree = bellman_ford(g, VertexId{0}, w);
-  EXPECT_DOUBLE_EQ(tree.dist[2], 2.0);
-}
-
-TEST(BellmanFord, DetectsNegativeCycle) {
-  Graph g(2);
-  g.add_edge(VertexId{0}, VertexId{1});
-  g.add_edge(VertexId{1}, VertexId{0});
-  const std::vector<double> w{1.0, -2.0};
-  EXPECT_THROW(bellman_ford(g, VertexId{0}, w), std::logic_error);
-}
-
-TEST(ExtractPath, ReconstructsEdgeSequence) {
-  const Graph g = diamond();
-  const std::vector<double> w{1.0, 4.0, 1.0, 1.0, 1.0};
-  const ShortestPathTree tree = dijkstra(g, VertexId{0}, w);
-  const auto path = extract_path(tree, g, VertexId{0}, VertexId{3});
-  ASSERT_TRUE(path.has_value());
-  const std::vector<EdgeId> expected{EdgeId{0}, EdgeId{2}};
-  EXPECT_EQ(*path, expected);
-}
-
-TEST(ExtractPath, NulloptWhenUnreachable) {
-  Graph g(2);
-  const std::vector<double> w{};
-  const ShortestPathTree tree = dijkstra(g, VertexId{0}, w);
-  EXPECT_FALSE(extract_path(tree, g, VertexId{0}, VertexId{1}).has_value());
 }
 
 TEST(PathEnumeration, FindsAllSimplePaths) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
 
 #include "latency/functions.h"
 #include "net/flow.h"
@@ -193,13 +192,6 @@ TEST_P(RoundTripSweep, GeneratedInstancesSurviveRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, RoundTripSweep,
     ::testing::Combine(::testing::Range(0, 5), ::testing::Values(1, 2, 3)));
-
-TEST(Serialize, StreamOverloadMatchesStringOverload) {
-  const Instance inst = braess(false);
-  const std::string text = serialize_instance(inst);
-  std::istringstream stream(text);
-  expect_same_behaviour(parse_instance(stream), parse_instance(text));
-}
 
 }  // namespace
 }  // namespace staleflow

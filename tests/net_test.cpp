@@ -31,7 +31,7 @@ TEST(InstanceBuilder, BuildsAndComputesParameters) {
   EXPECT_EQ(inst.max_path_length(), 1u);       // D
   EXPECT_DOUBLE_EQ(inst.max_slope(), 1.0);     // beta
   EXPECT_DOUBLE_EQ(inst.max_latency(), 1.0);   // max path latency at x = 1
-  EXPECT_EQ(inst.max_paths_per_commodity(), 2u);
+  EXPECT_EQ(inst.commodity(CommodityId{0}).paths.size(), 2u);
 }
 
 TEST(InstanceBuilder, NormalisesDemands) {
@@ -253,7 +253,7 @@ TEST(Generators, ParallelLinks) {
   const Instance inst = uniform_parallel_links(8, 0.5, 1.0);
   EXPECT_EQ(inst.path_count(), 8u);
   EXPECT_EQ(inst.commodity_count(), 1u);
-  EXPECT_EQ(inst.max_paths_per_commodity(), 8u);
+  EXPECT_EQ(inst.commodity(CommodityId{0}).paths.size(), 8u);
   EXPECT_THROW(uniform_parallel_links(0, 0.0, 1.0), std::invalid_argument);
 }
 

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/fluid_simulator.h"
 #include "core/migration.h"
 #include "core/policy.h"
 #include "core/sampling.h"
@@ -38,7 +37,6 @@ TEST(UniformSampling, EqualProbabilities) {
   const UniformSampling rule;
   const auto sigma = get_distribution(rule, inst, flow, latency);
   for (const double s : sigma) EXPECT_DOUBLE_EQ(s, 1.0 / 3.0);
-  EXPECT_FALSE(rule.depends_on_flow());
   EXPECT_EQ(rule.name(), "uniform");
 }
 
@@ -51,7 +49,6 @@ TEST(ProportionalSampling, MatchesFlowShares) {
   EXPECT_DOUBLE_EQ(sigma[0], 0.7);
   EXPECT_DOUBLE_EQ(sigma[1], 0.2);
   EXPECT_DOUBLE_EQ(sigma[2], 0.1);
-  EXPECT_TRUE(rule.depends_on_flow());
 }
 
 TEST(ProportionalSampling, UniformFloorMixesIn) {
@@ -113,62 +110,6 @@ TEST(LogitSampling, StableUnderLargeLatencies) {
   const auto sigma = get_distribution(rule, inst, flow, latency);
   EXPECT_NEAR(sigma[0], 1.0, 1e-9);
   EXPECT_FALSE(std::isnan(sigma[2]));
-}
-
-TEST(BlendedSampling, MixesComponentDistributions) {
-  const Instance inst = three_links();
-  const std::vector<double> flow{0.7, 0.2, 0.1};
-  const std::vector<double> latency{0.0, 0.0, 0.0};
-  std::vector<BlendedSampling::Component> parts;
-  parts.push_back({1.0, uniform_sampling()});
-  parts.push_back({1.0, proportional_sampling()});
-  const SamplingPtr blend = blended_sampling(std::move(parts));
-  const auto sigma = get_distribution(*blend, inst, flow, latency);
-  // Equal weights: sigma = (uniform + proportional) / 2.
-  EXPECT_DOUBLE_EQ(sigma[0], 0.5 * (1.0 / 3.0) + 0.5 * 0.7);
-  EXPECT_DOUBLE_EQ(sigma[1], 0.5 * (1.0 / 3.0) + 0.5 * 0.2);
-  EXPECT_NEAR(std::accumulate(sigma.begin(), sigma.end(), 0.0), 1.0, 1e-12);
-  EXPECT_TRUE(blend->depends_on_flow());
-  EXPECT_NE(blend->name().find("blend"), std::string::npos);
-}
-
-TEST(BlendedSampling, NormalisesWeightsAndValidates) {
-  std::vector<BlendedSampling::Component> parts;
-  parts.push_back({3.0, uniform_sampling()});
-  parts.push_back({1.0, logit_sampling(2.0)});
-  const SamplingPtr blend = blended_sampling(std::move(parts));
-  EXPECT_FALSE(blend->depends_on_flow());
-
-  EXPECT_THROW(BlendedSampling({}), std::invalid_argument);
-  std::vector<BlendedSampling::Component> null_rule;
-  null_rule.push_back({1.0, nullptr});
-  EXPECT_THROW(BlendedSampling(std::move(null_rule)), std::invalid_argument);
-  std::vector<BlendedSampling::Component> negative;
-  negative.push_back({-1.0, uniform_sampling()});
-  EXPECT_THROW(BlendedSampling(std::move(negative)), std::invalid_argument);
-  std::vector<BlendedSampling::Component> zero_sum;
-  zero_sum.push_back({0.0, uniform_sampling()});
-  EXPECT_THROW(BlendedSampling(std::move(zero_sum)), std::invalid_argument);
-}
-
-TEST(BlendedSampling, ConvergesAsAPolicy) {
-  // The blend keeps positivity (from the uniform part), so the general
-  // convergence machinery applies to it like any other member of the
-  // paper's class. Heterogeneous links so the start is off-equilibrium.
-  Rng rng(61);
-  const Instance inst = random_parallel_links(3, rng);
-  std::vector<BlendedSampling::Component> parts;
-  parts.push_back({0.3, uniform_sampling()});
-  parts.push_back({0.7, proportional_sampling()});
-  Policy policy(blended_sampling(std::move(parts)),
-                linear_migration(inst.max_latency()));
-  const FluidSimulator sim(inst, policy);
-  SimulationOptions options;
-  options.update_period = inst.safe_update_period(*policy.smoothness());
-  options.horizon = 200.0;
-  options.stop_gap = 1e-8;
-  const SimulationResult result = sim.run(FlowVector::uniform(inst), options);
-  EXPECT_LT(result.final_gap, 1e-6);
 }
 
 TEST(SamplingRules, RejectWrongOutputSize) {

@@ -117,21 +117,20 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> nonzero_buckets(
 }
 
 TEST(HistogramState, RoundTripIsObservationallyIdentical) {
-  LogHistogram hist(1e-6, 1e6, 4);
+  LogHistogram hist;
   Rng rng(11);
   for (int i = 0; i < 5000; ++i) hist.record(rng.uniform(0.0, 100.0));
-  hist.record(1e-9);  // underflow bucket
-  hist.record(1e9);   // overflow bucket
+  hist.record(1e-12);  // underflow bucket
+  hist.record(1e12);   // overflow bucket
 
   const LogHistogram restored = LogHistogram::from_state(
-      hist.min_value(), hist.max_value(), hist.sub_bucket_bits(),
       nonzero_buckets(hist), hist.min(), hist.max(), hist.sum());
   EXPECT_TRUE(restored == hist);
   EXPECT_EQ(restored.quantile(0.99), hist.quantile(0.99));
 
   // Restored histograms must keep MERGING exactly — that is how resume
   // rebuilds the run distribution from per-epoch cuts.
-  LogHistogram more(1e-6, 1e6, 4);
+  LogHistogram more;
   more.record(42.0, 17);
   LogHistogram merged_original = hist;
   merged_original.merge(more);
@@ -141,9 +140,9 @@ TEST(HistogramState, RoundTripIsObservationallyIdentical) {
 }
 
 TEST(HistogramState, EmptyRoundTrip) {
-  const LogHistogram empty(1e-3, 1e3, 5);
+  const LogHistogram empty;
   const LogHistogram restored = LogHistogram::from_state(
-      1e-3, 1e3, 5, {}, /*min=*/0.0, /*max=*/0.0, /*sum=*/0.0);
+      {}, /*min=*/0.0, /*max=*/0.0, /*sum=*/0.0);
   EXPECT_TRUE(restored == empty);
   EXPECT_TRUE(restored.empty());
 }
@@ -151,21 +150,17 @@ TEST(HistogramState, EmptyRoundTrip) {
 TEST(HistogramState, RejectsBadState) {
   using Buckets = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
   const Buckets repeated = {{5, 1}, {5, 2}};
-  EXPECT_THROW(
-      LogHistogram::from_state(1e-3, 1e3, 5, repeated, 1.0, 2.0, 3.0),
-      std::invalid_argument);
+  EXPECT_THROW(LogHistogram::from_state(repeated, 1.0, 2.0, 3.0),
+               std::invalid_argument);
   const Buckets zero_count = {{5, 0}};
-  EXPECT_THROW(
-      LogHistogram::from_state(1e-3, 1e3, 5, zero_count, 1.0, 2.0, 3.0),
-      std::invalid_argument);
+  EXPECT_THROW(LogHistogram::from_state(zero_count, 1.0, 2.0, 3.0),
+               std::invalid_argument);
   const Buckets out_of_range = {{1u << 30, 1}};
-  EXPECT_THROW(
-      LogHistogram::from_state(1e-3, 1e3, 5, out_of_range, 1.0, 2.0, 3.0),
-      std::invalid_argument);
+  EXPECT_THROW(LogHistogram::from_state(out_of_range, 1.0, 2.0, 3.0),
+               std::invalid_argument);
   const Buckets fine = {{5, 1}};
   EXPECT_THROW(  // min > max
-      LogHistogram::from_state(1e-3, 1e3, 5, fine, 2.0, 1.0, 3.0),
-      std::invalid_argument);
+      LogHistogram::from_state(fine, 2.0, 1.0, 3.0), std::invalid_argument);
 }
 
 // ------------------------------------------------ incremental digest
@@ -1560,12 +1555,25 @@ TEST(RecoverWal, BrokenDeltaChainsStopWithANoteNotAThrow) {
 
   EngineCheckpoint short_key = key.cut;
   short_key.client_paths.pop_back();
-  // A small geometry: the check must not depend on the bucket count.
-  const LogHistogram odd_geometry(1e-3, 1e3, 2);
-  EngineCheckpoint odd_key = key.cut;
-  odd_key.route_hist = odd_geometry;
-  EngineCheckpoint odd_delta = delta.record.cut;
-  odd_delta.route_hist = odd_geometry;
+  // The geometry fields (f64 min, f64 max, u32 sub-bucket bits) open the
+  // cut tail; patch them to a small geometry, so the check must not
+  // depend on the bucket count.
+  const auto with_odd_geometry = [](std::string payload) {
+    binio::Writer geometry;
+    geometry.f64(LogHistogram::kMinValue);
+    geometry.f64(LogHistogram::kMaxValue);
+    geometry.u32(LogHistogram::kSubBucketBits);
+    binio::Writer odd;
+    odd.f64(1e-3);
+    odd.f64(1e3);
+    odd.u32(2);
+    const std::size_t at = payload.rfind(geometry.data());
+    EXPECT_NE(at, std::string::npos);
+    if (at != std::string::npos) {
+      payload.replace(at, geometry.data().size(), odd.data());
+    }
+    return payload;
+  };
   struct Case {
     const char* what;
     std::size_t index;
@@ -1595,15 +1603,12 @@ TEST(RecoverWal, BrokenDeltaChainsStopWithANoteNotAThrow) {
       {"delta under a v3 header", 0, recovery::RecordType::kRunHeader,
        v3_header, 1, "corrupt WAL: delta cut in a v3 file"},
       {"keyframe histogram geometry", key_at, recovery::RecordType::kEpochCut,
-       recovery::encode_epoch_cut(key.tenant, odd_key, key.digest_so_far), 0,
+       with_odd_geometry(clean.records[key_at].payload), 0,
        "corrupt WAL: WAL cut: histogram geometry is not the route "
        "histogram's"},
       {"delta histogram geometry", delta_at,
        recovery::RecordType::kEpochDelta,
-       recovery::encode_epoch_delta(delta.record.tenant, odd_delta,
-                                    delta.record.digest_so_far,
-                                    delta.changes),
-       1,
+       with_odd_geometry(clean.records[delta_at].payload), 1,
        "corrupt WAL: WAL cut: histogram geometry is not the route "
        "histogram's"},
   };

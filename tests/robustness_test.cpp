@@ -1,6 +1,5 @@
 // Robustness and degenerate-case tests: single-path commodities, shared
-// edges, extreme parameters, and randomized cross-validation of the
-// shortest-path algorithms.
+// edges and extreme parameters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,7 +27,7 @@ TEST(Degenerate, SinglePathIsAlwaysAtEquilibrium) {
   ASSERT_EQ(inst.path_count(), 1u);
   const FlowVector f = FlowVector::uniform(inst);
   EXPECT_DOUBLE_EQ(wardrop_gap(inst, f.values()), 0.0);
-  EXPECT_TRUE(is_delta_eps_equilibrium(inst, f.values(), 0.01, 0.01));
+  EXPECT_DOUBLE_EQ(unsatisfied_volume(inst, f.values(), 0.01), 0.0);
 
   const FrankWolfeResult eq = solve_equilibrium(inst);
   EXPECT_TRUE(eq.converged);
@@ -156,60 +155,6 @@ TEST(Robustness, LongSimulationNumericallyStable) {
   const SimulationResult result = sim.run(FlowVector::uniform(inst), options);
   EXPECT_TRUE(is_feasible(inst, result.final_flow.values(), 1e-9));
   EXPECT_GE(result.final_potential, phi_star - 1e-9);
-}
-
-// ---------------------------------------------- shortest-path cross check
-
-class ShortestPathSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShortestPathSweep, DijkstraMatchesBellmanFordOnRandomGraphs) {
-  Rng rng(static_cast<std::uint64_t>(1000 + GetParam()));
-  const std::size_t n = 12;
-  Graph g(n);
-  std::vector<double> weights;
-  // Random sparse digraph with non-negative weights.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && rng.bernoulli(0.25)) {
-        g.add_edge(VertexId{i}, VertexId{j});
-        weights.push_back(rng.uniform(0.0, 10.0));
-      }
-    }
-  }
-  const ShortestPathTree dj = dijkstra(g, VertexId{0}, weights);
-  const ShortestPathTree bf = bellman_ford(g, VertexId{0}, weights);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (dj.dist[v] == ShortestPathTree::kInfinity) {
-      EXPECT_EQ(bf.dist[v], ShortestPathTree::kInfinity);
-    } else {
-      EXPECT_NEAR(dj.dist[v], bf.dist[v], 1e-9);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShortestPathSweep, ::testing::Range(0, 10));
-
-TEST(ShortestPathConsistency, TreeDistancesMatchExtractedPaths) {
-  Rng rng(2024);
-  const std::size_t n = 10;
-  Graph g(n);
-  std::vector<double> weights;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    g.add_edge(VertexId{i}, VertexId{i + 1});
-    weights.push_back(rng.uniform(0.1, 1.0));
-    if (i + 2 < n) {
-      g.add_edge(VertexId{i}, VertexId{i + 2});
-      weights.push_back(rng.uniform(0.1, 2.0));
-    }
-  }
-  const ShortestPathTree tree = dijkstra(g, VertexId{0}, weights);
-  for (std::size_t v = 1; v < n; ++v) {
-    const auto path = extract_path(tree, g, VertexId{0}, VertexId{v});
-    ASSERT_TRUE(path.has_value());
-    double total = 0.0;
-    for (const EdgeId e : *path) total += weights[e.index()];
-    EXPECT_NEAR(total, tree.dist[v], 1e-12);
-  }
 }
 
 // ---------------------------------------------------- serialisation round 2

@@ -68,13 +68,13 @@ TEST(Population, EmpiricalFlowIsFeasibleAndTracksMigrations) {
 
   const std::size_t before = population.local_path(0);
   const std::size_t target = before == 0 ? 1 : 0;
+  const Commodity& commodity =
+      instance.commodity(population.commodity_of(0));
   const double flow_before =
-      population.empirical_flow()[population.path_of(0).index()];
+      population.empirical_flow()[commodity.paths[before].index()];
   population.migrate(0, target);
   EXPECT_EQ(population.local_path(0), target);
   EXPECT_TRUE(is_feasible(instance, population.empirical_flow(), 1e-9));
-  const Commodity& commodity =
-      instance.commodity(population.commodity_of(0));
   EXPECT_NEAR(
       population.empirical_flow()[commodity.paths[before].index()],
       flow_before - population.flow_per_client(population.commodity_of(0)),
@@ -145,8 +145,10 @@ TEST(Population, DerivesEachClientsCommodityFromOffsets) {
   // The derived commodity rebuilds the constructor's empirical flow.
   std::vector<double> rebuilt(instance.path_count(), 0.0);
   for (std::size_t client = 0; client < population.size(); ++client) {
-    rebuilt[population.path_of(client).index()] +=
-        population.flow_per_client(population.commodity_of(client));
+    const CommodityId c = population.commodity_of(client);
+    const PathId path =
+        instance.commodity(c).paths[population.local_path(client)];
+    rebuilt[path.index()] += population.flow_per_client(c);
   }
   for (std::size_t p = 0; p < rebuilt.size(); ++p) {
     EXPECT_NEAR(rebuilt[p], population.empirical_flow()[p], 1e-12);
@@ -242,7 +244,7 @@ TEST(FlowLedger, FoldsShardsInOrderAndResets) {
   ledger.count_query(0, true);
   ledger.count_query(3, false);
 
-  const FlowLedger::Totals totals = ledger.fold_into(flow);
+  const FlowLedger::Totals totals = ledger.fold_into(flow, 4);
   EXPECT_EQ(totals.queries, 2u);
   EXPECT_EQ(totals.migrations, 1u);
   EXPECT_DOUBLE_EQ(flow[0], 1.25);
@@ -250,7 +252,7 @@ TEST(FlowLedger, FoldsShardsInOrderAndResets) {
   EXPECT_DOUBLE_EQ(flow[2], 4.0);
 
   // Folding again is a no-op: the ledger reset.
-  const FlowLedger::Totals empty = ledger.fold_into(flow);
+  const FlowLedger::Totals empty = ledger.fold_into(flow, 4);
   EXPECT_EQ(empty.queries, 0u);
   EXPECT_DOUBLE_EQ(flow[0], 1.25);
 }
@@ -571,9 +573,19 @@ TEST(RouteServer, ServesEveryArrivalAndConservesFlow) {
     EXPECT_TRUE(is_feasible(instance, result.final_flow.values(), 1e-7));
     EXPECT_GT(result.total_migrations, 0u);
     EXPECT_LE(result.total_migrations, result.total_queries);
-    // The published snapshot advanced to the last fold.
-    ASSERT_NE(server.snapshot(), nullptr);
-    EXPECT_EQ(server.snapshot()->epoch(), options.epochs)
+
+    // The published snapshot advanced to the last fold: the server's
+    // engine on a test-owned store, driven by the loop run() uses.
+    SnapshotStore store;
+    EpochEngine engine(instance, policy, *workload, store);
+    engine.begin(FlowVector::uniform(instance), options);
+    Executor executor;
+    EpochEngine* const engines[] = {&engine};
+    const std::size_t weights[] = {1};
+    serve_rounds(executor, engines, weights, 0, {}, nullptr, nullptr,
+                 nullptr);
+    ASSERT_NE(store.acquire(), nullptr);
+    EXPECT_EQ(store.acquire()->epoch(), options.epochs)
         << "pipeline=" << pipeline;
   }
 }

@@ -23,7 +23,7 @@ namespace {
 
 TEST(ScenarioRegistry, BuiltinHasKnownScenarios) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
-  EXPECT_GE(registry.size(), 10u);
+  EXPECT_GE(registry.names().size(), 10u);
   EXPECT_TRUE(registry.contains("two-link-pulse"));
   EXPECT_TRUE(registry.contains("braess"));
   EXPECT_TRUE(registry.contains("grid-3x3"));

@@ -357,7 +357,7 @@ TEST(DigestNeutrality, SingleServerTracedEqualsUntraced) {
     EXPECT_EQ(telemetry_digest(recorded.epochs),
               telemetry_digest(baseline.epochs));
     EXPECT_EQ(recorded.total_queries, baseline.total_queries);
-    for (std::size_t p = 0; p < baseline.final_flow.size(); ++p) {
+    for (std::size_t p = 0; p < baseline.final_flow.values().size(); ++p) {
       EXPECT_EQ(recorded.final_flow.values()[p],
                 baseline.final_flow.values()[p]);
     }
@@ -418,19 +418,33 @@ TEST(DigestNeutrality, MultiTenantTracedEqualsUntraced) {
   }
 
   // Scheduler rounds were spanned and epoch spans carry tenant indices.
+  // Each tenant published its own board once per served epoch, the last
+  // one at its own final epoch (8 vs 12 epochs served).
   const trace::LoadedTrace loaded = trace::load_trace(path);
   std::set<std::uint32_t> epoch_tenants;
   std::size_t rounds = 0, epoch_spans = 0;
+  std::size_t publishes[2] = {0, 0};
+  std::uint64_t last_published[2] = {0, 0};
   for (const trace::LoadedEvent& event : loaded.events) {
     if (event.event.kind == trace::EventKind::kSchedulerRound) ++rounds;
     if (event.event.kind == trace::EventKind::kEpochSpan) {
       ++epoch_spans;
       epoch_tenants.insert(event.event.tenant);
     }
+    if (event.event.kind == trace::EventKind::kSnapshotPublish) {
+      ASSERT_LT(event.event.tenant, 2u);
+      ++publishes[event.event.tenant];
+      last_published[event.event.tenant] =
+          std::max(last_published[event.event.tenant], event.event.epoch);
+    }
   }
   EXPECT_GT(rounds, 0u);
   EXPECT_EQ(epoch_spans, 8u + 12u);  // every tenant epoch recorded
   EXPECT_EQ(epoch_tenants, (std::set<std::uint32_t>{0, 1}));
+  EXPECT_EQ(publishes[0], 8u);
+  EXPECT_EQ(publishes[1], 12u);
+  EXPECT_EQ(last_published[0], 8u);
+  EXPECT_EQ(last_published[1], 12u);
 }
 
 // --------------------------------------------- crafted payloads (no MAC)

@@ -69,20 +69,6 @@ TEST(Rng, BelowIsInRangeAndRoughlyUniform) {
   EXPECT_THROW(rng.below(0), std::invalid_argument);
 }
 
-TEST(Rng, RangeInclusive) {
-  Rng rng(5);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 10'000; ++i) {
-    const std::int64_t v = rng.range(-2, 2);
-    ASSERT_GE(v, -2);
-    ASSERT_LE(v, 2);
-    saw_lo |= v == -2;
-    saw_hi |= v == 2;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, BernoulliEdgeCases) {
   Rng rng(9);
   EXPECT_FALSE(rng.bernoulli(0.0));
@@ -113,23 +99,6 @@ TEST(Rng, NormalMoments) {
   for (int i = 0; i < 100'000; ++i) stats.add(rng.normal(2.0, 3.0));
   EXPECT_NEAR(stats.mean(), 2.0, 0.05);
   EXPECT_NEAR(stats.stddev(), 3.0, 0.05);
-}
-
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(23);
-  const std::vector<double> weights{1.0, 0.0, 3.0};
-  std::array<int, 3> counts{};
-  for (int i = 0; i < 40'000; ++i) ++counts[rng.weighted_index(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.2);
-}
-
-TEST(Rng, WeightedIndexRejectsBadInput) {
-  Rng rng(29);
-  const std::vector<double> zero{0.0, 0.0};
-  EXPECT_THROW(rng.weighted_index(zero), std::invalid_argument);
-  const std::vector<double> negative{1.0, -0.5};
-  EXPECT_THROW(rng.weighted_index(negative), std::invalid_argument);
 }
 
 TEST(Rng, ShuffleIsPermutation) {
@@ -203,7 +172,6 @@ TEST(RunningStats, BasicMoments) {
   EXPECT_NEAR(stats.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
   EXPECT_DOUBLE_EQ(stats.min(), 2.0);
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-  EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
 }
 
 TEST(RunningStats, ThrowsWhenEmpty) {
@@ -214,47 +182,6 @@ TEST(RunningStats, ThrowsWhenEmpty) {
   EXPECT_THROW(stats.max(), std::logic_error);
   stats.add(1.0);
   EXPECT_THROW(stats.variance(), std::logic_error);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(41);
-  RunningStats all, left, right;
-  for (int i = 0; i < 1'000; ++i) {
-    const double x = rng.normal();
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(Summary, QuantilesOfKnownData) {
-  std::vector<double> data;
-  for (int i = 1; i <= 101; ++i) data.push_back(static_cast<double>(i));
-  const Summary s = summarize(data);
-  EXPECT_EQ(s.count, 101u);
-  EXPECT_DOUBLE_EQ(s.median, 51.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 101.0);
-  EXPECT_NEAR(s.p05, 6.0, 1e-9);
-  EXPECT_NEAR(s.p95, 96.0, 1e-9);
-}
-
-TEST(Summary, EmptyInputIsZeroed) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-}
-
-TEST(Quantile, RejectsBadArguments) {
-  const std::vector<double> data{1.0, 2.0};
-  EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
-  EXPECT_THROW(quantile(data, -0.1), std::invalid_argument);
-  EXPECT_THROW(quantile(data, 1.1), std::invalid_argument);
 }
 
 TEST(FitLine, RecoversExactLine) {
@@ -301,7 +228,6 @@ TEST(Table, AlignsColumns) {
   EXPECT_NE(out.find("longer"), std::string::npos);
   EXPECT_NE(out.find("------"), std::string::npos);
   EXPECT_EQ(table.rows(), 2u);
-  EXPECT_EQ(table.columns(), 2u);
 }
 
 TEST(Table, RejectsBadShapes) {

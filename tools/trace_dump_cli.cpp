@@ -167,7 +167,7 @@ int do_summary(const std::string& path,
   // Exact log-bucket quantiles per group — the same histogram type the
   // digest contract uses for route latency, here over span durations.
   struct Group {
-    LogHistogram hist{1e-3, 1e9};  // microseconds: 1 ns .. ~17 min
+    LogHistogram hist;  // microseconds
     std::uint64_t value_total = 0;
   };
   std::map<std::string, Group> groups;
@@ -184,8 +184,9 @@ int do_summary(const std::string& path,
     Group& group = groups[key];
     const double duration_us =
         static_cast<double>(e.end_ns - e.begin_ns) / 1e3;
-    // Instants (publish events) record as zero-length spans; clamp into
-    // the histogram's range so they count without skewing quantiles up.
+    // Instants (publish events) record as zero-length spans; clamp them
+    // to 1 ns, the shortest nonzero span, so they count without skewing
+    // quantiles up.
     group.hist.record(std::max(duration_us, 1e-3));
     group.value_total += e.value;
   }

@@ -11,8 +11,8 @@
 // epoch), the committed progress (cuts=<n> per tenant, rounds=<r>), the shutdown
 // state, and one row per committed cut (its byte offset in the file and
 // the epoch's route_p99, for correlating WAL cuts with trace spans) —
-// greppable key=value fields, used by the CI crash smoke to poll how far
-// a background run has progressed.
+// greppable key=value fields; the CI crash drill reads the pipeline and
+// clean_shutdown fields of a killed run's log.
 //
 // `replay` is the point-in-time debugger: it restores one tenant's state
 // at epoch cut e (--epoch, default 0) directly into an EpochEngine —
