@@ -1,6 +1,7 @@
 #include "core/bulletin_board.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace staleflow {
 
@@ -17,9 +18,9 @@ void BulletinBoard::post(double now, std::span<const double> path_flow) {
   posted_at_ = now;
   has_data_ = true;
   path_flow_.assign(path_flow.begin(), path_flow.end());
-  const FlowEvaluation eval = evaluate(*instance_, path_flow);
-  edge_latency_ = eval.edge_latency;
-  path_latency_ = eval.path_latency;
+  FlowEvaluation eval = evaluate(*instance_, path_flow);
+  edge_latency_ = std::move(eval.edge_latency);
+  path_latency_ = std::move(eval.path_latency);
 }
 
 }  // namespace staleflow

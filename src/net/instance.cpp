@@ -23,13 +23,6 @@ const Path& Instance::path(PathId p) const {
   return paths_[p.index()];
 }
 
-const Commodity& Instance::commodity(CommodityId c) const {
-  if (!c.valid() || c.index() >= commodities_.size()) {
-    throw std::out_of_range("Instance::commodity: unknown commodity id");
-  }
-  return commodities_[c.index()];
-}
-
 CommodityId Instance::commodity_of(PathId p) const {
   if (!p.valid() || p.index() >= path_owner_.size()) {
     throw std::out_of_range("Instance::commodity_of: unknown path id");

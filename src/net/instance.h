@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,7 +46,12 @@ class Instance {
 
   const LatencyFunction& latency(EdgeId e) const;
   const Path& path(PathId p) const;
-  const Commodity& commodity(CommodityId c) const;
+  const Commodity& commodity(CommodityId c) const {
+    if (!c.valid() || c.index() >= commodities_.size()) {
+      throw std::out_of_range("Instance::commodity: unknown commodity id");
+    }
+    return commodities_[c.index()];
+  }
 
   /// Commodity that owns path `p`.
   CommodityId commodity_of(PathId p) const;

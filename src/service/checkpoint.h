@@ -47,7 +47,7 @@ struct EngineCheckpoint {
   /// Each client's current local path index (by client id).
   std::vector<std::uint32_t> client_paths;
 
-  /// Epoch e's merged route-latency histogram; replaying cuts 0..e in
+  /// Epoch e's route-latency histogram; replaying cuts 0..e in
   /// order and merging these rebuilds the run distribution exactly.
   LogHistogram route_hist;
 };

@@ -140,43 +140,47 @@ void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
   }
   // The RCU read path: pin this epoch's board for the whole batch.
   const SnapshotPtr snap = store_->acquire();
-  const BulletinBoard& board = snap->board();
-  for (std::size_t q = 0; q < sub.arrivals; ++q) {
+  const std::span<const double> latency = snap->board().path_latency();
+  const MigrationRule& rule = policy_->migration();
+  Population& clients = *clients_;
+  FlowLedger& ledger = *ledger_;
+  // The stream and the slice bounds stay in locals for the whole batch;
+  // the stream is written back to the context once, after the last query.
+  Rng rng = sub.rng;
+  const std::size_t client_begin = sub.client_begin;
+  const std::size_t client_count = sub.client_count;
+  const std::size_t arrivals = sub.arrivals;
+  for (std::size_t q = 0; q < arrivals; ++q) {
     const RouteQuery query{static_cast<std::uint32_t>(
-        s + shards * (sub.client_begin + sub.rng.below(sub.client_count)))};
-    const CommodityId c = clients_->commodity_of(query.client);
+        s + shards * (client_begin + rng.below(client_count)))};
+    const CommodityId c = clients.commodity_of(query.client);
     const Commodity& commodity = instance_->commodity(c);
 
     // Step (1): sample a candidate from the precomputed CDF.
-    const std::size_t sampled = snap->guided_cdf(c).sample(sub.rng);
+    const std::size_t sampled = snap->guided_cdf(c).sample(rng);
 
     // Step (2): migrate with probability mu(l_P, l_Q).
-    const std::size_t current = clients_->local_path(query.client);
-    std::size_t served_path = current;
-    bool migrated = false;
+    const std::size_t current = clients.local_path(query.client);
+    std::size_t served_path = commodity.paths[current].index();
     if (sampled != current) {
-      const double l_current =
-          board.path_latency()[commodity.paths[current].index()];
-      const double l_sampled =
-          board.path_latency()[commodity.paths[sampled].index()];
+      const std::size_t candidate = commodity.paths[sampled].index();
       const double mu =
-          policy_->migration().probability(l_current, l_sampled);
-      if (sub.rng.bernoulli(mu)) {
-        migrated = true;
-        served_path = sampled;
-        const double moved = clients_->flow_per_client(c);
-        ledger_->add(b, commodity.paths[current].index(), -moved);
-        ledger_->add(b, commodity.paths[sampled].index(), +moved);
-        clients_->reassign(query.client, sampled);
+          rule.probability(latency[served_path], latency[candidate]);
+      if (rng.bernoulli(mu)) {
+        const double moved = clients.flow_per_client(c);
+        ledger.add(b, served_path, -moved);
+        ledger.add(b, candidate, +moved);
+        ledger.count_migration(b);
+        clients.reassign(query.client, sampled);
+        served_path = candidate;
       }
     }
-    ledger_->count_query(b, migrated);
-
-    // The latency this query's client experiences on the board it was
-    // routed against — a deterministic board value, not wall clock.
-    sub.route_hist.record(
-        board.path_latency()[commodity.paths[served_path].index()]);
+    // The board is frozen for the epoch, so the path alone fixes the
+    // latency this query's client experiences; the summary turns the
+    // folded counts into the route-latency histogram.
+    ledger.count_served(b, served_path);
   }
+  sub.rng = rng;
 }
 
 void EpochEngine::add_epoch(TaskGraph& graph) {
@@ -318,7 +322,6 @@ std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
       sub.client_count = slice.count;
       sub.arrivals = sub_range(batch, pieces, piece).count;
       sub.rng = epoch_rng.split();
-      sub.route_hist.reset();
     }
     planned += pieces;
   }
@@ -407,12 +410,15 @@ std::size_t EpochEngine::add_summary_node(
         slot->summary.board_latency =
             board_volume > 0.0 ? board_latency / board_volume : 0.0;
 
-        // Merge per-sub-batch histograms in plan order (the canonical
-        // order the determinism contract fixes) into this epoch's
-        // distribution.
+        // This epoch's route-latency distribution: every query served on
+        // path p saw the frozen board's l_p. fold(e) wrote the counts and
+        // fold(e+1) waits for this node, so they are this epoch's.
         slot->epoch_route.reset();
-        for (std::size_t b = 0; b < slot->batches; ++b) {
-          slot->epoch_route.merge(slot->ctx[b].route_hist);
+        const std::span<const std::uint64_t> served = ledger_->served();
+        const std::span<const double> latency =
+            slot->served->board().path_latency();
+        for (std::size_t p = 0; p < served.size(); ++p) {
+          if (served[p] != 0) slot->epoch_route.record(latency[p], served[p]);
         }
         if (!slot->epoch_route.empty()) {
           slot->summary.route_p50 = slot->epoch_route.quantile(0.5);

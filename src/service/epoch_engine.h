@@ -82,17 +82,17 @@ class TaskGraph;
 namespace detail {
 /// Everything one serving task needs for an epoch: which shard it belongs
 /// to, its contiguous slice of that shard's client list, its arrival
-/// quota, its own Rng stream and its route-latency histogram. Sub-batches
-/// never touch each other's context; the alignment keeps neighbouring
-/// contexts off the same cache line (the rng state is written on every
-/// query).
+/// quota and its own Rng stream. What it serves goes to its FlowLedger
+/// slot. Sub-batches never touch each other's context; the alignment
+/// keeps neighbouring contexts off the same cache line (the serve loop
+/// draws from a local copy of the stream and writes it back once per
+/// batch).
 struct alignas(64) SubBatchContext {
   std::size_t shard = 0;
   std::size_t client_begin = 0;  // offset into the shard's client list
   std::size_t client_count = 0;
   std::size_t arrivals = 0;
   Rng rng{0};
-  LogHistogram route_hist;  // board latency of the served path (exact)
 };
 }  // namespace detail
 
@@ -214,7 +214,8 @@ class EpochEngine {
     FlowLedger::Totals totals;
     std::shared_ptr<BoardSnapshot> next;
     EpochSummary summary;
-    LogHistogram epoch_route;  // this epoch's merged route latencies
+    LogHistogram epoch_route;  // board latency of each served path, by
+                               // the fold's per-path served counts
     double serve_seconds = 0.0;  // wall seconds of the graph that served it
     PendingCut cut;            // deferred summary: boundary state for the WAL
     std::uint64_t trace_epoch = 0;

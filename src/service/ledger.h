@@ -2,12 +2,17 @@
 //
 // Workers never touch a shared flow vector on the hot path: every serving
 // slot (one logical shard, or one sub-batch of a shard once the executor
-// splits skewed batches) accumulates its own flow deltas and query
-// counters in private, cache-line-separated storage, and the epoch thread
-// folds all slots into the master flow at the phase boundary — the folded
-// flow is what the next bulletin-board post() sees, closing the
-// served-traffic -> next-board loop. Folding walks slots in index order,
-// so the result is independent of how slots were scheduled onto threads.
+// splits skewed batches) accumulates its own flow deltas, per-path served
+// counts and migration counter in private, cache-line-separated storage,
+// and the epoch thread folds all slots into the master flow at the phase
+// boundary — the folded flow is what the next bulletin-board post() sees,
+// closing the served-traffic -> next-board loop. Folding walks slots in
+// index order, so the result is independent of how slots were scheduled
+// onto threads.
+//
+// The served counts are all an epoch's route-latency distribution needs:
+// the board is frozen between posts, so every query served on path P
+// experienced the same board latency l_P.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +24,9 @@ namespace staleflow {
 
 class FlowLedger {
  public:
-  /// `path_count` entries per slot; each slot's delta block is padded to
-  /// a cache-line multiple so concurrent slots never false-share.
+  /// `path_count` entries per slot; each slot's delta and served-count
+  /// blocks are padded to a cache-line multiple so concurrent slots never
+  /// false-share.
   FlowLedger(std::size_t path_count, std::size_t slots);
 
   /// Grows the ledger to at least `slots` zeroed slots (no-op when already
@@ -36,33 +42,44 @@ class FlowLedger {
     delta_[s * stride_ + path] += delta;
   }
 
-  /// Counts one answered query (and optionally one migration) in slot `s`.
-  void count_query(std::size_t s, bool migrated) noexcept {
-    ++counters_[s].queries;
-    counters_[s].migrations += migrated ? 1 : 0;
+  /// Counts one query served on global path `path` in slot `s`. Safe to
+  /// call concurrently for distinct slots.
+  void count_served(std::size_t s, std::size_t path) noexcept {
+    ++served_[s * stride_ + path];
   }
+
+  /// Counts one migration in slot `s`.
+  void count_migration(std::size_t s) noexcept { ++migrations_[s].count; }
 
   struct Totals {
     std::size_t queries = 0;
     std::size_t migrations = 0;
   };
 
-  /// Folds the first `active_slots` slots' deltas into `flow` (slot-index
-  /// order — the canonical fold the determinism contract fixes), returns
-  /// the summed counters, and resets those slots for the next epoch.
-  /// Requires active_slots <= the slot count.
+  /// Folds the first `active_slots` slots' deltas into `flow` and their
+  /// served counts into served() (slot-index order — the canonical fold
+  /// the determinism contract fixes), returns the summed counters, and
+  /// resets those slots for the next epoch. Requires active_slots <= the
+  /// slot count.
   Totals fold_into(std::span<double> flow, std::size_t active_slots) noexcept;
+
+  /// Queries served on each global path, summed over the slots of the
+  /// last fold_into (zero before the first). Overwritten by the next fold.
+  std::span<const std::uint64_t> served() const noexcept {
+    return served_total_;
+  }
 
  private:
   std::size_t path_count_;
   std::size_t stride_;  // path_count_ rounded up to a cache-line multiple
-  std::vector<double> delta_;  // slots * stride_
+  std::vector<double> delta_;          // slots * stride_
+  std::vector<std::uint64_t> served_;  // slots * stride_
+  std::vector<std::uint64_t> served_total_;  // path_count_, last fold
 
-  struct alignas(64) Counters {
-    std::uint64_t queries = 0;
-    std::uint64_t migrations = 0;
+  struct alignas(64) Migrations {
+    std::uint64_t count = 0;
   };
-  std::vector<Counters> counters_;
+  std::vector<Migrations> migrations_;  // by slot
 };
 
 }  // namespace staleflow

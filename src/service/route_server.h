@@ -19,8 +19,8 @@
 // one Rng per sub-batch by walking (shard, sub-batch) order with
 // Rng::split(). Split points depend only on batch sizes, NEVER on thread
 // count or scheduling; sub-batches share no mutable state (per-sub-batch
-// ledger slots, disjoint client slices); folding and histogram merging
-// walk the canonical plan order. Every dynamics outcome is therefore
+// ledger slots, disjoint client slices); folding walks the canonical
+// plan order. Every dynamics outcome is therefore
 // bit-identical for any worker-thread count — only the wall-clock
 // telemetry differs. With the default sub_batch_queries, batches below
 // the split threshold reproduce the PR-2/PR-3 per-shard dynamics exactly.
@@ -139,8 +139,9 @@ struct RouteServerResult {
   double final_gap = 0.0;
 
   /// Deterministic route-latency distribution of the whole run: the board
-  /// latency of the path each query's client was routed on, merged over
-  /// every shard and epoch in canonical order. Mergeable further (e.g.
+  /// latency of the path each query's client was routed on, built per
+  /// epoch from the ledger's per-path served counts and merged over every
+  /// epoch in order. Mergeable further (e.g.
   /// across sweep cells) because every server uses the same default
   /// histogram configuration.
   LogHistogram route_latency;

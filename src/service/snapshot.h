@@ -5,14 +5,15 @@
 // BoardSnapshot wraps one frozen BulletinBoard together with everything a
 // query needs precomputed (per-commodity sampling CDFs with guide tables,
 // an O(1) expected-time candidate lookup per query), and the SnapshotStore
-// swaps snapshots RCU-style: readers acquire() a shared_ptr without ever
-// taking a lock, writers publish() the next epoch and the old board dies
-// when its last reader drops it.
+// swaps snapshots RCU-style: readers acquire() a shared_ptr (a pointer
+// copy under a short lock, once per serving batch, never per query),
+// writers publish() the next epoch and the old board dies when its last
+// reader drops it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -72,22 +73,33 @@ class BoardSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const BoardSnapshot>;
 
-/// Atomically swappable current-snapshot holder. acquire() and publish()
-/// may race freely; a reader keeps its snapshot alive for as long as it
-/// holds the pointer, so queries never observe a half-updated board.
+/// Swappable current-snapshot holder. acquire() and publish() may race
+/// freely; a reader keeps its snapshot alive for as long as it holds the
+/// pointer, so queries never observe a half-updated board. The lock
+/// guards only the pointer copy or swap. (libstdc++ 12's
+/// std::atomic<shared_ptr> is a spin lock too, but its load() releases it
+/// with a relaxed store, which ThreadSanitizer rightly reports as a race
+/// with the next store().)
 class SnapshotStore {
  public:
   /// Current snapshot, or nullptr before the first publish().
-  SnapshotPtr acquire() const noexcept {
-    return current_.load(std::memory_order_acquire);
+  SnapshotPtr acquire() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return current_;
   }
 
-  void publish(SnapshotPtr next) noexcept {
-    current_.store(std::move(next), std::memory_order_release);
+  /// Makes `next` current. The replaced board is released after the lock
+  /// is dropped, so its destruction never delays a reader.
+  void publish(SnapshotPtr next) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      current_.swap(next);
+    }
   }
 
  private:
-  std::atomic<SnapshotPtr> current_;
+  mutable std::mutex mutex_;
+  SnapshotPtr current_;
 };
 
 }  // namespace staleflow

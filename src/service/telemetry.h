@@ -11,10 +11,11 @@
 // tests.
 //
 // The route-latency distribution is a log-bucket histogram
-// (util/log_histogram.h), not a sampled vector: per-shard recordings
-// merge exactly into per-epoch and per-run distributions, and quantiles
-// are extracted from counts — mergeable across shards, epochs, and (in
-// the sweep engine) whole cells.
+// (util/log_histogram.h), not a sampled vector: each epoch's is built
+// from the per-path served counts the ledger folds (the board is frozen
+// for the epoch, so a path's count is its latency's count), epochs merge
+// exactly into per-run distributions, and quantiles are extracted from
+// counts — mergeable across epochs and (in the sweep engine) whole cells.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +38,8 @@ struct EpochSummary {
   double board_latency = 0.0;   // flow-weighted avg latency on the board
 
   // Route-latency quantiles: the board latency of the path each query's
-  // client is routed on after its decision, over the epoch's merged
-  // per-shard histograms. Deterministic (board values, not wall clock);
+  // client is routed on after its decision, over the epoch's per-path
+  // served counts. Deterministic (board values, not wall clock);
   // zero when the epoch served no queries.
   double route_p50 = 0.0;
   double route_p99 = 0.0;

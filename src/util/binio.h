@@ -25,17 +25,9 @@ class Writer {
  public:
   void u8(std::uint8_t value) { buf_.push_back(static_cast<char>(value)); }
 
-  void u32(std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      buf_.push_back(static_cast<char>((value >> shift) & 0xFF));
-    }
-  }
+  void u32(std::uint32_t value) { append_le<4>(value); }
 
-  void u64(std::uint64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      buf_.push_back(static_cast<char>((value >> shift) & 0xFF));
-    }
-  }
+  void u64(std::uint64_t value) { append_le<8>(value); }
 
   /// Exact bit pattern — round-trips any double, including -0.0 and the
   /// results of platform-specific libm calls.
@@ -51,6 +43,17 @@ class Writer {
   std::string take() noexcept { return std::move(buf_); }
 
  private:
+  /// Packs the low N bytes of `value` least significant first into a
+  /// local array and appends it in one call.
+  template <std::size_t N>
+  void append_le(std::uint64_t value) {
+    char bytes[N];
+    for (std::size_t i = 0; i < N; ++i) {
+      bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+    buf_.append(bytes, N);
+  }
+
   std::string buf_;
 };
 

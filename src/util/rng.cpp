@@ -15,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -30,42 +26,9 @@ Rng::Rng(std::uint64_t seed) noexcept {
   }
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform: lo > hi");
   return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::below(std::uint64_t n) {
-  if (n == 0) throw std::invalid_argument("Rng::below: n must be positive");
-  // Lemire-style rejection to remove modulo bias.
-  const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
-  for (;;) {
-    const std::uint64_t r = (*this)();
-    if (r >= threshold) return r % n;
-  }
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::exponential(double rate) {

@@ -29,19 +29,44 @@ class Rng {
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
   /// Next raw 64-bit output.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi);
 
   /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection).
-  std::uint64_t below(std::uint64_t n);
+  std::uint64_t below(std::uint64_t n) {
+    if (n == 0) throw std::invalid_argument("Rng::below: n must be positive");
+    // Lemire-style rejection to remove modulo bias.
+    const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
+    for (;;) {
+      const std::uint64_t r = (*this)();
+      if (r >= threshold) return r % n;
+    }
+  }
 
   /// Bernoulli draw with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// Exponential variate with the given rate (> 0).
   double exponential(double rate);
@@ -74,6 +99,10 @@ class Rng {
   static Rng from_state(const std::array<std::uint64_t, 4>& state);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

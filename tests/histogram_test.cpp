@@ -163,6 +163,30 @@ TEST(LogHistogram, RecordAndMergeAreCommutative) {
   }
 }
 
+/// record(v, k) is k calls of record(v): the serving summary records each
+/// path's board latency once with the path's served count.
+TEST(LogHistogram, RecordWithCountMatchesRepeatedRecords) {
+  Rng rng(5);
+  const std::vector<double> values = sample_values(200, 13);
+  LogHistogram weighted, repeated;
+  for (const double v : values) {
+    const std::uint64_t k = 1 + rng.below(1000);
+    weighted.record(v, k);
+    for (std::uint64_t i = 0; i < k; ++i) repeated.record(v);
+  }
+  EXPECT_EQ(weighted.count(), repeated.count());
+  EXPECT_EQ(weighted.min(), repeated.min());
+  EXPECT_EQ(weighted.max(), repeated.max());
+  for (std::size_t b = 0; b < weighted.bucket_count(); ++b) {
+    EXPECT_EQ(weighted.bucket_value(b), repeated.bucket_value(b));
+  }
+  for (const double q : {0.0, 0.5, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(weighted.quantile(q), repeated.quantile(q)) << "q = " << q;
+  }
+  // Only the sum's rounding differs: one product per value, not k adds.
+  EXPECT_NEAR(weighted.sum(), repeated.sum(), 1e-12 * repeated.sum());
+}
+
 TEST(LogHistogram, QuantilesAreMonotoneInQ) {
   LogHistogram hist;
   for (const double v : sample_values(5000, 7)) hist.record(v);

@@ -80,6 +80,18 @@ TEST(BinIO, RoundTripsAllFieldTypes) {
   w.str(std::string("bin\0ary", 7));  // embedded NUL survives
   w.str("");
 
+  // Little-endian, field by field.
+  const std::string expected(
+      "\xAB"
+      "\xEF\xBE\xAD\xDE"
+      "\xEF\xCD\xAB\x89\x67\x45\x23\x01"
+      "\x00\x00\x00\x00\x00\x00\x00\x80"
+      "\x18\x2D\x44\x54\xFB\x21\x09\x40"
+      "\x07\x00\x00\x00\x00\x00\x00\x00" "bin\0ary"
+      "\x00\x00\x00\x00\x00\x00\x00\x00",
+      1 + 4 + 8 + 8 + 8 + 8 + 7 + 8);
+  EXPECT_EQ(w.data(), expected);
+
   binio::Reader r(w.data());
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);

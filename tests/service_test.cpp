@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -241,8 +242,9 @@ TEST(FlowLedger, FoldsShardsInOrderAndResets) {
   ledger.add(0, 0, +0.5);
   ledger.add(3, 0, -0.25);
   ledger.add(1, 2, +1.0);
-  ledger.count_query(0, true);
-  ledger.count_query(3, false);
+  ledger.count_served(0, 1);
+  ledger.count_migration(0);
+  ledger.count_served(3, 2);
 
   const FlowLedger::Totals totals = ledger.fold_into(flow, 4);
   EXPECT_EQ(totals.queries, 2u);
@@ -255,6 +257,39 @@ TEST(FlowLedger, FoldsShardsInOrderAndResets) {
   const FlowLedger::Totals empty = ledger.fold_into(flow, 4);
   EXPECT_EQ(empty.queries, 0u);
   EXPECT_DOUBLE_EQ(flow[0], 1.25);
+}
+
+// The serving summary's route histogram reads these counts: each fold
+// overwrites served() with the per-path sums of the folded slots, which
+// it resets, and Totals::queries is their sum.
+TEST(FlowLedger, FoldsServedCountsPerPathAndResets) {
+  FlowLedger ledger(10, 2);  // 10 paths: each slot's block spans two lines
+  ledger.ensure_slots(3);
+  ASSERT_EQ(ledger.served().size(), 10u);
+  for (const std::uint64_t count : ledger.served()) EXPECT_EQ(count, 0u);
+  ledger.count_served(0, 9);
+  ledger.count_served(0, 9);
+  ledger.count_served(1, 0);
+  ledger.count_served(2, 9);
+  ledger.count_served(2, 4);
+  std::vector<double> flow(10, 0.0);
+
+  // Only slots 0 and 1 are active; slot 2 waits for a wider fold.
+  FlowLedger::Totals totals = ledger.fold_into(flow, 2);
+  const std::vector<std::uint64_t> first = {1, 0, 0, 0, 0, 0, 0, 0, 0, 2};
+  EXPECT_TRUE(std::ranges::equal(ledger.served(), first));
+  EXPECT_EQ(totals.queries, 3u);
+  EXPECT_EQ(totals.migrations, 0u);
+
+  totals = ledger.fold_into(flow, 3);
+  const std::vector<std::uint64_t> second = {0, 0, 0, 0, 1, 0, 0, 0, 0, 1};
+  EXPECT_TRUE(std::ranges::equal(ledger.served(), second));
+  EXPECT_EQ(totals.queries, 2u);
+
+  totals = ledger.fold_into(flow, 3);
+  for (const std::uint64_t count : ledger.served()) EXPECT_EQ(count, 0u);
+  EXPECT_EQ(totals.queries, 0u);
+  for (const double f : flow) EXPECT_EQ(f, 0.0);
 }
 
 TEST(FlowLedger, RejectsZeroShards) {

@@ -1,6 +1,7 @@
 // Tests for the util module: deterministic RNG, statistics, table/CSV.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +18,33 @@ namespace {
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
+}
+
+// Pins the stream every simulator and digest rests on: the first raw,
+// uniform, below(1562) and bernoulli(0.3) draws of seed 42, drawn in that
+// order from one generator, and the state they leave behind.
+TEST(Rng, KnownAnswerSequence) {
+  Rng rng(42);
+  for (const std::uint64_t expected :
+       {1546998764402558742ULL, 6990951692964543102ULL,
+        12544586762248559009ULL, 17057574109182124193ULL}) {
+    EXPECT_EQ(rng(), expected);
+  }
+  for (const double expected : {0.99180391428210279, 0.76973946043424246,
+                                0.71925857787791558, 0.85000844391097274}) {
+    EXPECT_EQ(rng.uniform(), expected);
+  }
+  for (const std::uint64_t expected : {1386, 1269, 1269, 191, 1354, 766}) {
+    EXPECT_EQ(rng.below(1562), expected);
+  }
+  for (const bool expected : {false, false, false, false, false, false, true,
+                              true, false, false}) {
+    EXPECT_EQ(rng.bernoulli(0.3), expected);
+  }
+  const std::array<std::uint64_t, 4> state = {
+      18229367531569391690ULL, 6937749954251268966ULL,
+      2061484235470601048ULL, 18446421332541160596ULL};
+  EXPECT_EQ(rng.state(), state);
 }
 
 TEST(Rng, DifferentSeedsDiffer) {
