@@ -21,7 +21,8 @@ std::string encode_run_header(const RunManifest& manifest) {
   binio::Writer w;
   w.u32(kWalVersion);
   w.u8(manifest.multi_tenant ? 1 : 0);
-  w.u8(manifest.pipeline ? 1 : 0);  // v3
+  w.u8(0);  // v3's pipeline byte: 1 only in files of the retired
+            // pipelined schedule
   w.str(manifest.faults);
   w.u32(static_cast<std::uint32_t>(manifest.tenants.size()));
   for (const TenantManifest& tenant : manifest.tenants) {
@@ -48,9 +49,9 @@ RunManifest decode_run_header(std::string_view payload) {
   binio::Reader r(payload);
   const std::uint32_t version = r.u32();
   // A v4 reader still accepts v2 and v3 files: v3 added the pipeline
-  // byte (absent in v2, meaning the reference schedule), v4 only a record
-  // type. Anything else is a future format this build cannot decode —
-  // which is also how an older reader treats a newer header.
+  // byte (absent in v2), v4 only a record type. Anything else is a
+  // future format this build cannot decode — which is also how an older
+  // reader treats a newer header.
   if (version < 2 || version > kWalVersion) {
     throw std::runtime_error("WAL header: unknown payload version " +
                              std::to_string(version) +

@@ -32,8 +32,9 @@
 //                write one protocol by construction: route_server_cli
 //                serves a solo run as a one-tenant registry, so its
 //                marks are scheduler rounds with credits {0} — one per
-//                epoch, plus a cut-less priming mark first when the run
-//                is pipelined.
+//                epoch. (Files written by the retired pipelined schedule
+//                open with a cut-less mark and commit each cut one round
+//                late; they recover and resume the same way.)
 //   kTrailer     clean shutdown: the final per-tenant digests. A WAL
 //                without one is, by definition, a crash image.
 //
@@ -78,13 +79,12 @@ struct TenantManifest {
 
 struct RunManifest {
   bool multi_tenant = false;
-  /// The requested schedule: RouteServerOptions::pipeline of every
-  /// tenant (v3 headers; v2 files decode as false). Cut CONTENT is
-  /// schedule-independent — the byte is logged so a resumed run requests
-  /// the crashed run's schedule again, and so tooling knows committed
-  /// cuts of pipelined engines trail the crashed process's serving
-  /// frontier by one epoch. A feedback tenant serves the reference
-  /// schedule under either request.
+  /// The header's pipeline byte as recovered (v3 and later; v2 files
+  /// decode as false): true for a file written by the retired pipelined
+  /// schedule, whose cuts trail its round marks by one round. Writers
+  /// always write 0 and nothing serves differently for it. Ignored on
+  /// write; kept only because perfbench/ sets it; the next benchmark
+  /// change deletes it.
   bool pipeline = false;
   /// The run's `--faults` spec ("" = healthy). The SPEC is what the WAL
   /// stores — a resumed run re-materializes the schedule from it plus the
@@ -234,8 +234,8 @@ class WalLog {
   /// round_observer() logs every round of a TenantRegistry (or of
   /// serve_rounds). single_observer() adapts a RouteServer's per-epoch
   /// cuts onto log_round: each cut is committed at once as a one-tenant
-  /// round (round r+1, credits {0}), the records a one-tenant unpipelined
-  /// registry writes.
+  /// round (round r+1, credits {0}), the records a one-tenant registry
+  /// writes.
   CutObserver single_observer();
   RoundCutObserver round_observer();
 

@@ -37,12 +37,10 @@ inline constexpr char kWalMagic[framed_log::kMagicBytes] = {
 /// still accepts v2 and v3 files — superseded layouts decode with
 /// defaults).
 /// v2: the run header carries the --faults spec after the tenant flag.
-/// v3: a pipeline flag follows the tenant flag: the requested schedule.
-///     When set, cuts of pipelined engines were captured at the one-epoch
-///     overlap boundary — committed cuts trail the crashed process's
-///     serving frontier by one epoch, but their content is identical to
-///     the reference schedule's — and a resume re-serves with the logged
-///     request.
+/// v3: a pipeline byte follows the tenant flag. 1 marks a file written by
+///     the retired pipelined schedule: its first round mark commits no
+///     cut and every later cut commits one round late, with the same
+///     content. Writers now always write 0; readers still decode it.
 /// v4: kEpochDelta records. Every other layout is v3's, so a v3 file is a
 ///     v4 file without deltas; the header version governs what may be
 ///     appended, and a resumed v3 file keeps writing keyframes only.

@@ -83,11 +83,6 @@ void EpochEngine::begin(const FlowVector& initial,
   }
 
   options_ = options;
-  // Pipelining defers each epoch's summary into the next graph. A
-  // feedback workload (closed-loop-lat) reads the previous epoch's
-  // summary when it plans its arrivals, so it serves the reference
-  // schedule, whatever was requested.
-  pipelined_ = options.pipeline && !workload_->uses_feedback();
   master_ = Rng(options.seed);
   clients_ = std::make_unique<Population>(*instance_, options.num_clients,
                                           initial.values());
@@ -110,8 +105,8 @@ void EpochEngine::begin(const FlowVector& initial,
   }
 }
 
-void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
-  detail::SubBatchContext& sub = stage.ctx[b];
+void EpochEngine::serve_sub_batch(std::size_t b) {
+  detail::SubBatchContext& sub = stage_.ctx[b];
   const std::size_t s = sub.shard;
   const std::size_t shards = options_.shards;
   // Span over the whole batch, recorded from the worker thread that runs
@@ -119,9 +114,9 @@ void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
   // sub-batch index; bits 48+ stay 0 (see kSubBatchSpan). A
   // drop-telemetry fault window silences the span for this epoch.
   std::optional<trace::Span> trace_span;
-  if (!stage.trace_drop) {
+  if (!stage_.trace_drop) {
     trace_span.emplace(
-        trace::EventKind::kSubBatchSpan, trace_tenant_, stage.trace_epoch,
+        trace::EventKind::kSubBatchSpan, trace_tenant_, stage_.trace_epoch,
         (static_cast<std::uint64_t>(s & 0xFFFF) << 32) |
             static_cast<std::uint64_t>(b & 0xFFFFFFFF));
     trace_span->value(sub.arrivals);
@@ -130,7 +125,7 @@ void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
   // serving. Wall-clock only — the dynamics below never see it.
   if (options_.faults != nullptr) {
     const std::uint64_t slow_us =
-        options_.faults->slowdown_us(trace_tenant_, s, stage.trace_epoch);
+        options_.faults->slowdown_us(trace_tenant_, s, stage_.trace_epoch);
     if (slow_us != 0) {
       static trace::Counter& slowdowns_counter =
           trace::MetricsRegistry::global().counter("faults.slowdowns");
@@ -195,47 +190,9 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
     throw std::logic_error("EpochEngine::add_epoch: all epochs served");
   }
   epoch_in_flight_ = true;
-  pending_finish_ = kNone;
-  serving_ = kNone;
 
-  // A summary deferred by the last graph runs as a ROOT of this one, in
-  // parallel with this epoch's serve nodes; fold depends on it (the
-  // summary reads the pre-fold master flow for its Wardrop gap). The two
-  // in-flight epochs stage into alternating slots, so they share no
-  // state. The final add_epoch (planned_ == epochs_total()) drains the
-  // last deferred summary on its own.
-  std::size_t summary_node = kNone;
-  if (planned_ > epochs_done()) {
-    EpochStage& prev = stages_[(planned_ - 1) % 2];
-    // The overlap-spanning cut point: right here — host-side, no graph in
-    // flight — epoch planned_-1 is fully served and folded and epoch
-    // planned_'s mutations have not been planned, so the engine state IS
-    // that epoch's boundary state. It is transient (the plan below splits
-    // the master RNG), so snapshot it for the checkpoint() that becomes
-    // answerable once the deferred summary drains.
-    if (capture_cuts_) capture_boundary(prev.cut);
-    summary_node = add_summary_node(graph, prev, {});
-    pending_finish_ = planned_ - 1;
-  }
-  if (planned_ < epochs_total()) {
-    const std::uint64_t e = planned_;
-    EpochStage& stage = stages_[e % 2];
-    const std::size_t fold = plan_epoch(graph, stage, e, summary_node);
-    planned_ = e + 1;
-    serving_ = e;
-    // The one schedule decision: the reference schedule summarizes an
-    // epoch in its own graph (after fold, overlapping the snapshot
-    // build); the pipelined one defers the summary into the next graph.
-    if (!pipelined_) {
-      add_summary_node(graph, stage, {fold});
-      pending_finish_ = e;
-    }
-  }
-}
-
-std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
-                                    std::uint64_t e,
-                                    std::size_t extra_fold_dep) {
+  const std::uint64_t e = epochs_done();
+  EpochStage& stage = stage_;
   const double T = options_.update_period;
   const std::size_t shards = options_.shards;
   stage.trace_epoch = e;
@@ -328,33 +285,28 @@ std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
   stage.batches = planned;
   ledger_->ensure_slots(stage.batches);
 
-  // The epoch task graph: serve -> fold -> next snapshot build ->
-  // publish. The snapshot's board post and per-commodity CDF nodes
-  // overlap the summary; everything after fold reads the folded flow,
-  // nothing writes shared state concurrently — and nothing outside this
-  // engine at all, so epochs of distinct engines coexist in one graph.
+  // The epoch task graph: serve -> fold -> {next snapshot build ->
+  // publish, summary}. The snapshot's board post and per-commodity CDF
+  // nodes overlap the summary; everything after fold reads the folded
+  // flow, nothing writes shared state concurrently — and nothing outside
+  // this engine at all, so epochs of distinct engines coexist in one
+  // graph.
   stage.served = store_->acquire();
   stage.totals = FlowLedger::Totals{};
   stage.next.reset();
   stage.summary = EpochSummary{};
-  EpochStage* slot = &stage;
 
   std::vector<TaskGraph::NodeId> serve_nodes;
   serve_nodes.reserve(stage.batches);
   for (std::size_t b = 0; b < stage.batches; ++b) {
-    serve_nodes.push_back(
-        graph.add([this, slot, b] { serve_sub_batch(*slot, b); }));
+    serve_nodes.push_back(graph.add([this, b] { serve_sub_batch(b); }));
   }
-  std::vector<TaskGraph::NodeId> fold_deps = std::move(serve_nodes);
-  if (extra_fold_dep != kNone) fold_deps.push_back(extra_fold_dep);
   const TaskGraph::NodeId fold = graph.add(
-      [this, slot] {
-        slot->totals = ledger_->fold_into(flow_, slot->batches);
-      },
-      std::span<const TaskGraph::NodeId>(fold_deps));
+      [this] { stage_.totals = ledger_->fold_into(flow_, stage_.batches); },
+      std::span<const TaskGraph::NodeId>(serve_nodes));
   const TaskGraph::NodeId post = graph.add(
-      [this, slot, e, T] {
-        slot->next = std::make_shared<BoardSnapshot>(
+      [this, e, T] {
+        stage_.next = std::make_shared<BoardSnapshot>(
             BoardSnapshot::DeferCdf{}, *instance_, *policy_, e + 1,
             static_cast<double>(e + 1) * T, flow_);
       },
@@ -363,70 +315,62 @@ std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
   cdf_nodes.reserve(instance_->commodity_count());
   for (std::size_t c = 0; c < instance_->commodity_count(); ++c) {
     cdf_nodes.push_back(graph.add(
-        [this, slot, c] { slot->next->build_cdf(CommodityId{c}); }, {post}));
+        [this, c] { stage_.next->build_cdf(CommodityId{c}); }, {post}));
   }
   // The phase boundary: the board swap happens inside the graph, as soon
-  // as the snapshot is complete, so a summary deferred to the next graph
-  // never delays the next epoch's serving.
+  // as the snapshot is complete.
   if (cdf_nodes.empty()) cdf_nodes.push_back(post);
   graph.add(
-      [this, slot] {
-        store_->publish(std::move(slot->next));
-        if (trace::active() && !slot->trace_drop) {
+      [this] {
+        store_->publish(std::move(stage_.next));
+        if (trace::active() && !stage_.trace_drop) {
           trace::instant(trace::EventKind::kSnapshotPublish, trace_tenant_,
-                         slot->trace_epoch + 1, /*arg=*/0, /*value=*/0);
+                         stage_.trace_epoch + 1, /*arg=*/0, /*value=*/0);
         }
       },
       std::span<const TaskGraph::NodeId>(cdf_nodes));
-  return fold;
+  graph.add([this] { summarize(); }, {fold});
 }
 
-std::size_t EpochEngine::add_summary_node(
-    TaskGraph& graph, EpochStage& stage,
-    std::initializer_list<std::size_t> deps) {
-  EpochStage* slot = &stage;
-  return graph.add(
-      [this, slot] {
-        const std::uint64_t e = slot->trace_epoch;
-        const double T = options_.update_period;
-        slot->summary.epoch = e;
-        slot->summary.start_time = static_cast<double>(e) * T;
-        slot->summary.end_time = static_cast<double>(e + 1) * T;
-        slot->summary.queries = slot->totals.queries;
-        slot->summary.migrations = slot->totals.migrations;
-        slot->summary.migration_rate =
-            slot->totals.queries > 0
-                ? static_cast<double>(slot->totals.migrations) /
-                      static_cast<double>(slot->totals.queries)
-                : 0.0;
-        slot->summary.wardrop_gap = wardrop_gap(*instance_, flow_);
-        double board_latency = 0.0;
-        double board_volume = 0.0;
-        for (std::size_t p = 0; p < instance_->path_count(); ++p) {
-          board_latency += slot->served->board().path_flow()[p] *
-                           slot->served->board().path_latency()[p];
-          board_volume += slot->served->board().path_flow()[p];
-        }
-        slot->summary.board_latency =
-            board_volume > 0.0 ? board_latency / board_volume : 0.0;
+void EpochEngine::summarize() {
+  EpochStage& stage = stage_;
+  const std::uint64_t e = stage.trace_epoch;
+  const double T = options_.update_period;
+  stage.summary.epoch = e;
+  stage.summary.start_time = static_cast<double>(e) * T;
+  stage.summary.end_time = static_cast<double>(e + 1) * T;
+  stage.summary.queries = stage.totals.queries;
+  stage.summary.migrations = stage.totals.migrations;
+  stage.summary.migration_rate =
+      stage.totals.queries > 0
+          ? static_cast<double>(stage.totals.migrations) /
+                static_cast<double>(stage.totals.queries)
+          : 0.0;
+  stage.summary.wardrop_gap = wardrop_gap(*instance_, flow_);
+  double board_latency = 0.0;
+  double board_volume = 0.0;
+  for (std::size_t p = 0; p < instance_->path_count(); ++p) {
+    board_latency += stage.served->board().path_flow()[p] *
+                     stage.served->board().path_latency()[p];
+    board_volume += stage.served->board().path_flow()[p];
+  }
+  stage.summary.board_latency =
+      board_volume > 0.0 ? board_latency / board_volume : 0.0;
 
-        // This epoch's route-latency distribution: every query served on
-        // path p saw the frozen board's l_p. fold(e) wrote the counts and
-        // fold(e+1) waits for this node, so they are this epoch's.
-        slot->epoch_route.reset();
-        const std::span<const std::uint64_t> served = ledger_->served();
-        const std::span<const double> latency =
-            slot->served->board().path_latency();
-        for (std::size_t p = 0; p < served.size(); ++p) {
-          if (served[p] != 0) slot->epoch_route.record(latency[p], served[p]);
-        }
-        if (!slot->epoch_route.empty()) {
-          slot->summary.route_p50 = slot->epoch_route.quantile(0.5);
-          slot->summary.route_p99 = slot->epoch_route.quantile(0.99);
-          slot->summary.route_p999 = slot->epoch_route.quantile(0.999);
-        }
-      },
-      std::span<const std::size_t>(deps.begin(), deps.size()));
+  // This epoch's route-latency distribution: every query served on path
+  // p saw the frozen board's l_p, and the fold this node follows wrote
+  // this epoch's per-path served counts.
+  stage.epoch_route.reset();
+  const std::span<const std::uint64_t> served = ledger_->served();
+  const std::span<const double> latency = stage.served->board().path_latency();
+  for (std::size_t p = 0; p < served.size(); ++p) {
+    if (served[p] != 0) stage.epoch_route.record(latency[p], served[p]);
+  }
+  if (!stage.epoch_route.empty()) {
+    stage.summary.route_p50 = stage.epoch_route.quantile(0.5);
+    stage.summary.route_p99 = stage.epoch_route.quantile(0.99);
+    stage.summary.route_p999 = stage.epoch_route.quantile(0.999);
+  }
 }
 
 void EpochEngine::finish_epoch(double epoch_seconds,
@@ -435,23 +379,15 @@ void EpochEngine::finish_epoch(double epoch_seconds,
     throw std::logic_error("EpochEngine::finish_epoch: no epoch in flight");
   }
   epoch_in_flight_ = false;
-  // The graph's wall seconds belong to the epoch it served, which a
-  // pipelined run summarizes one graph later.
-  if (serving_ != kNone) stages_[serving_ % 2].serve_seconds = epoch_seconds;
-  if (pending_finish_ == kNone) {
-    // First pipelined graph: epoch 0 served but its summary is deferred
-    // into the next graph — nothing to record yet.
-    return;
-  }
-  EpochStage& stage = stages_[pending_finish_ % 2];
+  EpochStage& stage = stage_;
 
   // Phase boundary: the summary, the snapshot build and the publish
-  // already ran inside a graph; record the epoch.
+  // already ran inside the graph; record the epoch.
   run_route_.merge(stage.epoch_route);
   if (options_.record_latency) {
     stage.summary.queries_per_second =
-        stage.serve_seconds > 0.0
-            ? static_cast<double>(stage.totals.queries) / stage.serve_seconds
+        epoch_seconds > 0.0
+            ? static_cast<double>(stage.totals.queries) / epoch_seconds
             : 0.0;
   }
 
@@ -484,42 +420,19 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   }
 }
 
-void EpochEngine::capture_boundary(PendingCut& out) const {
-  out.rng_state = master_.state();
-  out.flow = flow_;
-  const std::span<const std::uint32_t> paths = clients_->local_paths();
-  out.client_paths.assign(paths.begin(), paths.end());
-  out.valid = true;
-}
-
 EngineCheckpoint EpochEngine::checkpoint() const {
   if (epoch_in_flight_ || epochs_.empty()) {
     throw std::logic_error(
         "EpochEngine::checkpoint: need a finished epoch and none in "
         "flight");
   }
-  // The just-finished epoch's stage, still holding its parity slot.
-  const EpochStage& stage = stages_[(epochs_.size() - 1) % 2];
-  PendingCut boundary;
-  if (planned_ > epochs_.size()) {
-    // The engine has planned past the last finished epoch, so the live
-    // state runs one epoch ahead; add_epoch captured this epoch's
-    // boundary state before planning further.
-    if (!stage.cut.valid) {
-      throw std::logic_error(
-          "EpochEngine::checkpoint: pipelined cuts need "
-          "set_cut_capture(true) before the epoch was planned");
-    }
-    boundary = stage.cut;
-  } else {
-    capture_boundary(boundary);
-  }
   EngineCheckpoint cut;
   cut.summary = epochs_.back();
-  cut.rng_state = boundary.rng_state;
-  cut.flow = std::move(boundary.flow);
-  cut.client_paths = std::move(boundary.client_paths);
-  cut.route_hist = stage.epoch_route;
+  cut.rng_state = master_.state();
+  cut.flow = flow_;
+  const std::span<const std::uint32_t> paths = clients_->local_paths();
+  cut.client_paths.assign(paths.begin(), paths.end());
+  cut.route_hist = stage_.epoch_route;
   return cut;
 }
 
@@ -578,10 +491,6 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
     }
   }
 
-  // The plan frontier resumes at the restored epoch count — there is no
-  // deferred summary to drain (every restored epoch is fully recorded).
-  planned_ = epochs_.size();
-
   // Re-publish the board the checkpointed process was serving against:
   // the epoch-n post of the restored flow — the same bits finish_epoch
   // published, because the flow doubles round-tripped exactly.
@@ -596,17 +505,19 @@ RouteServerResult EpochEngine::finish(double wall_seconds) {
     throw std::logic_error(
         "EpochEngine::finish: run at least one epoch to completion first");
   }
-  RouteServerResult result{FlowVector(*instance_, std::move(flow_))};
-  result.epochs = std::move(epochs_);
-  result.total_queries = total_queries_;
-  result.total_migrations = total_migrations_;
-  result.final_gap = result.epochs.back().wardrop_gap;
-  result.route_latency = run_route_;
+  const double final_gap = epochs_.back().wardrop_gap;
+  RouteServerResult result{
+      .final_flow = FlowVector(*instance_, std::move(flow_)),
+      .epochs = std::move(epochs_),
+      .total_queries = total_queries_,
+      .total_migrations = total_migrations_,
+      .final_gap = final_gap,
+      .route_latency = run_route_};
   if (options_.record_latency) {
     result.wall_seconds = wall_seconds;
     result.queries_per_second =
-        result.wall_seconds > 0.0
-            ? static_cast<double>(result.total_queries) / result.wall_seconds
+        wall_seconds > 0.0
+            ? static_cast<double>(result.total_queries) / wall_seconds
             : 0.0;
   }
   return result;

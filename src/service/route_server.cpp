@@ -40,14 +40,11 @@ RouteServerResult RouteServer::run(const FlowVector& initial,
     };
   }
   // Resume at the round count a one-tenant registry's WAL holds for this
-  // cut prefix: one round per epoch, plus the cut-less priming round of a
-  // pipelined run.
-  const std::size_t rounds =
-      resume.size() + (engine.pipelined() && !resume.empty() ? 1 : 0);
+  // cut prefix: one round per epoch.
   EpochEngine* const engines[] = {&engine};
   const std::size_t weights[] = {1};
   const Stopwatch run_watch;
-  serve_rounds(executor, engines, weights, rounds, {}, options.faults,
+  serve_rounds(executor, engines, weights, resume.size(), {}, options.faults,
                epoch_observer, round_cuts);
   return engine.finish(run_watch.seconds());
 }

@@ -25,11 +25,10 @@
 // telemetry differs. With the default sub_batch_queries, batches below
 // the split threshold reproduce the PR-2/PR-3 per-shard dynamics exactly.
 //
-// Epochs are pipelined as a task graph (src/exec/): serve nodes feed a
-// fold node, which feeds BOTH the next snapshot's build (board post, then
-// one CDF node per commodity) and the telemetry summary node, so the
-// snapshot build overlaps the summary tail instead of serializing after
-// it.
+// Each epoch is one task graph (src/exec/): serve nodes feed a fold node,
+// which feeds BOTH the next snapshot's build (board post, then one CDF
+// node per commodity) and the telemetry summary node, so the snapshot
+// build overlaps the summary instead of serializing after it.
 #pragma once
 
 #include <cstddef>
@@ -97,17 +96,8 @@ struct RouteServerOptions {
   /// fixed sub_batch_queries, with its own digest.
   bool sub_batch_auto = false;
 
-  /// The requested epoch schedule. On, each epoch's summary/telemetry
-  /// tail is deferred into the next epoch's graph, overlapping its
-  /// serving; off, it runs in the epoch's own graph (the reference
-  /// schedule). A runtime knob like `threads`: digests and dynamics are
-  /// byte-identical either way, and checkpoint cuts carry the same bytes
-  /// (a deferred epoch's cut is captured at the overlap boundary and
-  /// emitted one graph behind the serving frontier). The WAL run header
-  /// records the requested schedule, so a resumed run re-serves with it.
-  /// A feedback workload (closed-loop-lat) reads the previous epoch's
-  /// summary when it plans arrivals, so it always serves the reference
-  /// schedule; EpochEngine::pipelined() reports what was served.
+  /// Ignored; kept only because perfbench/ sets it; the next benchmark
+  /// change deletes it.
   bool pipeline = false;
 
   std::uint64_t seed = 1;
@@ -174,7 +164,7 @@ class RouteServer {
   /// only the remaining epochs, and the result (telemetry digest, final
   /// flow, route histogram) is byte-identical to the uninterrupted run.
   /// The round count resumes where a one-tenant registry's WAL would
-  /// stand: n, plus the priming round when the run is pipelined.
+  /// stand: n.
   RouteServerResult run(const FlowVector& initial,
                         const RouteServerOptions& options,
                         const EpochObserver& observer = nullptr,

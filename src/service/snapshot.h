@@ -27,7 +27,8 @@ namespace staleflow {
 /// threads once fully constructed (i.e. after every CDF is built).
 class BoardSnapshot {
  public:
-  /// Tag selecting the two-phase build used by the pipelined epoch loop.
+  /// Tag selecting the two-phase build of the epoch graph: one post node,
+  /// then one CDF node per commodity.
   struct DeferCdf {};
 
   /// Posts `path_flow` at time `now` and precomputes the sampling CDF of

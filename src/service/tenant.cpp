@@ -85,12 +85,6 @@ std::size_t serve_rounds(Executor& executor,
                          const faults::FaultSchedule* faults,
                          const TenantObserver& observer,
                          const RoundCutObserver& round_cuts) {
-  // Pipelined engines must snapshot their overlap-boundary state for the
-  // round cuts; the reference schedule never defers, so it captures
-  // nothing.
-  for (EpochEngine* engine : engines) {
-    engine->set_cut_capture(static_cast<bool>(round_cuts));
-  }
   std::size_t max_weight = 1;
   for (const std::size_t weight : weights) {
     max_weight = std::max(max_weight, weight);
@@ -101,25 +95,17 @@ std::size_t serve_rounds(Executor& executor,
   // weights and the engines' epoch budgets: the round schedule — and with
   // it every engine's interleaving — is deterministic, though no engine's
   // *outcome* depends on it (isolation contract). A resumed run picks the
-  // credit vector up at the checkpointed round boundary. Under the
-  // reference schedule the remaining rounds are exactly the ones the
-  // uninterrupted run would have executed. Pipelined they are NOT: a round mark's credits include credit already spent on overlap
-  // epochs that were served but not yet drained (no cut committed for
-  // them in that round), so a resumed pipelined tenant restarts one
-  // epoch behind a credit state that says the epoch was paid for,
-  // shifting its remaining interleaving relative to the uninterrupted
-  // run. Digests still match ONLY because of the isolation contract —
-  // per-tenant outcomes are independent of round interleaving. A
-  // scheduler change that lets one tenant's dynamics observe another's
-  // progress (or the round number) would silently break pipelined
-  // resume; the pipelined multi-tenant resume tests pin this.
+  // credit vector up at the checkpointed round boundary, and the
+  // remaining rounds are exactly the ones the uninterrupted run would
+  // have executed. (A WAL written by the retired pipelined schedule
+  // commits each cut one round late, so its resumed rounds interleave
+  // differently; its digests still match because per-tenant outcomes are
+  // independent of round interleaving — the isolation contract.)
   static trace::Counter& rounds_counter =
       trace::MetricsRegistry::global().counter("registry.rounds");
   std::vector<std::size_t> scheduled;
-  std::vector<std::size_t> drained;  // scheduled engines that closed an epoch
   for (;;) {
     scheduled.clear();
-    drained.clear();
     for (std::size_t i = 0; i < engines.size(); ++i) {
       if (engines[i]->done()) continue;
       credits[i] += weights[i];
@@ -156,23 +142,19 @@ std::size_t serve_rounds(Executor& executor,
             observer(i, summary);
           };
         }
-        const std::size_t recorded = engines[i]->epochs_done();
         engines[i]->finish_epoch(round_seconds, epoch_observer);
-        if (engines[i]->epochs_done() > recorded) drained.push_back(i);
       }
     }
     if (round_cuts) {
-      // The round's WAL cut: even a credits-only round is checkpointed —
-      // the credit vector changed, and resume must restart from exactly
-      // this boundary. A round commits cuts only for engines whose
-      // overlap has drained (an epoch actually closed): a pipelined
-      // engine's priming round contributes no cut, and its cuts
-      // thereafter trail its serving frontier by one epoch.
+      // The round's WAL cut: one cut per scheduled engine, each taken at
+      // the boundary its epoch just closed. Even a credits-only round is
+      // checkpointed — the credit vector changed, and resume must restart
+      // from exactly this boundary.
       RoundCheckpoint cut;
       cut.rounds = rounds;
       cut.credits = credits;
-      cut.cuts.reserve(drained.size());
-      for (const std::size_t i : drained) {
+      cut.cuts.reserve(scheduled.size());
+      for (const std::size_t i : scheduled) {
         cut.cuts.emplace_back(i, engines[i]->checkpoint());
       }
       round_cuts(cut);

@@ -92,8 +92,7 @@ class EpochEngine;
 /// round `round_cuts`, when set, receives the round count, the credits
 /// and the cut of every engine that closed an epoch; then the crash
 /// clause of `faults` (nullptr = none) is checked against the round
-/// count. `engines` must be begun (and restored, for a resume); the loop
-/// turns their cut capture on exactly when `round_cuts` is set. `rounds`
+/// count. `engines` must be begun (and restored, for a resume). `rounds`
 /// and `credits` are the scheduler state to start from (credits empty =
 /// all zero). Returns the round count after the last round.
 std::size_t serve_rounds(Executor& executor,

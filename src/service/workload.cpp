@@ -137,8 +137,6 @@ class ClosedLoopLatencyWorkload final : public WorkloadGenerator {
     return out.str();
   }
 
-  bool uses_feedback() const override { return true; }
-
  private:
   std::size_t clients_;
   double think_;

@@ -42,13 +42,6 @@ class WorkloadGenerator {
                                Rng& rng) const = 0;
 
   virtual std::string name() const = 0;
-
-  /// True when arrivals() actually reads `feedback` (the closed-loop-lat
-  /// back-pressure shape). Cross-epoch pipelining is only digest-safe for
-  /// non-feedback workloads — epoch e+1's arrivals must not depend on
-  /// epoch e's summary — so EpochEngine serves the reference schedule
-  /// when this returns true, whatever RouteServerOptions::pipeline asks.
-  virtual bool uses_feedback() const { return false; }
 };
 
 using WorkloadPtr = std::unique_ptr<const WorkloadGenerator>;

@@ -506,11 +506,11 @@ TEST_F(Cli, TraceDumpReportsWhatTheRunRecorded) {
 
 TEST_F(Cli, CutWalsRecoverAndResumeToThePinnedDigests) {
   run_rows({
-      // Every CLI run pipelines, and its header says so.
+      // Writers write the header's pipeline byte as 0.
       {kWalReplay,
        {"info", "full.wal"},
        0,
-       {line("mode: single-server pipeline=1"),
+       {line("mode: single-server pipeline=0"),
         out(" cuts=20 digest=" + hex(golden::kSolo) + "\n")}},
       {kWalReplay, {"info", "crash.wal"}, 0,
        {out("clean_shutdown=0 truncated=1")}},
@@ -521,19 +521,55 @@ TEST_F(Cli, CutWalsRecoverAndResumeToThePinnedDigests) {
       {kWalReplay,
        {"replay", "crash.wal", "--epoch", "5", "--epochs", "10", "--quiet"},
        0},
-      // crash:at=10 leaves 10 round marks and 9 cuts: the first,
-      // cut-less round primes the pipeline.
+      // crash:at=10 leaves 10 round marks and 10 cuts: every round closes
+      // the epoch it serves.
       {kWalReplay,
        {"info", "crash-fault.wal"},
        0,
-       {out("\nrounds=10 clean_shutdown=0 "), out(" cuts=9 ")}},
+       {out("\nrounds=10 clean_shutdown=0 "), out(" cuts=10 ")}},
       {kRouteServer, {"run", "--resume", "crash-fault.wal", "--quiet"}, 0,
        {digest(golden::kSolo)}},
       // A co-scheduled fleet resumes at a scheduler-round boundary.
       {kWalReplay, {"info", "mtcrash.wal"}, 0,
-       {line("mode: multi-tenant pipeline=1")}},
+       {line("mode: multi-tenant pipeline=0")}},
       {kRouteServer, {"run", "--resume", "mtcrash.wal", "--quiet"}, 0,
        kTrioDigests},
+  });
+}
+
+TEST_F(Cli, PipelinedCrashImagesRecoverAndResume) {
+  // Crash images the retired pipelined schedule wrote (tests/data/): the
+  // solo flags with --faults crash:at=10 and the trio flags with
+  // crash:at=8. Each opens with a cut-less round mark and commits every
+  // cut one round late; info reports that, replay re-executes every cut,
+  // and a resume of a copy lands on the pinned digests (golden_test.cpp
+  // resumes them at 1 and 4 threads).
+  for (const std::string name : {"solo", "trio"}) {
+    fs::copy_file(fs::path(STALEFLOW_TEST_DATA) /
+                      (name + "-pipelined-crash.wal"),
+                  name + "-pipe.wal", fs::copy_options::overwrite_existing);
+  }
+  run_rows({
+      {kWalReplay,
+       {"info", "solo-pipe.wal"},
+       0,
+       {line("mode: single-server pipeline=1"),
+        out("\nrounds=10 clean_shutdown=0 truncated=0 "), out(" cuts=9 ")}},
+      {kWalReplay, {"replay", "solo-pipe.wal", "--quiet"}, 0},
+      {kRouteServer, {"run", "--resume", "solo-pipe.wal", "--quiet"}, 0,
+       {digest(golden::kSolo)}},
+      {kWalReplay,
+       {"info", "trio-pipe.wal"},
+       0,
+       {line("mode: multi-tenant pipeline=1"),
+        out("\nrounds=8 clean_shutdown=0 truncated=0 "),
+        out("\ntenant small: "), out(" weight=1 cuts=3 "),
+        out(" weight=2 cuts=7 ")}},
+      {kWalReplay, {"replay", "trio-pipe.wal", "--quiet"}, 0},
+      {kRouteServer, {"run", "--resume", "trio-pipe.wal", "--quiet"}, 0,
+       kTrioDigests},
+      {kWalReplay, {"info", "trio-pipe.wal"}, 0,
+       {out("clean_shutdown=1 truncated=0")}},
   });
 }
 

@@ -3,7 +3,7 @@
 // propagation and re-runs, concurrent and nested graphs on one executor,
 // stall windows, and the end-to-end property the layer exists for — route
 // service dynamics that are byte-identical across 1/2/8 worker threads
-// with sub-batch splitting and epoch pipelining forced on.
+// with sub-batch splitting forced on.
 //
 // Runs under `ctest -L exec` in the sanitizer CI job.
 #include <gtest/gtest.h>
@@ -281,8 +281,7 @@ TEST(Executor, StallHoldingEveryWorkerStillCompletesTheGraph) {
 
 /// The property the execution layer exists for: with sub-batch splitting
 /// forced (tiny split threshold, skewed bursty load), the route service
-/// dynamics are byte-identical across 1, 2 and 8 worker threads, with
-/// and without cross-epoch pipelining.
+/// dynamics are byte-identical across 1, 2 and 8 worker threads.
 TEST(ExecDeterminism, RouteServerByteIdenticalUnderForcedSplits) {
   const Instance instance = uniform_parallel_links(8, 0.5, 1.0);
   const Policy policy = make_replicator_policy(instance);
@@ -297,7 +296,7 @@ TEST(ExecDeterminism, RouteServerByteIdenticalUnderForcedSplits) {
   options.seed = 23;
   options.record_latency = false;
 
-  // Reference: the strict single-threaded schedule, no knobs.
+  // Reference: single-threaded.
   RouteServer reference_server(instance, policy, *workload);
   const RouteServerResult reference =
       reference_server.run(FlowVector::uniform(instance), options);
@@ -305,40 +304,31 @@ TEST(ExecDeterminism, RouteServerByteIdenticalUnderForcedSplits) {
   // means the bursty peaks exceeded the threshold.
   EXPECT_GT(reference.total_queries, 4u * 128u);
 
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (const bool pipeline : {false, true}) {
-      if (threads == 1 && !pipeline) continue;  // the reference
-      options.threads = threads;
-      options.pipeline = pipeline;
-      RouteServer server(instance, policy, *workload);
-      const RouteServerResult result =
-          server.run(FlowVector::uniform(instance), options);
-      const std::string label = std::to_string(threads) +
-                                " threads pipeline=" + std::to_string(pipeline);
-      EXPECT_EQ(telemetry_digest(result.epochs),
-                telemetry_digest(reference.epochs))
-          << label;
-      ASSERT_EQ(result.epochs.size(), reference.epochs.size()) << label;
-      for (std::size_t e = 0; e < reference.epochs.size(); ++e) {
-        EXPECT_EQ(result.epochs[e].queries, reference.epochs[e].queries);
-        EXPECT_EQ(result.epochs[e].migrations,
-                  reference.epochs[e].migrations);
-        EXPECT_EQ(result.epochs[e].wardrop_gap,
-                  reference.epochs[e].wardrop_gap);
-        EXPECT_EQ(result.epochs[e].route_p50, reference.epochs[e].route_p50);
-        EXPECT_EQ(result.epochs[e].route_p999,
-                  reference.epochs[e].route_p999);
-      }
-      for (std::size_t p = 0; p < reference.final_flow.values().size();
-           ++p) {
-        EXPECT_EQ(result.final_flow.values()[p],
-                  reference.final_flow.values()[p])
-            << label;
-      }
-      // Histogram equality is exact: same counts, extremes and sum.
-      EXPECT_TRUE(result.route_latency == reference.route_latency) << label;
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    options.threads = threads;
+    RouteServer server(instance, policy, *workload);
+    const RouteServerResult result =
+        server.run(FlowVector::uniform(instance), options);
+    const std::string label = std::to_string(threads) + " threads";
+    EXPECT_EQ(telemetry_digest(result.epochs),
+              telemetry_digest(reference.epochs))
+        << label;
+    ASSERT_EQ(result.epochs.size(), reference.epochs.size()) << label;
+    for (std::size_t e = 0; e < reference.epochs.size(); ++e) {
+      EXPECT_EQ(result.epochs[e].queries, reference.epochs[e].queries);
+      EXPECT_EQ(result.epochs[e].migrations, reference.epochs[e].migrations);
+      EXPECT_EQ(result.epochs[e].wardrop_gap,
+                reference.epochs[e].wardrop_gap);
+      EXPECT_EQ(result.epochs[e].route_p50, reference.epochs[e].route_p50);
+      EXPECT_EQ(result.epochs[e].route_p999, reference.epochs[e].route_p999);
     }
+    for (std::size_t p = 0; p < reference.final_flow.values().size(); ++p) {
+      EXPECT_EQ(result.final_flow.values()[p],
+                reference.final_flow.values()[p])
+          << label;
+    }
+    // Histogram equality is exact: same counts, extremes and sum.
+    EXPECT_TRUE(result.route_latency == reference.route_latency) << label;
   }
 }
 

@@ -1,7 +1,8 @@
 // The pinned golden digests, each defined once. golden_test.cpp reaches
-// them through the library (at 1 and 4 threads, reference and pipelined
-// schedules); cli_test.cpp reaches them through the command-line tools,
-// proving each tool resolves its flags to the config pinned here. A
+// them through the library (at 1 and 4 threads; kSolo and kTrio* also by
+// resuming the crash images in tests/data/, which the retired pipelined
+// schedule wrote); cli_test.cpp reaches them through the command-line
+// tools, proving each tool resolves its flags to the config pinned here. A
 // deliberate dynamics or telemetry change that moves a digest updates it
 // here, and both suites follow.
 #pragma once

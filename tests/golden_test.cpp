@@ -4,14 +4,15 @@
 // bursty run pinned for glibc x86-64 (its arrivals draw through libm).
 // The values live in golden_digests.h; cli_test.cpp checks that
 // `route_server_cli run --deterministic` prints the same digests for
-// these configs. Here every one is checked at 1 and 4 threads
-// under the reference and the pipelined schedule, so any change to execution
-// (threads, pool, task graph, pipelining) that reaches the values fails
-// tier-1. The two service-sweep digests are what `sweep_cli run
+// these configs. Here every one is checked at 1 and 4 threads, so any
+// change to execution (threads, pool, task graph) that reaches the values
+// fails tier-1. The two service-sweep digests are what `sweep_cli run
 // --simulator service` prints for its configs, checked at 1 and 2
 // threads. The 5000-epoch solo digest is pinned through a real WAL:
 // logged, cut mid-record, recovered and resumed, as a crashed
-// route_server_cli run is.
+// route_server_cli run is. Two crash images written by the retired
+// pipelined schedule (tests/data/) recover and resume to the solo and
+// trio digests, their cuts field for field those of a fresh run.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,6 +20,7 @@
 #include <deque>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,13 +48,7 @@ struct Config {
   std::uint64_t digest;  // pinned telemetry_digest of the run
 };
 
-struct Schedule {
-  std::size_t threads;
-  bool pipeline;
-};
-
-constexpr Schedule kSchedules[] = {
-    {1, false}, {1, true}, {4, false}, {4, true}};
+constexpr std::size_t kThreads[] = {1, 4};
 
 /// `route_server_cli run --scenario braess --policy replicator --period
 /// 0.1 --epochs 20 --clients 2000 --workload closed-loop:4000 --shards 8
@@ -100,21 +96,19 @@ struct Host {
   }
 };
 
-std::string label(const Schedule& schedule) {
-  return std::to_string(schedule.threads) + " threads, " +
-         (schedule.pipeline ? "pipelined" : "reference");
+std::string label(std::size_t threads) {
+  return std::to_string(threads) + " threads";
 }
 
 TEST(Golden, SoloRouteServer) {
-  for (const Schedule& schedule : kSchedules) {
+  for (const std::size_t threads : kThreads) {
     Host host(kSolo, kSoloEpochs);
-    host.options.threads = schedule.threads;
-    host.options.pipeline = schedule.pipeline;
+    host.options.threads = threads;
     RouteServer server(host.instance, host.policy, *host.workload);
     const RouteServerResult result =
         server.run(FlowVector::uniform(host.instance), host.options);
     EXPECT_EQ(telemetry_digest(result.epochs), kSolo.digest)
-        << label(schedule);
+        << label(threads);
   }
 }
 
@@ -128,16 +122,15 @@ constexpr std::size_t kBurstySubBatch = 250;
 
 TEST(Golden, BurstySkewSplitIntoSubBatches) {
 #if defined(__GLIBC__) && defined(__x86_64__)
-  for (const Schedule& schedule : kSchedules) {
+  for (const std::size_t threads : kThreads) {
     Host host(kBursty, kSoloEpochs);
-    host.options.threads = schedule.threads;
-    host.options.pipeline = schedule.pipeline;
+    host.options.threads = threads;
     host.options.sub_batch_queries = kBurstySubBatch;
     RouteServer server(host.instance, host.policy, *host.workload);
     const RouteServerResult result =
         server.run(FlowVector::uniform(host.instance), host.options);
     EXPECT_EQ(telemetry_digest(result.epochs), kBursty.digest)
-        << label(schedule);
+        << label(threads);
   }
 #else
   GTEST_SKIP() << "the bursty arrivals draw through libm, so this digest "
@@ -164,50 +157,48 @@ constexpr Chaos kChaos[] = {
 
 TEST(Golden, SoloChaos) {
   for (const Chaos& chaos : kChaos) {
-    for (const Schedule& schedule : kSchedules) {
+    for (const std::size_t threads : kThreads) {
       Host host(kSolo, kSoloEpochs);
       const faults::FaultSchedule plan = faults::FaultSchedule::materialize(
           faults::parse_fault_plan(chaos.spec), kSolo.seed, kSoloEpochs);
-      host.options.threads = schedule.threads;
-      host.options.pipeline = schedule.pipeline;
+      host.options.threads = threads;
       host.options.faults = &plan;
       RouteServer server(host.instance, host.policy, *host.workload);
       const RouteServerResult result =
           server.run(FlowVector::uniform(host.instance), host.options);
       EXPECT_EQ(telemetry_digest(result.epochs), chaos.digest)
-          << chaos.spec << ", " << label(schedule);
+          << chaos.spec << ", " << label(threads);
     }
   }
 }
 
 TEST(Golden, ThreeTenantRegistry) {
-  for (const Schedule& schedule : kSchedules) {
+  for (const std::size_t threads : kThreads) {
     std::deque<Host> hosts;  // stable addresses: the registry borrows them
     TenantRegistry registry;
     for (const Config& config : kTrio) {
       Host& host = hosts.emplace_back(config, kTrioEpochs);
       TenantOptions options;
       options.server = host.options;
-      options.server.pipeline = schedule.pipeline;
       options.weight = config.weight;
       registry.add(config.name, host.instance, host.policy, *host.workload,
                    options);
     }
-    Executor executor(schedule.threads);
+    Executor executor(threads);
     const MultiTenantResult result = registry.run(executor);
-    ASSERT_EQ(result.tenants.size(), kTrio.size()) << label(schedule);
+    ASSERT_EQ(result.tenants.size(), kTrio.size()) << label(threads);
     for (std::size_t i = 0; i < kTrio.size(); ++i) {
       EXPECT_EQ(result.tenants[i].name, kTrio[i].name);
       EXPECT_EQ(telemetry_digest(result.tenants[i].server.epochs),
                 kTrio[i].digest)
-          << kTrio[i].name << ", " << label(schedule);
+          << kTrio[i].name << ", " << label(threads);
     }
   }
 }
 
 /// The solo config at `--epochs 5000 --wal <path>`, served as
-/// route_server_cli serves it: a one-tenant registry ("run") requesting
-/// the pipelined schedule, every round logged through WalLog.
+/// route_server_cli serves it: a one-tenant registry ("run"), every round
+/// logged through WalLog.
 constexpr std::size_t kLongEpochs = 5000;
 
 /// Serves the long solo run on `threads`, logging to `wal`; resumes the
@@ -217,7 +208,6 @@ std::uint64_t serve_logged(const std::string& wal, std::size_t threads,
   Host host(kSolo, kLongEpochs);
   TenantOptions options;
   options.server = host.options;
-  options.server.pipeline = true;
   TenantRegistry registry;
   registry.add("run", host.instance, host.policy, *host.workload, options);
 
@@ -228,7 +218,6 @@ std::uint64_t serve_logged(const std::string& wal, std::size_t threads,
     resume = recovery::registry_resume(*recovered);
   } else {
     recovery::RunManifest manifest;
-    manifest.pipeline = true;
     manifest.tenants.push_back(
         {"", kSolo.scenario, "replicator", kSolo.workload, host.options, 1});
     log.emplace(wal, manifest);
@@ -260,6 +249,112 @@ TEST(Golden, LongSoloWalCutMidRecordResumes) {
   ASSERT_EQ(healed.digests.size(), 1u);
   EXPECT_EQ(healed.digests[0], golden::kLongSolo);
   std::filesystem::remove(wal);
+}
+
+/// A crash image written by the retired pipelined schedule, checked in
+/// under tests/data/: `route_server_cli run` of `configs` at `epochs`
+/// with `--wal` and `--faults crash:at=<rounds>`. Its first round mark
+/// commits no cut and every later cut commits one round late.
+struct PipelinedImage {
+  const char* file;
+  const std::vector<Config>* configs;
+  std::size_t epochs;
+  std::size_t rounds;
+};
+
+const std::vector<Config> kSoloConfigs = {kSolo};
+
+/// Builds `configs` into a registry as route_server_cli does; `hosts`
+/// holds what the registry borrows.
+TenantRegistry make_registry(const std::vector<Config>& configs,
+                             std::size_t epochs, std::deque<Host>& hosts) {
+  TenantRegistry registry;
+  for (const Config& config : configs) {
+    Host& host = hosts.emplace_back(config, epochs);
+    TenantOptions options;
+    options.server = host.options;
+    options.weight = config.weight;
+    registry.add(config.name.empty() ? "run" : config.name, host.instance,
+                 host.policy, *host.workload, options);
+  }
+  return registry;
+}
+
+TEST(Golden, PipelinedCrashImagesRecoverAndResume) {
+  const PipelinedImage images[] = {
+      {"solo-pipelined-crash.wal", &kSoloConfigs, kSoloEpochs, 10},
+      {"trio-pipelined-crash.wal", &kTrio, kTrioEpochs, 8},
+  };
+  for (const PipelinedImage& image : images) {
+    SCOPED_TRACE(image.file);
+    const std::vector<Config>& configs = *image.configs;
+    const std::string source = std::string(STALEFLOW_TEST_DATA) + "/" +
+                               image.file;
+    const recovery::RecoveredRun recovered = recovery::recover_wal(source);
+    EXPECT_TRUE(recovered.manifest.pipeline);
+    EXPECT_FALSE(recovered.clean_shutdown);
+    EXPECT_FALSE(recovered.truncated);
+    EXPECT_EQ(recovered.rounds, image.rounds);
+    ASSERT_EQ(recovered.cuts.size(), configs.size());
+
+    // Every recovered cut is, field for field, the cut a fresh run takes
+    // at the same epoch.
+    std::vector<std::vector<EngineCheckpoint>> fresh(configs.size());
+    {
+      std::deque<Host> hosts;
+      TenantRegistry registry = make_registry(configs, image.epochs, hosts);
+      Executor executor(1);
+      registry.run(executor, nullptr, [&fresh](const RoundCheckpoint& round) {
+        for (const auto& [tenant, cut] : round.cuts) {
+          fresh[tenant].push_back(cut);
+        }
+      });
+    }
+    for (std::size_t t = 0; t < configs.size(); ++t) {
+      const std::vector<EngineCheckpoint>& cuts = recovered.cuts[t];
+      ASSERT_FALSE(cuts.empty()) << configs[t].name;
+      ASSERT_LE(cuts.size(), fresh[t].size()) << configs[t].name;
+      for (std::size_t e = 0; e < cuts.size(); ++e) {
+        const EngineCheckpoint& a = cuts[e];
+        const EngineCheckpoint& b = fresh[t][e];
+        EXPECT_EQ(telemetry_digest(std::span(&a.summary, 1)),
+                  telemetry_digest(std::span(&b.summary, 1)))
+            << configs[t].name << " cut " << e;
+        EXPECT_EQ(a.rng_state, b.rng_state) << configs[t].name << " cut " << e;
+        EXPECT_EQ(a.flow, b.flow) << configs[t].name << " cut " << e;
+        EXPECT_TRUE(a.route_hist == b.route_hist)
+            << configs[t].name << " cut " << e;
+      }
+      EXPECT_EQ(cuts.back().client_paths,
+                fresh[t][cuts.size() - 1].client_paths)
+          << configs[t].name;
+    }
+
+    // Resumed on a copy, at 1 and 4 threads: the pinned digests.
+    for (const std::size_t threads : kThreads) {
+      const std::string wal = ::testing::TempDir() + "staleflow_golden_" +
+                              std::to_string(threads) + "_" + image.file;
+      std::filesystem::copy_file(
+          source, wal, std::filesystem::copy_options::overwrite_existing);
+      std::deque<Host> hosts;
+      TenantRegistry registry = make_registry(configs, image.epochs, hosts);
+      recovery::WalLog log(wal, recovered);
+      const RegistryResume resume = recovery::registry_resume(recovered);
+      Executor executor(threads);
+      const MultiTenantResult result =
+          registry.run(executor, nullptr, log.round_observer(), &resume);
+      log.finish();
+      ASSERT_EQ(result.tenants.size(), configs.size());
+      for (std::size_t t = 0; t < configs.size(); ++t) {
+        EXPECT_EQ(telemetry_digest(result.tenants[t].server.epochs),
+                  configs[t].digest)
+            << configs[t].name << ", " << label(threads);
+      }
+      const recovery::RecoveredRun healed = recovery::recover_wal(wal);
+      EXPECT_TRUE(healed.clean_shutdown) << label(threads);
+      std::filesystem::remove(wal);
+    }
+  }
 }
 
 /// `sweep_cli run --simulator service --scenarios braess --policies

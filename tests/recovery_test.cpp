@@ -5,17 +5,18 @@
 // byte of its write-ahead log — a torn tail, a clean record boundary, a
 // flipped bit — and recover_wal + resume reproduce the uninterrupted
 // run's deterministic telemetry byte for byte: same per-epoch digests,
-// same final flow, same route-latency histogram. The contract holds
-// under BOTH epoch schedules: the reference one (each epoch summarized
-// in its own graph) and cross-epoch pipelining, whose overlap-spanning
-// cuts must be byte-identical to the reference ones. The protocol
-// invariants ride along: cut records commit only at round marks, a
-// single-server WAL is record-for-record identical to a one-tenant
-// registry's, the v3 header records the requested schedule (v2 files
-// decode as unpipelined), and the CLI-facing recovery flags fail closed
-// (exit 2) on conflicting or unusable paths.
+// same final flow, same route-latency histogram. The protocol invariants
+// ride along: every scheduler round commits one cut per engine it
+// scheduled, cut records commit only at round marks, a single-server WAL
+// is record-for-record identical to a one-tenant registry's, writers
+// write the v3 header's pipeline byte as 0 while readers still decode it
+// (and v2 files without it), and the CLI-facing recovery flags fail
+// closed (exit 2) on conflicting or unusable paths. Crash images the
+// retired pipelined schedule wrote are pinned in golden_test.cpp and
+// cli_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -594,187 +595,49 @@ TEST(WalLog, BitFlippedCutRecoversToLastGoodEpoch) {
   EXPECT_EQ(resume_single_to_completion(path, resumed_fixture), golden);
 }
 
-// ------------------------- pipelining × WAL (overlap-spanning cuts)
+// ------------------------------------------ crash clause × resume
 
-TEST(PipelinedCuts, MatchStrictCutsFieldForField) {
-  SingleRun strict;
-  std::vector<EngineCheckpoint> strict_cuts;
-  strict.run([&](const EngineCheckpoint& c) { strict_cuts.push_back(c); });
-
-  SingleRun pipelined;
-  pipelined.options.pipeline = true;
-  std::vector<EngineCheckpoint> pipe_cuts;
-  pipelined.run([&](const EngineCheckpoint& c) { pipe_cuts.push_back(c); });
-
-  // Cut CONTENT is schedule-independent: the overlap-spanning capture in
-  // pipelined mode must produce the exact bytes the strict schedule logs.
-  ASSERT_EQ(pipe_cuts.size(), strict_cuts.size());
-  for (std::size_t e = 0; e < strict_cuts.size(); ++e) {
-    EXPECT_EQ(pipe_cuts[e].rng_state, strict_cuts[e].rng_state) << "cut " << e;
-    EXPECT_EQ(pipe_cuts[e].flow, strict_cuts[e].flow) << "cut " << e;
-    EXPECT_EQ(pipe_cuts[e].client_paths, strict_cuts[e].client_paths)
-        << "cut " << e;
-    EXPECT_TRUE(pipe_cuts[e].route_hist == strict_cuts[e].route_hist)
-        << "cut " << e;
-    EXPECT_EQ(telemetry_digest(std::span(&pipe_cuts[e].summary, 1)),
-              telemetry_digest(std::span(&strict_cuts[e].summary, 1)))
-        << "cut " << e;
-  }
-}
-
-TEST(Resume, PipelinedKillAtEveryCutPointResumesBitIdentically) {
-  SingleRun fixture;
-  fixture.options.pipeline = true;
-  std::vector<EngineCheckpoint> cuts;
-  const RouteServerResult full =
-      fixture.run([&cuts](const EngineCheckpoint& c) { cuts.push_back(c); });
-  ASSERT_EQ(cuts.size(), fixture.options.epochs);
-  const std::uint64_t golden = telemetry_digest(full.epochs);
-
-  // The pinnable property: pipelined digest == strict 1-thread digest.
-  SingleRun strict;
-  ASSERT_EQ(telemetry_digest(strict.run().epochs), golden);
-
-  for (std::size_t k = 0; k <= cuts.size(); ++k) {
-    // Resume under the pipelined schedule...
-    const RouteServerResult resumed =
-        fixture.run(nullptr, std::span(cuts).subspan(0, k));
-    EXPECT_EQ(telemetry_digest(resumed.epochs), golden) << "cut " << k;
-    EXPECT_TRUE(resumed.route_latency == full.route_latency) << "cut " << k;
-    EXPECT_EQ(resumed.total_queries, full.total_queries) << "cut " << k;
-    // ...and under the strict one: a cut restores into either schedule.
-    SingleRun strict_resume;
-    EXPECT_EQ(telemetry_digest(
-                  strict_resume.run(nullptr, std::span(cuts).subspan(0, k))
-                      .epochs),
-              golden)
-        << "cut " << k;
-  }
-}
-
-TEST(WalLog, PipelinedKilledAtAnyByteResumesToTheSameDigest) {
-  SingleRun fixture;
-  fixture.options.pipeline = true;
-  recovery::RunManifest manifest = fixture.manifest();
-  manifest.pipeline = true;
-  const std::string clean_path = temp_path("pipekillbytes.wal");
-  std::uint64_t golden = 0;
-  {
-    recovery::WalLog log(clean_path, manifest);
-    golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
-    log.finish();
-  }
-  // Strict cross-check: the pipelined WAL describes the strict dynamics.
-  SingleRun strict;
-  ASSERT_EQ(telemetry_digest(strict.run().epochs), golden);
-
-  const std::string clean = read_file(clean_path);
-  const framed_log::Scan scan = wal_frames(clean_path);
-  std::vector<std::size_t> prefixes;
-  for (std::size_t i = 0; i + 1 < scan.records.size(); ++i) {
-    prefixes.push_back(scan.records[i].end_offset);      // boundary
-    prefixes.push_back(scan.records[i].end_offset + 5);  // torn mid-record
-  }
-  const std::string crash_path = temp_path("pipekillbytes_crash.wal");
-  for (const std::size_t keep : prefixes) {
-    write_file(crash_path, clean.substr(0, keep));
-    // The header's pipeline flag survives every crash image...
-    const recovery::RecoveredRun probe = recovery::recover_wal(crash_path);
-    EXPECT_TRUE(probe.manifest.pipeline) << "killed at byte " << keep;
-    // ...and the resumed run, honoring it, lands on the same digest.
-    SingleRun resumed_fixture;
-    resumed_fixture.options.pipeline = true;
-    EXPECT_EQ(resume_single_to_completion(crash_path, resumed_fixture),
-              golden)
-        << "killed at byte " << keep;
-    const recovery::RecoveredRun healed = recovery::recover_wal(crash_path);
-    EXPECT_TRUE(healed.clean_shutdown) << "killed at byte " << keep;
-    EXPECT_EQ(healed.digests[0], golden) << "killed at byte " << keep;
-  }
-}
-
-TEST(PipelinedFallback, FeedbackWorkloadServesTheReferenceSchedule) {
-  SingleRun strict;
-  strict.workload = make_workload("closed-loop-lat:400,0.01");
-  strict.options.epochs = 4;
-  const std::uint64_t golden = telemetry_digest(strict.run().epochs);
-
-  // A feedback workload's arrivals read the previous epoch's summary, so
-  // a pipelined request serves the reference schedule: same telemetry,
-  // and the engine reports that it does not pipeline.
-  SingleRun pipelined;
-  pipelined.workload = make_workload("closed-loop-lat:400,0.01");
-  pipelined.options.epochs = 4;
-  pipelined.options.pipeline = true;
-  EXPECT_EQ(telemetry_digest(pipelined.run().epochs), golden);
-
-  SnapshotStore store;
-  EpochEngine engine(pipelined.instance, pipelined.policy,
-                     *pipelined.workload, store);
-  engine.begin(FlowVector::uniform(pipelined.instance), pipelined.options);
-  EXPECT_FALSE(engine.pipelined());
-}
-
-TEST(ResumeDeathTest, PipelinedResumeOfCrashFaultRunMakesProgress) {
+TEST(ResumeDeathTest, ResumeOfCrashFaultRunMakesProgress) {
   // A run under --faults "crash:at=4" _Exit(137)s right after round 4
   // commits, and the resumed process re-materializes the SAME schedule
   // from the logged spec — crash_after is stateless. A resume must
   // therefore never re-evaluate the clause at a round the crashed run
-  // already reached: a pipelined resume's priming round closes no
-  // epoch, so a round count restarting too low would re-crash every
-  // resume with zero new progress — an unrecoverable loop. Run the
-  // resume in a death-test child so a regression shows up as exit 137,
-  // not a dead test binary.
+  // already reached: every round commits the epoch it serves, so the
+  // round count restarts at the cut count, and a count restarting too
+  // low would re-crash every resume with zero new progress — an
+  // unrecoverable loop. Run both processes in death-test children so a
+  // regression shows up as an exit code, not a dead test binary.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
 
   SingleRun fixture;
-  fixture.options.pipeline = true;
   std::vector<EngineCheckpoint> cuts;
   const std::uint64_t golden = telemetry_digest(
       fixture.run([&cuts](const EngineCheckpoint& c) { cuts.push_back(c); })
           .epochs);
   ASSERT_GT(cuts.size(), 4u);
 
-  EXPECT_EXIT(
-      {
-        const faults::FaultSchedule schedule =
-            faults::FaultSchedule::materialize(
-                faults::parse_fault_plan("crash:at=4"),
-                fixture.options.seed, fixture.options.epochs);
-        // The crash image: 4 committed cuts, same spec, pipelined.
-        SingleRun resumed;
-        resumed.options.pipeline = true;
-        resumed.options.faults = &schedule;
-        const RouteServerResult result =
-            resumed.run(nullptr, std::span(cuts).subspan(0, 4));
-        std::_Exit(telemetry_digest(result.epochs) == golden ? 0 : 1);
-      },
-      ::testing::ExitedWithCode(0), "");
-
-  // The real crash image: a pipelined run counts its cut-less priming
-  // round, so "crash:at=5" fires after round 5 with 4 cuts committed.
-  // The resume restarts its round count there (4 cuts + the priming
-  // round), so the clause cannot fire again.
-  const faults::FaultSchedule at5 = faults::FaultSchedule::materialize(
-      faults::parse_fault_plan("crash:at=5"), fixture.options.seed,
+  const faults::FaultSchedule at4 = faults::FaultSchedule::materialize(
+      faults::parse_fault_plan("crash:at=4"), fixture.options.seed,
       fixture.options.epochs);
+  // The crash image: round 4 commits the fourth cut, then the process
+  // dies.
   EXPECT_EXIT(
       {
         SingleRun crashing;
-        crashing.options.pipeline = true;
-        crashing.options.faults = &at5;
+        crashing.options.faults = &at4;
         std::size_t committed = 0;
         crashing.run([&committed](const EngineCheckpoint&) {
           std::fprintf(stderr, "committed=%zu\n", ++committed);
         });
       },
       ::testing::ExitedWithCode(137),
-      "committed=4\nstaleflow: injected crash after commit point 5");
+      "committed=4\nstaleflow: injected crash after commit point 4");
+  // The resume from those 4 cuts, same spec, restarts at round 4 and
+  // serves to the end.
   EXPECT_EXIT(
       {
         SingleRun resumed;
-        resumed.options.pipeline = true;
-        resumed.options.faults = &at5;
+        resumed.options.faults = &at4;
         const RouteServerResult result =
             resumed.run(nullptr, std::span(cuts).subspan(0, 4));
         std::_Exit(telemetry_digest(result.epochs) == golden ? 0 : 1);
@@ -1005,7 +868,6 @@ struct MultiRun {
   TenantOptions options_a;
   TenantOptions options_b;
   TenantOptions options_c;
-  bool pipeline = false;
 
   MultiRun() {
     options_a.server.update_period = 0.1;
@@ -1029,15 +891,6 @@ struct MultiRun {
     options_c.weight = 1;
   }
 
-  /// Switches every tenant to the pipelined schedule (the registry
-  /// pipelines per engine; the manifest records the run-level flag).
-  void enable_pipeline() {
-    pipeline = true;
-    options_a.server.pipeline = true;
-    options_b.server.pipeline = true;
-    options_c.server.pipeline = true;
-  }
-
   void add_tenants(TenantRegistry& registry) const {
     registry.add("alpha", braess_instance, braess_policy, *workload_a,
                  options_a);
@@ -1049,7 +902,6 @@ struct MultiRun {
   recovery::RunManifest manifest() const {
     recovery::RunManifest m;
     m.multi_tenant = true;
-    m.pipeline = pipeline;
     recovery::TenantManifest alpha;
     alpha.name = "alpha";
     alpha.scenario = "braess";
@@ -1094,6 +946,85 @@ std::vector<std::uint64_t> tenant_digests(const MultiTenantResult& result) {
   return digests;
 }
 
+// ------------------------------------------------------ one schedule
+
+TEST(WalProtocol, SoloRunCommitsOneCutPerRoundFromRoundOne) {
+  // Every graph closes the epoch it serves: a logged solo run's WAL holds
+  // as many round marks as cuts, and the first epoch is observed in the
+  // first round.
+  SingleRun fixture;
+  const std::string path = temp_path("one_schedule.wal");
+  {
+    recovery::WalLog log(path, fixture.manifest());
+    fixture.run(log.single_observer());
+    log.finish();
+  }
+  const recovery::RecoveredRun state = recovery::recover_wal(path);
+  ASSERT_EQ(state.cuts.size(), 1u);
+  EXPECT_EQ(state.cuts[0].size(), fixture.options.epochs);
+  EXPECT_EQ(state.rounds, state.cuts[0].size());
+
+  TenantRegistry registry;
+  TenantOptions options;
+  options.server = fixture.options;
+  registry.add("solo", fixture.instance, fixture.policy, *fixture.workload,
+               options);
+  Executor executor(1);
+  std::size_t rounds_seen = 0;
+  std::vector<std::size_t> observed_in;  // round of each observed epoch
+  registry.run(
+      executor,
+      [&](std::size_t, const EpochSummary&) {
+        observed_in.push_back(rounds_seen + 1);
+      },
+      [&](const RoundCheckpoint& round) {
+        EXPECT_EQ(round.rounds, ++rounds_seen);
+        EXPECT_EQ(round.cuts.size(), 1u) << "round " << round.rounds;
+      });
+  ASSERT_EQ(observed_in.size(), fixture.options.epochs);
+  for (std::size_t e = 0; e < observed_in.size(); ++e) {
+    EXPECT_EQ(observed_in[e], e + 1) << "epoch " << e;
+  }
+}
+
+TEST(WalProtocol, EveryRoundMarkCommitsOneCutPerScheduledTenant) {
+  // Replays the weighted round-robin beside the registry: each round's
+  // cuts are exactly the tenants it scheduled, in index order, each at
+  // the epoch that round served.
+  MultiRun fixture;
+  const std::size_t weights[] = {fixture.options_a.weight,
+                                 fixture.options_b.weight,
+                                 fixture.options_c.weight};
+  const std::size_t budgets[] = {fixture.options_a.server.epochs,
+                                 fixture.options_b.server.epochs,
+                                 fixture.options_c.server.epochs};
+  const std::size_t max_weight = *std::max_element(weights, weights + 3);
+  std::vector<std::size_t> credits(3, 0);
+  std::vector<std::size_t> served(3, 0);
+  std::size_t rounds = 0;
+  fixture.run([&](const RoundCheckpoint& round) {
+    std::vector<std::size_t> scheduled;
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (served[i] == budgets[i]) continue;
+      credits[i] += weights[i];
+      if (credits[i] >= max_weight) {
+        credits[i] -= max_weight;
+        scheduled.push_back(i);
+      }
+    }
+    EXPECT_EQ(round.rounds, ++rounds);
+    EXPECT_EQ(round.credits, credits) << "round " << rounds;
+    ASSERT_EQ(round.cuts.size(), scheduled.size()) << "round " << rounds;
+    for (std::size_t k = 0; k < scheduled.size(); ++k) {
+      const auto& [tenant, cut] = round.cuts[k];
+      EXPECT_EQ(tenant, scheduled[k]) << "round " << rounds;
+      EXPECT_EQ(cut.summary.epoch, served[tenant]) << "round " << rounds;
+      ++served[tenant];
+    }
+  });
+  EXPECT_EQ(served, std::vector<std::size_t>(budgets, budgets + 3));
+}
+
 TEST(WalLog, MultiTenantKilledMidRunResumesBitIdentically) {
   MultiRun fixture;
   const std::string path = temp_path("multi.wal");
@@ -1136,52 +1067,10 @@ TEST(WalLog, MultiTenantKilledMidRunResumesBitIdentically) {
   }
 }
 
-TEST(WalLog, PipelinedThreeTenantsKilledMidRunResumeBitIdentically) {
-  // Strict reference digests first: the pipelined run, every crash image,
-  // and every resumed run must all land on exactly these.
-  MultiRun strict;
-  const std::vector<std::uint64_t> golden = tenant_digests(strict.run());
-
-  MultiRun fixture;
-  fixture.enable_pipeline();
-  const std::string path = temp_path("multipipe.wal");
-  {
-    recovery::WalLog log(path, fixture.manifest());
-    EXPECT_EQ(tenant_digests(fixture.run(log.round_observer())), golden);
-    log.finish();
-  }
-
-  const std::string bytes = read_file(path);
-  const framed_log::Scan scan = wal_frames(path);
-  const std::string crash_path = temp_path("multipipe_crash.wal");
-  for (std::size_t i = 0; i + 1 < scan.records.size(); i += 2) {
-    for (const std::size_t keep :
-         {scan.records[i].end_offset, scan.records[i].end_offset + 7}) {
-      write_file(crash_path, bytes.substr(0, keep));
-      const recovery::RecoveredRun state = recovery::recover_wal(crash_path);
-      ASSERT_FALSE(state.clean_shutdown);
-      EXPECT_TRUE(state.manifest.pipeline) << "killed at byte " << keep;
-      recovery::WalLog log(crash_path, state);
-      const RegistryResume resume = recovery::registry_resume(state);
-      MultiRun resumed_fixture;
-      resumed_fixture.enable_pipeline();
-      const MultiTenantResult resumed =
-          resumed_fixture.run(log.round_observer(), &resume);
-      log.finish();
-      EXPECT_EQ(tenant_digests(resumed), golden) << "killed at byte " << keep;
-
-      const recovery::RecoveredRun healed = recovery::recover_wal(crash_path);
-      EXPECT_TRUE(healed.clean_shutdown) << "killed at byte " << keep;
-      EXPECT_EQ(healed.digests, golden) << "killed at byte " << keep;
-    }
-  }
-}
-
-TEST(WalLog, PipelinedFeedbackTenantKilledAtAnyByteResumesBitIdentically) {
-  // A pipelined request over a feedback tenant (served on the reference
-  // schedule) next to a pipelined poisson tenant, logged to one WAL: the
-  // header records the requested schedule, and every crash image resumes
-  // to the uninterrupted per-tenant digests.
+TEST(WalLog, FeedbackTenantKilledAtAnyByteResumesBitIdentically) {
+  // A feedback tenant (its arrivals read the previous epoch's summary)
+  // next to a poisson tenant, logged to one WAL: every crash image
+  // resumes to the uninterrupted per-tenant digests.
   struct Tenant {
     const char* name;
     const char* workload;
@@ -1198,11 +1087,9 @@ TEST(WalLog, PipelinedFeedbackTenantKilledAtAnyByteResumesBitIdentically) {
   options.num_clients = 400;
   options.shards = 2;
   options.record_latency = false;
-  options.pipeline = true;
 
   recovery::RunManifest manifest;
   manifest.multi_tenant = true;
-  manifest.pipeline = true;
   for (const Tenant& tenant : tenants) {
     workloads.push_back(make_workload(tenant.workload));
     recovery::TenantManifest logged;
@@ -1226,7 +1113,7 @@ TEST(WalLog, PipelinedFeedbackTenantKilledAtAnyByteResumesBitIdentically) {
     return registry.run(executor, nullptr, rounds, resume);
   };
 
-  const std::string path = temp_path("feedbackpipe.wal");
+  const std::string path = temp_path("feedback.wal");
   std::vector<std::uint64_t> golden;
   {
     recovery::WalLog log(path, manifest);
@@ -1236,14 +1123,14 @@ TEST(WalLog, PipelinedFeedbackTenantKilledAtAnyByteResumesBitIdentically) {
 
   const std::string bytes = read_file(path);
   const framed_log::Scan scan = wal_frames(path);
-  const std::string crash_path = temp_path("feedbackpipe_crash.wal");
+  const std::string crash_path = temp_path("feedback_crash.wal");
   for (std::size_t i = 0; i + 1 < scan.records.size(); ++i) {
     for (const std::size_t keep :
          {scan.records[i].end_offset, scan.records[i].end_offset + 5}) {
       write_file(crash_path, bytes.substr(0, keep));
       const recovery::RecoveredRun state = recovery::recover_wal(crash_path);
       ASSERT_FALSE(state.clean_shutdown) << "killed at byte " << keep;
-      EXPECT_TRUE(state.manifest.pipeline) << "killed at byte " << keep;
+      EXPECT_FALSE(state.manifest.pipeline) << "killed at byte " << keep;
       recovery::WalLog log(crash_path, state);
       const RegistryResume resume = recovery::registry_resume(state);
       EXPECT_EQ(tenant_digests(run(log.round_observer(), &resume)), golden)
@@ -1259,10 +1146,10 @@ TEST(WalLog, PipelinedFeedbackTenantKilledAtAnyByteResumesBitIdentically) {
 
 // ------------------------------------------- WAL header version skew
 
-TEST(WalHeader, V3RecordsPipelineAndReadsV2) {
+TEST(WalHeader, PipelineByteIsWrittenZeroAndStillRead) {
   SingleRun fixture;
   recovery::RunManifest manifest = fixture.manifest();
-  manifest.pipeline = true;
+  manifest.pipeline = true;  // ignored on write
   const std::string current = recovery::encode_run_header(manifest);
 
   // Wire layout under test: u32 version (LE), u8 multi_tenant, u8
@@ -1272,14 +1159,19 @@ TEST(WalHeader, V3RecordsPipelineAndReadsV2) {
   ASSERT_EQ(recovery::kWalVersion, 4u);
   EXPECT_EQ(head.u32(), recovery::kWalVersion);
   EXPECT_EQ(head.u8(), 0u);  // multi_tenant
-  EXPECT_EQ(head.u8(), 1u);  // pipeline
+  EXPECT_EQ(head.u8(), 0u);  // pipeline: every writer writes 0
 
   const recovery::RunManifest decoded = recovery::decode_run_header(current);
-  EXPECT_TRUE(decoded.pipeline);
+  EXPECT_FALSE(decoded.pipeline);
   ASSERT_EQ(decoded.tenants.size(), 1u);
   EXPECT_EQ(decoded.tenants[0].options.epochs, fixture.options.epochs);
 
-  std::string v3 = current;
+  // A header the retired pipelined schedule wrote carries 1 there, under
+  // a v4 or a v3 version word, and decodes as such.
+  std::string pipelined = current;
+  pipelined[5] = 1;
+  EXPECT_TRUE(recovery::decode_run_header(pipelined).pipeline);
+  std::string v3 = pipelined;
   v3[0] = 3;
   const recovery::RunManifest older = recovery::decode_run_header(v3);
   EXPECT_TRUE(older.pipeline);

@@ -596,33 +596,28 @@ TEST(RouteServer, ServesEveryArrivalAndConservesFlow) {
   const Policy policy = make_replicator_policy(instance);
   const WorkloadPtr workload = closed_loop_workload(500);
 
-  for (const bool pipeline : {false, true}) {
-    RouteServer server(instance, policy, *workload);
-    RouteServerOptions options = small_options();
-    options.pipeline = pipeline;
-    const RouteServerResult result =
-        server.run(FlowVector::uniform(instance), options);
+  RouteServer server(instance, policy, *workload);
+  const RouteServerOptions options = small_options();
+  const RouteServerResult result =
+      server.run(FlowVector::uniform(instance), options);
 
-    EXPECT_EQ(result.total_queries, 500u * options.epochs);
-    EXPECT_EQ(result.epochs.size(), options.epochs);
-    EXPECT_TRUE(is_feasible(instance, result.final_flow.values(), 1e-7));
-    EXPECT_GT(result.total_migrations, 0u);
-    EXPECT_LE(result.total_migrations, result.total_queries);
+  EXPECT_EQ(result.total_queries, 500u * options.epochs);
+  EXPECT_EQ(result.epochs.size(), options.epochs);
+  EXPECT_TRUE(is_feasible(instance, result.final_flow.values(), 1e-7));
+  EXPECT_GT(result.total_migrations, 0u);
+  EXPECT_LE(result.total_migrations, result.total_queries);
 
-    // The published snapshot advanced to the last fold: the server's
-    // engine on a test-owned store, driven by the loop run() uses.
-    SnapshotStore store;
-    EpochEngine engine(instance, policy, *workload, store);
-    engine.begin(FlowVector::uniform(instance), options);
-    Executor executor;
-    EpochEngine* const engines[] = {&engine};
-    const std::size_t weights[] = {1};
-    serve_rounds(executor, engines, weights, 0, {}, nullptr, nullptr,
-                 nullptr);
-    ASSERT_NE(store.acquire(), nullptr);
-    EXPECT_EQ(store.acquire()->epoch(), options.epochs)
-        << "pipeline=" << pipeline;
-  }
+  // The published snapshot advanced to the last fold: the server's engine
+  // on a test-owned store, driven by the loop run() uses.
+  SnapshotStore store;
+  EpochEngine engine(instance, policy, *workload, store);
+  engine.begin(FlowVector::uniform(instance), options);
+  Executor executor;
+  EpochEngine* const engines[] = {&engine};
+  const std::size_t weights[] = {1};
+  serve_rounds(executor, engines, weights, 0, {}, nullptr, nullptr, nullptr);
+  ASSERT_NE(store.acquire(), nullptr);
+  EXPECT_EQ(store.acquire()->epoch(), options.epochs);
 }
 
 TEST(RouteServer, ClosesTheLoopTowardEquilibrium) {
@@ -767,12 +762,10 @@ TEST(EpochCsv, TimingHeaderIsTheDeterministicColumnsPlusQps) {
   std::remove(timing_path.c_str());
 }
 
-TEST(RouteServer, PipelinedEpochQpsIsBookedOnTheServingGraph) {
-  // A pipelined epoch is summarized one graph after the graph that served
-  // it (the last one in a drain graph that serves nothing), so its
-  // queries_per_second must divide by the serving graph's seconds. Booked
-  // against the summarizing graph, the drain epoch reads orders of
-  // magnitude above the run's rate.
+TEST(RouteServer, EpochQpsIsBookedOnTheServingGraph) {
+  // Each epoch's queries_per_second divides its queries by the seconds of
+  // the graph that served them, so no epoch reads orders of magnitude
+  // above the run's rate.
   const Instance instance = braess(true);
   const Policy policy = make_replicator_policy(instance);
   const WorkloadPtr workload = closed_loop_workload(50000);
@@ -781,7 +774,6 @@ TEST(RouteServer, PipelinedEpochQpsIsBookedOnTheServingGraph) {
   RouteServerOptions options = small_options();
   options.epochs = 10;
   options.num_clients = 4000;
-  options.pipeline = true;
   options.record_latency = true;
   const RouteServerResult result =
       server.run(FlowVector::uniform(instance), options);

@@ -153,43 +153,34 @@ void expect_same_cut(const EngineCheckpoint& a, const EngineCheckpoint& b,
 
 TEST(TenantRegistry, OneTenantMatchesPlainRouteServer) {
   // A solo server and a one-tenant registry serve through the same round
-  // loop: same result, and the same cut for every epoch, under either
-  // schedule and at any thread count.
-  for (const bool pipeline : {false, true}) {
-    TenantFixture tenant = watched_tenant();
-    tenant.options.server.pipeline = pipeline;
-    const std::string schedule = pipeline ? "pipelined" : "strict";
+  // loop: same result, and the same cut for every epoch, at any thread
+  // count.
+  const TenantFixture tenant = watched_tenant();
+  std::vector<EngineCheckpoint> solo_cuts;
+  RouteServer server(tenant.instance, tenant.policy, *tenant.workload);
+  const Fingerprint solo = fingerprint(server.run(
+      FlowVector::uniform(tenant.instance), tenant.options.server, nullptr,
+      [&solo_cuts](const EngineCheckpoint& cut) { solo_cuts.push_back(cut); }));
+  ASSERT_EQ(solo_cuts.size(), tenant.options.server.epochs);
 
-    std::vector<EngineCheckpoint> solo_cuts;
-    RouteServer server(tenant.instance, tenant.policy, *tenant.workload);
-    const Fingerprint solo = fingerprint(server.run(
-        FlowVector::uniform(tenant.instance), tenant.options.server, nullptr,
-        [&solo_cuts](const EngineCheckpoint& cut) {
-          solo_cuts.push_back(cut);
-        }));
-    ASSERT_EQ(solo_cuts.size(), tenant.options.server.epochs) << schedule;
-
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const std::string label = "registry-of-one, " + schedule + " @" +
-                                std::to_string(threads);
-      TenantRegistry registry;
-      registry.add(tenant.name, tenant.instance, tenant.policy,
-                   *tenant.workload, tenant.options);
-      Executor executor(threads);
-      std::vector<EngineCheckpoint> round_cuts;
-      const MultiTenantResult result = registry.run(
-          executor, nullptr, [&round_cuts](const RoundCheckpoint& round) {
-            for (const auto& [index, cut] : round.cuts) {
-              round_cuts.push_back(cut);
-            }
-          });
-      expect_identical(solo, fingerprint(result.tenants.front().server),
-                       label);
-      ASSERT_EQ(round_cuts.size(), solo_cuts.size()) << label;
-      for (std::size_t e = 0; e < solo_cuts.size(); ++e) {
-        expect_same_cut(solo_cuts[e], round_cuts[e],
-                        label + ", epoch " + std::to_string(e));
-      }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::string label = "registry-of-one @" + std::to_string(threads);
+    TenantRegistry registry;
+    registry.add(tenant.name, tenant.instance, tenant.policy,
+                 *tenant.workload, tenant.options);
+    Executor executor(threads);
+    std::vector<EngineCheckpoint> round_cuts;
+    const MultiTenantResult result = registry.run(
+        executor, nullptr, [&round_cuts](const RoundCheckpoint& round) {
+          for (const auto& [index, cut] : round.cuts) {
+            round_cuts.push_back(cut);
+          }
+        });
+    expect_identical(solo, fingerprint(result.tenants.front().server), label);
+    ASSERT_EQ(round_cuts.size(), solo_cuts.size()) << label;
+    for (std::size_t e = 0; e < solo_cuts.size(); ++e) {
+      expect_same_cut(solo_cuts[e], round_cuts[e],
+                      label + ", epoch " + std::to_string(e));
     }
   }
 }

@@ -340,46 +340,43 @@ TEST(DigestNeutrality, SingleServerTracedEqualsUntraced) {
   const Policy policy = named_policy("replicator").make(instance, 0.1);
   const WorkloadPtr workload = make_workload("closed-loop:2000");
 
-  for (const bool pipeline : {false, true}) {
-    RouteServerOptions options = serving_options(10, 17);
-    options.pipeline = pipeline;
-    RouteServer untraced(instance, policy, *workload);
-    const RouteServerResult baseline =
-        untraced.run(FlowVector::uniform(instance), options);
+  const RouteServerOptions options = serving_options(10, 17);
+  RouteServer untraced(instance, policy, *workload);
+  const RouteServerResult baseline =
+      untraced.run(FlowVector::uniform(instance), options);
 
-    const std::string path = temp_path("digest_single");
-    trace::start(path, "trace_test digest");
-    RouteServer traced(instance, policy, *workload);
-    const RouteServerResult recorded =
-        traced.run(FlowVector::uniform(instance), options);
-    trace::stop();
+  const std::string path = temp_path("digest_single");
+  trace::start(path, "trace_test digest");
+  RouteServer traced(instance, policy, *workload);
+  const RouteServerResult recorded =
+      traced.run(FlowVector::uniform(instance), options);
+  trace::stop();
 
-    EXPECT_EQ(telemetry_digest(recorded.epochs),
-              telemetry_digest(baseline.epochs));
-    EXPECT_EQ(recorded.total_queries, baseline.total_queries);
-    for (std::size_t p = 0; p < baseline.final_flow.values().size(); ++p) {
-      EXPECT_EQ(recorded.final_flow.values()[p],
-                baseline.final_flow.values()[p]);
-    }
-    EXPECT_TRUE(recorded.route_latency == baseline.route_latency);
-
-    // And the trace actually observed the run: one epoch span per served
-    // epoch, one snapshot publish per epoch, sub-batch spans present.
-    const trace::LoadedTrace loaded = trace::load_trace(path);
-    EXPECT_TRUE(loaded.clean_shutdown);
-    std::size_t epoch_spans = 0, publishes = 0, sub_batches = 0;
-    for (const trace::LoadedEvent& event : loaded.events) {
-      switch (event.event.kind) {
-        case trace::EventKind::kEpochSpan: ++epoch_spans; break;
-        case trace::EventKind::kSnapshotPublish: ++publishes; break;
-        case trace::EventKind::kSubBatchSpan: ++sub_batches; break;
-        default: break;
-      }
-    }
-    EXPECT_EQ(epoch_spans, options.epochs) << "pipeline=" << pipeline;
-    EXPECT_EQ(publishes, options.epochs) << "pipeline=" << pipeline;
-    EXPECT_GT(sub_batches, 0u);
+  EXPECT_EQ(telemetry_digest(recorded.epochs),
+            telemetry_digest(baseline.epochs));
+  EXPECT_EQ(recorded.total_queries, baseline.total_queries);
+  for (std::size_t p = 0; p < baseline.final_flow.values().size(); ++p) {
+    EXPECT_EQ(recorded.final_flow.values()[p],
+              baseline.final_flow.values()[p]);
   }
+  EXPECT_TRUE(recorded.route_latency == baseline.route_latency);
+
+  // And the trace actually observed the run: one epoch span per served
+  // epoch, one snapshot publish per epoch, sub-batch spans present.
+  const trace::LoadedTrace loaded = trace::load_trace(path);
+  EXPECT_TRUE(loaded.clean_shutdown);
+  std::size_t epoch_spans = 0, publishes = 0, sub_batches = 0;
+  for (const trace::LoadedEvent& event : loaded.events) {
+    switch (event.event.kind) {
+      case trace::EventKind::kEpochSpan: ++epoch_spans; break;
+      case trace::EventKind::kSnapshotPublish: ++publishes; break;
+      case trace::EventKind::kSubBatchSpan: ++sub_batches; break;
+      default: break;
+    }
+  }
+  EXPECT_EQ(epoch_spans, options.epochs);
+  EXPECT_EQ(publishes, options.epochs);
+  EXPECT_GT(sub_batches, 0u);
 }
 
 TEST(DigestNeutrality, MultiTenantTracedEqualsUntraced) {

@@ -24,14 +24,6 @@
 // and the CSV holds only deterministic columns — byte-identical for any
 // --threads.
 //
-// Every fresh run requests cross-epoch pipelining: each epoch's summary
-// tail overlaps the next epoch's serving, which moves wall clock only,
-// never a digest. With --wal, cuts are captured at the one-epoch overlap
-// boundary and commit one graph behind the serving frontier, and the WAL
-// header records pipeline=1. A feedback workload (closed-loop-lat) reads
-// the previous epoch's summary, so its engine serves the reference
-// schedule under the same request (see EpochEngine::pipelined).
-//
 // Every run is served by a TenantRegistry on one executor: a solo run is
 // the one tenant "run", and only the banner, the per-epoch report and
 // the result lines differ. --tenants switches to multi-tenant mode: each
@@ -51,9 +43,8 @@
 // the ENTIRE dynamics configuration from the WAL header, so
 // configuration flags (--scenario, --seed, --epochs, ...) conflict with
 // it; runtime knobs (--threads, --csv, --report-every, --quiet, --trace,
-// --progress) remain legal. The schedule is honored from the logged
-// header (a v3 field): a pipeline=1 WAL resumes pipelined, a pipeline=0
-// one (written through the library) resumes on the reference schedule.
+// --progress) remain legal. A WAL whose header reads pipeline=1 was
+// written by the retired pipelined schedule; it resumes like any other.
 // Inspect or re-execute a WAL offline with wal_replay_cli.
 //
 // Fault injection (src/faults/): --faults <spec> schedules typed faults
@@ -93,8 +84,7 @@ constexpr const char* kRecoveryGrammar =
     "recovery:  --wal <path> logs every epoch cut to a write-ahead log;\n"
     "           --resume <path> continues a crashed run from its WAL\n"
     "           (configuration flags conflict — the WAL header is the\n"
-    "           configuration; --threads/--csv/--report-every/--quiet ok;\n"
-    "           the logged pipeline setting is honored)\n";
+    "           configuration; --threads/--csv/--report-every/--quiet ok)\n";
 constexpr const char* kTraceGrammar =
     "tracing:   --trace <path> records a binary trace for trace_dump_cli\n"
     "           (digest-neutral); --progress <n> prints a stderr\n"
@@ -333,7 +323,6 @@ int run_manifest(const std::string& wal_path,
         hosts.emplace_back(cli::make_host(tenant, registry));
     TenantOptions options;
     options.server = tenant.options;
-    options.server.pipeline = manifest.pipeline;
     // All tenants share the run's one fault schedule; per-tenant clauses
     // select their victim with tenant= (registry index).
     options.server.faults =
@@ -602,7 +591,6 @@ int do_run(const std::map<std::string, std::string>& flags) {
     manifest.tenants.push_back(std::move(self));
   }
   manifest.faults = faults_spec;
-  manifest.pipeline = true;  // every fresh run pipelines (see the header)
   return run_manifest(recovery_flags.wal, manifest, nullptr, options.threads,
                       csv_path, report_every, progress_every, quiet);
 }

@@ -6,13 +6,14 @@
 //                         [--tenant <name>] [--threads <t>] [--quiet]
 //
 // `info` prints the WAL's manifest (per-tenant configuration, the
-// run's mode line including the v3 header's pipeline flag — pipeline=1
-// means committed cuts trail the crashed run's serving frontier by one
-// epoch), the committed progress (cuts=<n> per tenant, rounds=<r>), the shutdown
-// state, and one row per committed cut (its byte offset in the file and
-// the epoch's route_p99, for correlating WAL cuts with trace spans) —
-// greppable key=value fields; the CI crash drill reads the pipeline and
-// clean_shutdown fields of a killed run's log.
+// run's mode line including the v3 header's pipeline byte — writers
+// write 0; pipeline=1 marks a file of the retired pipelined schedule,
+// whose cuts commit one round after they close), the committed progress
+// (cuts=<n> per tenant, rounds=<r>), the shutdown state, and one row per
+// committed cut (its byte offset in the file and the epoch's route_p99,
+// for correlating WAL cuts with trace spans) — greppable key=value
+// fields; the CI crash drill reads the pipeline and clean_shutdown
+// fields of a killed run's log.
 //
 // `replay` is the point-in-time debugger: it restores one tenant's state
 // at epoch cut e (--epoch, default 0) directly into an EpochEngine —
@@ -180,12 +181,6 @@ int do_replay(const std::string& path,
 
   RouteServerOptions options = manifest.options;
   options.record_latency = false;  // replay is deterministic by definition
-  // Replay always serves the reference schedule, even for a pipeline=1
-  // WAL: cut content is schedule-independent (pipelined cuts are captured
-  // at the overlap boundary with the same bytes the reference schedule
-  // logs), and its epoch-at-a-time loop is what the record-by-record
-  // comparison below wants.
-  options.pipeline = false;
 
   SnapshotStore store;
   EpochEngine engine(host.instance, host.policy, *host.workload, store);
