@@ -104,12 +104,13 @@ AgentSimResult AgentSimulator::run(const FlowVector& initial,
 
     // Sample a candidate path from the phase-constant distribution.
     const std::size_t sampled_local = cdfs[c.index()].sample(rng);
-    if (sampled_local == current_local) continue;
-
     const double l_current =
         board.path_latency()[commodity.paths[current_local].index()];
     const double l_sampled =
         board.path_latency()[commodity.paths[sampled_local].index()];
+    // Selfish rules give mu == 0 unless the candidate looks strictly
+    // better, and bernoulli(0) draws nothing: skip the rule outright.
+    if (!(l_sampled < l_current)) continue;
     const double mu = policy_->migration().probability(l_current, l_sampled);
     if (!rng.bernoulli(mu)) continue;
 

@@ -48,8 +48,9 @@ std::string format_report(const Instance& instance,
   Table table({"commodity", "demand", "min latency", "avg latency",
                "gap share", "active paths"});
   for (const CommodityReport& cr : report.commodities) {
-    table.add_row({"c" + std::to_string(cr.id.value), fmt(cr.demand, 4),
-                   fmt(cr.min_latency, 6), fmt(cr.avg_latency, 6),
+    table.add_row({std::string("c").append(std::to_string(cr.id.value)),
+                   fmt(cr.demand, 4), fmt(cr.min_latency, 6),
+                   fmt(cr.avg_latency, 6),
                    fmt_sci(cr.gap_share),
                    fmt_int(static_cast<long long>(cr.active_paths))});
   }

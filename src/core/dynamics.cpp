@@ -26,8 +26,10 @@ void build_generator(const Instance& instance, const Policy& policy,
       const std::size_t p = commodity.paths[jp].index();
       double outflow = 0.0;
       for (std::size_t jq = 0; jq < m; ++jq) {
-        if (jq == jp) continue;
         const std::size_t q = commodity.paths[jq].index();
+        // Selfish rules give mu == 0 unless q looks strictly better (never
+        // for q == p): no rate, no call.
+        if (!(path_latency[q] < path_latency[p])) continue;
         const double rate =
             sigma[jq] *
             policy.migration().probability(path_latency[p], path_latency[q]);
@@ -131,8 +133,10 @@ void FreshDynamics::rhs(std::span<const double> path_flow,
     for (std::size_t jp = 0; jp < m; ++jp) {
       const std::size_t p = commodity.paths[jp].index();
       for (std::size_t jq = 0; jq < m; ++jq) {
-        if (jq == jp) continue;
         const std::size_t q = commodity.paths[jq].index();
+        // Selfish rules give mu == 0 unless q looks strictly better (never
+        // for q == p): no rate, no call.
+        if (!(latency[q] < latency[p])) continue;
         const double rate =
             path_flow[p] * sigma[jq] *
             policy_->migration().probability(latency[p], latency[q]);

@@ -18,7 +18,9 @@ namespace staleflow {
 /// the sampled path.
 ///
 /// Contract: selfish — mu(lP, lQ) == 0 whenever lQ >= lP — and
-/// non-decreasing in the gain lP - lQ, with values in [0, 1].
+/// non-decreasing in the gain lP - lQ, with values in [0, 1]. The serve
+/// loops (EpochEngine, AgentSimulator) and the fluid generators rely on
+/// the selfish part: they call probability() only when lQ < lP.
 class MigrationRule {
  public:
   virtual ~MigrationRule() = default;

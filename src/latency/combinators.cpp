@@ -27,7 +27,11 @@ class OffsetLatency final : public LatencyFunction {
     return base_->max_slope(x_max) + shift_.max_slope(x_max);
   }
   std::string describe() const override {
-    return "(" + base_->describe() + ") + (" + shift_.describe() + ")";
+    return std::string("(")
+        .append(base_->describe())
+        .append(") + (")
+        .append(shift_.describe())
+        .append(")");
   }
   LatencyPtr clone() const override {
     return std::make_unique<OffsetLatency>(*base_, shift_.constant_value());

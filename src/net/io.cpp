@@ -29,7 +29,7 @@ std::string latency_spec(const LatencyFunction& fn) {
   }
   if (const auto* p = dynamic_cast<const PolynomialLatency*>(&fn)) {
     std::string spec = "polynomial " + std::to_string(p->coefficients().size());
-    for (const double c : p->coefficients()) spec += " " + num(c);
+    for (const double c : p->coefficients()) spec.append(" ").append(num(c));
     return spec;
   }
   if (const auto* s = dynamic_cast<const ShiftedLinearLatency*>(&fn)) {
@@ -38,7 +38,7 @@ std::string latency_spec(const LatencyFunction& fn) {
   if (const auto* w = dynamic_cast<const PiecewiseLinearLatency*>(&fn)) {
     std::string spec = "pwl " + std::to_string(w->breakpoints().size());
     for (const auto& bp : w->breakpoints()) {
-      spec += " " + num(bp.x) + " " + num(bp.y);
+      spec.append(" ").append(num(bp.x)).append(" ").append(num(bp.y));
     }
     return spec;
   }

@@ -154,11 +154,15 @@ void EpochEngine::serve_sub_batch(std::size_t b) {
     // Step (1): sample a candidate from the precomputed CDF.
     const std::size_t sampled = snap->guided_cdf(c).sample(rng);
 
-    // Step (2): migrate with probability mu(l_P, l_Q).
+    // Step (2): migrate with probability mu(l_P, l_Q). Every rule is
+    // selfish (mu == 0 unless l_Q < l_P, see MigrationRule), and
+    // bernoulli(0) draws nothing, so one comparison gates the rule: a
+    // query whose candidate does not look strictly better (its own path
+    // included) makes no call and no draw, exactly as mu == 0 would.
     const std::size_t current = clients.local_path(query.client);
     std::size_t served_path = commodity.paths[current].index();
-    if (sampled != current) {
-      const std::size_t candidate = commodity.paths[sampled].index();
+    const std::size_t candidate = commodity.paths[sampled].index();
+    if (latency[candidate] < latency[served_path]) {
       const double mu =
           rule.probability(latency[served_path], latency[candidate]);
       if (rng.bernoulli(mu)) {

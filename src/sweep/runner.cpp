@@ -184,8 +184,8 @@ void run_service(const Instance& instance, const Policy& policy,
     TenantOptions tenant;
     tenant.server = options;
     tenant.server.seed = seeds[t];
-    registry.add("t" + std::to_string(t), instance, policy, *workload,
-                 tenant);
+    registry.add(std::string("t").append(std::to_string(t)), instance,
+                 policy, *workload, tenant);
   }
   const MultiTenantResult multi = registry.run(executor);
 

@@ -53,7 +53,8 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection).
   std::uint64_t below(std::uint64_t n) {
     if (n == 0) throw std::invalid_argument("Rng::below: n must be positive");
-    // Lemire-style rejection to remove modulo bias.
+    // Threshold rejection removes modulo bias: draws below (2^64 - n) mod n
+    // are retried, so the accepted range is a whole multiple of n.
     const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
     for (;;) {
       const std::uint64_t r = (*this)();

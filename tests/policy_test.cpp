@@ -213,18 +213,29 @@ TEST(AlphaSmoothness, NumericCheckAgreesWithTheory) {
 }
 
 TEST(MigrationRules, SelfishContract) {
-  // All rules must never migrate towards equal-or-worse paths.
+  // Every rule class returns exactly 0.0 -- not merely a tiny value --
+  // whenever the sampled path does not look strictly better: the serve
+  // loops skip the call on that condition and must match a call's draw.
   std::vector<MigrationPtr> rules;
   rules.push_back(better_response_migration());
   rules.push_back(linear_migration(1.0));
   rules.push_back(alpha_capped_migration(2.0));
+  rules.push_back(relative_slack_migration(0.0));
+  rules.push_back(relative_slack_migration(0.5));
   rules.push_back(constant_migration(0.5));
+  const double currents[] = {0.0, 1e-12, 0.25, 1.0, 2.0, 1e6};
   for (const auto& rule : rules) {
-    for (double l = 0.0; l <= 2.0; l += 0.25) {
-      EXPECT_DOUBLE_EQ(rule->probability(l, l), 0.0) << rule->name();
-      EXPECT_DOUBLE_EQ(rule->probability(l, l + 0.5), 0.0) << rule->name();
+    for (const double l : currents) {
+      // Equal latencies (both zero when l == 0), then l_Q > l_P with gaps
+      // from 1 down to 1e-12.
+      EXPECT_EQ(rule->probability(l, l), 0.0) << rule->name() << " l=" << l;
+      for (int k = 0; k <= 12; ++k) {
+        const double gap = std::pow(10.0, -k);
+        EXPECT_EQ(rule->probability(l, l + gap), 0.0)
+            << rule->name() << " l=" << l << " gap=" << gap;
+      }
       const double mu = rule->probability(l + 0.5, l);
-      EXPECT_GE(mu, 0.0) << rule->name();
+      EXPECT_GT(mu, 0.0) << rule->name();
       EXPECT_LE(mu, 1.0) << rule->name();
     }
   }

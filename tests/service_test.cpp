@@ -6,12 +6,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +23,9 @@
 #include "agents/population.h"
 #include "core/bulletin_board.h"
 #include "core/fluid_simulator.h"
+#include "core/migration.h"
+#include "core/policy.h"
+#include "core/sampling.h"
 #include "equilibrium/metrics.h"
 #include "exec/exec.h"
 #include "latency/functions.h"
@@ -693,6 +700,66 @@ TEST(RouteServer, DeterministicAcrossThreadCounts) {
     for (std::size_t p = 0; p < reference_flow.size(); ++p) {
       EXPECT_EQ(result.final_flow.values()[p], reference_flow[p]);
     }
+  }
+}
+
+// Wraps LinearMigration and records every call the serve loop makes. The
+// loop may ask the rule only about a candidate that looks strictly
+// better; any other call is a violation. Atomics: at 4 threads the
+// sub-batches call it concurrently.
+class SpyMigration final : public MigrationRule {
+ public:
+  explicit SpyMigration(double scale) : inner_(scale) {}
+  double probability(double current, double sampled) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    if (current <= sampled) {
+      not_better_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return inner_.probability(current, sampled);
+  }
+  std::optional<double> smoothness() const override {
+    return inner_.smoothness();
+  }
+  std::string name() const override { return inner_.name(); }
+
+  std::uint64_t calls() const { return calls_.load(); }
+  std::uint64_t not_better() const { return not_better_.load(); }
+
+ private:
+  LinearMigration inner_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+  mutable std::atomic<std::uint64_t> not_better_{0};
+};
+
+TEST(RouteServer, CallsTheMigrationRuleOnlyOnStrictlyBetterCandidates) {
+  const Instance instance = braess(true);
+  const Policy plain = make_replicator_policy(instance);
+  auto owned_spy = std::make_unique<SpyMigration>(instance.max_latency());
+  const SpyMigration& spy = *owned_spy;
+  const Policy spied(proportional_sampling(), std::move(owned_spy));
+  const WorkloadPtr workload = closed_loop_workload(4000);
+
+  RouteServerOptions options = small_options();
+  options.num_clients = 2000;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    options.threads = threads;
+    const std::uint64_t calls_before = spy.calls();
+    RouteServer plain_server(instance, plain, *workload);
+    RouteServer spied_server(instance, spied, *workload);
+    const RouteServerResult reference =
+        plain_server.run(FlowVector::uniform(instance), options);
+    const RouteServerResult result =
+        spied_server.run(FlowVector::uniform(instance), options);
+    // The gate skips the rule for the sampled path equal to the current
+    // one and for every worse or equal-latency candidate ...
+    EXPECT_EQ(spy.not_better(), 0u) << "threads=" << threads;
+    EXPECT_GT(spy.calls(), calls_before) << "threads=" << threads;
+    EXPECT_GT(result.total_migrations, 0u);
+    // ... and what it skips is exactly what mu == 0 would have given.
+    EXPECT_EQ(telemetry_digest(result.epochs),
+              telemetry_digest(reference.epochs))
+        << "threads=" << threads;
+    EXPECT_EQ(result.total_migrations, reference.total_migrations);
   }
 }
 
