@@ -17,8 +17,8 @@
 // topological order, which is exactly the order the inline mode executes
 // — the parallel schedule can only reorder work that is independent by
 // construction. This is how the route server pipelines an epoch: serve
-// nodes feed a fold node, which feeds the next snapshot's board post +
-// per-commodity CDF nodes in parallel with the telemetry summary node.
+// nodes feed a fold node, which feeds the next board's build in parallel
+// with the telemetry summary node.
 //
 // sub_batch_count / sub_range are the deterministic work-splitting
 // helpers: split points are derived from batch sizes alone (never from

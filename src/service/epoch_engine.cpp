@@ -36,12 +36,8 @@ std::size_t physical_memory_bytes() {
 }  // namespace
 
 EpochEngine::EpochEngine(const Instance& instance, const Policy& policy,
-                         const WorkloadGenerator& workload,
-                         SnapshotStore& store)
-    : instance_(&instance),
-      policy_(&policy),
-      workload_(&workload),
-      store_(&store) {}
+                         const WorkloadGenerator& workload)
+    : instance_(&instance), policy_(&policy), workload_(&workload) {}
 
 void EpochEngine::begin(const FlowVector& initial,
                         const RouteServerOptions& options) {
@@ -93,9 +89,8 @@ void EpochEngine::begin(const FlowVector& initial,
                clients_->empirical_flow().end());
   ledger_ =
       std::make_unique<FlowLedger>(instance_->path_count(), options.shards);
-  store_->publish(std::make_shared<BoardSnapshot>(*instance_, *policy_,
-                                                  /*epoch=*/0, /*now=*/0.0,
-                                                  flow_));
+  board_ = std::make_unique<BoardSnapshot>(*instance_, *policy_,
+                                           /*epoch=*/0, /*now=*/0.0, flow_);
 
   // Shard s owns clients {s, s + shards, s + 2*shards, ...}.
   shard_clients_.resize(options.shards);
@@ -133,9 +128,8 @@ void EpochEngine::serve_sub_batch(std::size_t b) {
       faults::busy_wait_us(slow_us);
     }
   }
-  // The RCU read path: pin this epoch's board for the whole batch.
-  const SnapshotPtr snap = store_->acquire();
-  const std::span<const double> latency = snap->board().path_latency();
+  const BoardSnapshot& board = *board_;
+  const std::span<const double> latency = board.board().path_latency();
   const MigrationRule& rule = policy_->migration();
   Population& clients = *clients_;
   FlowLedger& ledger = *ledger_;
@@ -152,7 +146,7 @@ void EpochEngine::serve_sub_batch(std::size_t b) {
     const Commodity& commodity = instance_->commodity(c);
 
     // Step (1): sample a candidate from the precomputed CDF.
-    const std::size_t sampled = snap->guided_cdf(c).sample(rng);
+    const std::size_t sampled = board.guided_cdf(c).sample(rng);
 
     // Step (2): migrate with probability mu(l_P, l_Q). Every rule is
     // selfish (mu == 0 unless l_Q < l_P, see MigrationRule), and
@@ -289,15 +283,11 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
   stage.batches = planned;
   ledger_->ensure_slots(stage.batches);
 
-  // The epoch task graph: serve -> fold -> {next snapshot build ->
-  // publish, summary}. The snapshot's board post and per-commodity CDF
-  // nodes overlap the summary; everything after fold reads the folded
-  // flow, nothing writes shared state concurrently — and nothing outside
-  // this engine at all, so epochs of distinct engines coexist in one
-  // graph.
-  stage.served = store_->acquire();
+  // The epoch task graph: serve -> fold -> {next board, summary}. Both
+  // nodes after fold read the folded flow and write only their own
+  // stage fields — and nothing outside this engine at all, so epochs of
+  // distinct engines coexist in one graph.
   stage.totals = FlowLedger::Totals{};
-  stage.next.reset();
   stage.summary = EpochSummary{};
 
   std::vector<TaskGraph::NodeId> serve_nodes;
@@ -308,31 +298,13 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
   const TaskGraph::NodeId fold = graph.add(
       [this] { stage_.totals = ledger_->fold_into(flow_, stage_.batches); },
       std::span<const TaskGraph::NodeId>(serve_nodes));
-  const TaskGraph::NodeId post = graph.add(
+  graph.add(
       [this, e, T] {
-        stage_.next = std::make_shared<BoardSnapshot>(
-            BoardSnapshot::DeferCdf{}, *instance_, *policy_, e + 1,
-            static_cast<double>(e + 1) * T, flow_);
+        stage_.next = std::make_unique<BoardSnapshot>(
+            *instance_, *policy_, e + 1, static_cast<double>(e + 1) * T,
+            flow_);
       },
       {fold});
-  std::vector<TaskGraph::NodeId> cdf_nodes;
-  cdf_nodes.reserve(instance_->commodity_count());
-  for (std::size_t c = 0; c < instance_->commodity_count(); ++c) {
-    cdf_nodes.push_back(graph.add(
-        [this, c] { stage_.next->build_cdf(CommodityId{c}); }, {post}));
-  }
-  // The phase boundary: the board swap happens inside the graph, as soon
-  // as the snapshot is complete.
-  if (cdf_nodes.empty()) cdf_nodes.push_back(post);
-  graph.add(
-      [this] {
-        store_->publish(std::move(stage_.next));
-        if (trace::active() && !stage_.trace_drop) {
-          trace::instant(trace::EventKind::kSnapshotPublish, trace_tenant_,
-                         stage_.trace_epoch + 1, /*arg=*/0, /*value=*/0);
-        }
-      },
-      std::span<const TaskGraph::NodeId>(cdf_nodes));
   graph.add([this] { summarize(); }, {fold});
 }
 
@@ -353,10 +325,10 @@ void EpochEngine::summarize() {
   stage.summary.wardrop_gap = wardrop_gap(*instance_, flow_);
   double board_latency = 0.0;
   double board_volume = 0.0;
+  const BulletinBoard& board = board_->board();
   for (std::size_t p = 0; p < instance_->path_count(); ++p) {
-    board_latency += stage.served->board().path_flow()[p] *
-                     stage.served->board().path_latency()[p];
-    board_volume += stage.served->board().path_flow()[p];
+    board_latency += board.path_flow()[p] * board.path_latency()[p];
+    board_volume += board.path_flow()[p];
   }
   stage.summary.board_latency =
       board_volume > 0.0 ? board_latency / board_volume : 0.0;
@@ -366,7 +338,7 @@ void EpochEngine::summarize() {
   // this epoch's per-path served counts.
   stage.epoch_route.reset();
   const std::span<const std::uint64_t> served = ledger_->served();
-  const std::span<const double> latency = stage.served->board().path_latency();
+  const std::span<const double> latency = board.path_latency();
   for (std::size_t p = 0; p < served.size(); ++p) {
     if (served[p] != 0) stage.epoch_route.record(latency[p], served[p]);
   }
@@ -385,8 +357,13 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   epoch_in_flight_ = false;
   EpochStage& stage = stage_;
 
-  // Phase boundary: the summary, the snapshot build and the publish
-  // already ran inside the graph; record the epoch.
+  // Phase boundary: the summary and the next board were built inside the
+  // graph; serve the new board from the next epoch on and record this one.
+  board_.swap(stage.next);
+  if (trace::active() && !stage.trace_drop) {
+    trace::instant(trace::EventKind::kSnapshotPublish, trace_tenant_,
+                   stage.trace_epoch + 1, /*arg=*/0, /*value=*/0);
+  }
   run_route_.merge(stage.epoch_route);
   if (options_.record_latency) {
     stage.summary.queries_per_second =
@@ -399,7 +376,6 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   total_migrations_ += stage.totals.migrations;
   epochs_.push_back(stage.summary);
   if (observer) observer(stage.summary);
-  stage.served.reset();
 
   static trace::Counter& epochs_counter =
       trace::MetricsRegistry::global().counter("engine.epochs");
@@ -454,10 +430,12 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
         "EpochEngine::restore: more cuts than the epoch budget");
   }
   const EngineCheckpoint& last = cuts.back();
-  if (last.flow.size() != instance_->path_count()) {
+  // The tolerance begin() applies to the start: a WAL cut carries an
+  // FNV checksum and no MAC, so its flow is outside input.
+  if (!is_feasible(*instance_, last.flow, 1e-7)) {
     throw std::invalid_argument(
-        "EpochEngine::restore: flow does not match the instance's path "
-        "count");
+        "EpochEngine::restore: infeasible flow (wrong path count, "
+        "negative, non-finite or not summing to each commodity's demand)");
   }
   if (last.client_paths.size() != clients_->size()) {
     throw std::invalid_argument(
@@ -495,13 +473,13 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
     }
   }
 
-  // Re-publish the board the checkpointed process was serving against:
-  // the epoch-n post of the restored flow — the same bits finish_epoch
-  // published, because the flow doubles round-tripped exactly.
+  // Rebuild the board the checkpointed process was serving against: the
+  // epoch-n post of the restored flow — the same bits the board node
+  // built, because the flow doubles round-tripped exactly.
   const auto n = static_cast<std::uint64_t>(cuts.size());
-  store_->publish(std::make_shared<BoardSnapshot>(
+  board_ = std::make_unique<BoardSnapshot>(
       *instance_, *policy_, n,
-      static_cast<double>(n) * options_.update_period, flow_));
+      static_cast<double>(n) * options_.update_period, flow_);
 }
 
 RouteServerResult EpochEngine::finish(double wall_seconds) {

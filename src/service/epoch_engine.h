@@ -3,16 +3,17 @@
 //
 // An EpochEngine owns everything one serving instance mutates — its
 // client Population, master flow, sharded FlowLedger, sub-batch contexts,
-// RNG streams and accumulating result — and borrows the SnapshotStore it
-// publishes to. The host drives the epoch cycle explicitly:
+// RNG streams, accumulating result and its boards: the one it serves and
+// the one it builds for the next epoch. The host drives the epoch cycle
+// explicitly:
 //
-//   EpochEngine engine(instance, policy, workload, store);
+//   EpochEngine engine(instance, policy, workload);
 //   engine.begin(initial, options);
 //   while (!engine.done()) {
 //     TaskGraph graph;
 //     engine.add_epoch(graph);        // plan + append this epoch's nodes
-//     executor.run(graph);            // serve -> fold -> {snapshot, summary}
-//     engine.finish_epoch(seconds, observer);  // merge, record
+//     executor.run(graph);            // serve -> fold -> {board, summary}
+//     engine.finish_epoch(seconds, observer);  // swap boards, record
 //   }
 //   RouteServerResult result = engine.finish(wall_seconds);
 //
@@ -30,13 +31,15 @@
 // depends on which threads run its nodes or on what other engines' nodes
 // are interleaved with them.
 //
-// One schedule: serve -> fold -> {post -> CDF -> publish, summary}. Every
-// epoch's graph holds its serve nodes, the fold, the next board's post,
-// one CDF node per commodity and an in-graph publish after them, and the
-// epoch's summary/telemetry node, which runs after fold beside the board
-// build. A run takes exactly `epochs` graphs, every graph closes the
-// epoch it serves, and checkpoint() reads the engine's live state at the
-// boundary that graph closed — the recovery WAL's cut.
+// One schedule: serve×B -> fold -> {board, summary}, B + 3 nodes. The
+// board node builds the next epoch's BoardSnapshot (post and every
+// commodity's CDF) from the folded flow while the summary node reads the
+// served board; finish_epoch, on the host thread after the graph ran,
+// swaps the new board in. Every reader of a board sits in the engine's
+// own graph, ordered by its edges, so a board needs no lock. A run takes
+// exactly `epochs` graphs, every graph closes the epoch it serves, and
+// checkpoint() reads the engine's live state at the boundary that graph
+// closed — the recovery WAL's cut.
 #pragma once
 
 #include <cstddef>
@@ -76,14 +79,20 @@ struct alignas(64) SubBatchContext {
 
 class EpochEngine {
  public:
-  /// The instance, policy, workload and store must outlive the engine.
+  /// The instance, policy and workload must outlive the engine.
   EpochEngine(const Instance& instance, const Policy& policy,
-              const WorkloadGenerator& workload, SnapshotStore& store);
+              const WorkloadGenerator& workload);
+
+  /// Ignored; kept only because perfbench/ uses it; the next benchmark
+  /// change deletes it.
+  EpochEngine(const Instance& instance, const Policy& policy,
+              const WorkloadGenerator& workload, SnapshotStore&)
+      : EpochEngine(instance, policy, workload) {}
 
   /// Validates the options (the RouteServer::run contract: positive
   /// period, at least one epoch, shards in [1, num_clients], client state
   /// within physical memory, feasible start, ...; `threads` is ignored —
-  /// the host supplies execution) and publishes the epoch-0 snapshot.
+  /// the host supplies execution) and builds the epoch-0 board.
   /// Must be called exactly once, before any epoch.
   void begin(const FlowVector& initial, const RouteServerOptions& options);
 
@@ -93,21 +102,21 @@ class EpochEngine {
 
   /// Plans the next epoch (workload arrivals, the deterministic sub-batch
   /// plan, one Rng stream per sub-batch in canonical order) and appends
-  /// its serve -> fold -> board post -> per-commodity CDF -> publish nodes
-  /// to `graph`, plus its summary node after fold. The appended nodes
-  /// touch only this engine, so several engines may append to the same
-  /// graph.
+  /// its serve -> fold -> next-board nodes to `graph`, plus its summary
+  /// node after fold. The appended nodes touch only this engine, so
+  /// several engines may append to the same graph.
   /// Exactly one graph may be in flight per engine: add_epoch / run /
   /// finish_epoch, in order.
   void add_epoch(TaskGraph& graph);
 
   /// Completes the epoch the last add_epoch's graph served (the graph must
-  /// have run): merges its route histogram into the run result and
-  /// records its summary (calling `observer` if set). `epoch_seconds` is
-  /// the wall-clock the host measured for the graph; the epoch's
-  /// queries_per_second (when latency recording is on) divides by it. A
-  /// multi-tenant host passes the whole round's wall time, so per-epoch
-  /// qps then reads "queries per round-second".
+  /// have run): makes the board it built current, merges its route
+  /// histogram into the run result and records its summary (calling
+  /// `observer` if set). `epoch_seconds` is the wall-clock the host
+  /// measured for the graph; the epoch's queries_per_second (when
+  /// latency recording is on) divides by it. A multi-tenant host passes
+  /// the whole round's wall time, so per-epoch qps then reads "queries
+  /// per round-second".
   void finish_epoch(double epoch_seconds, const EpochObserver& observer);
 
   /// Finalizes and returns the run result (final flow and gap, wall-clock
@@ -134,29 +143,29 @@ class EpochEngine {
 
   /// Restores a run prefix: `cuts` must be the checkpoints of epochs
   /// 0..n-1 in order (contiguous summary.epoch values). Must be called
-  /// after begin() and before any epoch is served; publishes the epoch-n
+  /// after begin() and before any epoch is served; builds the epoch-n
   /// board so serving continues exactly where the checkpointed run stood.
   /// Throws std::invalid_argument on non-contiguous cuts, more cuts than
   /// the epoch budget, or state that does not fit this configuration
-  /// (wrong path count, client count, or an out-of-range client path).
+  /// (wrong path count, an infeasible flow, wrong client count, or an
+  /// out-of-range client path).
   /// Wall-clock telemetry is not restored — it is not replayable state —
   /// so resumed runs report wall figures for the new process only.
   void restore(std::span<const EngineCheckpoint> cuts);
 
  private:
   /// Everything the in-flight epoch stages: its sub-batch contexts, the
-  /// snapshot it served against, the fold totals, the board it builds and
-  /// its telemetry accumulators. It keeps the last finished epoch's route
-  /// histogram until the next add_epoch (checkpoint() reads it). The
-  /// trace fields are wall-clock labelling only — trace_drop is true
-  /// while a drop-telemetry fault window covers the epoch (the engine then
-  /// emits no spans; the kFaultSpan marker itself still fires).
+  /// fold totals, the board it builds and its telemetry accumulators. It
+  /// keeps the last finished epoch's route histogram until the next
+  /// add_epoch (checkpoint() reads it). The trace fields are wall-clock
+  /// labelling only — trace_drop is true while a drop-telemetry fault
+  /// window covers the epoch (the engine then emits no spans; the
+  /// kFaultSpan marker itself still fires).
   struct EpochStage {
     std::vector<detail::SubBatchContext> ctx;  // high-water pool
     std::size_t batches = 0;  // sub-batches planned for this epoch
-    SnapshotPtr served;       // the board this epoch served against
     FlowLedger::Totals totals;
-    std::shared_ptr<BoardSnapshot> next;
+    std::unique_ptr<BoardSnapshot> next;
     EpochSummary summary;
     LogHistogram epoch_route;  // board latency of each served path, by
                                // the fold's per-path served counts
@@ -173,7 +182,6 @@ class EpochEngine {
   const Instance* instance_;
   const Policy* policy_;
   const WorkloadGenerator* workload_;
-  SnapshotStore* store_;
 
   RouteServerOptions options_;
   Rng master_{0};
@@ -181,6 +189,7 @@ class EpochEngine {
   std::vector<double> flow_;
   std::unique_ptr<FlowLedger> ledger_;
   std::vector<std::size_t> shard_clients_;  // clients per logical shard
+  std::unique_ptr<BoardSnapshot> board_;    // the board being served
 
   EpochStage stage_;
   bool epoch_in_flight_ = false;

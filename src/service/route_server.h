@@ -1,14 +1,15 @@
 // The online stale-routing engine: the paper's bulletin-board dynamics
 // run as a service.
 //
-// A RouteServer owns a client Population, an epoch-swapped SnapshotStore
-// and a sharded FlowLedger. Each epoch of length T it answers a batch of
-// RouteQuery requests against the *current* (stale) snapshot — sample a
-// candidate path with the policy's precomputed CDF, migrate with
-// probability mu(l_P, l_Q) — while per-shard accumulators record the flow
-// movement. At the phase boundary the shards are folded into the master
-// flow and the next BoardSnapshot is published from it, so served traffic
-// IS the flow that determines the next board, exactly Eq. (3)'s loop.
+// A RouteServer runs one EpochEngine, which owns a client Population, the
+// current BoardSnapshot and a sharded FlowLedger. Each epoch of length T
+// it answers a batch of RouteQuery requests against the *current* (stale)
+// board — sample a candidate path with the policy's precomputed CDF,
+// migrate with probability mu(l_P, l_Q) — while per-shard accumulators
+// record the flow movement. At the phase boundary the shards are folded
+// into the master flow and the next BoardSnapshot is built from it, so
+// served traffic IS the flow that determines the next board, exactly
+// Eq. (3)'s loop.
 //
 // Determinism contract (mirrors the sweep engine): clients are
 // partitioned over a FIXED number of logical shards (client % shards);
@@ -26,9 +27,9 @@
 // the split threshold reproduce the PR-2/PR-3 per-shard dynamics exactly.
 //
 // Each epoch is one task graph (src/exec/): serve nodes feed a fold node,
-// which feeds BOTH the next snapshot's build (board post, then one CDF
-// node per commodity) and the telemetry summary node, so the snapshot
-// build overlaps the summary instead of serializing after it.
+// which feeds BOTH the next board's build (post and every commodity's
+// CDF, one node) and the telemetry summary node, so the board build
+// overlaps the summary instead of serializing after it.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +42,6 @@
 #include "net/flow.h"
 #include "net/instance.h"
 #include "service/checkpoint.h"
-#include "service/snapshot.h"
 #include "service/telemetry.h"
 #include "service/workload.h"
 #include "util/log_histogram.h"

@@ -1,19 +1,15 @@
-// Epoch-swapped bulletin boards: the read side of the route service.
+// Epoch-frozen bulletin boards: the read side of the route service.
 //
 // The paper's bulletin board is rebuilt once per period T and frozen in
 // between — exactly the shape of a production routing snapshot. A
 // BoardSnapshot wraps one frozen BulletinBoard together with everything a
 // query needs precomputed (per-commodity sampling CDFs with guide tables,
-// an O(1) expected-time candidate lookup per query), and the SnapshotStore
-// swaps snapshots RCU-style: readers acquire() a shared_ptr (a pointer
-// copy under a short lock, once per serving batch, never per query),
-// writers publish() the next epoch and the old board dies when its last
-// reader drops it.
+// an O(1) expected-time candidate lookup per query). Each EpochEngine
+// owns the board it serves and the one it builds for the next epoch, and
+// swaps them at the phase boundary on its host thread.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -27,8 +23,10 @@ namespace staleflow {
 /// threads once fully constructed (i.e. after every CDF is built).
 class BoardSnapshot {
  public:
-  /// Tag selecting the two-phase build of the epoch graph: one post node,
-  /// then one CDF node per commodity.
+  /// Tag selecting the two-phase build the full constructor runs. The
+  /// tag, that constructor and build_cdf() are public only because
+  /// perfbench/ times the build through them; the next benchmark change
+  /// makes them private.
   struct DeferCdf {};
 
   /// Posts `path_flow` at time `now` and precomputes the sampling CDF of
@@ -37,18 +35,15 @@ class BoardSnapshot {
                 std::uint64_t epoch, double now,
                 std::span<const double> path_flow);
 
-  /// Two-phase build for the execution layer: posts the board and sizes
-  /// the CDF table but leaves every commodity's CDF empty. The owner must
-  /// call build_cdf() for every commodity before publishing — distinct
-  /// commodities may be built concurrently (they write disjoint rows),
-  /// which is how the epoch task graph parallelizes the snapshot build.
+  /// Two-phase build: posts the board and sizes the CDF table but leaves
+  /// every commodity's CDF empty; build_cdf() must then fill each one
+  /// before the snapshot is read. The full constructor above is this
+  /// plus build_cdf() for every commodity.
   BoardSnapshot(DeferCdf, const Instance& instance, const Policy& policy,
                 std::uint64_t epoch, double now,
                 std::span<const double> path_flow);
 
-  /// Fills commodity `c`'s sampling CDF from the posted board. Safe to
-  /// call concurrently for distinct commodities; must not race readers
-  /// (call before the snapshot is published).
+  /// Fills commodity `c`'s sampling CDF from the posted board.
   void build_cdf(CommodityId c);
 
   std::uint64_t epoch() const noexcept { return epoch_; }
@@ -72,35 +67,8 @@ class BoardSnapshot {
   std::vector<GuidedCdf> cdf_;  // by commodity
 };
 
-using SnapshotPtr = std::shared_ptr<const BoardSnapshot>;
-
-/// Swappable current-snapshot holder. acquire() and publish() may race
-/// freely; a reader keeps its snapshot alive for as long as it holds the
-/// pointer, so queries never observe a half-updated board. The lock
-/// guards only the pointer copy or swap. (libstdc++ 12's
-/// std::atomic<shared_ptr> is a spin lock too, but its load() releases it
-/// with a relaxed store, which ThreadSanitizer rightly reports as a race
-/// with the next store().)
-class SnapshotStore {
- public:
-  /// Current snapshot, or nullptr before the first publish().
-  SnapshotPtr acquire() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return current_;
-  }
-
-  /// Makes `next` current. The replaced board is released after the lock
-  /// is dropped, so its destruction never delays a reader.
-  void publish(SnapshotPtr next) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      current_.swap(next);
-    }
-  }
-
- private:
-  mutable std::mutex mutex_;
-  SnapshotPtr current_;
-};
+/// Ignored; kept only because perfbench/ uses it; the next benchmark
+/// change deletes it.
+struct SnapshotStore {};
 
 }  // namespace staleflow

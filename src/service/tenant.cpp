@@ -190,7 +190,6 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
   // Spin up one engine per tenant. begin() validates each tenant's
   // options before ANY tenant serves, so a bad tenant fails the run
   // up front instead of mid-multiplex.
-  std::vector<SnapshotStore> stores(tenants_.size());
   std::vector<std::unique_ptr<EpochEngine>> owned;
   std::vector<EpochEngine*> engines;
   std::vector<std::size_t> weights;
@@ -202,7 +201,7 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     Tenant& tenant = tenants_[i];
     owned.push_back(std::make_unique<EpochEngine>(
-        *tenant.instance, *tenant.policy, *tenant.workload, stores[i]));
+        *tenant.instance, *tenant.policy, *tenant.workload));
     EpochEngine& engine = *owned.back();
     engine.set_trace_tenant(static_cast<std::uint32_t>(i));
     engine.begin(FlowVector::uniform(*tenant.instance), tenant.options.server);

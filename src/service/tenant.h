@@ -4,10 +4,10 @@
 // The paper's bulletin board is one shared stale view serving many
 // selfish clients; a production host runs MANY such boards — independent
 // tenants, each with its own scenario, policy, workload, client fleet,
-// snapshot store and telemetry stream — on one worker pool. TenantRegistry
+// boards and telemetry stream — on one worker pool. TenantRegistry
 // is that host. Each tenant is an EpochEngine; a scheduler round builds
 // one combined TaskGraph holding one epoch per scheduled tenant (the
-// engines share no mutable state, so their serve/fold/snapshot nodes
+// engines share no mutable state, so their serve/fold/board nodes
 // interleave freely on the pool) and runs it on the caller's Executor.
 //
 // Scheduling is weighted round-robin over epochs: per round every
@@ -44,7 +44,6 @@
 #include "net/instance.h"
 #include "service/checkpoint.h"
 #include "service/route_server.h"
-#include "service/snapshot.h"
 #include "service/workload.h"
 
 namespace staleflow {

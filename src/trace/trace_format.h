@@ -58,7 +58,7 @@ enum class TraceRecordType : std::uint32_t {
 /// What a span (or instant: begin == end) measures. Values are part of
 /// the on-disk format — append, never renumber.
 enum class EventKind : std::uint16_t {
-  /// One engine epoch, plan through publish. tenant = registry index
+  /// One engine epoch, plan through board swap. tenant = registry index
   /// (0 for a solo server), epoch = board epoch, value = queries served.
   kEpochSpan = 1,
   /// One serving sub-batch task. arg packs
@@ -68,7 +68,8 @@ enum class EventKind : std::uint16_t {
   /// readers mask off. Recorded from the worker thread that ran the task,
   /// so the enclosing event batch's worker id attributes it.
   kSubBatchSpan = 2,
-  /// The RCU snapshot publish at a phase boundary (instant).
+  /// An engine's board swap at a phase boundary (instant): epoch = the
+  /// epoch the new board serves.
   kSnapshotPublish = 3,
   /// One multi-tenant scheduler round: combined graph build + run +
   /// finish. arg = number of tenants scheduled, value = round number.

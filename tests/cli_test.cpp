@@ -573,6 +573,25 @@ TEST_F(Cli, PipelinedCrashImagesRecoverAndResume) {
   });
 }
 
+TEST_F(Cli, InfeasibleCutIsACorruptWal) {
+  // tests/data/infeasible-cut.wal: braess/replicator, closed-loop:800,
+  // 400 clients, 2 shards, seed 5, 10 epochs, crashed after 4 committed
+  // cuts, with flow[0] = 1e300 in cuts 2 and 3 under valid checksums.
+  // Restoring either cut is refused (exit 2); the log itself still reads.
+  fs::copy_file(fs::path(STALEFLOW_TEST_DATA) / "infeasible-cut.wal",
+                "infeasible.wal", fs::copy_options::overwrite_existing);
+  run_rows({
+      {kWalReplay, {"info", "infeasible.wal"}, 0,
+       {out("\nrounds=4 clean_shutdown=0 truncated=0 "), out(" cuts=4 ")}},
+      {kRouteServer, {"run", "--resume", "infeasible.wal", "--quiet"}, 2,
+       {err("infeasible flow")}},
+      {kWalReplay,
+       {"replay", "infeasible.wal", "--epoch", "3", "--epochs", "1"},
+       2,
+       {err("infeasible flow")}},
+  });
+}
+
 TEST_F(Cli, FaultedTracedAndLoggedRunsExitClean) {
   // The byte-pushing paths (fault windows, trace rings, WAL write, cut
   // recovery, resume and replay) end to end; under the sanitizer build

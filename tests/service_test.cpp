@@ -1,4 +1,4 @@
-// Tests for the route service engine: snapshot store, sharded ledger,
+// Tests for the route service engine: board snapshots, sharded ledger,
 // client population, workload generators, the RouteServer pipeline and
 // its thread-count determinism contract, plus the BulletinBoard edge
 // cases at the simulator/service boundary.
@@ -16,7 +16,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "agents/agent_simulator.h"
@@ -174,59 +173,7 @@ TEST(Population, OneCommodityMapsEveryClientToCommodityZero) {
   EXPECT_EQ(population.clients_of(CommodityId{0}), population.size());
 }
 
-// ------------------------------------------------------------ SnapshotStore
-
-TEST(SnapshotStore, EmptyUntilFirstPublish) {
-  SnapshotStore store;
-  EXPECT_EQ(store.acquire(), nullptr);
-}
-
-TEST(SnapshotStore, SwapKeepsOldSnapshotAliveForReaders) {
-  const Instance instance = braess(true);
-  const Policy policy = make_replicator_policy(instance);
-  const FlowVector flow = FlowVector::uniform(instance);
-
-  SnapshotStore store;
-  store.publish(std::make_shared<BoardSnapshot>(instance, policy, 1, 0.0,
-                                                flow.values()));
-  const SnapshotPtr reader = store.acquire();
-  ASSERT_NE(reader, nullptr);
-  EXPECT_EQ(reader->epoch(), 1u);
-
-  store.publish(std::make_shared<BoardSnapshot>(instance, policy, 2, 0.1,
-                                                flow.values()));
-  // The old epoch stays valid for the reader that pinned it.
-  EXPECT_EQ(reader->epoch(), 1u);
-  EXPECT_EQ(store.acquire()->epoch(), 2u);
-  EXPECT_DOUBLE_EQ(reader->board().posted_at(), 0.0);
-}
-
-TEST(SnapshotStore, ConcurrentReadersAndPublisher) {
-  const Instance instance = braess(true);
-  const Policy policy = make_replicator_policy(instance);
-  const FlowVector flow = FlowVector::uniform(instance);
-
-  SnapshotStore store;
-  store.publish(std::make_shared<BoardSnapshot>(instance, policy, 0, 0.0,
-                                                flow.values()));
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&store] {
-      for (int i = 0; i < 2000; ++i) {
-        const SnapshotPtr snapshot = store.acquire();
-        ASSERT_NE(snapshot, nullptr);
-        // The pinned snapshot is internally consistent at all times.
-        ASSERT_EQ(snapshot->board().posted_at(),
-                  0.1 * static_cast<double>(snapshot->epoch()));
-      }
-    });
-  }
-  for (std::uint64_t e = 1; e <= 500; ++e) {
-    store.publish(std::make_shared<BoardSnapshot>(
-        instance, policy, e, 0.1 * static_cast<double>(e), flow.values()));
-  }
-  for (std::thread& t : readers) t.join();
-}
+// ------------------------------------------------------------ BoardSnapshot
 
 TEST(BoardSnapshot, CdfIsMonotoneAndEndsAtOne) {
   const Instance instance = uniform_parallel_links(8, 0.5, 1.0);
@@ -473,8 +420,7 @@ TEST(EpochEngine, HugeEpochBudgetBeginsAndServesOneEpoch) {
   const WorkloadPtr workload = closed_loop_workload(100);
   RouteServerOptions options = small_options();
   options.epochs = 100'000'000'000;
-  SnapshotStore store;
-  EpochEngine engine(instance, policy, *workload, store);
+  EpochEngine engine(instance, policy, *workload);
   engine.begin(FlowVector::uniform(instance), options);
   TaskGraph graph;
   engine.add_epoch(graph);
@@ -504,8 +450,7 @@ TEST(EpochEngine, ClientStateBeyondPhysicalMemoryIsRejectedBeforeAllocating) {
   const WorkloadPtr workload = closed_loop_workload(100);
   RouteServerOptions options = small_options();
   options.num_clients = kClients;
-  SnapshotStore store;
-  EpochEngine engine(instance, policy, *workload, store);
+  EpochEngine engine(instance, policy, *workload);
   try {
     engine.begin(FlowVector::uniform(instance), options);
     FAIL() << "begin() accepted 2^32 - 1 clients";
@@ -514,8 +459,37 @@ TEST(EpochEngine, ClientStateBeyondPhysicalMemoryIsRejectedBeforeAllocating) {
     EXPECT_NE(what.find("physical memory"), std::string::npos) << what;
     EXPECT_NE(what.find("4 B per client"), std::string::npos) << what;
   }
-  // Rejected before the population or the first board was built.
-  EXPECT_EQ(store.acquire(), nullptr);
+  // Rejected before the population or the first board was built: the
+  // engine is still unbegun.
+  TaskGraph graph;
+  EXPECT_THROW(engine.add_epoch(graph), std::logic_error);
+}
+
+TEST(EpochEngine, EpochGraphIsTheServeNodesPlusFoldBoardAndSummary) {
+  // serve x B -> fold -> {board, summary}: three nodes beside the serve
+  // nodes, whatever the commodity count. 4000 closed-loop queries over 8
+  // shards of 125 clients, at most 100 per serve node, split each shard.
+  const WorkloadPtr workload = closed_loop_workload(4000);
+  RouteServerOptions options = small_options();
+  options.sub_batch_queries = 100;
+  const std::size_t planned =
+      options.shards * sub_batch_count(4000 / options.shards, 100,
+                                       options.num_clients / options.shards);
+  ASSERT_GT(planned, options.shards);
+  const auto check = [&](const Instance& instance) {
+    const Policy policy = make_replicator_policy(instance);
+    EpochEngine engine(instance, policy, *workload);
+    engine.begin(FlowVector::uniform(instance), options);
+    TaskGraph graph;
+    engine.add_epoch(graph);
+    EXPECT_EQ(graph.size(), planned + 3)
+        << instance.commodity_count() << " commodities";
+    Executor().run(graph);
+    engine.finish_epoch(0.0, nullptr);
+    EXPECT_EQ(engine.checkpoint().summary.queries, 4000u);
+  };
+  check(braess(true));
+  check(uneven_commodities());
 }
 
 TEST(EpochEngine, RestoreRejectsAClientPathOutOfItsCommoditysRange) {
@@ -528,8 +502,7 @@ TEST(EpochEngine, RestoreRejectsAClientPathOutOfItsCommoditysRange) {
   const RouteServerOptions options = small_options();
   const FlowVector initial = FlowVector::uniform(instance);
 
-  SnapshotStore store;
-  EpochEngine served(instance, policy, *workload, store);
+  EpochEngine served(instance, policy, *workload);
   served.begin(initial, options);
   TaskGraph graph;
   served.add_epoch(graph);
@@ -544,13 +517,15 @@ TEST(EpochEngine, RestoreRejectsAClientPathOutOfItsCommoditysRange) {
   const std::size_t first_of_1 = population.first_client(CommodityId{1});
   ASSERT_EQ(population.commodity_of(last_of_0), CommodityId{0});
 
+  const auto restore_cut = [&](const EngineCheckpoint& tampered) {
+    EpochEngine fresh(instance, policy, *workload);
+    fresh.begin(initial, options);
+    fresh.restore(std::span<const EngineCheckpoint>(&tampered, 1));
+  };
   const auto restore = [&](std::size_t client, std::uint32_t path) {
     EngineCheckpoint tampered = cut;
     tampered.client_paths[client] = path;
-    SnapshotStore fresh_store;
-    EpochEngine fresh(instance, policy, *workload, fresh_store);
-    fresh.begin(initial, options);
-    fresh.restore(std::span<const EngineCheckpoint>(&tampered, 1));
+    restore_cut(tampered);
   };
   const auto paths_of = [&](std::size_t c) {
     return static_cast<std::uint32_t>(
@@ -562,6 +537,23 @@ TEST(EpochEngine, RestoreRejectsAClientPathOutOfItsCommoditysRange) {
   // One past it does not.
   EXPECT_THROW(restore(last_of_0, paths_of(0)), std::invalid_argument);
   EXPECT_THROW(restore(first_of_1, paths_of(1)), std::invalid_argument);
+
+  // The cut's flow must be feasible, as begin() demands of the start:
+  // finite, non-negative and summing to each commodity's demand.
+  EXPECT_NO_THROW(restore_cut(cut));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -5.0,
+                           1e300, cut.flow[0] + 0.5}) {
+    EngineCheckpoint tampered = cut;
+    tampered.flow[0] = bad;
+    try {
+      restore_cut(tampered);
+      ADD_FAILURE() << "restored flow[0] = " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("infeasible flow"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RouteServer, LatencyFeedbackClosesTheLoopDeterministically) {
@@ -613,18 +605,6 @@ TEST(RouteServer, ServesEveryArrivalAndConservesFlow) {
   EXPECT_TRUE(is_feasible(instance, result.final_flow.values(), 1e-7));
   EXPECT_GT(result.total_migrations, 0u);
   EXPECT_LE(result.total_migrations, result.total_queries);
-
-  // The published snapshot advanced to the last fold: the server's engine
-  // on a test-owned store, driven by the loop run() uses.
-  SnapshotStore store;
-  EpochEngine engine(instance, policy, *workload, store);
-  engine.begin(FlowVector::uniform(instance), options);
-  Executor executor;
-  EpochEngine* const engines[] = {&engine};
-  const std::size_t weights[] = {1};
-  serve_rounds(executor, engines, weights, 0, {}, nullptr, nullptr, nullptr);
-  ASSERT_NE(store.acquire(), nullptr);
-  EXPECT_EQ(store.acquire()->epoch(), options.epochs);
 }
 
 TEST(RouteServer, ClosesTheLoopTowardEquilibrium) {

@@ -182,10 +182,14 @@ int do_replay(const std::string& path,
   RouteServerOptions options = manifest.options;
   options.record_latency = false;  // replay is deterministic by definition
 
-  SnapshotStore store;
-  EpochEngine engine(host.instance, host.policy, *host.workload, store);
-  engine.begin(FlowVector::uniform(host.instance), options);
-  engine.restore(std::span(cuts).subspan(0, from_epoch));
+  // A WAL the engine refuses (a header option out of range, an
+  // infeasible cut) is corrupt input: a usage error, not a mismatch.
+  EpochEngine engine(host.instance, host.policy, *host.workload);
+  cli::usage_error([&] {
+    engine.begin(FlowVector::uniform(host.instance), options);
+    engine.restore(std::span(cuts).subspan(0, from_epoch));
+    return 0;
+  });
 
   if (!quiet) {
     std::cout << "replaying " << cli::tenant_label(manifest) << " epochs ["
