@@ -128,16 +128,11 @@ void write_cut_tail(binio::Writer& w, const EngineCheckpoint& cut,
   w.f64(LogHistogram::kMinValue);
   w.f64(LogHistogram::kMaxValue);
   w.u32(LogHistogram::kSubBucketBits);
-  std::uint64_t nonzero = 0;
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-    if (h.bucket_value(b) != 0) ++nonzero;
-  }
-  w.u64(nonzero);
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-    const std::uint64_t n = h.bucket_value(b);
-    if (n == 0) continue;
-    w.u64(b);
-    w.u64(n);
+  const std::vector<LogHistogram::Bucket> buckets = h.nonzero_buckets();
+  w.u64(buckets.size());
+  for (const auto& [bucket, count] : buckets) {
+    w.u64(bucket);
+    w.u64(count);
   }
   if (h.empty()) {
     w.f64(0.0);
@@ -150,6 +145,27 @@ void write_cut_tail(binio::Writer& w, const EngineCheckpoint& cut,
   }
   w.u64(digest_so_far);
 }
+
+/// A cut record as recovery reads it: the route histogram stays in its
+/// exported form (nonzero buckets plus min/max/sum), so reading a cut
+/// builds no dense histogram. The fold reuses one RawCut per staged
+/// slot, so every read clears what it refills.
+struct RawCut {
+  CutRecord record;  // record.cut.route_hist stays empty
+  std::vector<LogHistogram::Bucket> buckets;
+  double hist_min = 0.0;
+  double hist_max = 0.0;
+  double hist_sum = 0.0;
+  bool delta = false;
+  std::vector<PathChange> changes;  // a delta's
+  std::uint64_t offset = 0;  // where the cut's frame starts in the file
+
+  /// Merges this cut's route histogram into `hist`, as the engine merges
+  /// each epoch's into its run histogram.
+  void merge_route_into(LogHistogram& hist) const {
+    hist.merge_state(buckets, hist_min, hist_max, hist_sum);
+  }
+};
 
 void read_cut_head(binio::Reader& r, CutRecord& record) {
   record.tenant = r.u32();
@@ -169,11 +185,12 @@ void read_cut_head(binio::Reader& r, CutRecord& record) {
   s.queries_per_second = r.f64();
   for (std::uint64_t& word : record.cut.rng_state) word = r.u64();
   const std::size_t paths = r.count<std::uint64_t>(8);
+  record.cut.flow.clear();
   record.cut.flow.reserve(paths);
   for (std::size_t i = 0; i < paths; ++i) record.cut.flow.push_back(r.f64());
 }
 
-void read_cut_tail(binio::Reader& r, CutRecord& record) {
+void read_cut_tail(binio::Reader& r, RawCut& raw) {
   const double hist_min_value = r.f64();
   const double hist_max_value = r.f64();
   const std::uint32_t hist_bits = r.u32();
@@ -187,27 +204,71 @@ void read_cut_tail(binio::Reader& r, CutRecord& record) {
         "WAL cut: histogram geometry is not the route histogram's");
   }
   const std::size_t nonzero = r.count<std::uint64_t>(16);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
-  buckets.reserve(nonzero);
+  raw.buckets.clear();
+  raw.buckets.reserve(nonzero);
   for (std::size_t i = 0; i < nonzero; ++i) {
     const std::uint64_t bucket = r.u64();
     const std::uint64_t count = r.u64();
-    buckets.emplace_back(bucket, count);
+    raw.buckets.emplace_back(bucket, count);
   }
-  const double hist_min = r.f64();
-  const double hist_max = r.f64();
-  const double hist_sum = r.f64();
+  raw.hist_min = r.f64();
+  raw.hist_max = r.f64();
+  raw.hist_sum = r.f64();
+  // Checked as the record is read, so a cut whose histogram could not
+  // merge ends the trusted prefix here, before its round commits
+  // anything.
   try {
-    record.cut.route_hist =
-        LogHistogram::from_state(buckets, hist_min, hist_max, hist_sum);
+    LogHistogram::check_state(raw.buckets, raw.hist_min, raw.hist_max);
   } catch (const std::invalid_argument& bad) {
     throw std::runtime_error(std::string("WAL cut: bad histogram state: ") +
                              bad.what());
   }
-  record.digest_so_far = r.u64();
+  raw.record.digest_so_far = r.u64();
   if (!r.done()) {
     throw std::runtime_error("WAL cut: trailing bytes in payload");
   }
+}
+
+/// Reads a kEpochCut payload into `raw`.
+void read_epoch_cut(std::string_view payload, RawCut& raw) {
+  binio::Reader r(payload);
+  raw.delta = false;
+  read_cut_head(r, raw.record);
+  const std::size_t clients = r.count<std::uint64_t>(4);
+  std::vector<std::uint32_t>& paths = raw.record.cut.client_paths;
+  paths.clear();
+  paths.reserve(clients);
+  for (std::size_t i = 0; i < clients; ++i) paths.push_back(r.u32());
+  raw.changes.clear();
+  read_cut_tail(r, raw);
+}
+
+/// Reads a kEpochDelta payload into `raw`.
+void read_epoch_delta(std::string_view payload, RawCut& raw) {
+  binio::Reader r(payload);
+  raw.delta = true;
+  read_cut_head(r, raw.record);
+  raw.record.cut.client_paths.clear();
+  const std::size_t changes = r.count<std::uint64_t>(8);
+  raw.changes.clear();
+  raw.changes.reserve(changes);
+  for (std::size_t i = 0; i < changes; ++i) {
+    PathChange change;
+    change.client = r.u32();
+    change.path = r.u32();
+    if (i > 0 && change.client <= raw.changes.back().client) {
+      throw std::runtime_error(
+          "WAL delta: clients not in strictly ascending order");
+    }
+    raw.changes.push_back(change);
+  }
+  read_cut_tail(r, raw);
+}
+
+/// The decoded record with its route histogram rebuilt.
+CutRecord with_route_hist(RawCut&& raw) {
+  raw.merge_route_into(raw.record.cut.route_hist);
+  return std::move(raw.record);
 }
 
 }  // namespace
@@ -223,16 +284,9 @@ std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
 }
 
 CutRecord decode_epoch_cut(std::string_view payload) {
-  binio::Reader r(payload);
-  CutRecord record;
-  read_cut_head(r, record);
-  const std::size_t clients = r.count<std::uint64_t>(4);
-  record.cut.client_paths.reserve(clients);
-  for (std::size_t i = 0; i < clients; ++i) {
-    record.cut.client_paths.push_back(r.u32());
-  }
-  read_cut_tail(r, record);
-  return record;
+  RawCut raw;
+  read_epoch_cut(payload, raw);
+  return with_route_hist(std::move(raw));
 }
 
 std::string encode_epoch_delta(std::uint32_t tenant,
@@ -251,22 +305,11 @@ std::string encode_epoch_delta(std::uint32_t tenant,
 }
 
 DeltaRecord decode_epoch_delta(std::string_view payload) {
-  binio::Reader r(payload);
+  RawCut raw;
+  read_epoch_delta(payload, raw);
   DeltaRecord delta;
-  read_cut_head(r, delta.record);
-  const std::size_t changes = r.count<std::uint64_t>(8);
-  delta.changes.reserve(changes);
-  for (std::size_t i = 0; i < changes; ++i) {
-    PathChange change;
-    change.client = r.u32();
-    change.path = r.u32();
-    if (i > 0 && change.client <= delta.changes.back().client) {
-      throw std::runtime_error(
-          "WAL delta: clients not in strictly ascending order");
-    }
-    delta.changes.push_back(change);
-  }
-  read_cut_tail(r, delta.record);
+  delta.changes = std::move(raw.changes);
+  delta.record = with_route_hist(std::move(raw));
   return delta;
 }
 
@@ -314,58 +357,197 @@ std::vector<std::uint64_t> decode_trailer(std::string_view payload) {
 // recover_wal
 // --------------------------------------------------------------------------
 
+namespace {
+
+std::runtime_error no_run_header(const std::string& path) {
+  return std::runtime_error("recover_wal: '" + path +
+                            "' has no run header — not a resumable WAL");
+}
+
+/// The full state after the cut `raw` closed: its record with `paths`
+/// and its own route histogram, and the run histogram through it.
+BoundaryState boundary_of(const RawCut& raw, std::vector<std::uint32_t> paths,
+                          LogHistogram route_latency) {
+  BoundaryState state;
+  state.cut.summary = raw.record.cut.summary;
+  state.cut.rng_state = raw.record.cut.rng_state;
+  state.cut.flow = raw.record.cut.flow;
+  state.cut.client_paths = std::move(paths);
+  raw.merge_route_into(state.cut.route_hist);
+  state.route_latency = std::move(route_latency);
+  return state;
+}
+
+}  // namespace
+
+RunManifest read_run_header(const std::string& path) {
+  std::optional<RunManifest> manifest;
+  framed_log::scan_frames(
+      path, "WAL", kWalMagic, kMaxRecordType,
+      [&manifest](const framed_log::Frame& frame) {
+        if (frame.type == static_cast<std::uint32_t>(RecordType::kRunHeader)) {
+          manifest = decode_run_header(frame.payload);
+        }
+        return false;
+      });
+  if (!manifest) throw no_run_header(path);
+  return std::move(*manifest);
+}
+
 RecoveredRun recover_wal(const std::string& path,
                          std::optional<CutRef> paths_at) {
-  const framed_log::Scan scan =
-      framed_log::scan_frames(path, "WAL", kWalMagic, kMaxRecordType);
-  if (scan.records.empty() ||
-      scan.records.front().type !=
-          static_cast<std::uint32_t>(RecordType::kRunHeader)) {
-    throw std::runtime_error("recover_wal: '" + path +
-                             "' has no run header — not a resumable WAL");
-  }
-
   RecoveredRun run;
-  const std::string& header = scan.records.front().payload;
-  run.manifest = decode_run_header(header);
-  run.version = binio::Reader(header).u32();
-  const std::size_t tenants = run.manifest.tenants.size();
-  run.cuts.resize(tenants);
-  run.cut_offsets.resize(tenants);
-  run.digests.assign(tenants, fnv::kOffsetBasis);
-  run.credits.assign(tenants, 0);
-  run.truncated = scan.truncated;
-  run.note = scan.note;
-  run.valid_bytes = scan.records.front().end_offset;
+  bool have_header = false;
+  bool stopped = false;
+  std::size_t tenants = 0;
 
   // Cuts stage between round marks; only a round mark commits them. The
-  // scan stops at the first record that is structurally valid but
+  // fold stops at the first record that is structurally valid but
   // semantically impossible (bad tenant index, epoch gap, digest
   // mismatch, a delta without a base, records after the trailer): like a
-  // checksum failure, nothing after it can be trusted.
-  struct StagedCut {
-    CutRecord record;  // a keyframe carries its client paths here
-    bool delta = false;
-    std::vector<PathChange> changes;  // a delta's
-    std::uint64_t offset = 0;  // where the cut's frame starts in the file
-  };
-  std::vector<StagedCut> staged;
+  // checksum failure, nothing after it can be trusted. The first
+  // `staged_count` slots of `staged` are this round's cuts; the slots
+  // and their buffers are reused round after round.
+  std::vector<RawCut> staged;
+  std::size_t staged_count = 0;
   // Per tenant: whether a keyframe, staged or committed, precedes the
   // next record — the base a delta folds onto.
-  std::vector<bool> has_base(tenants, false);
-  // Per tenant: the client paths of its last committed cut.
-  std::vector<std::vector<std::uint32_t>> paths(tenants);
-  const auto stop = [&run, &staged](const std::string& why) {
+  std::vector<bool> has_base;
+  // Per tenant, at its last committed cut: the client paths, the cut as
+  // read, and the route histograms of every committed epoch merged in
+  // epoch order.
+  std::vector<std::vector<std::uint32_t>> paths;
+  std::vector<RawCut> last;
+  std::vector<LogHistogram> merged;
+  const auto stop = [&](const std::string& why) {
     run.truncated = true;
     run.note = why;
-    staged.clear();
+    stopped = true;
+    staged_count = 0;
   };
 
-  for (std::size_t index = 1; index < scan.records.size(); ++index) {
-    const framed_log::Frame& record = scan.records[index];
+  const auto stage_cut = [&](const framed_log::Frame& record) {
+    if (staged_count == staged.size()) staged.emplace_back();
+    RawCut& pending = staged[staged_count];
+    if (record.type == static_cast<std::uint32_t>(RecordType::kEpochCut)) {
+      read_epoch_cut(record.payload, pending);
+    } else if (run.version < 4) {
+      stop("corrupt WAL: delta cut in a v" + std::to_string(run.version) +
+           " file");
+      return;
+    } else {
+      read_epoch_delta(record.payload, pending);
+    }
+    const std::uint32_t tenant = pending.record.tenant;
+    if (tenant >= tenants) {
+      stop("corrupt WAL: cut for unknown tenant");
+      return;
+    }
+    std::size_t expected = run.cuts[tenant].size();
+    std::uint64_t digest = run.digests[tenant];
+    for (std::size_t k = 0; k < staged_count; ++k) {
+      if (staged[k].record.tenant == tenant) {
+        ++expected;
+        digest = staged[k].record.digest_so_far;
+      }
+    }
+    const EpochSummary& summary = pending.record.cut.summary;
+    if (summary.epoch != expected) {
+      stop("corrupt WAL: cut epochs not contiguous");
+      return;
+    }
+    if (telemetry_digest_accumulate(digest, summary) !=
+        pending.record.digest_so_far) {
+      stop("corrupt WAL: cut digest cross-check failed");
+      return;
+    }
+    const std::size_t clients =
+        run.manifest.tenants[tenant].options.num_clients;
+    if (!pending.delta) {
+      if (pending.record.cut.client_paths.size() != clients) {
+        stop("corrupt WAL: keyframe client count differs from the run "
+             "header's");
+        return;
+      }
+      has_base[tenant] = true;
+    } else if (!has_base[tenant]) {
+      stop("corrupt WAL: delta cut without a keyframe base");
+      return;
+    } else if (!pending.changes.empty() &&
+               pending.changes.back().client >= clients) {
+      stop("corrupt WAL: delta cut names a client past the tenant's " +
+           std::to_string(clients));
+      return;
+    }
+    pending.offset = record.offset();
+    ++staged_count;
+  };
+
+  const auto commit_round = [&](const framed_log::Frame& record) {
+    const RoundMark mark = decode_round_mark(record.payload);
+    if (mark.credits.size() != tenants) {
+      stop("corrupt WAL: round mark credit count mismatch");
+      return;
+    }
+    if (mark.rounds != run.rounds + 1) {
+      stop("corrupt WAL: round marks not contiguous");
+      return;
+    }
+    for (std::size_t k = 0; k < staged_count; ++k) {
+      RawCut& pending = staged[k];
+      const std::uint32_t tenant = pending.record.tenant;
+      if (pending.delta) {
+        for (const PathChange& change : pending.changes) {
+          paths[tenant][change.client] = change.path;
+        }
+      } else {
+        paths[tenant].swap(pending.record.cut.client_paths);
+      }
+      pending.merge_route_into(merged[tenant]);
+      const EpochSummary& summary = pending.record.cut.summary;
+      run.cuts[tenant].push_back(summary);
+      run.cut_offsets[tenant].push_back(pending.offset);
+      run.digests[tenant] = pending.record.digest_so_far;
+      if (paths_at && paths_at->tenant == tenant &&
+          paths_at->epoch == summary.epoch) {
+        run.named = boundary_of(pending, paths[tenant], merged[tenant]);
+      }
+      // The slot takes the tenant's previous last cut: its buffers are
+      // reused by the next cut staged there.
+      std::swap(last[tenant], pending);
+    }
+    staged_count = 0;
+    run.rounds = mark.rounds;
+    for (std::size_t i = 0; i < tenants; ++i) {
+      run.credits[i] = static_cast<std::size_t>(mark.credits[i]);
+    }
+    run.valid_bytes = record.end_offset;
+  };
+
+  const auto fold = [&](const framed_log::Frame& record) {
+    if (!have_header) {
+      if (record.type != static_cast<std::uint32_t>(RecordType::kRunHeader)) {
+        throw no_run_header(path);
+      }
+      run.manifest = decode_run_header(record.payload);
+      run.version = binio::Reader(record.payload).u32();
+      tenants = run.manifest.tenants.size();
+      run.cuts.resize(tenants);
+      run.cut_offsets.resize(tenants);
+      run.last.resize(tenants);
+      run.digests.assign(tenants, fnv::kOffsetBasis);
+      run.credits.assign(tenants, 0);
+      run.valid_bytes = record.end_offset;
+      has_base.assign(tenants, false);
+      paths.resize(tenants);
+      last.resize(tenants);
+      merged.resize(tenants);
+      have_header = true;
+      return true;
+    }
     if (run.clean_shutdown) {
       stop("corrupt WAL: record after the clean-shutdown trailer");
-      break;
+      return false;
     }
     try {
       switch (static_cast<RecordType>(record.type)) {
@@ -373,114 +555,18 @@ RecoveredRun recover_wal(const std::string& path,
           stop("corrupt WAL: duplicate run header");
           break;
         case RecordType::kEpochCut:
-        case RecordType::kEpochDelta: {
-          StagedCut pending;
-          pending.delta = record.type == static_cast<std::uint32_t>(
-                                             RecordType::kEpochDelta);
-          if (!pending.delta) {
-            pending.record = decode_epoch_cut(record.payload);
-          } else if (run.version < 4) {
-            stop("corrupt WAL: delta cut in a v" +
-                 std::to_string(run.version) + " file");
-            break;
-          } else {
-            DeltaRecord delta = decode_epoch_delta(record.payload);
-            pending.record = std::move(delta.record);
-            pending.changes = std::move(delta.changes);
-          }
-          const std::uint32_t tenant = pending.record.tenant;
-          if (tenant >= tenants) {
-            stop("corrupt WAL: cut for unknown tenant");
-            break;
-          }
-          std::size_t expected = run.cuts[tenant].size();
-          std::uint64_t digest = run.digests[tenant];
-          for (const StagedCut& earlier : staged) {
-            if (earlier.record.tenant == tenant) {
-              ++expected;
-              digest = earlier.record.digest_so_far;
-            }
-          }
-          if (pending.record.cut.summary.epoch != expected) {
-            stop("corrupt WAL: cut epochs not contiguous");
-            break;
-          }
-          if (telemetry_digest_accumulate(digest,
-                                          pending.record.cut.summary) !=
-              pending.record.digest_so_far) {
-            stop("corrupt WAL: cut digest cross-check failed");
-            break;
-          }
-          const std::size_t clients =
-              run.manifest.tenants[tenant].options.num_clients;
-          if (!pending.delta) {
-            if (pending.record.cut.client_paths.size() != clients) {
-              stop("corrupt WAL: keyframe client count differs from the "
-                   "run header's");
-              break;
-            }
-            has_base[tenant] = true;
-          } else if (!has_base[tenant]) {
-            stop("corrupt WAL: delta cut without a keyframe base");
-            break;
-          } else if (!pending.changes.empty() &&
-                     pending.changes.back().client >= clients) {
-            stop("corrupt WAL: delta cut names a client past the tenant's " +
-                 std::to_string(clients));
-            break;
-          }
-          // Frame start = end offset minus the frame overhead and the
-          // payload itself.
-          pending.offset = record.end_offset - framed_log::kFrameBytes -
-                           record.payload.size();
-          staged.push_back(std::move(pending));
+        case RecordType::kEpochDelta:
+          stage_cut(record);
           break;
-        }
-        case RecordType::kRoundMark: {
-          const RoundMark mark = decode_round_mark(record.payload);
-          if (mark.credits.size() != tenants) {
-            stop("corrupt WAL: round mark credit count mismatch");
-            break;
-          }
-          if (mark.rounds != run.rounds + 1) {
-            stop("corrupt WAL: round marks not contiguous");
-            break;
-          }
-          for (StagedCut& pending : staged) {
-            const std::uint32_t tenant = pending.record.tenant;
-            EngineCheckpoint& cut = pending.record.cut;
-            if (pending.delta) {
-              for (const PathChange& change : pending.changes) {
-                paths[tenant][change.client] = change.path;
-              }
-            } else {
-              paths[tenant] = std::move(cut.client_paths);
-              cut.client_paths.clear();
-            }
-            if (paths_at && paths_at->tenant == tenant &&
-                paths_at->epoch == cut.summary.epoch) {
-              cut.client_paths = paths[tenant];
-            }
-            run.digests[tenant] = pending.record.digest_so_far;
-            run.cuts[tenant].push_back(std::move(cut));
-            run.cut_offsets[tenant].push_back(pending.offset);
-          }
-          staged.clear();
-          run.rounds = mark.rounds;
-          for (std::size_t i = 0; i < tenants; ++i) {
-            run.credits[i] = static_cast<std::size_t>(mark.credits[i]);
-          }
-          run.valid_bytes = record.end_offset;
+        case RecordType::kRoundMark:
+          commit_round(record);
           break;
-        }
         case RecordType::kTrailer: {
-          if (!staged.empty()) {
+          if (staged_count != 0) {
             stop("corrupt WAL: trailer with uncommitted cuts");
             break;
           }
-          const std::vector<std::uint64_t> digests =
-              decode_trailer(record.payload);
-          if (digests != run.digests) {
+          if (decode_trailer(record.payload) != run.digests) {
             stop("corrupt WAL: trailer digests do not match the run");
             break;
           }
@@ -491,22 +577,27 @@ RecoveredRun recover_wal(const std::string& path,
       }
     } catch (const std::runtime_error& bad) {
       stop(std::string("corrupt WAL: ") + bad.what());
-      break;
     }
-    if (run.truncated && run.note.rfind("corrupt WAL:", 0) == 0) break;
-  }
+    return !stopped;
+  };
 
+  const framed_log::Scan scan =
+      framed_log::scan_frames(path, "WAL", kWalMagic, kMaxRecordType, fold);
+  if (!have_header) throw no_run_header(path);
+  if (!stopped) {
+    run.truncated = scan.truncated;
+    run.note = scan.note;
+  }
   // Cuts whose round mark never made it to disk are the torn tail of a
   // mid-round crash: discarded, resume replays that round.
-  if (!staged.empty()) {
+  if (staged_count != 0) {
     run.truncated = true;
     if (run.note.empty()) run.note = "uncommitted cuts without a round mark";
   }
-  // The folded paths belong to each tenant's last committed cut: the one
-  // EpochEngine::restore reads them from.
   for (std::size_t tenant = 0; tenant < tenants; ++tenant) {
     if (!run.cuts[tenant].empty()) {
-      run.cuts[tenant].back().client_paths = std::move(paths[tenant]);
+      run.last[tenant] = boundary_of(last[tenant], std::move(paths[tenant]),
+                                     std::move(merged[tenant]));
     }
   }
   return run;
@@ -516,9 +607,9 @@ RegistryResume registry_resume(const RecoveredRun& run) {
   RegistryResume resume;
   resume.rounds = run.rounds;
   resume.credits = run.credits;
-  resume.cuts.reserve(run.cuts.size());
-  for (const std::vector<EngineCheckpoint>& cuts : run.cuts) {
-    resume.cuts.emplace_back(cuts);
+  resume.tenants.reserve(run.cuts.size());
+  for (std::size_t tenant = 0; tenant < run.cuts.size(); ++tenant) {
+    resume.tenants.push_back({run.cuts[tenant], &run.last[tenant]});
   }
   return resume;
 }

@@ -41,10 +41,19 @@
 // recover_wal() turns a (possibly torn) WAL file back into typed state:
 // the manifest, every tenant's committed cut prefix, the scheduler
 // round/credit state, and whether the run had already finished cleanly.
-// It folds each tenant's delta chain forward, holding full client paths
-// for one cut per tenant: only each tenant's last committed cut carries
-// them (all EpochEngine::restore reads), plus at most one cut the caller
-// names.
+// It streams the file frame by frame and folds each tenant's cuts forward
+// in one pass, as a redo log is recovered: memory tracks tenant state, not
+// run length. What it keeps:
+//   - per committed cut, its summary and its frame offset, nothing more;
+//   - per tenant, the full state (flow, RNG cursor, client paths) of its
+//     last committed cut only — all EpochEngine::restore reads — plus the
+//     state of at most one cut the caller names (a point-in-time replay);
+//   - per tenant, one route histogram: each committed cut's nonzero
+//     (bucket, count) pairs and min/max/sum are merged into it in commit
+//     order, which is epoch order, exactly as the engine merges each
+//     epoch's histogram into its run histogram — so a resumed run's
+//     route_latency equals the uninterrupted run's, its floating sum bit
+//     for bit. The named cut carries the histogram merged up to it.
 // WalLog is the write side the serving CLIs install as their round
 // observer.
 #pragma once
@@ -149,16 +158,25 @@ struct RecoveredRun {
   /// resumed WalLog may append: deltas from v4 on.
   std::uint32_t version = kWalVersion;
 
-  /// Per tenant (manifest order): the committed cut prefix, epochs 0..e
-  /// in order. Empty = that tenant had not finished an epoch yet. Only
-  /// each tenant's last cut (and the cut recover_wal's `paths_at` names)
-  /// carries client_paths; every other cut's is empty.
-  std::vector<std::vector<EngineCheckpoint>> cuts;
+  /// Per tenant (manifest order): the summary of every committed cut,
+  /// epochs 0..e in order. Empty = that tenant had not finished an epoch
+  /// yet. A cut's full state is kept for `last` and `named` alone.
+  std::vector<std::vector<EpochSummary>> cuts;
 
   /// Parallel to `cuts`: the byte offset in the WAL file where each cut
   /// record's frame starts — lets offline tooling correlate a WAL cut
   /// with trace spans and seek straight to it.
   std::vector<std::vector<std::uint64_t>> cut_offsets;
+
+  /// Per tenant: the state after its last committed cut (empty when
+  /// `cuts` is): the cut in full, as the engine captured it, and the
+  /// route histograms of every committed epoch merged in epoch order.
+  std::vector<BoundaryState> last;
+
+  /// The state after the committed cut recover_wal's `paths_at` names,
+  /// with the route histogram merged up to that cut; empty when it names
+  /// none.
+  std::optional<BoundaryState> named;
 
   /// Per tenant: the incremental telemetry digest over its committed
   /// epochs (fnv offset basis when none).
@@ -187,21 +205,28 @@ struct CutRef {
   std::size_t epoch = 0;
 };
 
-/// Scans and decodes `path`. Throws std::runtime_error when the file is
-/// missing, lacks the WAL magic, carries no (or a malformed) run header,
-/// or uses an unknown payload version — those mean "not a resumable WAL",
-/// as opposed to a torn tail, which is recovered from silently (see
-/// RecoveredRun::truncated / note). A delta without a base, out of
-/// order or naming a client past the header's num_clients, and a
-/// keyframe whose client count is not num_clients, end the trusted
+/// Scans and decodes `path` in one streaming pass. Throws
+/// std::runtime_error when the file is missing, lacks the WAL magic,
+/// carries no (or a malformed) run header, or uses an unknown payload
+/// version — those mean "not a resumable WAL", as opposed to a torn tail,
+/// which is recovered from silently (see RecoveredRun::truncated / note).
+/// A delta without a base, out of order or naming a client past the
+/// header's num_clients, a keyframe whose client count is not
+/// num_clients, and a route histogram that cannot merge end the trusted
 /// prefix like any other corrupt record. `paths_at`, when it names a
-/// committed cut, gives that cut its client paths too (a point-in-time
-/// replay restores from it).
+/// committed cut, keeps that cut's full state too (RecoveredRun::named:
+/// a point-in-time replay restores from it).
 RecoveredRun recover_wal(const std::string& path,
                          std::optional<CutRef> paths_at = std::nullopt);
 
-/// View of a RecoveredRun in the shape TenantRegistry::run consumes. The
-/// spans alias `run.cuts`; `run` must outlive the returned value's use.
+/// Reads only the run header of the WAL at `path` — what a caller needs
+/// to name a tenant before it folds the log. Throws as recover_wal does
+/// for a file that is not a resumable WAL.
+RunManifest read_run_header(const std::string& path);
+
+/// View of a RecoveredRun in the shape TenantRegistry::run consumes:
+/// every tenant's summaries and last state. The views alias `run`,
+/// which must outlive the returned value's use.
 RegistryResume registry_resume(const RecoveredRun& run);
 
 /// The write side: owns the open WAL file and the round-mark protocol.

@@ -9,7 +9,11 @@
 // mutations. An EngineCheckpoint is exactly that cut for one engine; a
 // RoundCheckpoint adds the round loop's credit state so a run — solo or
 // multi-tenant — resumes at a scheduler-round boundary with every
-// tenant's interleaving intact.
+// tenant's interleaving intact. A resume (EngineResume) hands an engine
+// the summaries of its finished epochs and ONE BoundaryState — the last
+// cut plus the run histogram merged through it — never a cut per epoch,
+// so what recovery holds does not grow with the run's length beyond the
+// summaries.
 //
 // These are plain service-layer value types: src/recovery/ serializes
 // them into WAL records, the engines produce and consume them, and
@@ -47,8 +51,8 @@ struct EngineCheckpoint {
   /// Each client's current local path index (by client id).
   std::vector<std::uint32_t> client_paths;
 
-  /// Epoch e's route-latency histogram; replaying cuts 0..e in
-  /// order and merging these rebuilds the run distribution exactly.
+  /// Epoch e's route-latency histogram; merging these over epochs 0..e
+  /// in order rebuilds the run distribution exactly.
   LogHistogram route_hist;
 };
 
@@ -72,14 +76,33 @@ struct RoundCheckpoint {
 /// path: a solo run is a one-tenant round loop).
 using RoundCutObserver = std::function<void(const RoundCheckpoint&)>;
 
-/// Restored registry state handed to TenantRegistry::run: per-tenant cut
-/// prefixes (epochs 0..e in order; empty = that tenant starts fresh) plus
-/// the scheduler's round counter and credit vector at the matching round
+/// The full state at one epoch boundary, as a resumed engine reads it:
+/// the cut that closed epoch e and the route histograms of epochs 0..e
+/// merged in epoch order — the run histogram an uninterrupted run holds
+/// at that boundary. Recovery keeps one per tenant, not one per epoch.
+struct BoundaryState {
+  EngineCheckpoint cut;
+  LogHistogram route_latency;
+};
+
+/// A run prefix an engine continues from (EpochEngine::restore): the
+/// summaries of its finished epochs 0..n-1, in order, and the state at
+/// the boundary after epoch n-1 (`at->cut.summary.epoch == n - 1`). No
+/// epochs = start fresh; `at` is then not read. Both views alias state
+/// the caller keeps alive.
+struct EngineResume {
+  std::span<const EpochSummary> epochs;
+  const BoundaryState* at = nullptr;
+};
+
+/// Restored registry state handed to TenantRegistry::run: each tenant's
+/// run prefix (no epochs = that tenant starts fresh) plus the
+/// scheduler's round counter and credit vector at the matching round
 /// boundary.
 struct RegistryResume {
   std::size_t rounds = 0;
-  std::vector<std::size_t> credits;                     // per tenant
-  std::vector<std::span<const EngineCheckpoint>> cuts;  // per tenant
+  std::vector<std::size_t> credits;    // per tenant
+  std::vector<EngineResume> tenants;   // per tenant
 };
 
 }  // namespace staleflow

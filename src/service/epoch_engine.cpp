@@ -416,7 +416,7 @@ EngineCheckpoint EpochEngine::checkpoint() const {
   return cut;
 }
 
-void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
+void EpochEngine::restore(const EngineResume& resume) {
   if (clients_ == nullptr) {
     throw std::logic_error("EpochEngine::restore: begin() first");
   }
@@ -424,12 +424,19 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
     throw std::logic_error(
         "EpochEngine::restore: engine has already served epochs");
   }
-  if (cuts.empty()) return;
-  if (cuts.size() > options_.epochs) {
+  const std::span<const EpochSummary> epochs = resume.epochs;
+  if (epochs.empty()) return;
+  if (epochs.size() > options_.epochs) {
     throw std::invalid_argument(
-        "EpochEngine::restore: more cuts than the epoch budget");
+        "EpochEngine::restore: more epochs than the epoch budget");
   }
-  const EngineCheckpoint& last = cuts.back();
+  if (resume.at == nullptr ||
+      resume.at->cut.summary.epoch + 1 != epochs.size()) {
+    throw std::invalid_argument(
+        "EpochEngine::restore: the boundary state does not close the last "
+        "restored epoch");
+  }
+  const EngineCheckpoint& last = resume.at->cut;
   // The tolerance begin() applies to the start: a WAL cut carries an
   // FNV checksum and no MAC, so its flow is outside input.
   if (!is_feasible(*instance_, last.flow, 1e-7)) {
@@ -442,18 +449,17 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
         "EpochEngine::restore: client paths do not match num_clients");
   }
 
-  for (std::size_t i = 0; i < cuts.size(); ++i) {
-    const EngineCheckpoint& cut = cuts[i];
-    if (cut.summary.epoch != i) {
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    if (epochs[i].epoch != i) {
       throw std::invalid_argument(
-          "EpochEngine::restore: cuts are not the contiguous epochs "
+          "EpochEngine::restore: summaries are not the contiguous epochs "
           "0..n-1");
     }
-    epochs_.push_back(cut.summary);
-    total_queries_ += cut.summary.queries;
-    total_migrations_ += cut.summary.migrations;
-    run_route_.merge(cut.route_hist);
+    epochs_.push_back(epochs[i]);
+    total_queries_ += epochs[i].queries;
+    total_migrations_ += epochs[i].migrations;
   }
+  run_route_ = resume.at->route_latency;
 
   flow_ = last.flow;
   master_ = Rng::from_state(last.rng_state);
@@ -476,7 +482,7 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
   // Rebuild the board the checkpointed process was serving against: the
   // epoch-n post of the restored flow — the same bits the board node
   // built, because the flow doubles round-tripped exactly.
-  const auto n = static_cast<std::uint64_t>(cuts.size());
+  const auto n = static_cast<std::uint64_t>(epochs.size());
   board_ = std::make_unique<BoardSnapshot>(
       *instance_, *policy_, n,
       static_cast<double>(n) * options_.update_period, flow_);

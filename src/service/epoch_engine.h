@@ -141,17 +141,20 @@ class EpochEngine {
     trace_tenant_ = tenant;
   }
 
-  /// Restores a run prefix: `cuts` must be the checkpoints of epochs
-  /// 0..n-1 in order (contiguous summary.epoch values). Must be called
-  /// after begin() and before any epoch is served; builds the epoch-n
-  /// board so serving continues exactly where the checkpointed run stood.
-  /// Throws std::invalid_argument on non-contiguous cuts, more cuts than
-  /// the epoch budget, or state that does not fit this configuration
-  /// (wrong path count, an infeasible flow, wrong client count, or an
-  /// out-of-range client path).
+  /// Restores a run prefix: the summaries of epochs 0..n-1 (contiguous
+  /// summary.epoch values) and the state at the boundary after epoch n-1
+  /// (checkpoint.h). Must be called after begin() and before any epoch is
+  /// served; builds the epoch-n board so serving continues exactly where
+  /// the checkpointed run stood, and takes the run histogram as given. A
+  /// resume without epochs changes nothing.
+  /// Throws std::invalid_argument on non-contiguous summaries, more
+  /// epochs than the budget, a boundary state of another epoch, or state
+  /// that does not fit this configuration (wrong path count, an
+  /// infeasible flow, wrong client count, or an out-of-range client
+  /// path).
   /// Wall-clock telemetry is not restored — it is not replayable state —
   /// so resumed runs report wall figures for the new process only.
-  void restore(std::span<const EngineCheckpoint> cuts);
+  void restore(const EngineResume& resume);
 
  private:
   /// Everything the in-flight epoch stages: its sub-batch contexts, the

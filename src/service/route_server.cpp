@@ -15,7 +15,7 @@ RouteServerResult RouteServer::run(const FlowVector& initial,
                                    const RouteServerOptions& options,
                                    const EpochObserver& observer,
                                    const CutObserver& cuts,
-                                   std::span<const EngineCheckpoint> resume) {
+                                   const EngineResume& resume) {
   // A solo run is a one-tenant registry: its one engine served by the
   // shared round loop at weight 1, on an executor this run owns.
   EpochEngine engine(*instance_, *policy_, *workload_);
@@ -43,8 +43,8 @@ RouteServerResult RouteServer::run(const FlowVector& initial,
   EpochEngine* const engines[] = {&engine};
   const std::size_t weights[] = {1};
   const Stopwatch run_watch;
-  serve_rounds(executor, engines, weights, resume.size(), {}, options.faults,
-               epoch_observer, round_cuts);
+  serve_rounds(executor, engines, weights, resume.epochs.size(), {},
+               options.faults, epoch_observer, round_cuts);
   return engine.finish(run_watch.seconds());
 }
 

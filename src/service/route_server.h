@@ -159,17 +159,17 @@ class RouteServer {
   ///
   /// Recovery hooks: `cuts`, when set, is called after every finished
   /// epoch with that epoch's EngineCheckpoint (the WAL write path);
-  /// `resume`, when nonempty, must be the checkpoints of epochs 0..n-1 of
-  /// an identically configured run — the server restores them and serves
-  /// only the remaining epochs, and the result (telemetry digest, final
-  /// flow, route histogram) is byte-identical to the uninterrupted run.
-  /// The round count resumes where a one-tenant registry's WAL would
-  /// stand: n.
+  /// `resume`, when it has epochs, must be the prefix of epochs 0..n-1 of
+  /// an identically configured run (EpochEngine::restore) — the server
+  /// restores it and serves only the remaining epochs, and the result
+  /// (telemetry digest, final flow, route histogram) is byte-identical to
+  /// the uninterrupted run. The round count resumes where a one-tenant
+  /// registry's WAL would stand: n.
   RouteServerResult run(const FlowVector& initial,
                         const RouteServerOptions& options,
                         const EpochObserver& observer = nullptr,
                         const CutObserver& cuts = nullptr,
-                        std::span<const EngineCheckpoint> resume = {});
+                        const EngineResume& resume = {});
 
  private:
   const Instance* instance_;

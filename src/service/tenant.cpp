@@ -181,7 +181,8 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
   if (resume != nullptr &&
       ((!resume->credits.empty() &&
         resume->credits.size() != tenants_.size()) ||
-       (!resume->cuts.empty() && resume->cuts.size() != tenants_.size()))) {
+       (!resume->tenants.empty() &&
+        resume->tenants.size() != tenants_.size()))) {
     throw std::invalid_argument(
         "TenantRegistry::run: resume state does not match the tenant "
         "count");
@@ -205,8 +206,8 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
     EpochEngine& engine = *owned.back();
     engine.set_trace_tenant(static_cast<std::uint32_t>(i));
     engine.begin(FlowVector::uniform(*tenant.instance), tenant.options.server);
-    if (resume != nullptr && !resume->cuts.empty()) {
-      engine.restore(resume->cuts[i]);
+    if (resume != nullptr && !resume->tenants.empty()) {
+      engine.restore(resume->tenants[i]);
     }
     engines.push_back(&engine);
     weights.push_back(tenant.options.weight);

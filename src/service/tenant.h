@@ -125,11 +125,12 @@ class TenantRegistry {
   /// Recovery hooks: `rounds`, when set, is called after every scheduler
   /// round with the post-round credit state and the cut of every tenant
   /// that served an epoch (the multi-tenant WAL write path). `resume`,
-  /// when set, restores every tenant's cut prefix and the scheduler's
+  /// when set, restores every tenant's run prefix and the scheduler's
   /// round/credit state from a matching round boundary before serving —
   /// the remaining rounds replay exactly, so every tenant's deterministic
-  /// telemetry is byte-identical to the uninterrupted run. resume->cuts
-  /// and resume->credits must be empty or have one entry per tenant.
+  /// telemetry is byte-identical to the uninterrupted run.
+  /// resume->tenants and resume->credits must be empty or have one entry
+  /// per tenant.
   MultiTenantResult run(Executor& executor,
                         const TenantObserver& observer = nullptr,
                         const RoundCutObserver& rounds = nullptr,

@@ -9,17 +9,10 @@
 namespace staleflow::trace {
 
 LoadedTrace load_trace(const std::string& path) {
-  const framed_log::Scan scan = framed_log::scan_frames(
-      path, "trace", kTraceMagic,
-      static_cast<std::uint32_t>(TraceRecordType::kTraceTrailer));
   LoadedTrace trace;
-  trace.truncated = scan.truncated;
-  trace.valid_bytes = scan.valid_bytes;
-  trace.note = scan.note;
-
   bool saw_header = false;
-  for (std::size_t i = 0; i < scan.records.size(); ++i) {
-    const framed_log::Frame& record = scan.records[i];
+  bool corrupt = false;
+  const auto decode = [&](const framed_log::Frame& record) {
     try {
       binio::Reader reader(record.payload);
       switch (static_cast<TraceRecordType>(record.type)) {
@@ -86,13 +79,21 @@ LoadedTrace load_trace(const std::string& path) {
     } catch (const std::exception& err) {
       // A checksum-valid frame with an undecodable payload: stop
       // trusting the file here, keep everything before it.
-      trace.truncated = true;
-      trace.valid_bytes =
-          i == 0 ? sizeof(kTraceMagic) : scan.records[i - 1].end_offset;
+      corrupt = true;
+      trace.valid_bytes = record.offset();
       trace.note = std::string("corrupt payload: ") + err.what();
       trace.clean_shutdown = false;
-      break;
+      return false;
     }
+    return true;
+  };
+  const framed_log::Scan scan = framed_log::scan_frames(
+      path, "trace", kTraceMagic,
+      static_cast<std::uint32_t>(TraceRecordType::kTraceTrailer), decode);
+  trace.truncated = corrupt || scan.truncated;
+  if (!corrupt) {
+    trace.valid_bytes = scan.valid_bytes;
+    trace.note = scan.note;
   }
   if (!saw_header && !trace.truncated) {
     trace.truncated = true;

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <ostream>
 #include <stdexcept>
 
@@ -44,33 +43,38 @@ void append_frame(std::ostream& out, std::uint32_t type,
 }
 
 Scan scan_frames(const std::string& path, std::string_view kind,
-                 const char (&magic)[kMagicBytes], std::uint32_t max_type) {
+                 const char (&magic)[kMagicBytes], std::uint32_t max_type,
+                 const FrameSink& sink) {
   const std::string label = std::string(kind) + " '" + path + "'";
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     throw std::runtime_error("cannot open " + label);
   }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw std::runtime_error("read failed on " + label);
-  }
-  if (contents.size() < kMagicBytes ||
-      std::memcmp(contents.data(), magic, kMagicBytes) != 0) {
+  const std::streamoff end = in.tellg();
+  in.seekg(0);
+  char file_magic[kMagicBytes];
+  if (end < 0 || !in.read(file_magic, kMagicBytes) ||
+      std::memcmp(file_magic, magic, kMagicBytes) != 0) {
+    if (in.bad()) throw std::runtime_error("read failed on " + label);
     throw std::runtime_error("'" + path + "' is not a " + std::string(kind) +
                              " (bad magic)");
   }
+  const auto size = static_cast<std::uint64_t>(end);
 
   Scan scan;
   scan.valid_bytes = kMagicBytes;
-  std::size_t offset = kMagicBytes;
-  while (offset < contents.size()) {
-    if (contents.size() - offset < kFrameBytes) {
+  std::uint64_t offset = kMagicBytes;
+  // One buffer for every frame: its payload, then its checksum.
+  std::string buffer;
+  char head_bytes[8];
+  while (offset < size) {
+    if (size - offset < kFrameBytes) {
       scan.truncated = true;
       scan.note = "torn tail: short record frame";
       break;
     }
-    binio::Reader head(std::string_view(contents).substr(offset, 8));
+    if (!in.read(head_bytes, sizeof(head_bytes))) break;
+    binio::Reader head(std::string_view(head_bytes, sizeof(head_bytes)));
     const std::uint32_t length = head.u32();
     const std::uint32_t type = head.u32();
     if (length > kMaxPayload) {
@@ -78,16 +82,18 @@ Scan scan_frames(const std::string& path, std::string_view kind,
       scan.note = "corrupt record: impossible payload length";
       break;
     }
-    if (contents.size() - offset - kFrameBytes < length) {
+    if (size - offset - kFrameBytes < length) {
       scan.truncated = true;
       scan.note = "torn tail: payload shorter than its length field";
       break;
     }
-    const std::string_view payload =
-        std::string_view(contents).substr(offset + 8, length);
-    binio::Reader foot(
-        std::string_view(contents).substr(offset + 8 + length, 8));
-    if (foot.u64() != frame_checksum(contents.data() + offset + 4, payload)) {
+    buffer.resize(std::size_t{length} + 8);
+    if (!in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()))) {
+      break;
+    }
+    const std::string_view payload = std::string_view(buffer).substr(0, length);
+    binio::Reader foot(std::string_view(buffer).substr(length, 8));
+    if (foot.u64() != frame_checksum(head_bytes + 4, payload)) {
       scan.truncated = true;
       scan.note = "corrupt record: checksum mismatch";
       break;
@@ -98,8 +104,15 @@ Scan scan_frames(const std::string& path, std::string_view kind,
       break;
     }
     offset += kFrameBytes + length;
-    scan.records.push_back(Frame{type, std::string(payload), offset});
     scan.valid_bytes = offset;
+    if (!sink(Frame{type, payload, offset})) break;
+  }
+  // A read that failed short of the size measured above: the file
+  // shrank under the scan, or the device failed.
+  if (in.bad()) throw std::runtime_error("read failed on " + label);
+  if (in.fail() && !scan.truncated) {
+    scan.truncated = true;
+    scan.note = "torn tail: file shorter than when the scan began";
   }
   return scan;
 }

@@ -24,10 +24,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace staleflow::framed_log {
 
@@ -42,24 +42,35 @@ inline constexpr std::size_t kFrameBytes = 4 + 4 + 8;
 /// allocation.
 inline constexpr std::uint32_t kMaxPayload = 1u << 30;
 
-/// One verified record. `type` is a word in [1, max_type] (callers cast
-/// it to their record enum); `end_offset` is the file offset just past
-/// the record, so any prefix of a file can be treated as a crash image.
+/// One verified record, as the scanner hands it to its caller. `type` is
+/// a word in [1, max_type] (callers cast it to their record enum);
+/// `end_offset` is the file offset just past the record, so any prefix
+/// of a file can be treated as a crash image. `payload` views the
+/// scanner's one reused buffer: it is valid only during the callback.
 struct Frame {
   std::uint32_t type = 0;
-  std::string payload;
+  std::string_view payload;
   std::uint64_t end_offset = 0;
+
+  /// The file offset where the frame starts.
+  std::uint64_t offset() const noexcept {
+    return end_offset - kFrameBytes - payload.size();
+  }
 };
 
+/// Receives each verified frame in file order; returning false ends the
+/// scan there (the caller found the file unusable past that frame).
+using FrameSink = std::function<bool(const Frame&)>;
+
+/// How a scan ended.
 struct Scan {
-  std::vector<Frame> records;
   /// File offset just past the last verified record (or past the magic
   /// when none verified): where a resume truncates before appending.
   std::uint64_t valid_bytes = 0;
   /// True when bytes past valid_bytes failed verification.
   bool truncated = false;
   /// Why the scan stopped early; empty when the file ended exactly at a
-  /// record boundary.
+  /// record boundary or the sink stopped it.
   std::string note;
 };
 
@@ -70,13 +81,19 @@ void append_frame(std::ostream& out, std::uint32_t type,
                   std::string_view payload);
 
 /// Scans the `kind` file (named in error messages: "WAL", "trace") at
-/// `path`, whose records use type words 1..max_type. Throws
-/// std::runtime_error when the file cannot be read or does not start
-/// with `magic`: such a path is not a file of this kind at all. Any
-/// other defect (a frame cut short, an impossible length, a checksum
-/// mismatch, an unknown type word) ends the scan with `truncated` set
-/// and a `note`.
+/// `path`, whose records use type words 1..max_type, and hands every
+/// verified frame to `sink` as it is read. The scan streams: it holds
+/// one frame at a time in one reused payload buffer, so its memory is
+/// the largest frame, not the file. Throws std::runtime_error when the
+/// file cannot be read or does not start with `magic`: such a path is
+/// not a file of this kind at all. Any other defect (a frame cut short,
+/// an impossible length, a checksum mismatch, an unknown type word) ends
+/// the scan with `truncated` set and a `note`; nothing after it reaches
+/// the sink. A length is checked against the bytes left in the file
+/// before anything is allocated for it. Exceptions from `sink`
+/// propagate.
 Scan scan_frames(const std::string& path, std::string_view kind,
-                 const char (&magic)[kMagicBytes], std::uint32_t max_type);
+                 const char (&magic)[kMagicBytes], std::uint32_t max_type,
+                 const FrameSink& sink);
 
 }  // namespace staleflow::framed_log

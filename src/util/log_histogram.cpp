@@ -120,7 +120,7 @@ double LogHistogram::quantile(double q) const {
   return std::clamp(representative, min_, max_);
 }
 
-std::size_t LogHistogram::bucket_index(double value) const {
+std::size_t LogHistogram::bucket_index(double value) {
   // Normalise -0.0: its sign-bit pattern would otherwise order above
   // every positive value and land the smallest possible sample in the
   // overflow bucket.
@@ -156,31 +156,61 @@ std::uint64_t LogHistogram::bucket_value(std::size_t b) const {
   return counts_.empty() ? 0 : counts_[b];
 }
 
-LogHistogram LogHistogram::from_state(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> buckets,
-    double min, double max, double sum) {
-  LogHistogram hist;
-  if (buckets.empty()) return hist;
-  hist.ensure_counts();
+std::vector<LogHistogram::Bucket> LogHistogram::nonzero_buckets() const {
+  std::vector<Bucket> buckets;
+  if (count_ == 0) return buckets;
+  // Bucketing is monotone and every recorded value lies in [min_, max_].
+  const std::size_t last = bucket_index(max_);
+  for (std::size_t b = bucket_index(min_); b <= last; ++b) {
+    if (counts_[b] != 0) buckets.emplace_back(b, counts_[b]);
+  }
+  return buckets;
+}
+
+void LogHistogram::check_state(std::span<const Bucket> buckets, double min,
+                               double max) {
+  if (buckets.empty()) return;
+  std::uint64_t next = 0;  // the smallest index the next entry may take
   for (const auto& [bucket, count] : buckets) {
-    if (bucket >= hist.bucket_count()) {
+    if (bucket < next || bucket >= bucket_count()) {
       throw std::invalid_argument(
-          "LogHistogram::from_state: bucket index out of range");
+          "LogHistogram: bucket index out of range or order");
     }
-    if (count == 0 || hist.counts_[bucket] != 0) {
-      throw std::invalid_argument(
-          "LogHistogram::from_state: zero or repeated bucket entry");
+    if (count == 0) {
+      throw std::invalid_argument("LogHistogram: zero bucket count");
     }
-    hist.counts_[bucket] = count;
-    hist.count_ += count;
+    next = bucket + 1;
   }
-  if (!(min <= max)) {
-    throw std::invalid_argument("LogHistogram::from_state: min > max");
+  if (!(min >= 0.0 && min <= max && std::isfinite(max))) {
+    throw std::invalid_argument(
+        "LogHistogram: min and max not 0 <= min <= max, finite");
   }
-  hist.min_ = min;
-  hist.max_ = max;
-  hist.sum_ = sum;
-  return hist;
+  if (bucket_index(min) != buckets.front().first ||
+      bucket_index(max) != buckets.back().first) {
+    throw std::invalid_argument(
+        "LogHistogram: min or max outside the first or last bucket");
+  }
+}
+
+void LogHistogram::merge_state(std::span<const Bucket> buckets, double min,
+                               double max, double sum) {
+  check_state(buckets, min, max);
+  if (buckets.empty()) return;
+  ensure_counts();
+  std::uint64_t added = 0;
+  for (const auto& [bucket, count] : buckets) {
+    counts_[bucket] += count;
+    added += count;
+  }
+  if (count_ == 0) {
+    min_ = min;
+    max_ = max;
+  } else {
+    min_ = std::min(min_, min);
+    max_ = std::max(max_, max);
+  }
+  count_ += added;
+  sum_ += sum;
 }
 
 bool operator==(const LogHistogram& a, const LogHistogram& b) {

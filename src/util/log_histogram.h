@@ -83,7 +83,7 @@ class LogHistogram {
   }
 
   /// Bucket that `value` (>= 0, finite) falls into.
-  std::size_t bucket_index(double value) const;
+  static std::size_t bucket_index(double value);
 
   /// Inclusive lower bound of bucket b: the smallest value mapping to it
   /// (0 for the underflow bucket). Requires b < bucket_count().
@@ -96,19 +96,36 @@ class LogHistogram {
   /// Count recorded in bucket b. Requires b < bucket_count().
   std::uint64_t bucket_value(std::size_t b) const;
 
-  // ---- checkpoint/restore (the recovery WAL path) ----
+  // ---- exported state (the recovery WAL path) ----
 
-  /// Rebuilds a histogram from previously exported state: the nonzero
-  /// (bucket index, count) pairs and the exact min/max/sum the accessors
-  /// reported. The result compares operator==-equal to the original —
-  /// bucket counts, count, min, max and sum restored bit-for-bit — so
-  /// merges and quantiles continue exactly. `min`/`max`/`sum` are ignored when `buckets` is empty (an
-  /// empty histogram has no extremes). Throws std::invalid_argument on an
-  /// out-of-range or repeated bucket index, a zero per-bucket count, or
-  /// (when nonempty) min > max.
-  static LogHistogram from_state(
-      std::span<const std::pair<std::uint64_t, std::uint64_t>> buckets,
-      double min, double max, double sum);
+  /// One nonzero bucket: (bucket index, count).
+  using Bucket = std::pair<std::uint64_t, std::uint64_t>;
+
+  /// The nonzero buckets in ascending index order: with min(), max() and
+  /// sum(), the histogram's whole state. Found in one pass over the
+  /// buckets from min()'s to max()'s (no other bucket can hold a count);
+  /// an epoch's route histogram has at most one nonzero bucket per served
+  /// path, so this is what the WAL stores.
+  std::vector<Bucket> nonzero_buckets() const;
+
+  /// Throws std::invalid_argument unless (`buckets`, `min`, `max`) can be
+  /// a nonempty histogram's exported state: bucket indices in range and
+  /// strictly ascending, no zero count, 0 <= min <= max finite, and min
+  /// and max falling in the first and last listed bucket. An empty
+  /// `buckets` always passes (min and max are then not read).
+  static void check_state(std::span<const Bucket> buckets, double min,
+                          double max);
+
+  /// Adds exported state — a histogram's nonzero_buckets() and its exact
+  /// min(), max() and sum() — exactly as merge() adds that histogram:
+  /// counts add, the extremes widen, the sum adds once. Merging exported
+  /// states in order therefore rebuilds the merged histogram bit for bit,
+  /// and merging one into an empty histogram restores it operator==-equal.
+  /// `min`/`max`/`sum` are ignored when `buckets` is empty (an empty
+  /// histogram has no extremes). Throws std::invalid_argument, leaving
+  /// this histogram unchanged, on state check_state() refuses.
+  void merge_state(std::span<const Bucket> buckets, double min, double max,
+                   double sum);
 
   /// True when both histograms have the same counts, min, max and sum —
   /// i.e. they are observationally identical.

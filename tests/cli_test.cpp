@@ -592,6 +592,29 @@ TEST_F(Cli, InfeasibleCutIsACorruptWal) {
   });
 }
 
+TEST_F(Cli, RefusedHeaderIsACorruptWal) {
+  // tests/data/refused-header.wal: a braess/replicator run's first 4 cuts
+  // (closed-loop:800, 400 clients, 2 shards, seed 5, 10 epochs) under a
+  // header whose workload is poisson:1e30, which the engine refuses only
+  // when it plans an epoch. The log itself reads; serving from it is a
+  // usage error (exit 2), never the replay "mismatch" code (exit 1).
+  fs::copy_file(fs::path(STALEFLOW_TEST_DATA) / "refused-header.wal",
+                "refused.wal", fs::copy_options::overwrite_existing);
+  run_rows({
+      {kWalReplay, {"info", "refused.wal"}, 0,
+       {out("\nrounds=4 clean_shutdown=0 truncated=0 "), out(" cuts=4 "),
+        out(" workload=poisson:1e30 ")}},
+      {kWalReplay,
+       {"replay", "refused.wal", "--epoch", "1", "--epochs", "1"},
+       2,
+       {err("poisson_draw: arrival mean")}},
+      {kWalReplay, {"replay", "refused.wal", "--quiet"}, 2,
+       {err("poisson_draw: arrival mean")}},
+      {kRouteServer, {"run", "--resume", "refused.wal", "--quiet"}, 2,
+       {err("poisson_draw: arrival mean")}},
+  });
+}
+
 TEST_F(Cli, FaultedTracedAndLoggedRunsExitClean) {
   // The byte-pushing paths (fault windows, trace rings, WAL write, cut
   // recovery, resume and replay) end to end; under the sanitizer build

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "captured_prefix.h"
 #include "exec/exec.h"
 #include "faults/fault_plan.h"
 #include "net/flow.h"
@@ -228,7 +229,7 @@ struct FaultedRun {
 
   RouteServerResult run(const FaultSchedule* schedule,
                         const CutObserver& cuts = nullptr,
-                        std::span<const EngineCheckpoint> resume = {}) {
+                        const EngineResume& resume = {}) {
     options.faults = schedule;
     RouteServer server(instance, policy, *workload);
     return server.run(FlowVector::uniform(instance), options, nullptr, cuts,
@@ -317,7 +318,8 @@ TEST(FaultDigest, ResumedFaultedRunMatchesUninterruptedFaultedRun) {
                                    fixture.options.seed,
                                    fixture.options.epochs);
     const RouteServerResult resumed =
-        fixture.run(&rebuilt, nullptr, std::span(cuts).subspan(0, k));
+        fixture.run(&rebuilt, nullptr,
+                    CapturedPrefix(std::span(cuts).first(k)).resume());
     EXPECT_EQ(telemetry_digest(resumed.epochs), golden) << "cut " << k;
     EXPECT_EQ(resumed.total_queries, full.total_queries) << "cut " << k;
   }

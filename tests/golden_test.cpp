@@ -297,8 +297,10 @@ TEST(Golden, PipelinedCrashImagesRecoverAndResume) {
     EXPECT_EQ(recovered.rounds, image.rounds);
     ASSERT_EQ(recovered.cuts.size(), configs.size());
 
-    // Every recovered cut is, field for field, the cut a fresh run takes
-    // at the same epoch.
+    // Every recovered cut's summary is the one a fresh run records at the
+    // same epoch; the last committed cut is kept in full, field for field
+    // the cut a fresh run takes there, with the route histograms merged
+    // through it.
     std::vector<std::vector<EngineCheckpoint>> fresh(configs.size());
     {
       std::deque<Host> hosts;
@@ -311,23 +313,23 @@ TEST(Golden, PipelinedCrashImagesRecoverAndResume) {
       });
     }
     for (std::size_t t = 0; t < configs.size(); ++t) {
-      const std::vector<EngineCheckpoint>& cuts = recovered.cuts[t];
+      const std::vector<EpochSummary>& cuts = recovered.cuts[t];
       ASSERT_FALSE(cuts.empty()) << configs[t].name;
       ASSERT_LE(cuts.size(), fresh[t].size()) << configs[t].name;
+      LogHistogram merged;
       for (std::size_t e = 0; e < cuts.size(); ++e) {
-        const EngineCheckpoint& a = cuts[e];
-        const EngineCheckpoint& b = fresh[t][e];
-        EXPECT_EQ(telemetry_digest(std::span(&a.summary, 1)),
-                  telemetry_digest(std::span(&b.summary, 1)))
+        EXPECT_EQ(telemetry_digest(std::span(&cuts[e], 1)),
+                  telemetry_digest(std::span(&fresh[t][e].summary, 1)))
             << configs[t].name << " cut " << e;
-        EXPECT_EQ(a.rng_state, b.rng_state) << configs[t].name << " cut " << e;
-        EXPECT_EQ(a.flow, b.flow) << configs[t].name << " cut " << e;
-        EXPECT_TRUE(a.route_hist == b.route_hist)
-            << configs[t].name << " cut " << e;
+        merged.merge(fresh[t][e].route_hist);
       }
-      EXPECT_EQ(cuts.back().client_paths,
-                fresh[t][cuts.size() - 1].client_paths)
-          << configs[t].name;
+      const BoundaryState& last = recovered.last[t];
+      const EngineCheckpoint& want = fresh[t][cuts.size() - 1];
+      EXPECT_EQ(last.cut.rng_state, want.rng_state) << configs[t].name;
+      EXPECT_EQ(last.cut.flow, want.flow) << configs[t].name;
+      EXPECT_EQ(last.cut.client_paths, want.client_paths) << configs[t].name;
+      EXPECT_TRUE(last.cut.route_hist == want.route_hist) << configs[t].name;
+      EXPECT_TRUE(last.route_latency == merged) << configs[t].name;
     }
 
     // Resumed on a copy, at 1 and 4 threads: the pinned digests.

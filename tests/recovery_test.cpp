@@ -25,16 +25,20 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "captured_prefix.h"
 #include "cli_common.h"
+#include "collect_frames.h"
 #include "exec/exec.h"
 #include "faults/fault_plan.h"
 #include "net/flow.h"
@@ -118,15 +122,18 @@ TEST(BinIO, ReaderThrowsOnUnderrun) {
   EXPECT_THROW(r2.str(), std::runtime_error);
 }
 
-// ------------------------------------------- LogHistogram::from_state
+// ------------------------------------- LogHistogram exported state
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> nonzero_buckets(
-    const LogHistogram& hist) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
-  for (std::size_t b = 0; b < hist.bucket_count(); ++b) {
-    if (hist.bucket_value(b) != 0) buckets.emplace_back(b, hist.bucket_value(b));
+/// `hist`'s exported state merged into an empty histogram.
+LogHistogram restored_from(const LogHistogram& hist) {
+  LogHistogram restored;
+  if (hist.empty()) {
+    restored.merge_state(hist.nonzero_buckets(), 0.0, 0.0, 0.0);
+  } else {
+    restored.merge_state(hist.nonzero_buckets(), hist.min(), hist.max(),
+                         hist.sum());
   }
-  return buckets;
+  return restored;
 }
 
 TEST(HistogramState, RoundTripIsObservationallyIdentical) {
@@ -136,13 +143,23 @@ TEST(HistogramState, RoundTripIsObservationallyIdentical) {
   hist.record(1e-12);  // underflow bucket
   hist.record(1e12);   // overflow bucket
 
-  const LogHistogram restored = LogHistogram::from_state(
-      nonzero_buckets(hist), hist.min(), hist.max(), hist.sum());
+  // One entry per nonzero bucket, in ascending index order.
+  const std::vector<LogHistogram::Bucket> buckets = hist.nonzero_buckets();
+  std::size_t nonzero = 0;
+  for (std::size_t b = 0; b < hist.bucket_count(); ++b) {
+    if (hist.bucket_value(b) != 0) {
+      ASSERT_LT(nonzero, buckets.size());
+      EXPECT_EQ(buckets[nonzero], LogHistogram::Bucket(b, hist.bucket_value(b)));
+      ++nonzero;
+    }
+  }
+  EXPECT_EQ(buckets.size(), nonzero);
+
+  const LogHistogram restored = restored_from(hist);
   EXPECT_TRUE(restored == hist);
   EXPECT_EQ(restored.quantile(0.99), hist.quantile(0.99));
 
-  // Restored histograms must keep MERGING exactly — that is how resume
-  // rebuilds the run distribution from per-epoch cuts.
+  // Restored histograms must keep MERGING exactly.
   LogHistogram more;
   more.record(42.0, 17);
   LogHistogram merged_original = hist;
@@ -152,28 +169,79 @@ TEST(HistogramState, RoundTripIsObservationallyIdentical) {
   EXPECT_TRUE(merged_restored == merged_original);
 }
 
+TEST(HistogramState, MergingExportedStatesInOrderIsMerging) {
+  // Recovery rebuilds a run histogram by merging each epoch's exported
+  // state in epoch order; the engine merges the epoch histograms
+  // themselves. Counts, extremes and the floating sum must agree bit for
+  // bit, empty epochs included.
+  Rng rng(7);
+  LogHistogram merged;
+  LogHistogram folded;
+  for (int epoch = 0; epoch < 40; ++epoch) {
+    LogHistogram hist;
+    if (epoch % 7 != 3) {
+      for (int path = 0; path < 6; ++path) {
+        hist.record(rng.uniform(0.1, 3.0) / 3.0,
+                    1 + static_cast<std::uint64_t>(rng.uniform(0.0, 50.0)));
+      }
+    }
+    merged.merge(hist);
+    if (hist.empty()) {
+      folded.merge_state(hist.nonzero_buckets(), 0.0, 0.0, 0.0);
+    } else {
+      folded.merge_state(hist.nonzero_buckets(), hist.min(), hist.max(),
+                         hist.sum());
+    }
+  }
+  EXPECT_TRUE(folded == merged);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(folded.sum()),
+            std::bit_cast<std::uint64_t>(merged.sum()));
+}
+
 TEST(HistogramState, EmptyRoundTrip) {
   const LogHistogram empty;
-  const LogHistogram restored = LogHistogram::from_state(
-      {}, /*min=*/0.0, /*max=*/0.0, /*sum=*/0.0);
+  const LogHistogram restored = restored_from(empty);
   EXPECT_TRUE(restored == empty);
   EXPECT_TRUE(restored.empty());
+  EXPECT_TRUE(empty.nonzero_buckets().empty());
 }
 
 TEST(HistogramState, RejectsBadState) {
-  using Buckets = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  using Buckets = std::vector<LogHistogram::Bucket>;
+  LogHistogram hist;
+  hist.record(2.0, 3);
+  const LogHistogram before = hist;
   const Buckets repeated = {{5, 1}, {5, 2}};
-  EXPECT_THROW(LogHistogram::from_state(repeated, 1.0, 2.0, 3.0),
+  EXPECT_THROW(hist.merge_state(repeated, 1.0, 2.0, 3.0),
                std::invalid_argument);
-  const Buckets zero_count = {{5, 0}};
-  EXPECT_THROW(LogHistogram::from_state(zero_count, 1.0, 2.0, 3.0),
+  const Buckets descending = {{6, 1}, {5, 2}};
+  EXPECT_THROW(hist.merge_state(descending, 1.0, 2.0, 3.0),
                std::invalid_argument);
-  const Buckets out_of_range = {{1u << 30, 1}};
-  EXPECT_THROW(LogHistogram::from_state(out_of_range, 1.0, 2.0, 3.0),
+  const Buckets zero_count = {{5, 1}, {7, 0}};
+  EXPECT_THROW(hist.merge_state(zero_count, 1.0, 2.0, 3.0),
                std::invalid_argument);
-  const Buckets fine = {{5, 1}};
+  const Buckets out_of_range = {{5, 1}, {1u << 30, 1}};
+  EXPECT_THROW(hist.merge_state(out_of_range, 1.0, 2.0, 3.0),
+               std::invalid_argument);
+  // One count in the bucket holding 1.0: its extremes must fall there.
+  const std::uint64_t one = LogHistogram::bucket_index(1.0);
+  const Buckets fine = {{one, 1}};
+  EXPECT_NO_THROW(LogHistogram::check_state(fine, 1.0, 1.0));
   EXPECT_THROW(  // min > max
-      LogHistogram::from_state(fine, 2.0, 1.0, 3.0), std::invalid_argument);
+      hist.merge_state(fine, 1.0, 0.99, 3.0), std::invalid_argument);
+  EXPECT_THROW(  // min below the first bucket
+      hist.merge_state(fine, 0.5, 1.0, 3.0), std::invalid_argument);
+  EXPECT_THROW(  // max above the last bucket
+      hist.merge_state(fine, 1.0, 2.0, 3.0), std::invalid_argument);
+  EXPECT_THROW(  // negative min
+      hist.merge_state(fine, -1.0, 1.0, 3.0), std::invalid_argument);
+  const Buckets overflow = {{LogHistogram::bucket_count() - 1, 1}};
+  EXPECT_NO_THROW(LogHistogram::check_state(overflow, 1e12, 1e12));
+  EXPECT_THROW(  // an infinite max
+      hist.merge_state(overflow, 1e12,
+                       std::numeric_limits<double>::infinity(), 3.0),
+      std::invalid_argument);
+  EXPECT_TRUE(hist == before);
 }
 
 // ------------------------------------------------ incremental digest
@@ -221,9 +289,9 @@ class FramedLog : public ::testing::TestWithParam<LogKind> {
     return temp_path(std::string(GetParam().kind) + "_" + name);
   }
 
-  framed_log::Scan scan(const std::string& file) const {
-    return framed_log::scan_frames(file, GetParam().kind, *GetParam().magic,
-                                   GetParam().max_type);
+  CollectedScan scan(const std::string& file) const {
+    return collect_frames(file, GetParam().kind, *GetParam().magic,
+                          GetParam().max_type);
   }
 
   /// `magic` followed by one frame per (type, payload).
@@ -252,7 +320,7 @@ TEST_P(FramedLog, RoundTripsBinaryPayloads) {
   write_file(file, framed(*GetParam().magic, {{1, "alpha"},
                                               {2, nul_bytes},
                                               {GetParam().max_type, ""}}));
-  const framed_log::Scan full = scan(file);
+  const CollectedScan full = scan(file);
   EXPECT_FALSE(full.truncated);
   EXPECT_TRUE(full.note.empty());
   ASSERT_EQ(full.records.size(), 3u);
@@ -264,7 +332,7 @@ TEST_P(FramedLog, RoundTripsBinaryPayloads) {
   // Each end offset is the previous one plus the frame overhead and the
   // payload; the last is the file size.
   std::uint64_t end = framed_log::kMagicBytes;
-  for (const framed_log::Frame& record : full.records) {
+  for (const CollectedFrame& record : full.records) {
     end += framed_log::kFrameBytes + record.payload.size();
     EXPECT_EQ(record.end_offset, end);
   }
@@ -275,17 +343,17 @@ TEST_P(FramedLog, TruncationAtEveryByteKeepsTheRecordPrefix) {
   const std::string bytes = three_records();
   const std::string file = path("torn");
   write_file(file, bytes);
-  const framed_log::Scan full = scan(file);
+  const CollectedScan full = scan(file);
   ASSERT_EQ(full.records.size(), 3u);
   std::vector<std::uint64_t> boundaries = {framed_log::kMagicBytes};
-  for (const framed_log::Frame& record : full.records) {
+  for (const CollectedFrame& record : full.records) {
     boundaries.push_back(record.end_offset);
   }
 
   for (std::size_t cut = framed_log::kMagicBytes; cut <= bytes.size();
        ++cut) {
     write_file(file, bytes.substr(0, cut));
-    const framed_log::Scan torn = scan(file);
+    const CollectedScan torn = scan(file);
     // The trusted prefix is the last record boundary at or before the
     // cut; the scan is truncated exactly when the cut is off a boundary.
     std::size_t kept = 0;
@@ -307,7 +375,7 @@ TEST_P(FramedLog, BitFlipInRecordTwoKeepsRecordOneOnly) {
   const std::string bytes = three_records();
   const std::string file = path("flip");
   write_file(file, bytes);
-  const framed_log::Scan full = scan(file);
+  const CollectedScan full = scan(file);
   ASSERT_EQ(full.records.size(), 3u);
 
   // Every single-bit flip anywhere in record 2 (length, type, payload,
@@ -319,7 +387,7 @@ TEST_P(FramedLog, BitFlipInRecordTwoKeepsRecordOneOnly) {
       std::string corrupt = bytes;
       corrupt[at] = static_cast<char>(corrupt[at] ^ (1 << bit));
       write_file(file, corrupt);
-      const framed_log::Scan flipped = scan(file);
+      const CollectedScan flipped = scan(file);
       EXPECT_TRUE(flipped.truncated) << "flip at " << at << " bit " << bit;
       ASSERT_EQ(flipped.records.size(), 1u)
           << "flip at " << at << " bit " << bit;
@@ -339,7 +407,7 @@ TEST_P(FramedLog, StopsAtAnOversizedLengthOrAnUnknownType) {
   oversized.u32(1);
   oversized.u64(0);
   write_file(file, head + oversized.data());
-  framed_log::Scan bad = scan(file);
+  CollectedScan bad = scan(file);
   EXPECT_TRUE(bad.truncated);
   EXPECT_EQ(bad.note, "corrupt record: impossible payload length");
   EXPECT_EQ(bad.records.size(), 1u);
@@ -380,10 +448,33 @@ TEST_P(FramedLog, RejectsMissingEmptyAndForeignFiles) {
 
   // Magic only: a valid, empty log.
   write_file(file, framed(*GetParam().magic, {}));
-  const framed_log::Scan empty = scan(file);
+  const CollectedScan empty = scan(file);
   EXPECT_FALSE(empty.truncated);
   EXPECT_TRUE(empty.records.empty());
   EXPECT_EQ(empty.valid_bytes, framed_log::kMagicBytes);
+}
+
+TEST_P(FramedLog, ASinkThatReturnsFalseEndsTheScanAtItsFrame) {
+  // The scan streams: each frame reaches the sink as it is verified, at
+  // its own offset, and a sink that returns false reads no further.
+  const std::string file = path("stop");
+  write_file(file, three_records());
+  const CollectedScan full = scan(file);
+  ASSERT_EQ(full.records.size(), 3u);
+  std::size_t seen = 0;
+  const framed_log::Scan stopped = framed_log::scan_frames(
+      file, GetParam().kind, *GetParam().magic, GetParam().max_type,
+      [&](const framed_log::Frame& frame) {
+        EXPECT_EQ(frame.offset(), seen == 0 ? framed_log::kMagicBytes
+                                            : full.records[seen - 1].end_offset);
+        EXPECT_EQ(frame.payload, full.records[seen].payload);
+        ++seen;
+        return seen < 2;
+      });
+  EXPECT_EQ(seen, 2u);
+  EXPECT_FALSE(stopped.truncated);
+  EXPECT_TRUE(stopped.note.empty());
+  EXPECT_EQ(stopped.valid_bytes, full.records[1].end_offset);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -393,9 +484,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// The WAL's records, as recovery sees them before decoding.
-framed_log::Scan wal_frames(const std::string& path) {
-  return framed_log::scan_frames(path, "WAL", recovery::kWalMagic,
-                                 recovery::kMaxRecordType);
+CollectedScan wal_frames(const std::string& path) {
+  return collect_frames(path, "WAL", recovery::kWalMagic,
+                        recovery::kMaxRecordType);
 }
 
 // ---------------------------------------------------- serving fixtures
@@ -419,7 +510,7 @@ struct SingleRun {
   }
 
   RouteServerResult run(const CutObserver& cuts = nullptr,
-                        std::span<const EngineCheckpoint> resume = {}) {
+                        const EngineResume& resume = {}) {
     RouteServer server(instance, policy, *workload);
     return server.run(FlowVector::uniform(instance), options, nullptr, cuts,
                       resume);
@@ -439,17 +530,22 @@ struct SingleRun {
   }
 };
 
-/// Resumes a single-server WAL file to completion and returns the whole
-/// run's digest (the resumed process's view).
-std::uint64_t resume_single_to_completion(const std::string& path,
-                                          SingleRun& fixture) {
+/// Resumes a single-server WAL file to completion through
+/// registry_resume and returns the resumed process's result.
+RouteServerResult resume_single_to_completion(const std::string& path,
+                                              SingleRun& fixture) {
   const recovery::RecoveredRun state = recovery::recover_wal(path);
   EXPECT_FALSE(state.clean_shutdown);
   recovery::WalLog log(path, state);
-  const RouteServerResult result =
-      fixture.run(log.single_observer(), std::span(state.cuts.front()));
+  const RouteServerResult result = fixture.run(
+      log.single_observer(), recovery::registry_resume(state).tenants[0]);
   log.finish();
-  return telemetry_digest(result.epochs);
+  return result;
+}
+
+/// The resumed process's whole-run digest.
+std::uint64_t resumed_digest(const std::string& path, SingleRun& fixture) {
+  return telemetry_digest(resume_single_to_completion(path, fixture).epochs);
 }
 
 // ------------------------------------- kill-at-every-cut-point (library)
@@ -464,8 +560,8 @@ TEST(Resume, KillAtEveryCutPointResumesBitIdentically) {
   ASSERT_GT(full.total_migrations, 0u);  // dynamics actually moved
 
   for (std::size_t k = 0; k <= cuts.size(); ++k) {
-    const RouteServerResult resumed =
-        fixture.run(nullptr, std::span(cuts).subspan(0, k));
+    const RouteServerResult resumed = fixture.run(
+        nullptr, CapturedPrefix(std::span(cuts).first(k)).resume());
     EXPECT_EQ(telemetry_digest(resumed.epochs), golden) << "cut " << k;
     const std::vector<double> resumed_flow(resumed.final_flow.values().begin(),
                                            resumed.final_flow.values().end());
@@ -483,15 +579,24 @@ TEST(Resume, RejectsCutsThatDoNotFitTheConfiguration) {
   fixture.run([&cuts](const EngineCheckpoint& c) { cuts.push_back(c); });
 
   std::vector<EngineCheckpoint> gap = {cuts[0], cuts[2]};  // not contiguous
-  EXPECT_THROW(fixture.run(nullptr, gap), std::invalid_argument);
+  EXPECT_THROW(fixture.run(nullptr, CapturedPrefix(gap).resume()),
+               std::invalid_argument);
+
+  // Summaries of epochs 0..1 with the state after epoch 2.
+  CapturedPrefix wrong_boundary{std::span(cuts).first(2)};
+  wrong_boundary.at.cut = cuts[2];
+  EXPECT_THROW(fixture.run(nullptr, wrong_boundary.resume()),
+               std::invalid_argument);
 
   std::vector<EngineCheckpoint> wrong_flow = {cuts[0]};
   wrong_flow[0].flow.push_back(0.0);
-  EXPECT_THROW(fixture.run(nullptr, wrong_flow), std::invalid_argument);
+  EXPECT_THROW(fixture.run(nullptr, CapturedPrefix(wrong_flow).resume()),
+               std::invalid_argument);
 
   std::vector<EngineCheckpoint> wrong_clients = {cuts[0]};
   wrong_clients[0].client_paths.pop_back();
-  EXPECT_THROW(fixture.run(nullptr, wrong_clients), std::invalid_argument);
+  EXPECT_THROW(fixture.run(nullptr, CapturedPrefix(wrong_clients).resume()),
+               std::invalid_argument);
 }
 
 // --------------------------------------------- WAL end-to-end (single)
@@ -517,6 +622,8 @@ TEST(WalLog, CleanRunRoundTripsThroughRecoverWal) {
   EXPECT_EQ(state.rounds, fixture.options.epochs);
 
   const recovery::TenantManifest& manifest = state.manifest.tenants[0];
+  EXPECT_EQ(recovery::encode_run_header(recovery::read_run_header(path)),
+            recovery::encode_run_header(state.manifest));
   EXPECT_EQ(manifest.scenario, "braess");
   EXPECT_EQ(manifest.policy, "replicator");
   EXPECT_EQ(manifest.workload, "closed-loop:800");
@@ -528,7 +635,7 @@ TEST(WalLog, CleanRunRoundTripsThroughRecoverWal) {
   // Restored cuts are bit-identical to freshly captured ones: replaying
   // the recovered state must land on the same digest.
   const RouteServerResult resumed =
-      fixture.run(nullptr, std::span(state.cuts[0]));
+      fixture.run(nullptr, recovery::registry_resume(state).tenants[0]);
   EXPECT_EQ(telemetry_digest(resumed.epochs), golden);
 }
 
@@ -536,16 +643,20 @@ TEST(WalLog, KilledAtAnyByteResumesToTheSameDigest) {
   SingleRun fixture;
   const std::string clean_path = temp_path("killbytes.wal");
   std::uint64_t golden = 0;
+  LogHistogram golden_route;
   {
     recovery::WalLog log(clean_path, fixture.manifest());
-    golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
+    const RouteServerResult full = fixture.run(log.single_observer());
+    golden = telemetry_digest(full.epochs);
+    golden_route = full.route_latency;
     log.finish();
   }
   const std::string clean = read_file(clean_path);
-  const framed_log::Scan scan = wal_frames(clean_path);
+  const CollectedScan scan = wal_frames(clean_path);
 
   // Crash images: the WAL cut at every record boundary and mid-record —
-  // every one must recover and resume to the uninterrupted digest. The
+  // every one must recover and resume to the uninterrupted digest and
+  // route histogram (the merged-histogram fold, sum bit for bit). The
   // prefix must at least contain the run header (records[0]); anything
   // shorter is "not a resumable WAL", tested separately.
   std::vector<std::size_t> prefixes;
@@ -557,8 +668,14 @@ TEST(WalLog, KilledAtAnyByteResumesToTheSameDigest) {
   for (const std::size_t keep : prefixes) {
     write_file(crash_path, clean.substr(0, keep));
     SingleRun resumed_fixture;
-    EXPECT_EQ(resume_single_to_completion(crash_path, resumed_fixture),
-              golden)
+    const RouteServerResult resumed =
+        resume_single_to_completion(crash_path, resumed_fixture);
+    EXPECT_EQ(telemetry_digest(resumed.epochs), golden)
+        << "killed at byte " << keep;
+    EXPECT_TRUE(resumed.route_latency == golden_route)
+        << "killed at byte " << keep;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(resumed.route_latency.sum()),
+              std::bit_cast<std::uint64_t>(golden_route.sum()))
         << "killed at byte " << keep;
     // The healed WAL is now a complete, clean run.
     const recovery::RecoveredRun healed = recovery::recover_wal(crash_path);
@@ -577,7 +694,7 @@ TEST(WalLog, BitFlippedCutRecoversToLastGoodEpoch) {
     log.finish();
   }
   std::string bytes = read_file(path);
-  const framed_log::Scan scan = wal_frames(path);
+  const CollectedScan scan = wal_frames(path);
   // Records: header, then (cut, mark) pairs. Flip a bit inside epoch 3's
   // cut record (records[7]): epochs 0..2 stay committed.
   ASSERT_GT(scan.records.size(), 8u);
@@ -592,7 +709,7 @@ TEST(WalLog, BitFlippedCutRecoversToLastGoodEpoch) {
   EXPECT_EQ(state.rounds, 3u);
 
   SingleRun resumed_fixture;
-  EXPECT_EQ(resume_single_to_completion(path, resumed_fixture), golden);
+  EXPECT_EQ(resumed_digest(path, resumed_fixture), golden);
 }
 
 // ------------------------------------------ crash clause × resume
@@ -638,8 +755,8 @@ TEST(ResumeDeathTest, ResumeOfCrashFaultRunMakesProgress) {
       {
         SingleRun resumed;
         resumed.options.faults = &at4;
-        const RouteServerResult result =
-            resumed.run(nullptr, std::span(cuts).subspan(0, 4));
+        const RouteServerResult result = resumed.run(
+            nullptr, CapturedPrefix(std::span(cuts).first(4)).resume());
         std::_Exit(telemetry_digest(result.epochs) == golden ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
@@ -650,6 +767,7 @@ TEST(RecoverWal, RejectsHeaderlessWal) {
   write_file(path, std::string(recovery::kWalMagic,
                                sizeof(recovery::kWalMagic)));  // no records
   EXPECT_THROW(recovery::recover_wal(path), std::runtime_error);
+  EXPECT_THROW(recovery::read_run_header(path), std::runtime_error);
 }
 
 // ------------------------------------------- crafted counts (no MAC)
@@ -664,7 +782,7 @@ std::string patch_word(std::string payload, std::size_t at,
 }
 
 /// The index of the first record of `type` in `scan`.
-std::size_t first_record(const framed_log::Scan& scan,
+std::size_t first_record(const CollectedScan& scan,
                          recovery::RecordType type) {
   for (std::size_t i = 0; i < scan.records.size(); ++i) {
     if (scan.records[i].type == static_cast<std::uint32_t>(type)) return i;
@@ -677,11 +795,11 @@ std::size_t first_record(const framed_log::Scan& scan,
 /// under a freshly computed (valid) checksum.
 void rewrite_record(const std::string& path, std::size_t index,
                     const std::string& payload) {
-  const framed_log::Scan scan = wal_frames(path);
+  const CollectedScan scan = wal_frames(path);
   std::ostringstream out(std::ios::binary);
   out.write(recovery::kWalMagic, framed_log::kMagicBytes);
   for (std::size_t i = 0; i < scan.records.size(); ++i) {
-    const framed_log::Frame& frame = scan.records[i];
+    const CollectedFrame& frame = scan.records[i];
     framed_log::append_frame(out, frame.type,
                              i == index ? payload : frame.payload);
   }
@@ -717,7 +835,7 @@ TEST(RecoverWal, CraftedCountsAreCorruptionNotAllocations) {
     fixture.run(log.single_observer());
     log.finish();
   }
-  const framed_log::Scan clean = wal_frames(clean_path);
+  const CollectedScan clean = wal_frames(clean_path);
   const std::size_t cut =
       first_record(clean, recovery::RecordType::kEpochCut);
   const std::size_t mark =
@@ -772,7 +890,7 @@ TEST(RecoverWal, CraftedCountsAreCorruptionNotAllocations) {
                        decoded_delta.changes.size(), 8),
             delta_payload);
   ASSERT_EQ(patch_word(delta_payload, delta_buckets_at,
-                       nonzero_buckets(decoded_delta.record.cut.route_hist).size(),
+                       decoded_delta.record.cut.route_hist.nonzero_buckets().size(),
                        8),
             delta_payload);
 
@@ -841,8 +959,8 @@ TEST(WalProtocol, SingleServerMatchesOneTenantRegistryRecordForRecord) {
     log.finish();
   }
 
-  const framed_log::Scan single = wal_frames(single_path);
-  const framed_log::Scan tenant = wal_frames(tenant_path);
+  const CollectedScan single = wal_frames(single_path);
+  const CollectedScan tenant = wal_frames(tenant_path);
   ASSERT_EQ(single.records.size(), tenant.records.size());
   // Headers differ (multi-tenant flag, tenant name); every record after
   // them — cuts, round marks, trailer — must be byte-identical.
@@ -1029,9 +1147,14 @@ TEST(WalLog, MultiTenantKilledMidRunResumesBitIdentically) {
   MultiRun fixture;
   const std::string path = temp_path("multi.wal");
   std::vector<std::uint64_t> golden;
+  std::vector<LogHistogram> golden_route;
   {
     recovery::WalLog log(path, fixture.manifest());
-    golden = tenant_digests(fixture.run(log.round_observer()));
+    const MultiTenantResult full = fixture.run(log.round_observer());
+    golden = tenant_digests(full);
+    for (const TenantResult& tenant : full.tenants) {
+      golden_route.push_back(tenant.server.route_latency);
+    }
     log.finish();
   }
 
@@ -1042,10 +1165,11 @@ TEST(WalLog, MultiTenantKilledMidRunResumesBitIdentically) {
   EXPECT_EQ(clean.manifest.tenants[0].weight, 2u);
 
   // Kill the run at several byte offsets (including mid-record) and
-  // resume each crash image: per-tenant digests must match, and every
-  // tenant picks up at a scheduler-round boundary (committed cuts only).
+  // resume each crash image: per-tenant digests and route histograms
+  // must match, and every tenant picks up at a scheduler-round boundary
+  // (committed cuts only).
   const std::string bytes = read_file(path);
-  const framed_log::Scan scan = wal_frames(path);
+  const CollectedScan scan = wal_frames(path);
   const std::string crash_path = temp_path("multi_crash.wal");
   for (std::size_t i = 0; i + 1 < scan.records.size(); i += 2) {
     for (const std::size_t keep :
@@ -1059,6 +1183,16 @@ TEST(WalLog, MultiTenantKilledMidRunResumesBitIdentically) {
           fixture.run(log.round_observer(), &resume);
       log.finish();
       EXPECT_EQ(tenant_digests(resumed), golden) << "killed at byte " << keep;
+      ASSERT_EQ(resumed.tenants.size(), golden_route.size());
+      for (std::size_t t = 0; t < golden_route.size(); ++t) {
+        EXPECT_TRUE(resumed.tenants[t].server.route_latency ==
+                    golden_route[t])
+            << "tenant " << t << " killed at byte " << keep;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      resumed.tenants[t].server.route_latency.sum()),
+                  std::bit_cast<std::uint64_t>(golden_route[t].sum()))
+            << "tenant " << t << " killed at byte " << keep;
+      }
 
       const recovery::RecoveredRun healed = recovery::recover_wal(crash_path);
       EXPECT_TRUE(healed.clean_shutdown) << "killed at byte " << keep;
@@ -1122,7 +1256,7 @@ TEST(WalLog, FeedbackTenantKilledAtAnyByteResumesBitIdentically) {
   }
 
   const std::string bytes = read_file(path);
-  const framed_log::Scan scan = wal_frames(path);
+  const CollectedScan scan = wal_frames(path);
   const std::string crash_path = temp_path("feedback_crash.wal");
   for (std::size_t i = 0; i + 1 < scan.records.size(); ++i) {
     for (const std::size_t keep :
@@ -1235,13 +1369,13 @@ TEST(WalHeader, RetiredLatencySlotsKeepTheV3Layout) {
     golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
     log.finish();
   }
-  const framed_log::Scan clean = wal_frames(clean_path);
+  const CollectedScan clean = wal_frames(clean_path);
   const std::size_t retired_at = 4 + 11 * 8;  // tenant, 11 summary words
   std::ostringstream out(std::ios::binary);
   out.write(recovery::kWalMagic, framed_log::kMagicBytes);
   std::size_t cuts = 0;
   std::size_t deltas = 0;
-  for (const framed_log::Frame& frame : clean.records) {
+  for (const CollectedFrame& frame : clean.records) {
     std::string payload = frame.payload;
     if (frame.type == static_cast<std::uint32_t>(
                           recovery::RecordType::kEpochCut)) {
@@ -1276,7 +1410,7 @@ TEST(WalHeader, RetiredLatencySlotsKeepTheV3Layout) {
       EXPECT_EQ(payload.size(),
                 4 + 15 * 8 + 8 * cut.rng_state.size() + 8 +
                     8 * cut.flow.size() + 8 + 8 * decoded.changes.size() +
-                    (8 + 8 + 4 + 8 + 16 * nonzero_buckets(cut.route_hist).size() +
+                    (8 + 8 + 4 + 8 + 16 * cut.route_hist.nonzero_buckets().size() +
                      3 * 8) +
                     8);
       EXPECT_EQ(payload.substr(retired_at, 3 * 8), std::string(3 * 8, '\0'));
@@ -1306,28 +1440,96 @@ TEST(WalHeader, RetiredLatencySlotsKeepTheV3Layout) {
   ASSERT_EQ(state.cuts.size(), 1u);
   ASSERT_EQ(state.cuts[0].size(), expected.cuts[0].size());
   for (std::size_t e = 0; e < state.cuts[0].size(); ++e) {
-    const EpochSummary& got = state.cuts[0][e].summary;
-    const EpochSummary& want = expected.cuts[0][e].summary;
+    const EpochSummary& got = state.cuts[0][e];
+    const EpochSummary& want = expected.cuts[0][e];
     EXPECT_EQ(telemetry_digest_accumulate(fnv::kOffsetBasis, got),
               telemetry_digest_accumulate(fnv::kOffsetBasis, want))
         << "epoch " << e;
     EXPECT_EQ(got.queries_per_second, want.queries_per_second);
   }
   EXPECT_EQ(state.digests[0], golden);
-  // Resuming mid-run needs the client paths of the cut resumed from.
+  // Resuming mid-run needs the state of the cut resumed from.
   const std::size_t half = state.cuts[0].size() / 2;
   const recovery::RecoveredRun at_half =
       recovery::recover_wal(path, recovery::CutRef{0, half - 1});
-  const RouteServerResult resumed =
-      fixture.run(nullptr, std::span(at_half.cuts[0]).subspan(0, half));
+  ASSERT_TRUE(at_half.named.has_value());
+  const RouteServerResult resumed = fixture.run(
+      nullptr,
+      EngineResume{std::span(at_half.cuts[0]).first(half), &*at_half.named});
   EXPECT_EQ(telemetry_digest(resumed.epochs), golden);
+}
+
+// ------------------------------------------------ pinned cut bytes
+
+/// A hand-built cut: 24 paths, 1000 clients, a route histogram with an
+/// underflow and an overflow bucket.
+EngineCheckpoint pinned_cut() {
+  EngineCheckpoint cut;
+  EpochSummary& s = cut.summary;
+  s.epoch = 41;
+  s.start_time = 4.125;
+  s.end_time = 4.25;
+  s.queries = 123456;
+  s.migrations = 789;
+  s.migration_rate = 0.0064;
+  s.wardrop_gap = 0.0123;
+  s.board_latency = 1.75;
+  s.route_p50 = 1.5;
+  s.route_p99 = 2.25;
+  s.route_p999 = 2.5;
+  cut.rng_state = {0x0123456789abcdefULL, 0xfedcba9876543210ULL,
+                   0x0f1e2d3c4b5a6978ULL, 0x8877665544332211ULL};
+  for (int p = 0; p < 24; ++p) cut.flow.push_back(0.5 + p / 64.0);
+  for (std::uint32_t c = 0; c < 1000; ++c) {
+    cut.client_paths.push_back((c * 7) % 24);
+  }
+  for (int p = 0; p < 24; ++p) {
+    cut.route_hist.record(0.25 + 0.125 * p, 100 + p);
+  }
+  cut.route_hist.record(0.0, 3);
+  cut.route_hist.record(1e12, 2);
+  return cut;
+}
+
+std::uint64_t fnv_digest(const std::string& bytes) {
+  std::uint64_t digest = fnv::kOffsetBasis;
+  fnv::hash_bytes(digest, bytes.data(), bytes.size());
+  return digest;
+}
+
+TEST(WalCodec, CutAndDeltaBytesArePinned) {
+  // The WAL bytes of a fixed cut, as a keyframe and as a delta of 20
+  // changes. The digests were recorded from the encoder that walked all
+  // histogram buckets twice; the one-pass walk over nonzero buckets must
+  // write the same bytes.
+  const EngineCheckpoint cut = pinned_cut();
+  std::vector<recovery::PathChange> changes;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    changes.push_back({5 + 37 * i, (i * 5) % 24});
+  }
+  const std::string key = recovery::encode_epoch_cut(3, cut, 0x5eed);
+  const std::string delta =
+      recovery::encode_epoch_delta(3, cut, 0x5eed, changes);
+  EXPECT_EQ(key.size(), 4840u);
+  EXPECT_EQ(fnv_digest(key), 0x3a8074e109a1cae3ULL);
+  EXPECT_EQ(delta.size(), 1000u);
+  EXPECT_EQ(fnv_digest(delta), 0xbdae3b3881fed2b5ULL);
+
+  // Both decode back to the cut, its histogram included.
+  const recovery::CutRecord decoded = recovery::decode_epoch_cut(key);
+  EXPECT_EQ(decoded.cut.client_paths, cut.client_paths);
+  EXPECT_TRUE(decoded.cut.route_hist == cut.route_hist);
+  const recovery::DeltaRecord decoded_delta =
+      recovery::decode_epoch_delta(delta);
+  EXPECT_TRUE(decoded_delta.record.cut.route_hist == cut.route_hist);
+  EXPECT_EQ(decoded_delta.changes.size(), changes.size());
 }
 
 // ------------------------------------------------ delta cuts (WAL v4)
 
 /// The frames of `scan` from `from` up to (not including) `to`, framed
 /// again: a WAL image spliced around one record.
-std::string reframe(const framed_log::Scan& scan, std::size_t from,
+std::string reframe(const CollectedScan& scan, std::size_t from,
                     std::size_t to) {
   std::ostringstream out(std::ios::binary);
   for (std::size_t i = from; i < to; ++i) {
@@ -1338,39 +1540,96 @@ std::string reframe(const framed_log::Scan& scan, std::size_t from,
 }
 
 TEST(RecoverWal, FoldsPathsIntoTheLastCutAndTheNamedOne) {
-  // Recovery folds each tenant's delta chain forward and hands out full
-  // client paths for its last committed cut only, plus the one cut the
-  // caller names: both must equal what the engine captured.
+  // Recovery folds each tenant's cuts forward. Per committed cut it keeps
+  // the summary and the frame offset, nothing else: a cut row is an
+  // EpochSummary, with no room for client paths, flow or a histogram.
+  // The full state — client paths, flow, RNG cursor, the cut's own route
+  // histogram, and the route histograms merged up to the cut — is kept
+  // for the last committed cut and the one cut the caller names. Both
+  // must equal what the engine captured, and a resume from the named
+  // one, as `wal_replay_cli replay` restores it, finishes the run bit for
+  // bit.
   SingleRun fixture;
   const std::string path = temp_path("fold.wal");
   std::vector<EngineCheckpoint> captured;
-  {
+  const RouteServerResult full = [&] {
     recovery::WalLog log(path, fixture.manifest());
     const CutObserver logged = log.single_observer();
-    fixture.run([&](const EngineCheckpoint& cut) {
+    RouteServerResult result = fixture.run([&](const EngineCheckpoint& cut) {
       captured.push_back(cut);
       logged(cut);
     });
     log.finish();
-  }
+    return result;
+  }();
   ASSERT_EQ(captured.size(), fixture.options.epochs);
+  const std::size_t last = captured.size() - 1;
 
   const recovery::RecoveredRun state = recovery::recover_wal(path);
   EXPECT_EQ(state.version, recovery::kWalVersion);
+  static_assert(std::is_same_v<decltype(state.cuts)::value_type::value_type,
+                               EpochSummary>);
   ASSERT_EQ(state.cuts[0].size(), captured.size());
-  for (std::size_t e = 0; e + 1 < captured.size(); ++e) {
-    EXPECT_TRUE(state.cuts[0][e].client_paths.empty()) << "epoch " << e;
+  for (std::size_t e = 0; e < captured.size(); ++e) {
+    EXPECT_EQ(telemetry_digest(std::span(&state.cuts[0][e], 1)),
+              telemetry_digest(std::span(&captured[e].summary, 1)))
+        << "epoch " << e;
   }
-  EXPECT_EQ(state.cuts[0].back().client_paths, captured.back().client_paths);
+  // Each cut's offset is where its frame starts in the file.
+  std::vector<std::uint64_t> cut_starts;
+  for (const CollectedFrame& frame : wal_frames(path).records) {
+    if (frame.type ==
+            static_cast<std::uint32_t>(recovery::RecordType::kEpochCut) ||
+        frame.type ==
+            static_cast<std::uint32_t>(recovery::RecordType::kEpochDelta)) {
+      cut_starts.push_back(frame.end_offset - framed_log::kFrameBytes -
+                           frame.payload.size());
+    }
+  }
+  EXPECT_EQ(state.cut_offsets[0], cut_starts);
+  EXPECT_FALSE(state.named.has_value());
+
+  const auto expect_captured = [&captured](const BoundaryState& kept,
+                                           std::size_t e) {
+    const EngineCheckpoint& want = captured[e];
+    EXPECT_EQ(telemetry_digest(std::span(&kept.cut.summary, 1)),
+              telemetry_digest(std::span(&want.summary, 1)))
+        << "epoch " << e;
+    EXPECT_EQ(kept.cut.rng_state, want.rng_state) << "epoch " << e;
+    EXPECT_EQ(kept.cut.flow, want.flow) << "epoch " << e;
+    EXPECT_EQ(kept.cut.client_paths, want.client_paths) << "epoch " << e;
+    EXPECT_TRUE(kept.cut.route_hist == want.route_hist) << "epoch " << e;
+    EXPECT_TRUE(kept.route_latency ==
+                CapturedPrefix(std::span(captured).first(e + 1))
+                    .at.route_latency)
+        << "epoch " << e;
+  };
+  ASSERT_EQ(state.last.size(), 1u);
+  expect_captured(state.last[0], last);
+  EXPECT_TRUE(state.last[0].route_latency == full.route_latency);
 
   for (std::size_t e = 0; e < captured.size(); ++e) {
     const recovery::RecoveredRun named =
         recovery::recover_wal(path, recovery::CutRef{0, e});
-    EXPECT_EQ(named.cuts[0][e].client_paths, captured[e].client_paths)
+    ASSERT_TRUE(named.named.has_value()) << "epoch " << e;
+    expect_captured(*named.named, e);
+    expect_captured(named.last[0], last);
+
+    const RouteServerResult resumed = fixture.run(
+        nullptr,
+        EngineResume{std::span(named.cuts[0]).first(e + 1), &*named.named});
+    EXPECT_EQ(telemetry_digest(resumed.epochs), telemetry_digest(full.epochs))
         << "epoch " << e;
-    EXPECT_EQ(named.cuts[0].back().client_paths,
-              captured.back().client_paths);
+    EXPECT_TRUE(resumed.route_latency == full.route_latency) << "epoch " << e;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(resumed.route_latency.sum()),
+              std::bit_cast<std::uint64_t>(full.route_latency.sum()))
+        << "epoch " << e;
   }
+  // A name past the committed prefix, or of no tenant, keeps nothing.
+  EXPECT_FALSE(recovery::recover_wal(path, recovery::CutRef{0, last + 1})
+                   .named.has_value());
+  EXPECT_FALSE(
+      recovery::recover_wal(path, recovery::CutRef{1, 0}).named.has_value());
 }
 
 TEST(WalLog, ResumedSessionOpensWithAKeyframeAndTearsAtEveryByte) {
@@ -1393,13 +1652,13 @@ TEST(WalLog, ResumedSessionOpensWithAKeyframeAndTearsAtEveryByte) {
   const recovery::RecoveredRun torn = recovery::recover_wal(path);
   ASSERT_TRUE(torn.truncated);
   ASSERT_GT(torn.cuts[0].size(), 1u);  // a delta chain precedes the tear
-  EXPECT_EQ(resume_single_to_completion(path, fixture), golden);
+  EXPECT_EQ(resumed_digest(path, fixture), golden);
 
   const std::string healed = read_file(path);
-  const framed_log::Scan scan = wal_frames(path);
+  const CollectedScan scan = wal_frames(path);
   std::size_t keyframes = 0;
   bool keyframe_at_resume = false;
-  for (const framed_log::Frame& frame : scan.records) {
+  for (const CollectedFrame& frame : scan.records) {
     if (frame.type !=
         static_cast<std::uint32_t>(recovery::RecordType::kEpochCut)) {
       continue;
@@ -1416,7 +1675,7 @@ TEST(WalLog, ResumedSessionOpensWithAKeyframeAndTearsAtEveryByte) {
   for (std::size_t keep = scan.records.front().end_offset;
        keep < healed.size(); ++keep) {
     write_file(crash_path, healed.substr(0, keep));
-    EXPECT_EQ(resume_single_to_completion(crash_path, fixture), golden)
+    EXPECT_EQ(resumed_digest(crash_path, fixture), golden)
         << "torn at byte " << keep;
   }
 }
@@ -1436,7 +1695,7 @@ TEST(RecoverWal, BrokenDeltaChainsStopWithANoteNotAThrow) {
     golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
     log.finish();
   }
-  const framed_log::Scan clean = wal_frames(clean_path);
+  const CollectedScan clean = wal_frames(clean_path);
   const std::size_t key_at =
       first_record(clean, recovery::RecordType::kEpochCut);
   const std::size_t delta_at =
@@ -1537,7 +1796,7 @@ TEST(RecoverWal, BrokenDeltaChainsStopWithANoteNotAThrow) {
     EXPECT_EQ(state.note, broken.note) << broken.what;
     EXPECT_EQ(state.cuts[0].size(), broken.committed) << broken.what;
     SingleRun resumed;
-    EXPECT_EQ(resume_single_to_completion(path, resumed), golden)
+    EXPECT_EQ(resumed_digest(path, resumed), golden)
         << broken.what;
   }
 }
@@ -1602,7 +1861,7 @@ TEST(RecoverWal, CraftedCutAndDeltaPayloadsTruncateOrLoadClean) {
     fixture.run(log.round_observer());
     log.finish();
   }
-  const framed_log::Scan clean = wal_frames(clean_path);
+  const CollectedScan clean = wal_frames(clean_path);
   const std::string magic(recovery::kWalMagic, framed_log::kMagicBytes);
   const std::string path = temp_path("fuzz.wal");
   std::size_t keyframes = 0;
@@ -1610,7 +1869,7 @@ TEST(RecoverWal, CraftedCutAndDeltaPayloadsTruncateOrLoadClean) {
   std::size_t flips = 0;
   std::size_t truncated = 0;
   for (std::size_t index = 0; index < clean.records.size(); ++index) {
-    const framed_log::Frame& frame = clean.records[index];
+    const CollectedFrame& frame = clean.records[index];
     if (frame.type ==
         static_cast<std::uint32_t>(recovery::RecordType::kEpochCut)) {
       ++keyframes;
@@ -1724,22 +1983,25 @@ TEST(WalCompat, V3LogRecoversLikeV4AndResumesWithKeyframesOnly) {
     for (std::size_t t = 0; t < old.cuts.size(); ++t) {
       ASSERT_EQ(old.cuts[t].size(), v4.cuts[t].size());
       for (std::size_t e = 0; e < old.cuts[t].size(); ++e) {
-        const EngineCheckpoint& a = old.cuts[t][e];
-        const EngineCheckpoint& b = v4.cuts[t][e];
-        EXPECT_EQ(telemetry_digest_accumulate(fnv::kOffsetBasis, a.summary),
-                  telemetry_digest_accumulate(fnv::kOffsetBasis, b.summary));
-        EXPECT_EQ(a.rng_state, b.rng_state);
-        EXPECT_EQ(a.flow, b.flow);
-        EXPECT_EQ(a.client_paths, b.client_paths);  // empty but the last
-        EXPECT_TRUE(a.route_hist == b.route_hist);
+        EXPECT_EQ(telemetry_digest_accumulate(fnv::kOffsetBasis,
+                                              old.cuts[t][e]),
+                  telemetry_digest_accumulate(fnv::kOffsetBasis,
+                                              v4.cuts[t][e]));
       }
-      EXPECT_EQ(old.cuts[t].back().client_paths.size(),
+      const BoundaryState& a = old.last[t];
+      const BoundaryState& b = v4.last[t];
+      EXPECT_EQ(a.cut.rng_state, b.cut.rng_state);
+      EXPECT_EQ(a.cut.flow, b.cut.flow);
+      EXPECT_EQ(a.cut.client_paths, b.cut.client_paths);
+      EXPECT_TRUE(a.cut.route_hist == b.cut.route_hist);
+      EXPECT_TRUE(a.route_latency == b.route_latency);
+      EXPECT_EQ(a.cut.client_paths.size(),
                 t == 0 ? fixture.options_a.server.num_clients
                        : fixture.options_b.server.num_clients);
     }
 
     const std::string bytes = read_file(old_path);
-    const framed_log::Scan scan = wal_frames(old_path);
+    const CollectedScan scan = wal_frames(old_path);
     const std::string crash_path = temp_path("compat_crash.wal");
     for (std::size_t i = 0; i + 1 < scan.records.size(); ++i) {
       for (const std::size_t keep :
@@ -1756,10 +2018,10 @@ TEST(WalCompat, V3LogRecoversLikeV4AndResumesWithKeyframesOnly) {
             << "v" << version << " torn at byte " << keep;
         log.finish();
 
-        const framed_log::Scan healed = wal_frames(crash_path);
+        const CollectedScan healed = wal_frames(crash_path);
         EXPECT_EQ(binio::Reader(healed.records.front().payload).u32(),
                   version);
-        for (const framed_log::Frame& frame : healed.records) {
+        for (const CollectedFrame& frame : healed.records) {
           EXPECT_NE(frame.type, static_cast<std::uint32_t>(
                                     recovery::RecordType::kEpochDelta))
               << "v" << version << " torn at byte " << keep;

@@ -520,7 +520,8 @@ TEST(EpochEngine, RestoreRejectsAClientPathOutOfItsCommoditysRange) {
   const auto restore_cut = [&](const EngineCheckpoint& tampered) {
     EpochEngine fresh(instance, policy, *workload);
     fresh.begin(initial, options);
-    fresh.restore(std::span<const EngineCheckpoint>(&tampered, 1));
+    const BoundaryState at{tampered, tampered.route_hist};
+    fresh.restore(EngineResume{std::span(&tampered.summary, 1), &at});
   };
   const auto restore = [&](std::size_t client, std::uint32_t path) {
     EngineCheckpoint tampered = cut;

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "collect_frames.h"
 #include "exec/exec.h"
 #include "net/flow.h"
 #include "net/generators.h"
@@ -466,7 +467,7 @@ TEST(TraceRecovery, CraftedPayloadsTruncateOrLoadCleanNeverThrow) {
     server.run(FlowVector::uniform(instance), options);
     trace::stop();
   }
-  const framed_log::Scan clean = framed_log::scan_frames(
+  const CollectedScan clean = collect_frames(
       path, "trace", trace::kTraceMagic,
       static_cast<std::uint32_t>(trace::TraceRecordType::kTraceTrailer));
   ASSERT_FALSE(clean.truncated) << clean.note;

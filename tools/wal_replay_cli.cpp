@@ -25,7 +25,8 @@
 // bit-for-bit or the WAL does not describe this build's dynamics.
 // Exit 0 = all replayed epochs match, 1 = a mismatch, 2 = usage error
 // (missing/corrupt-beyond-recovery WAL, unknown tenant, out-of-range
-// epoch window). Replay forces deterministic mode (no wall-clock
+// epoch window, or a WAL whose state or configuration the engine refuses
+// at restore or while serving). Replay forces deterministic mode (no wall-clock
 // recording): wall-clock fields are not replayable state and do not
 // enter the digests.
 #include <cstdlib>
@@ -58,19 +59,21 @@ namespace {
   std::exit(2);
 }
 
-recovery::RecoveredRun recover_or_usage(
-    const std::string& path,
-    std::optional<recovery::CutRef> paths_at = std::nullopt) {
+/// Reads the WAL at `path` through `read`: a file that is not a
+/// resumable WAL is a usage error.
+template <typename Read>
+auto read_wal(const std::string& path, const Read& read) {
   cli::require_readable(path, "WAL");
   try {
-    return recovery::recover_wal(path, paths_at);
+    return read();
   } catch (const std::runtime_error& e) {
     throw cli::UsageError(e.what());
   }
 }
 
 int do_info(const std::string& path) {
-  const recovery::RecoveredRun state = recover_or_usage(path);
+  const recovery::RecoveredRun state =
+      read_wal(path, [&] { return recovery::recover_wal(path); });
   std::cout << "wal: " << path << "\n"
             << "mode: "
             << (state.manifest.multi_tenant ? "multi-tenant"
@@ -96,7 +99,7 @@ int do_info(const std::string& path) {
     // (seekable, and correlatable with trace spans) and the epoch's
     // deterministic route_p99.
     for (std::size_t c = 0; c < state.cuts[i].size(); ++c) {
-      const EpochSummary& summary = state.cuts[i][c].summary;
+      const EpochSummary& summary = state.cuts[i][c];
       std::cout << "cut[" << cli::tenant_label(tenant)
                 << "]: epoch=" << summary.epoch
                 << " offset=" << state.cut_offsets[i][c]
@@ -132,12 +135,15 @@ int do_replay(const std::string& path,
   }
 
   Executor executor = cli::usage_error([&] { return Executor(threads); });
-  recovery::RecoveredRun state = recover_or_usage(path);
+  // The header names the tenants; the one fold below keeps the full
+  // state of the cut the replay restores from (epoch e-1).
+  const recovery::RunManifest header =
+      read_wal(path, [&] { return recovery::read_run_header(path); });
   std::size_t tenant = 0;
   if (!tenant_name.empty()) {
     bool found = false;
-    for (std::size_t i = 0; i < state.manifest.tenants.size(); ++i) {
-      if (state.manifest.tenants[i].name == tenant_name) {
+    for (std::size_t i = 0; i < header.tenants.size(); ++i) {
+      if (header.tenants[i].name == tenant_name) {
         tenant = i;
         found = true;
         break;
@@ -147,7 +153,14 @@ int do_replay(const std::string& path,
       throw cli::UsageError("no tenant '" + tenant_name + "' in this WAL");
     }
   }
-  const std::size_t committed = state.cuts[tenant].size();
+  const recovery::RecoveredRun state = read_wal(path, [&] {
+    return recovery::recover_wal(
+        path, from_epoch > 0
+                  ? std::optional(recovery::CutRef{tenant, from_epoch - 1})
+                  : std::nullopt);
+  });
+  const std::vector<EpochSummary>& cuts = state.cuts[tenant];
+  const std::size_t committed = cuts.size();
 
   if (from_epoch > committed) {
     throw cli::UsageError(
@@ -165,17 +178,10 @@ int do_replay(const std::string& path,
     std::cout << "nothing to replay (0 epochs requested)\n";
     return 0;
   }
-  // Recovery keeps client paths for each tenant's last cut only; the
-  // restore below reads them from cut e-1, so fold the log once more and
-  // keep that cut's too.
-  if (from_epoch > 0) {
-    state = recover_or_usage(path, recovery::CutRef{tenant, from_epoch - 1});
-  }
   const recovery::TenantManifest& manifest = state.manifest.tenants[tenant];
-  const std::vector<EngineCheckpoint>& cuts = state.cuts[tenant];
 
   // Rebuild the tenant's world exactly as the serving CLI does, then
-  // drive its engine by hand: restore cuts [0, e), serve k more epochs.
+  // drive its engine by hand: restore epochs [0, e), serve k more.
   const cli::Host host =
       cli::make_host(manifest, ScenarioRegistry::builtin());
 
@@ -183,11 +189,13 @@ int do_replay(const std::string& path,
   options.record_latency = false;  // replay is deterministic by definition
 
   // A WAL the engine refuses (a header option out of range, an
-  // infeasible cut) is corrupt input: a usage error, not a mismatch.
+  // infeasible cut, a workload it cannot serve) is corrupt input: a
+  // usage error, not a mismatch.
   EpochEngine engine(host.instance, host.policy, *host.workload);
   cli::usage_error([&] {
     engine.begin(FlowVector::uniform(host.instance), options);
-    engine.restore(std::span(cuts).subspan(0, from_epoch));
+    engine.restore(EngineResume{std::span(cuts).first(from_epoch),
+                                state.named ? &*state.named : nullptr});
     return 0;
   });
 
@@ -199,15 +207,17 @@ int do_replay(const std::string& path,
 
   std::size_t mismatches = 0;
   for (std::size_t e = from_epoch; e < from_epoch + epoch_count; ++e) {
-    TaskGraph graph;
-    engine.add_epoch(graph);
-    executor.run(graph);
-    engine.finish_epoch(0.0, nullptr);
-    const EngineCheckpoint replayed = engine.checkpoint();
+    const EngineCheckpoint replayed = cli::usage_error([&] {
+      TaskGraph graph;
+      engine.add_epoch(graph);
+      executor.run(graph);
+      engine.finish_epoch(0.0, nullptr);
+      return engine.checkpoint();
+    });
     const std::uint64_t replay_digest =
         telemetry_digest(std::span(&replayed.summary, 1));
     const std::uint64_t recorded_digest =
-        telemetry_digest(std::span(&cuts[e].summary, 1));
+        telemetry_digest(std::span(&cuts[e], 1));
     const bool match = replay_digest == recorded_digest;
     if (!match) ++mismatches;
     if (!quiet || !match) {
