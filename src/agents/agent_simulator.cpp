@@ -61,6 +61,8 @@ AgentSimResult AgentSimulator::run(const FlowVector& initial,
     accounted_time += T;
   };
 
+  // Rng::below(num_agents) with the divisor's work done once per run.
+  const BoundedDraw draw_agent(options.num_agents);
   double t = 0.0;
   std::size_t phase = 0;
   refresh_board(0.0);
@@ -95,8 +97,7 @@ AgentSimResult AgentSimulator::run(const FlowVector& initial,
     t = next_t;
 
     // Activate one uniformly random agent.
-    const auto agent = static_cast<std::size_t>(
-        rng.below(static_cast<std::uint64_t>(options.num_agents)));
+    const auto agent = static_cast<std::size_t>(draw_agent(rng));
     ++result.activations;
     const CommodityId c = population.commodity_of(agent);
     const Commodity& commodity = instance_->commodity(c);

@@ -14,7 +14,6 @@
 // derived from the C + 1 offsets, never stored.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -40,14 +39,35 @@ class Population {
 
   std::size_t size() const noexcept { return local_path_.size(); }
 
-  /// The commodity whose id range holds `client`: 0 for a one-commodity
-  /// instance, else a binary search over the C + 1 offsets.
-  CommodityId commodity_of(std::size_t client) const {
-    if (first_client_.size() == 2) return CommodityId{0};
-    const auto next =
-        std::upper_bound(first_client_.begin(), first_client_.end(), client);
-    return CommodityId{
-        static_cast<std::size_t>(next - first_client_.begin() - 1)};
+  /// The client-to-commodity lookup over the C + 1 offsets, trivially
+  /// copyable so a serving loop can hold it in registers. Valid while
+  /// the population lives.
+  struct CommodityMap {
+    const std::size_t* first;  // C + 1 offsets
+    std::size_t commodities;   // C
+
+    /// Index of the commodity whose id range holds `client` (< the
+    /// client count). A fixed-step binary search: its trip count depends
+    /// on C alone (none for C = 1) and each step is a conditional move,
+    /// so no branch depends on the client.
+    std::size_t operator()(std::size_t client) const noexcept {
+      const std::size_t* base = first;
+      for (std::size_t n = commodities; n > 1;) {
+        const std::size_t half = n / 2;
+        base = base[half] <= client ? base + half : base;
+        n -= half;
+      }
+      return static_cast<std::size_t>(base - first);
+    }
+  };
+
+  CommodityMap commodity_map() const noexcept {
+    return {first_client_.data(), first_client_.size() - 1};
+  }
+
+  /// The commodity whose id range holds `client`.
+  CommodityId commodity_of(std::size_t client) const noexcept {
+    return CommodityId{commodity_map()(client)};
   }
 
   /// Index into the client's commodity path list.
@@ -59,6 +79,11 @@ class Population {
   std::span<const std::uint32_t> local_paths() const noexcept {
     return local_path_;
   }
+
+  /// The same, writable: what reassign() writes, for a serving loop to
+  /// hold in a local (same contract: distinct clients may be written from
+  /// distinct threads concurrently).
+  std::span<std::uint32_t> local_paths() noexcept { return local_path_; }
 
   /// Flow volume each client of commodity `c` carries (demand_c / N_c).
   double flow_per_client(CommodityId c) const {

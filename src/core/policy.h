@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/migration.h"
@@ -87,20 +88,39 @@ class GuidedCdf {
   /// size(), so both u * G and k / G are exact in double.
   std::span<const std::uint32_t> guide() const noexcept { return guide_; }
 
-  /// First index j with values()[j] >= u, clamped to size - 1: the index
-  /// sample_from_cdf() returns for the same u. Starts at the guide entry
-  /// of u's bucket and walks forward; the walk visits the paths whose
-  /// CDF steps fall inside that bucket, fewer than one on average.
-  /// Requires u in [0, 1) and a non-empty distribution.
+  /// The lookup's four words, trivially copyable so a serving loop can
+  /// hold them in registers. Valid while the GuidedCdf lives and is not
+  /// rebuilt.
+  struct View {
+    const double* cdf = nullptr;
+    const std::uint32_t* guide = nullptr;
+    double buckets = 0.0;   // G
+    std::size_t last = 0;   // size - 1
+
+    /// First index j with cdf[j] >= u, clamped to size - 1: the index
+    /// sample_from_cdf() returns for the same u. Starts at the guide
+    /// entry of u's bucket and walks forward; the walk visits the paths
+    /// whose CDF steps fall inside that bucket, fewer than one on
+    /// average. Requires u in [0, 1) and a non-empty distribution.
+    std::size_t index_of(double u) const noexcept {
+      std::size_t j = guide[static_cast<std::size_t>(u * buckets)];
+      while (j < last && cdf[j] < u) ++j;
+      return j;
+    }
+  };
+
+  View view() const noexcept {
+    return {cdf_.data(), guide_.data(), buckets_, last_};
+  }
+
+  /// view().index_of(u).
   std::size_t index_of(double u) const noexcept {
-    std::size_t j = guide_[static_cast<std::size_t>(u * buckets_)];
-    while (j < last_ && cdf_[j] < u) ++j;
-    return j;
+    return view().index_of(u);
   }
 
   /// Draws a local path index: one uniform variate, one guided lookup.
   std::size_t sample(Rng& rng) const noexcept {
-    return index_of(rng.uniform());
+    return view().index_of(rng.uniform());
   }
 
  private:
@@ -115,6 +135,8 @@ class GuidedCdf {
   double buckets_ = 0.0;  // G
   std::size_t last_ = 0;  // size - 1
 };
+
+static_assert(std::is_trivially_copyable_v<GuidedCdf::View>);
 
 /// Cumulative sampling distribution of `policy` over `commodity`'s local
 /// path list, evaluated against bulletin-board values, and its guide

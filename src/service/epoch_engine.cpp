@@ -59,8 +59,7 @@ void EpochEngine::begin(const FlowVector& initial,
   if (options.num_clients >
       std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument(
-        "RouteServer::run: num_clients must fit RouteQuery::client "
-        "(uint32)");
+        "RouteServer::run: num_clients must fit a uint32 client id");
   }
   if (const std::size_t memory = physical_memory_bytes();
       options.num_clients > memory / Population::kBytesPerClient) {
@@ -128,51 +127,56 @@ void EpochEngine::serve_sub_batch(std::size_t b) {
       faults::busy_wait_us(slow_us);
     }
   }
-  const BoardSnapshot& board = *board_;
-  const std::span<const double> latency = board.board().path_latency();
+  // Everything a query reads except its client's path is constant for
+  // the batch, so it lives in locals the compiler keeps in registers
+  // across the loop's stores and the rule's call: the client paths, the
+  // ledger slot, the client-index base and the bounded draw over the
+  // slice, the commodity map and the lanes of the frozen board.
   const MigrationRule& rule = policy_->migration();
-  Population& clients = *clients_;
-  FlowLedger& ledger = *ledger_;
-  // The stream and the slice bounds stay in locals for the whole batch;
-  // the stream is written back to the context once, after the last query.
-  Rng rng = sub.rng;
-  const std::size_t client_begin = sub.client_begin;
-  const std::size_t client_count = sub.client_count;
+  const Population& clients = *clients_;
+  std::uint32_t* const client_path = clients_->local_paths().data();
+  const Population::CommodityMap commodity_of = clients.commodity_map();
+  const BoardSnapshot::Lane* const lanes = board_->lanes().data();
+  const FlowLedger::Slot slot = ledger_->slot(b);
+  const std::size_t base = s + shards * sub.client_begin;
+  const BoundedDraw draw(sub.client_count);
   const std::size_t arrivals = sub.arrivals;
+  // The stream stays in a local for the whole batch and is written back
+  // once, after the last query; so is the migration count.
+  Rng rng = sub.rng;
+  std::uint64_t migrations = 0;
   for (std::size_t q = 0; q < arrivals; ++q) {
-    const RouteQuery query{static_cast<std::uint32_t>(
-        s + shards * (client_begin + rng.below(client_count)))};
-    const CommodityId c = clients.commodity_of(query.client);
-    const Commodity& commodity = instance_->commodity(c);
+    const std::size_t client = base + shards * draw(rng);
+    const std::size_t c = commodity_of(client);
+    const BoardSnapshot::Lane lane = lanes[c];
 
     // Step (1): sample a candidate from the precomputed CDF.
-    const std::size_t sampled = board.guided_cdf(c).sample(rng);
+    const std::size_t sampled = lane.cdf.index_of(rng.uniform());
 
     // Step (2): migrate with probability mu(l_P, l_Q). Every rule is
     // selfish (mu == 0 unless l_Q < l_P, see MigrationRule), and
     // bernoulli(0) draws nothing, so one comparison gates the rule: a
     // query whose candidate does not look strictly better (its own path
     // included) makes no call and no draw, exactly as mu == 0 would.
-    const std::size_t current = clients.local_path(query.client);
-    std::size_t served_path = commodity.paths[current].index();
-    const std::size_t candidate = commodity.paths[sampled].index();
-    if (latency[candidate] < latency[served_path]) {
+    std::size_t served = client_path[client];
+    if (lane.latency[sampled] < lane.latency[served]) {
       const double mu =
-          rule.probability(latency[served_path], latency[candidate]);
+          rule.probability(lane.latency[served], lane.latency[sampled]);
       if (rng.bernoulli(mu)) {
-        const double moved = clients.flow_per_client(c);
-        ledger.add(b, served_path, -moved);
-        ledger.add(b, candidate, +moved);
-        ledger.count_migration(b);
-        clients.reassign(query.client, sampled);
-        served_path = candidate;
+        const double moved = clients.flow_per_client(CommodityId{c});
+        slot.delta[lane.paths[served].index()] -= moved;
+        slot.delta[lane.paths[sampled].index()] += moved;
+        ++migrations;
+        client_path[client] = static_cast<std::uint32_t>(sampled);
+        served = sampled;
       }
     }
     // The board is frozen for the epoch, so the path alone fixes the
     // latency this query's client experiences; the summary turns the
     // folded counts into the route-latency histogram.
-    ledger.count_served(b, served_path);
+    ++slot.served[lane.paths[served].index()];
   }
+  *slot.migrations += migrations;
   sub.rng = rng;
 }
 

@@ -36,20 +36,26 @@ class FlowLedger {
   /// reallocating every epoch.
   void ensure_slots(std::size_t slots);
 
-  /// Records that `delta` flow moved onto `path` in slot `s`. Safe to
-  /// call concurrently for distinct slots.
+  /// Records that `delta` flow moved onto `path` in slot `s`: slot(s)'s
+  /// delta, one write at a time (the serve loop writes through slot()).
+  /// Safe to call concurrently for distinct slots.
   void add(std::size_t s, std::size_t path, double delta) noexcept {
     delta_[s * stride_ + path] += delta;
   }
 
-  /// Counts one query served on global path `path` in slot `s`. Safe to
-  /// call concurrently for distinct slots.
-  void count_served(std::size_t s, std::size_t path) noexcept {
-    ++served_[s * stride_ + path];
+  /// Slot s's private storage, for a serving loop to hold in locals:
+  /// flow deltas and served-query counts by global path, and the
+  /// migration counter. Distinct slots may be written concurrently.
+  /// Valid until the next ensure_slots().
+  struct Slot {
+    double* delta;
+    std::uint64_t* served;
+    std::uint64_t* migrations;
+  };
+  Slot slot(std::size_t s) noexcept {
+    return {delta_.data() + s * stride_, served_.data() + s * stride_,
+            &migrations_[s].count};
   }
-
-  /// Counts one migration in slot `s`.
-  void count_migration(std::size_t s) noexcept { ++migrations_[s].count; }
 
   struct Totals {
     std::size_t queries = 0;

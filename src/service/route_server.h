@@ -3,10 +3,10 @@
 //
 // A RouteServer runs one EpochEngine, which owns a client Population, the
 // current BoardSnapshot and a sharded FlowLedger. Each epoch of length T
-// it answers a batch of RouteQuery requests against the *current* (stale)
-// board — sample a candidate path with the policy's precomputed CDF,
-// migrate with probability mu(l_P, l_Q) — while per-shard accumulators
-// record the flow movement. At the phase boundary the shards are folded
+// it answers a batch of route queries (a client asks which path to use
+// next) against the *current* (stale) board — sample a candidate path
+// with the policy's precomputed CDF, migrate with probability
+// mu(l_P, l_Q) — while per-shard accumulators record the flow movement. At the phase boundary the shards are folded
 // into the master flow and the next BoardSnapshot is built from it, so
 // served traffic IS the flow that determines the next board, exactly
 // Eq. (3)'s loop.
@@ -51,11 +51,6 @@ namespace staleflow {
 namespace faults {
 class FaultSchedule;
 }
-
-/// One routing request: client `client` asks which path to use next.
-struct RouteQuery {
-  std::uint32_t client = 0;
-};
 
 struct RouteServerOptions {
   /// Bulletin-board period T. Must be finite and > 0 (the service

@@ -3,14 +3,17 @@
 // The paper's bulletin board is rebuilt once per period T and frozen in
 // between — exactly the shape of a production routing snapshot. A
 // BoardSnapshot wraps one frozen BulletinBoard together with everything a
-// query needs precomputed (per-commodity sampling CDFs with guide tables,
-// an O(1) expected-time candidate lookup per query). Each EpochEngine
-// owns the board it serves and the one it builds for the next epoch, and
-// swaps them at the phase boundary on its host thread.
+// query needs precomputed: one lane per commodity, holding its sampling
+// CDF's guide-table lookup (an O(1) expected-time candidate draw) and its
+// path latencies in local path order, so a query compares its own path
+// with the sampled one without a detour through global path ids. Each
+// EpochEngine owns the board it serves and the one it builds for the next
+// epoch, and swaps them at the phase boundary on its host thread.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/bulletin_board.h"
@@ -35,15 +38,21 @@ class BoardSnapshot {
                 std::uint64_t epoch, double now,
                 std::span<const double> path_flow);
 
-  /// Two-phase build: posts the board and sizes the CDF table but leaves
-  /// every commodity's CDF empty; build_cdf() must then fill each one
-  /// before the snapshot is read. The full constructor above is this
-  /// plus build_cdf() for every commodity.
+  /// Two-phase build: posts the board, lays out every lane's local-order
+  /// latencies and sizes the CDF table but leaves every commodity's CDF
+  /// empty; build_cdf() must then fill each one before the snapshot is
+  /// read. The full constructor above is this plus build_cdf() for every
+  /// commodity.
   BoardSnapshot(DeferCdf, const Instance& instance, const Policy& policy,
                 std::uint64_t epoch, double now,
                 std::span<const double> path_flow);
 
-  /// Fills commodity `c`'s sampling CDF from the posted board.
+  /// Lanes point into the snapshot's own storage.
+  BoardSnapshot(const BoardSnapshot&) = delete;
+  BoardSnapshot& operator=(const BoardSnapshot&) = delete;
+
+  /// Fills commodity `c`'s sampling CDF from the posted board and points
+  /// its lane at it.
   void build_cdf(CommodityId c);
 
   std::uint64_t epoch() const noexcept { return epoch_; }
@@ -55,17 +64,30 @@ class BoardSnapshot {
     return cdf_[c.index()].values();
   }
 
-  /// The same distribution with its guide table: what a query draws its
-  /// candidate from.
-  const GuidedCdf& guided_cdf(CommodityId c) const { return cdf_[c.index()]; }
+  /// Everything a query of one commodity reads from the board, by local
+  /// path index: the candidate lookup, the posted latencies and the
+  /// global path ids (which index only the ledger). Trivially copyable;
+  /// valid while the snapshot lives.
+  struct Lane {
+    GuidedCdf::View cdf;
+    const double* latency = nullptr;  // latency[k] = l of paths[k]
+    const PathId* paths = nullptr;
+  };
+
+  /// One lane per commodity, by commodity index.
+  std::span<const Lane> lanes() const noexcept { return lanes_; }
 
  private:
   const Instance* instance_;
   const Policy* policy_;
   std::uint64_t epoch_;
   BulletinBoard board_;
-  std::vector<GuidedCdf> cdf_;  // by commodity
+  std::vector<GuidedCdf> cdf_;        // by commodity
+  std::vector<double> lane_latency_;  // every commodity's, in local order
+  std::vector<Lane> lanes_;           // by commodity
 };
+
+static_assert(std::is_trivially_copyable_v<BoardSnapshot::Lane>);
 
 /// Ignored; kept only because perfbench/ uses it; the next benchmark
 /// change deletes it.

@@ -50,17 +50,10 @@ class Rng {
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection).
-  std::uint64_t below(std::uint64_t n) {
-    if (n == 0) throw std::invalid_argument("Rng::below: n must be positive");
-    // Threshold rejection removes modulo bias: draws below (2^64 - n) mod n
-    // are retried, so the accepted range is a whole multiple of n.
-    const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
-    for (;;) {
-      const std::uint64_t r = (*this)();
-      if (r >= threshold) return r % n;
-    }
-  }
+  /// Uniform integer in [0, n). Throws std::invalid_argument when n == 0.
+  /// Unbiased (rejection). This is BoundedDraw(n)(*this): a loop drawing
+  /// many values below one n builds the BoundedDraw once instead.
+  std::uint64_t below(std::uint64_t n);
 
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept {
@@ -106,5 +99,52 @@ class Rng {
 
   std::array<std::uint64_t, 4> state_{};
 };
+
+/// Uniform integers in [0, n) for one fixed n, with the divisor's work
+/// done once: the rejection threshold and m = floor((2^64 - 1) / n) are
+/// computed at construction, and each accepted raw draw r is reduced by
+/// one multiply-high instead of a 64-bit division (division by an
+/// invariant integer, Granlund & Montgomery 1994, in Barrett's form).
+/// Takes exactly the raw draws, and returns exactly the values, of the
+/// textbook loop "retry while r < (2^64 - n) mod n, return r % n".
+class BoundedDraw {
+ public:
+  /// Throws std::invalid_argument when n == 0.
+  explicit BoundedDraw(std::uint64_t n) : n_(n) {
+    if (n == 0) throw std::invalid_argument("BoundedDraw: n must be positive");
+    threshold_ = (~n + 1) % n;  // (2^64 - n) mod n
+    m_ = ~std::uint64_t{0} / n;
+  }
+
+  /// r % n for every 64-bit r. With r = q * n + rem, the estimate
+  /// mulhi(r, m) is q or q - 1 (m is within one of 2^64 / n and r <
+  /// 2^64), so r - estimate * n is rem or rem + n <= r, and one
+  /// conditional subtraction finishes it.
+  std::uint64_t reduce(std::uint64_t r) const noexcept {
+    const std::uint64_t estimate = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(r) * m_) >> 64);
+    const std::uint64_t rem = r - estimate * n_;
+    return rem >= n_ ? rem - n_ : rem;
+  }
+
+  /// One uniform value in [0, n).
+  std::uint64_t operator()(Rng& rng) const noexcept {
+    for (;;) {
+      const std::uint64_t r = rng();
+      if (r >= threshold_) return reduce(r);
+    }
+  }
+
+ private:
+  std::uint64_t n_;
+  // Raw draws below the threshold are retried, so the accepted range is
+  // a whole multiple of n.
+  std::uint64_t threshold_ = 0;
+  std::uint64_t m_ = 0;
+};
+
+inline std::uint64_t Rng::below(std::uint64_t n) {
+  return BoundedDraw(n)(*this);
+}
 
 }  // namespace staleflow

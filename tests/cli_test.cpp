@@ -428,6 +428,13 @@ TEST_F(Cli, ToolsPrintThePinnedDigests) {
        {digest(golden::kSolo)}},
       {kRouteServer, trio({"--threads", "1", "--csv", "mt.csv"}), 0,
        kTrioDigests},
+      {kRouteServer,
+       {"run", "--scenario", "multicommodity-grid-3x3", "--policy",
+        "replicator", "--period", "0.1", "--epochs", "20", "--clients",
+        "4000", "--workload", "closed-loop:4000", "--shards", "8", "--seed",
+        "1", "--deterministic", "--threads", "4", "--quiet"},
+       0,
+       {digest(golden::kGrid)}},
       {kRouteServer, solo({"--threads", "1"}, "5000"), 0,
        {digest(golden::kLongSolo)}},
       {kRouteServer,

@@ -27,6 +27,13 @@ inline constexpr std::uint64_t kLongSolo = 0xb7ba79a075cb8151ULL;
 /// x86-64 only.
 inline constexpr std::uint64_t kBursty = 0x6906848562aad352ULL;
 
+/// `route_server_cli run --scenario multicommodity-grid-3x3 --policy
+/// replicator --period 0.1 --epochs 20 --clients 4000 --workload
+/// closed-loop:4000 --shards 8 --seed 1 --deterministic`: two commodities,
+/// so each query looks up its client's commodity and that commodity's
+/// lane of the board.
+inline constexpr std::uint64_t kGrid = 0x0ba4e6cdefc8a786ULL;
+
 /// The three tenants of the solo flags at `--epochs 15` with --tenants
 /// 'small:workload=closed-loop:500,clients=500,shards=2;
 /// big:workload=closed-loop:4000,weight=2;links:scenario=uniform-links-8,

@@ -1,7 +1,8 @@
 // Pinned golden digests of the platform-stable service configurations
-// (closed-loop workloads on braess / uniform-links avoid libm in the
-// dynamics), healthy and under deterministic fault injection, plus one
-// bursty run pinned for glibc x86-64 (its arrivals draw through libm).
+// (closed-loop workloads on braess, uniform-links and the affine
+// two-commodity grid avoid libm in the dynamics), healthy and under
+// deterministic fault injection, plus one bursty run pinned for glibc
+// x86-64 (its arrivals draw through libm).
 // The values live in golden_digests.h; cli_test.cpp checks that
 // `route_server_cli run --deterministic` prints the same digests for
 // these configs. Here every one is checked at 1 and 4 threads, so any
@@ -108,6 +109,25 @@ TEST(Golden, SoloRouteServer) {
     const RouteServerResult result =
         server.run(FlowVector::uniform(host.instance), host.options);
     EXPECT_EQ(telemetry_digest(result.epochs), kSolo.digest)
+        << label(threads);
+  }
+}
+
+/// `route_server_cli run --scenario multicommodity-grid-3x3 --policy
+/// replicator --period 0.1 --epochs 20 --clients 4000 --workload
+/// closed-loop:4000 --shards 8 --seed 1 --deterministic`: the one pinned
+/// instance with more than one commodity.
+const Config kGrid = {"", "multicommodity-grid-3x3", "closed-loop:4000",
+                      4000, 8, 1, 1, golden::kGrid};
+
+TEST(Golden, MultiCommodityGrid) {
+  for (const std::size_t threads : kThreads) {
+    Host host(kGrid, kSoloEpochs);
+    host.options.threads = threads;
+    RouteServer server(host.instance, host.policy, *host.workload);
+    const RouteServerResult result =
+        server.run(FlowVector::uniform(host.instance), host.options);
+    EXPECT_EQ(telemetry_digest(result.epochs), kGrid.digest)
         << label(threads);
   }
 }

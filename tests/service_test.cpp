@@ -31,6 +31,7 @@
 #include "net/flow.h"
 #include "net/generators.h"
 #include "service/service.h"
+#include "sweep/scenario.h"
 #include "util/rng.h"
 
 namespace staleflow {
@@ -110,13 +111,33 @@ Instance uneven_commodities() {
 
 static_assert(Population::kBytesPerClient == 4);
 
-TEST(Population, DerivesEachClientsCommodityFromOffsets) {
-  const Instance instance = uneven_commodities();
-  const FlowVector initial = FlowVector::uniform(instance);
-  const Population population(instance, 1003, initial.values());
-  const std::size_t k = instance.commodity_count();
-  ASSERT_EQ(k, 3u);
+// k commodities s_i -> t over 1 + i % 3 parallel links each, with demand
+// proportional to k - i, so the client ranges shrink with i.
+Instance many_commodities(std::size_t k) {
+  Graph g(k + 1);
+  const VertexId t{k};
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < 1 + i % 3; ++j) g.add_edge(VertexId{i}, t);
+  }
+  const std::size_t edges = g.edge_count();
+  InstanceBuilder builder(std::move(g));
+  for (std::size_t e = 0; e < edges; ++e) {
+    builder.set_latency(EdgeId{e},
+                        affine(0.01 * static_cast<double>(e), 1.0));
+  }
+  const double total = static_cast<double>(k * (k + 1) / 2);
+  for (std::size_t i = 0; i < k; ++i) {
+    builder.add_commodity(VertexId{i}, t,
+                          static_cast<double>(k - i) / total);
+  }
+  return std::move(builder).build();
+}
 
+/// Checks commodity_of against the offsets on every client, and names
+/// the right commodity on each side of every range boundary.
+void expect_commodities_from_offsets(const Instance& instance,
+                                     const Population& population) {
+  const std::size_t k = instance.commodity_count();
   // Client ids enumerate commodities in order: commodity_of starts at 0,
   // ends at k - 1 and steps up by one exactly where a range ends.
   std::vector<std::size_t> tally(k, 0);
@@ -138,16 +159,19 @@ TEST(Population, DerivesEachClientsCommodityFromOffsets) {
     const std::size_t count = population.clients_of(id);
     EXPECT_EQ(tally[c], count);
     EXPECT_EQ(first, total);
-    EXPECT_EQ(population.commodity_of(first), id);
-    EXPECT_EQ(population.commodity_of(first + count - 1), id);
+    EXPECT_EQ(population.commodity_of(first), id) << "k=" << k;
+    EXPECT_EQ(population.commodity_of(first + count - 1), id) << "k=" << k;
+    if (first > 0) {
+      EXPECT_EQ(population.commodity_of(first - 1), CommodityId{c - 1})
+          << "k=" << k;
+    }
+    if (first + count < population.size()) {
+      EXPECT_EQ(population.commodity_of(first + count), CommodityId{c + 1})
+          << "k=" << k;
+    }
     total += count;
   }
   EXPECT_EQ(total, population.size());
-  // Uneven demand, uneven ranges.
-  EXPECT_GT(population.clients_of(CommodityId{0}),
-            population.clients_of(CommodityId{1}));
-  EXPECT_GT(population.clients_of(CommodityId{1}),
-            population.clients_of(CommodityId{2}));
 
   // The derived commodity rebuilds the constructor's empirical flow.
   std::vector<double> rebuilt(instance.path_count(), 0.0);
@@ -159,6 +183,28 @@ TEST(Population, DerivesEachClientsCommodityFromOffsets) {
   }
   for (std::size_t p = 0; p < rebuilt.size(); ++p) {
     EXPECT_NEAR(rebuilt[p], population.empirical_flow()[p], 1e-12);
+  }
+}
+
+TEST(Population, DerivesEachClientsCommodityFromOffsets) {
+  const Instance instance = uneven_commodities();
+  const FlowVector initial = FlowVector::uniform(instance);
+  const Population population(instance, 1003, initial.values());
+  ASSERT_EQ(instance.commodity_count(), 3u);
+  expect_commodities_from_offsets(instance, population);
+  // Uneven demand, uneven ranges.
+  EXPECT_GT(population.clients_of(CommodityId{0}),
+            population.clients_of(CommodityId{1}));
+  EXPECT_GT(population.clients_of(CommodityId{1}),
+            population.clients_of(CommodityId{2}));
+
+  // The fixed-step search takes no shortcut for any C: one, two, a
+  // non-power-of-two and a power-of-two count of commodities.
+  for (const std::size_t k : {1, 2, 3, 7, 64}) {
+    const Instance many = many_commodities(k);
+    ASSERT_EQ(many.commodity_count(), k);
+    const Population clients(many, 1003, FlowVector::uniform(many).values());
+    expect_commodities_from_offsets(many, clients);
   }
 }
 
@@ -188,6 +234,64 @@ TEST(BoardSnapshot, CdfIsMonotoneAndEndsAtOne) {
   EXPECT_GE(cdf.back(), 1.0);
 }
 
+// Each lane holds its commodity's board latencies in local path order and
+// a candidate lookup that picks sample_from_cdf's index for every u,
+// whether the snapshot was built in one go or in two phases.
+TEST(BoardSnapshot, LanesMatchTheBoard) {
+  // sample_from_cdf's index for the variate u: lower_bound, end-clamped.
+  const auto reference = [](std::span<const double> cdf, double u) {
+    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    return std::min<std::size_t>(static_cast<std::size_t>(it - cdf.begin()),
+                                 cdf.size() - 1);
+  };
+  for (const char* name :
+       {"braess", "multicommodity-grid-3x3", "layered-4x3"}) {
+    Rng scenario_rng(1);
+    const Instance instance =
+        ScenarioRegistry::builtin().at(name).make(scenario_rng);
+    const Policy policy = make_replicator_policy(instance);
+    const FlowVector flow = FlowVector::uniform(instance);
+    const BoardSnapshot full(instance, policy, 0, 0.0, flow.values());
+    BoardSnapshot deferred(BoardSnapshot::DeferCdf{}, instance, policy, 0,
+                           0.0, flow.values());
+    for (std::size_t c = 0; c < instance.commodity_count(); ++c) {
+      deferred.build_cdf(CommodityId{c});
+    }
+    for (const BoardSnapshot* snapshot :
+         {&full, static_cast<const BoardSnapshot*>(&deferred)}) {
+      const std::span<const BoardSnapshot::Lane> lanes = snapshot->lanes();
+      ASSERT_EQ(lanes.size(), instance.commodity_count()) << name;
+      const std::span<const double> latency =
+          snapshot->board().path_latency();
+      for (std::size_t c = 0; c < lanes.size(); ++c) {
+        const CommodityId id{c};
+        const BoardSnapshot::Lane& lane = lanes[c];
+        const std::vector<PathId>& paths = instance.commodity(id).paths;
+        for (std::size_t k = 0; k < paths.size(); ++k) {
+          ASSERT_EQ(lane.paths[k], paths[k]) << name << ", c=" << c;
+          ASSERT_EQ(lane.latency[k], latency[paths[k].index()])
+              << name << ", c=" << c << ", k=" << k;
+        }
+        // Every bucket edge, every CDF step and the largest uniform().
+        const std::span<const double> cdf = snapshot->cdf(id);
+        std::vector<double> points;
+        const double buckets = lane.cdf.buckets;
+        for (double k = 0.0; k < buckets; k += 1.0) {
+          points.push_back(k / buckets);
+        }
+        for (const double step : cdf) {
+          if (step < 1.0) points.push_back(step);
+        }
+        points.push_back(1.0 - 0x1p-53);
+        for (const double u : points) {
+          ASSERT_EQ(lane.cdf.index_of(u), reference(cdf, u))
+              << name << ", c=" << c << ", u=" << u;
+        }
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------------- FlowLedger
 
 TEST(FlowLedger, FoldsShardsInOrderAndResets) {
@@ -196,9 +300,9 @@ TEST(FlowLedger, FoldsShardsInOrderAndResets) {
   ledger.add(0, 0, +0.5);
   ledger.add(3, 0, -0.25);
   ledger.add(1, 2, +1.0);
-  ledger.count_served(0, 1);
-  ledger.count_migration(0);
-  ledger.count_served(3, 2);
+  ++ledger.slot(0).served[1];
+  ++*ledger.slot(0).migrations;
+  ++ledger.slot(3).served[2];
 
   const FlowLedger::Totals totals = ledger.fold_into(flow, 4);
   EXPECT_EQ(totals.queries, 2u);
@@ -221,11 +325,11 @@ TEST(FlowLedger, FoldsServedCountsPerPathAndResets) {
   ledger.ensure_slots(3);
   ASSERT_EQ(ledger.served().size(), 10u);
   for (const std::uint64_t count : ledger.served()) EXPECT_EQ(count, 0u);
-  ledger.count_served(0, 9);
-  ledger.count_served(0, 9);
-  ledger.count_served(1, 0);
-  ledger.count_served(2, 9);
-  ledger.count_served(2, 4);
+  ++ledger.slot(0).served[9];
+  ++ledger.slot(0).served[9];
+  ++ledger.slot(1).served[0];
+  ++ledger.slot(2).served[9];
+  ++ledger.slot(2).served[4];
   std::vector<double> flow(10, 0.0);
 
   // Only slots 0 and 1 are active; slot 2 waits for a wider fold.
@@ -431,7 +535,7 @@ TEST(EpochEngine, HugeEpochBudgetBeginsAndServesOneEpoch) {
 }
 
 TEST(EpochEngine, ClientStateBeyondPhysicalMemoryIsRejectedBeforeAllocating) {
-  // The largest fleet RouteQuery::client (uint32) can address needs
+  // The largest fleet a uint32 client id can address needs
   // 2^32 - 1 clients x kBytesPerClient of client state (17.2 GB at 4 B).
   // begin() must refuse it up front (exit 2 in the CLIs), not die on
   // bad_alloc part-way through building the population.

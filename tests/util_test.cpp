@@ -97,6 +97,55 @@ TEST(Rng, BelowIsInRangeAndRoughlyUniform) {
   EXPECT_THROW(rng.below(0), std::invalid_argument);
 }
 
+// BoundedDraw's multiply-high reduction equals r % n for every r: at the
+// edges where its quotient estimate falls one short (just below a
+// multiple of n, near 2^64) and on a million random words, for divisors
+// at both ends of the 64-bit range and around 2^31, 2^32 and 2^63. Its
+// draws take the raw words and return the values of the textbook
+// threshold-rejection loop.
+TEST(Rng, BoundedDrawEqualsModulo) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{1562}, std::uint64_t{1563}, std::uint64_t{1} << 31,
+        (std::uint64_t{1} << 32) - 1, std::uint64_t{1} << 32,
+        (std::uint64_t{1} << 32) + 1, std::uint64_t{1} << 63,
+        (std::uint64_t{1} << 63) + 1, kMax}) {
+    const BoundedDraw draw(n);
+    const std::uint64_t threshold = (0 - n) % n;  // (2^64 - n) mod n
+    const std::uint64_t top = kMax / n * n;  // the largest multiple of n
+    for (const std::uint64_t r :
+         {std::uint64_t{0}, std::uint64_t{1}, n - 1, n, 2 * n - 1,
+          threshold - 1, threshold, top - n - 1, top - n, top - n + 1,
+          top - 1, top, top + 1, kMax - 1, kMax}) {
+      EXPECT_EQ(draw.reduce(r), r % n) << "n=" << n << ", r=" << r;
+    }
+    Rng words(n);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t r = words();
+      mismatches += draw.reduce(r) != r % n ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n;
+
+    Rng rng(7);
+    Rng reference(7);
+    for (int i = 0; i < 1000; ++i) {
+      std::uint64_t expected = 0;
+      for (;;) {
+        const std::uint64_t r = reference();
+        if (r >= threshold) {
+          expected = r % n;
+          break;
+        }
+      }
+      ASSERT_EQ(draw(rng), expected) << "n=" << n << ", draw " << i;
+    }
+    EXPECT_EQ(rng.state(), reference.state()) << "n=" << n;
+  }
+  EXPECT_THROW(BoundedDraw(0), std::invalid_argument);
+}
+
 TEST(Rng, BernoulliEdgeCases) {
   Rng rng(9);
   EXPECT_FALSE(rng.bernoulli(0.0));
